@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race cover bench bench-short bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint race cover bench bench-short bench-smoke bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -31,6 +31,12 @@ bench:
 bench-short:
 	$(GO) test -short -bench=. -benchmem ./...
 
+# The repo benchmark (bench/, BENCHMARK.json) is a nested module, outside
+# `go build ./...` and `go test ./...`: vet it and run its 1/50-size smoke
+# test here, so a root API change that breaks the benchmark build is noticed.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Dirty-set density sweep: O(dirty) mark-queue fold vs incremental traversal
 # at 0.1%..100% modification density, written as BENCH_dirtyset.json, plus
 # the zero-allocation steady-state regression test.
@@ -38,15 +44,15 @@ bench-dirty:
 	$(GO) test -count=1 -run 'TestSteadyStateDirtyFoldAllocsZero|TestSteadyStateNilEmitDirtyFoldAllocsZero|TestPooledEncoderAllocsZero' ./ckpt/ ./wire/
 	$(GO) run ./cmd/ckptbench -experiment dirtyset -n 20000 -reps 7 -warmup 2
 
-# Interpreter workload sweep: zero-copy encode (Reserve/SwapEncoder/Submit)
-# vs the scratch-encoder baseline across program size x allocation churn,
-# written as BENCH_interp.json, gated by the zero-allocation regression tests
+# Interpreter workload sweep: zero-copy log handoff (Reserve/SwapEncoder/
+# Submit) vs the copying Append baseline across program size x allocation
+# churn, written as BENCH_interp.json, gated by the zero-allocation regression tests
 # for the mutation step and the fused dirty fold under interpreter churn.
 bench-interp:
 	$(GO) test -count=1 -run 'TestMutationStepAllocsZero|TestInterpDirtyEpochAllocsZero' ./internal/interp/
 	$(GO) run ./cmd/ckptbench -experiment interp -reps 7 -warmup 2
 
-# Sub-object delta sweep: payload size x mutated byte fraction x encode path,
+# Sub-object delta sweep: payload size x mutated byte fraction,
 # delta-encoding writer vs plain writer on twin populations, written as
 # BENCH_delta.json (records GOMAXPROCS and the physical core count), gated by
 # the delta round-trip, shadow-commit coherence, and apply-buffer-reuse tests.
@@ -67,7 +73,8 @@ bench-multitenant:
 	$(GO) run ./cmd/ckptbench -experiment multitenant -reps 7 -warmup 2
 
 # Race leg over the multi-tenant service, its scheduler, and the parallel
-# fold it multiplexes (includes the shared-log fault sweeps in difftest).
+# fold (includes the shared-log fault sweeps in difftest, and the dirty fold
+# racing one shared reflection engine: TestFoldDirtySharedReflectEngine).
 race-tenant:
 	$(GO) test -race -count=1 ./ckpt/tenant/ ./ckpt/parfold/
 	$(GO) test -race -count=1 -run 'TestTenant' ./internal/difftest/

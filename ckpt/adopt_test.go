@@ -1,7 +1,6 @@
 package ckpt_test
 
 import (
-	"bytes"
 	"testing"
 
 	"ickpt/ckpt"
@@ -112,50 +111,5 @@ func TestAdoptWithoutTracker(t *testing.T) {
 	d.Adopt(p) // must not panic or register anywhere
 	if !p.info.Modified() {
 		t.Fatal("new object lost its modified flag")
-	}
-}
-
-// TestScratchAndZeroCopyBodiesIdentical pins the zero-copy encode contract:
-// the default direct path (reserve a length placeholder, encode the payload
-// in place, patch) produces bodies byte-identical to the scratch-copy
-// baseline — across full and incremental modes and across the patch size
-// classes (payloads under and over 128 bytes).
-func TestScratchAndZeroCopyBodiesIdentical(t *testing.T) {
-	build := func(opts ...ckpt.WriterOption) [][]byte {
-		d := ckpt.NewDomain()
-		small := newPoint(d, 1, 2, "s")
-		big := newPoint(d, 3, 4, string(bytes.Repeat([]byte("x"), 300)))
-		small.next = big
-		w := ckpt.NewWriter(opts...)
-		var bodies [][]byte
-		for _, mode := range []ckpt.Mode{ckpt.Full, ckpt.Incremental, ckpt.Incremental} {
-			if mode == ckpt.Incremental {
-				small.x++
-				small.info.SetModified()
-				big.label += "y"
-				big.info.SetModified()
-			}
-			w.Start(mode)
-			if err := w.Checkpoint(small); err != nil {
-				t.Fatal(err)
-			}
-			body, _, err := w.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, append([]byte(nil), body...))
-		}
-		return bodies
-	}
-	direct := build()
-	scratch := build(ckpt.WithScratchEncode())
-	if len(direct) != len(scratch) {
-		t.Fatalf("body counts differ: %d vs %d", len(direct), len(scratch))
-	}
-	for i := range direct {
-		if !bytes.Equal(direct[i], scratch[i]) {
-			t.Fatalf("body %d: zero-copy and scratch streams differ (%d vs %d bytes)",
-				i, len(direct[i]), len(scratch[i]))
-		}
 	}
 }

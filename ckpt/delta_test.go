@@ -170,22 +170,6 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaScratchMatchesZeroCopy: the scratch-copy and zero-copy encode
-// paths make the same delta decisions from the same bytes, so their bodies
-// are byte-identical.
-func TestDeltaScratchMatchesZeroCopy(t *testing.T) {
-	zc := runBlobTrace(t, ckpt.WithDeltaEncoding(64))
-	sc := runBlobTrace(t, ckpt.WithDeltaEncoding(64), ckpt.WithScratchEncode())
-	if len(zc.bodies) != len(sc.bodies) {
-		t.Fatalf("body counts differ: %d vs %d", len(zc.bodies), len(sc.bodies))
-	}
-	for i := range zc.bodies {
-		if !bytes.Equal(zc.bodies[i], sc.bodies[i]) {
-			t.Fatalf("body %d differs between zero-copy and scratch encode", i)
-		}
-	}
-}
-
 // TestDeltaAbortKeepsCommittedBase: aborting an epoch leaves the shadow at
 // the last committed payload, the next emit of the aborted object ships a
 // full record, and the surviving bodies rebuild to the live state.
@@ -285,9 +269,13 @@ func rawRec(e *wire.Encoder, id uint64, kind byte, payload []byte) {
 	e.Raw(payload)
 }
 
+// rawBody hand-frames a version-2 body: version byte, mode byte, epoch
+// uvarint, then recs.
 func rawBody(mode ckpt.Mode, epoch uint64, recs func(*wire.Encoder)) []byte {
 	var e wire.Encoder
-	ckpt.AppendDeltaBodyHeader(&e, mode, epoch)
+	e.Byte(2)
+	e.Byte(byte(mode))
+	e.Uvarint(epoch)
 	recs(&e)
 	return append([]byte(nil), e.Bytes()...)
 }

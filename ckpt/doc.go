@@ -81,6 +81,21 @@
 // checkpoint to Full — the safe fallback. See docs/DURABILITY.md for the
 // end-to-end contract including the log.
 //
+// # One epoch lifecycle
+//
+// Every driver runs an epoch the same way. A body starts in one place,
+// [Writer.StartAt] ([Writer.Start] is StartAt at the next epoch); records are
+// framed by one encoder, the [Emitter], straight into the body; and a fold —
+// finished or failed — ends in one place, [Settle], which hands the epoch's
+// clear-set and staged delta shadows to the epoch's authority: the session,
+// or, with none attached, nobody — a finished body then counts as durable at
+// once and a failed one is re-marked directly. [Writer.Finish] and
+// [Writer.Discard] are Settle with the writer's own state; package parfold's
+// single-worker fold and package tenant's folds are this Writer, and
+// parfold's sharded fold settles the merged epoch of its detached workers
+// with one Settle call. No other code stages or discards shadows, attaches
+// them to a session, or re-marks a clear-set.
+//
 // # Memory model for parallel folding
 //
 // Package parfold folds disjoint subtrees of the registered graph on a pool

@@ -40,7 +40,7 @@ type Stats struct {
 }
 
 // Add accumulates the counters of o into s. Bytes is summed like the other
-// counters; callers merging shard bodies under a single header (package
+// counters; callers merging worker bodies behind a single header (package
 // parfold) overwrite it with the merged length afterwards.
 func (s *Stats) Add(o Stats) {
 	s.Visited += o.Visited
@@ -50,22 +50,15 @@ func (s *Stats) Add(o Stats) {
 	s.Bytes += o.Bytes
 }
 
-// AppendBodyHeader writes the checkpoint body header — format version, mode,
-// epoch — to dst. It is the one place the header is encoded: Emitter.Reset
-// uses it, and the parfold merge uses it to frame shard bodies produced with
-// ResetShard under a single header.
-func AppendBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
-	dst.Byte(bodyVersion)
-	dst.Byte(byte(mode))
-	dst.Uvarint(epoch)
-}
-
-// AppendDeltaBodyHeader writes the version-2 body header that frames
-// kind-carrying records. Delta-enabled emitters use it in Reset, and the
-// parfold merge uses it when its workers' shard writers carry a shadow
-// cache.
-func AppendDeltaBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
-	dst.Byte(bodyVersion2)
+// appendBodyHeader writes the checkpoint body header — format version, mode,
+// epoch — to dst. It is the one place the header is encoded; kinds selects
+// version 2, whose records carry a kind byte.
+func appendBodyHeader(dst *wire.Encoder, kinds bool, mode Mode, epoch uint64) {
+	if kinds {
+		dst.Byte(bodyVersion2)
+	} else {
+		dst.Byte(bodyVersion)
+	}
 	dst.Byte(byte(mode))
 	dst.Uvarint(epoch)
 }
@@ -75,112 +68,73 @@ func AppendDeltaBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
 // plans, and by generated specialized checkpoint functions, guaranteeing
 // that all of them produce byte-identical streams.
 //
-// By default records are encoded zero-copy: Begin writes the id and type to
-// the destination, reserves a one-byte length placeholder, and hands the
+// Records are encoded zero-copy: Begin writes the id and type to the
+// destination, reserves a one-byte length placeholder, and hands the
 // destination encoder straight to Record; End patches the placeholder
 // (wire.Encoder.PatchUvarint), shifting the payload only when it runs 128
-// bytes or longer. The older scratch path — encode the payload into a
-// per-emitter scratch buffer, then copy it behind a computed prefix — is
-// retained behind SetScratchEncode as the measurable baseline; both paths
-// produce byte-identical bodies.
+// bytes or longer.
 type Emitter struct {
-	dst     *wire.Encoder
-	scratch wire.Encoder
-	stats   Stats
-	clears  []ClearEntry
+	dst    *wire.Encoder
+	stats  Stats
+	clears []ClearEntry
 
-	curID       uint64
-	curInfo     *Info
-	curType     TypeID
-	lenPos      int
-	scratchMode bool
-	open        bool
+	curID   uint64
+	curInfo *Info
+	lenPos  int
 
 	// Delta encoding state. When shadow is non-nil the emitter frames
 	// version-2 records (with a kind byte) and diffs each payload larger
 	// than the cache's threshold against the object's shadow, shipping the
 	// delta when it wins (see ShadowCache). mode gates the diff: Full
-	// bodies never carry deltas. shadowPends accumulates the epoch's
-	// payload copies; the driver stages them at Finish and the cache
-	// promotes them only when the epoch commits.
-	shadow      *ShadowCache
-	mode        Mode
-	deltaBuf    wire.Encoder
-	shadowPends []ShadowStage
-	kindPos     int
+	// bodies never carry deltas. stages accumulates the epoch's payload
+	// copies; Settle stages them when the epoch ends and the cache promotes
+	// them only when the epoch commits.
+	shadow   *ShadowCache
+	mode     Mode
+	deltaBuf wire.Encoder
+	stages   []ShadowStage
+	kindPos  int
 	// shadowSkips counts emits the churn backoff left undiffed (consumed
 	// from Info.shadowSkip without touching the cache); TakeShadowStages
 	// flushes it into the cache's stats once per epoch.
 	shadowSkips int
 }
 
-// SetScratchEncode switches the emitter between the zero-copy encode path
-// (false, the default) and the scratch-copy baseline (true): payloads built
-// in a scratch buffer and copied behind a precomputed length prefix. The two
-// paths produce byte-identical bodies; the scratch path exists so the copy
-// tax stays measurable (cmd/ckptbench -experiment interp). Must not be
-// called between Begin and End.
-func (em *Emitter) SetScratchEncode(on bool) { em.scratchMode = on }
-
 // SetShadow attaches (or detaches, with nil) the shadow cache that switches
 // the emitter into delta-enabled version-2 framing. Must not be called
-// between Begin and End; Writer options (WithDeltaEncoding, WithShadowCache)
-// are the usual entry point.
+// between Reset and the end of the body. Writer options (WithDeltaEncoding,
+// WithShadowCache) are the usual entry point: they also make the writer the
+// one that settles the epoch's staged shadows. Attaching the cache to the
+// emitter alone yields a detached writer — it diffs against the cache, but
+// whoever drives it must take its stages and settle them (parfold's shard
+// workers, whose folder settles the merged epoch once).
 func (em *Emitter) SetShadow(c *ShadowCache) { em.shadow = c }
 
 // TakeShadowStages returns the payload copies accumulated for the epoch in
-// progress and detaches them, transferring ownership to the caller: a Writer
-// finishing an epoch stages them (ShadowCache.Stage), a parallel fold
-// gathers per-worker batches and stages the merged epoch as one, and a
-// failed epoch's driver discards them (ShadowCache.Discard).
+// progress and detaches them, transferring ownership to the caller, who must
+// hand them to Settle: a Writer does when its epoch ends, and a parallel fold
+// gathers its detached workers' batches and settles the merged epoch as one.
 func (em *Emitter) TakeShadowStages() []ShadowStage {
 	if em.shadowSkips > 0 && em.shadow != nil {
 		em.shadow.addSkipped(em.shadowSkips)
 		em.shadowSkips = 0
 	}
-	p := em.shadowPends
-	em.shadowPends = nil
+	p := em.stages
+	em.stages = nil
 	return p
 }
 
 // Reset points the emitter at dst, writes the body header, and clears the
 // statistics.
 func (em *Emitter) Reset(dst *wire.Encoder, mode Mode, epoch uint64) {
-	em.ResetShard(dst)
-	em.mode = mode
-	if em.shadow != nil {
-		AppendDeltaBodyHeader(dst, mode, epoch)
-	} else {
-		AppendBodyHeader(dst, mode, epoch)
-	}
-}
-
-// ResetShard points the emitter at dst and clears the statistics without
-// writing a body header. The records framed afterwards form a shard body: a
-// headerless run of records that a merge step (package parfold) concatenates
-// with other shard bodies under one AppendBodyHeader to reconstitute a
-// complete checkpoint body.
-func (em *Emitter) ResetShard(dst *wire.Encoder) {
 	em.dst = dst
+	em.mode = mode
 	em.stats = Stats{}
-	// The clear-set backing array is recycled: keep one the emitter still
-	// owns, otherwise draw from the pool that Commit/Abort retire into, so a
-	// steady-state epoch never allocates one (see getClears).
-	if em.clears != nil {
-		em.clears = em.clears[:0]
-	} else {
-		em.clears = getClears()
-	}
-	// Stage copies never taken by a driver (an epoch discarded without
-	// abandon's bookkeeping) go back to the cache's buffer pool: they were
-	// never published, so recycling them is safe.
-	if len(em.shadowPends) > 0 {
-		if em.shadow != nil {
-			em.shadow.Discard(em.shadowPends)
-		}
-		em.shadowPends = em.shadowPends[:0]
-	}
-	em.open = false
+	// The previous epoch's clear-set and stages were taken when it settled.
+	// The clear-set backing array is recycled: draw from the pool that
+	// Commit/Abort retire into, so a steady-state epoch never allocates one.
+	em.clears = getClears()
+	appendBodyHeader(dst, em.shadow != nil, mode, epoch)
 }
 
 // Begin starts the record for one object and returns the encoder into which
@@ -197,14 +151,8 @@ func (em *Emitter) Begin(info *Info, t TypeID) *wire.Encoder {
 	if info.Modified() {
 		em.clears = append(em.clears, ClearEntry{ID: info.ID(), Info: info})
 	}
-	em.open = true
 	em.curID = info.ID()
 	em.curInfo = info
-	if em.scratchMode {
-		em.curType = t
-		em.scratch.Reset()
-		return &em.scratch
-	}
 	em.dst.Uvarint(info.ID())
 	em.dst.Uvarint(uint64(t))
 	if em.shadow != nil {
@@ -215,65 +163,29 @@ func (em *Emitter) Begin(info *Info, t TypeID) *wire.Encoder {
 	return em.dst
 }
 
-// End frames the payload started by Begin into the destination stream: on
-// the zero-copy path it patches the reserved length prefix in place; on the
-// scratch path it copies the scratch payload behind a computed prefix.
+// End frames the payload started by Begin into the destination stream by
+// patching the reserved length prefix in place.
 //
 // With a shadow cache attached, End is also where the delta decision runs:
 // the completed payload is diffed against the object's shadow, the delta
-// replaces the payload when it comes in under the size limit (on the
-// zero-copy path by truncating back to the reserved prefix and patching the
-// kind byte), and the payload is copied into the epoch's pending shadows so
-// the next epoch diffs against it once this one commits.
+// replaces the payload when it comes in under the size limit (by truncating
+// back to the reserved prefix and patching the kind byte), and the payload is
+// copied into the epoch's pending shadows so the next epoch diffs against it
+// once this one commits.
 func (em *Emitter) End() {
 	if em.shadow != nil {
-		em.endShadowed()
-		em.stats.Recorded++
-		em.open = false
-		return
-	}
-	if em.scratchMode {
-		em.dst.Uvarint(em.curID)
-		em.dst.Uvarint(uint64(em.curType))
-		em.dst.Uvarint(uint64(em.scratch.Len()))
-		em.dst.Raw(em.scratch.Bytes())
-	} else {
-		em.dst.PatchUvarint(em.lenPos)
-	}
-	em.stats.Recorded++
-	em.open = false
-}
-
-// endShadowed frames the record begun by Begin with a kind byte, shipping a
-// delta payload when the diff against the object's shadow wins. Both encode
-// paths make the same decision from the same bytes, so scratch and
-// zero-copy delta bodies stay byte-identical.
-func (em *Emitter) endShadowed() {
-	if em.scratchMode {
-		payload := em.scratch.Bytes()
-		kind := em.deltaOrFull(payload)
-		em.dst.Uvarint(em.curID)
-		em.dst.Uvarint(uint64(em.curType))
-		em.dst.Byte(kind)
-		if kind == wire.KindDelta {
-			em.dst.Uvarint(uint64(em.deltaBuf.Len()))
+		payload := em.dst.Bytes()[em.lenPos+1:]
+		if em.deltaOrFull(payload) == wire.KindDelta {
+			// The payload was staged into the shadow copy above and the delta
+			// encoded into deltaBuf; rewind to the reserved length prefix and
+			// frame the delta in its place.
+			em.dst.Truncate(em.lenPos + 1)
 			em.dst.Raw(em.deltaBuf.Bytes())
-		} else {
-			em.dst.Uvarint(uint64(len(payload)))
-			em.dst.Raw(payload)
+			em.dst.PatchByte(em.kindPos, wire.KindDelta)
 		}
-		return
-	}
-	payload := em.dst.Bytes()[em.lenPos+1:]
-	if em.deltaOrFull(payload) == wire.KindDelta {
-		// The payload was staged into the shadow copy above and the delta
-		// encoded into deltaBuf; rewind to the reserved length prefix and
-		// frame the delta in its place.
-		em.dst.Truncate(em.lenPos + 1)
-		em.dst.Raw(em.deltaBuf.Bytes())
-		em.dst.PatchByte(em.kindPos, wire.KindDelta)
 	}
 	em.dst.PatchUvarint(em.lenPos)
+	em.stats.Recorded++
 }
 
 // deltaOrFull consults the shadow cache for the record's diff base, attempts
@@ -321,7 +233,7 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 		em.curInfo.shadowSkip = uint16(window)
 	}
 	if stage {
-		em.shadowPends = append(em.shadowPends, em.shadow.copyPayload(em.curID, payload))
+		em.stages = append(em.stages, em.shadow.copyPayload(em.curID, payload))
 	}
 	return kind
 }
@@ -359,14 +271,11 @@ func (em *Emitter) Visit() { em.stats.Visited++ }
 // callers that perform the test themselves (specialized plans).
 func (em *Emitter) Skip() { em.stats.Skipped++ }
 
-// Clears returns the clear-set accumulated since Reset: one entry per
-// object whose modified flag was set when its record began. The slice is
-// owned by the emitter; TakeClears transfers ownership.
-func (em *Emitter) Clears() []ClearEntry { return em.clears }
-
-// TakeClears returns the accumulated clear-set and detaches it from the
-// emitter, transferring ownership to the caller (a Writer finishing an
-// epoch, or a parallel fold gathering per-worker sets).
+// TakeClears returns the clear-set accumulated since Reset — one entry per
+// object whose modified flag was set when its record began — and detaches it
+// from the emitter, transferring ownership to the caller, who must hand it to
+// Settle or to Session.Observe (a Writer ending an epoch, or a parallel fold
+// gathering its detached workers' sets).
 func (em *Emitter) TakeClears() []ClearEntry {
 	c := em.clears
 	em.clears = nil

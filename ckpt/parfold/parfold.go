@@ -6,13 +6,21 @@
 // spec plans, and generated specialized routines — all walk the roots one
 // goroutine at a time. parfold partitions the roots into deterministic
 // shards (stable assignment by checkpoint id), folds the shards concurrently
-// into per-worker wire.Encoder buffers via headerless shard writers
-// (ckpt.Writer.StartShard), and concatenates the per-root chunks in
-// canonical id order under a single body header. Because each root's subtree
-// encoding is independent of every other root's — the emitter frames records
-// from a per-object scratch buffer — the merged body reproduces, byte for
-// byte, what a sequential fold over the id-sorted roots would have written.
-// Shard and worker counts influence scheduling only, never bytes.
+// into per-worker wire.Encoder buffers — each worker an ordinary ckpt.Writer
+// starting an ordinary body under the merged epoch — and concatenates the
+// per-root chunks in canonical id order behind the header one worker wrote.
+// Because each root's subtree encoding is independent of every other root's
+// — a record's bytes depend only on its object — the merged body reproduces,
+// byte for byte, what a sequential fold over the id-sorted roots would have
+// written. Shard and worker counts influence scheduling only, never bytes.
+//
+// The folder adds no epoch lifecycle of its own. With one effective worker
+// the fold is the sequential ckpt.Writer, encoding straight into the output;
+// the sharded fold's workers are detached writers (they clear flags and stage
+// shadows but settle nothing), and the folder settles the merged epoch once
+// through ckpt.Settle. The commit/abort authority is always a ckpt.Session:
+// the caller's (WithSession), or a private one under which a body counts as
+// durable once the next fold starts.
 //
 // The fold is subject to the parallel memory-model contract documented in
 // package ckpt: mutators quiescent, roots with disjoint subtrees. The
@@ -107,10 +115,12 @@ func WithShards(n int) Option {
 // merged clear-set (the modified flags the epoch's records cleared, gathered
 // across all workers) is handed to s when the fold completes, pending until
 // s.Commit or s.Abort; a failed fold aborts its epoch through s immediately,
-// covering the shards that succeeded before the failure. Without a session
-// the folder still re-marks cleared flags itself when a fold or a FoldTo
-// sink fails, but cannot protect bodies handed to an asynchronous sink —
-// pair the session with stablelog.WithAck(s.Ack) for that. See ckpt.Session.
+// covering the shards that succeeded before the failure. Without the option
+// the folder resolves epochs through a private session: a failed fold or
+// FoldTo sink still aborts (re-marking the cleared flags), and a body that
+// survives to the start of the next fold (or to Release) commits — which
+// cannot protect bodies handed to an asynchronous sink; pair a session of
+// your own with stablelog.WithAck(s.Ack) for that. See ckpt.Session.
 func WithSession(s *ckpt.Session) Option {
 	return optionFunc(func(fo *Folder) { fo.session = s })
 }
@@ -119,9 +129,9 @@ func WithSession(s *ckpt.Session) Option {
 // ckpt.WithDeltaEncoding): every worker writer shares c, so an object's
 // payload is diffed against its previous epoch's shadow no matter which
 // worker encodes it, and merged bodies stay byte-identical to a sequential
-// delta-encoding fold. The folder stages the workers' shadow updates as one
-// epoch batch and resolves it with the epoch — through the session when one
-// is attached, at the next fold otherwise. A nil cache leaves deltas off.
+// delta-encoding fold. The workers' shadow updates settle as one epoch batch
+// and resolve with the epoch, through the session. A nil cache leaves deltas
+// off.
 func WithShadowCache(c *ckpt.ShadowCache) Option {
 	return optionFunc(func(fo *Folder) { fo.shadow = c })
 }
@@ -137,11 +147,26 @@ type Folder struct {
 	newFold func() FoldFunc
 	workers int
 	shards  int
-	session *ckpt.Session
+
+	// session is every epoch's commit/abort authority. ownSession marks the
+	// private one of a folder built without WithSession: nobody outside can
+	// resolve its epochs, so the previous fold's body counts as durable once
+	// the next fold starts (see begin).
+	session    *ckpt.Session
+	ownSession bool
+
+	// shadow, when non-nil, is the delta shadow cache every writer of the
+	// folder diffs against.
+	shadow *ckpt.ShadowCache
 
 	epoch uint64
 	out   wire.Encoder
-	pool  []*worker
+
+	// seq is the single-worker fold: the sequential writer, attached to the
+	// session and the shadow cache, settling its own epochs. pool holds the
+	// sharded fold's detached workers.
+	seq  *worker
+	pool []*worker
 
 	// target, when non-nil, receives the next fold's body in place of the
 	// folder's own merge buffer — FoldTo points it at a ReserveSink's
@@ -156,19 +181,6 @@ type Folder struct {
 	// the degraded-to-sequential path (one effective worker, or
 	// GOMAXPROCS=1) runs inline and leaves it untouched.
 	spawned int
-
-	// lastClears is the previous fold's merged clear-set when no session
-	// holds it, kept so FoldTo can re-mark after a sink failure.
-	lastClears []ckpt.ClearEntry
-
-	// shadow, when non-nil, is the delta shadow cache shared by every worker
-	// writer. shadowPend/shadowEpoch/shadowMode mirror lastClears for the
-	// sessionless case: the staged batch stays pending until the next fold
-	// implicitly commits it or a FoldTo sink failure aborts it.
-	shadow      *ckpt.ShadowCache
-	shadowPend  bool
-	shadowEpoch uint64
-	shadowMode  ckpt.Mode
 }
 
 // worker is the per-goroutine state, cached across folds so engines with
@@ -180,15 +192,16 @@ type worker struct {
 	wr     *ckpt.Writer
 	fold   FoldFunc
 	spans  []span
+	hdrLen int // length of the body header the worker's StartAt wrote
 	clears []ckpt.ClearEntry
 	stages []ckpt.ShadowStage
 	err    error
 }
 
-// span locates one root's chunk inside a worker's shard body.
+// span locates one root's chunk inside a worker's body.
 type span struct {
 	pos        int // canonical position of the root
-	start, end int // byte range in the worker's shard body
+	start, end int // byte range in the worker's body
 }
 
 // New returns a Folder. newFold is called once per worker goroutine to
@@ -199,6 +212,9 @@ func New(newFold func() FoldFunc, opts ...Option) *Folder {
 	f := &Folder{newFold: newFold}
 	for _, o := range opts {
 		o.apply(f)
+	}
+	if f.session == nil {
+		f.session, f.ownSession = ckpt.NewSession(), true
 	}
 	return f
 }
@@ -213,8 +229,7 @@ func NewGeneric(opts ...Option) *Folder {
 // returned body aliases the folder's buffer and is invalidated by the next
 // fold; copy it if it must outlive the folder's reuse.
 func (f *Folder) Fold(mode ckpt.Mode, roots []ckpt.Checkpointable) ([]byte, ckpt.Stats, error) {
-	f.epoch++
-	return f.FoldAt(mode, f.epoch, roots)
+	return f.FoldAt(mode, f.epoch+1, roots)
 }
 
 // FoldTo folds and hands the merged body to sink — typically a
@@ -222,12 +237,11 @@ func (f *Folder) Fold(mode ckpt.Mode, roots []ckpt.Checkpointable) ([]byte, ckpt
 // it is queued, so the next fold's encoding overlaps this body's write and
 // group-commit fsync.
 //
-// A sink.Append error aborts the epoch: the flags its records cleared are
-// re-marked (through the folder's session when one is attached). A nil
-// return from an asynchronous sink means only "queued" — attach a session
-// and wire the sink's acknowledgements to it (stablelog.WithAck(s.Ack)) so
-// the epoch commits on durable fsync and aborts on a failed or dropped
-// write.
+// A sink.Append error aborts the epoch through the session: the flags its
+// records cleared are re-marked. A nil return from an asynchronous sink means
+// only "queued" — attach a session and wire the sink's acknowledgements to it
+// (stablelog.WithAck(s.Ack)) so the epoch commits on durable fsync and aborts
+// on a failed or dropped write.
 func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) (ckpt.Stats, error) {
 	if zc, ok := sink.(ReserveSink); ok {
 		enc := zc.Reserve()
@@ -243,7 +257,7 @@ func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) 
 		if err := zc.Submit(mode, f.epoch, enc); err != nil {
 			// Submit reclaims the buffer on its own error path; only the
 			// epoch needs aborting here.
-			f.abortEpoch()
+			f.session.Abort(f.epoch)
 			return stats, err
 		}
 		return stats, nil
@@ -253,47 +267,22 @@ func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) 
 		return stats, err
 	}
 	if err := sink.Append(mode, f.epoch, body); err != nil {
-		f.abortEpoch()
+		f.session.Abort(f.epoch)
 		return stats, err
 	}
 	return stats, nil
 }
 
-// abortEpoch aborts the epoch of the last successful fold after its body
-// failed to reach the sink: through the session when one is attached,
-// otherwise by re-marking the folder's retained clear-set.
-func (f *Folder) abortEpoch() {
-	if f.session != nil {
-		f.session.Abort(f.epoch)
-		return
+// begin opens epoch. Under the folder's private session the previous fold's
+// body survived to this point with nobody to say otherwise, so it is resolved
+// as durable first — retiring its clear-set to the pool the coming fold's
+// emitters draw from, and promoting its staged shadows. (No-op when that
+// epoch already aborted.)
+func (f *Folder) begin(epoch uint64) {
+	if f.ownSession {
+		f.session.Commit(f.epoch)
 	}
-	ckpt.Remark(f.lastClears)
-	ckpt.PutClearSet(f.lastClears)
-	f.lastClears = nil
-	if f.shadowPend {
-		f.shadow.AbortEpoch(f.shadowEpoch)
-		f.shadowPend = false
-	}
-}
-
-// retireClears recycles the retained clear-set of the previous fold, which
-// becomes unreachable for abortEpoch the moment a new fold starts. Retiring
-// it before the workers' StartShard/StartAt lets their emitters draw the
-// grown backing array back out of the pool, keeping the steady-state
-// incremental fold free of the per-epoch clear-set growth cascade (the
-// sessionless counterpart of Writer.Finish's putClears).
-func (f *Folder) retireClears() {
-	if f.lastClears != nil {
-		ckpt.PutClearSet(f.lastClears)
-		f.lastClears = nil
-	}
-	if f.shadowPend {
-		// The previous fold's body survived to the start of this one: with
-		// no session to say otherwise, it is treated as durable — the same
-		// implicit commit the clear-set retirement above performs.
-		f.shadow.CommitEpoch(f.shadowEpoch, f.shadowMode)
-		f.shadowPend = false
-	}
+	f.epoch = epoch
 }
 
 // FoldAt is Fold with an explicit epoch, for callers that interleave a
@@ -301,7 +290,7 @@ func (f *Folder) retireClears() {
 // sequential and parallel replays to the same epoch sequence). It also
 // updates the folder's epoch, so a later Fold continues from epoch+1.
 func (f *Folder) FoldAt(mode ckpt.Mode, epoch uint64, roots []ckpt.Checkpointable) ([]byte, ckpt.Stats, error) {
-	f.epoch = epoch
+	f.begin(epoch)
 	nw, ns := f.geometry()
 
 	// Canonical order: ascending checkpoint id. The sequential reference is
@@ -339,7 +328,7 @@ func (f *Folder) FoldAt(mode ckpt.Mode, epoch uint64, roots []ckpt.Checkpointabl
 	}
 
 	// Stable shard assignment: root id mod shard count. Within a shard the
-	// canonical order is preserved, so a shard body is a contiguous run of
+	// canonical order is preserved, so a worker's body is a contiguous run of
 	// chunks only when ns == 1; in general the chunk table re-orders.
 	shardItems := make([][]int, ns)
 	if order != nil {
@@ -370,13 +359,12 @@ func (f *Folder) FoldAt(mode ckpt.Mode, epoch uint64, roots []ckpt.Checkpointabl
 // degraded. On failure the un-recorded dirty objects are re-enqueued and the
 // epoch aborted, exactly like CheckpointDirty.
 func (f *Folder) FoldDirty(t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Stats, error) {
-	f.epoch++
-	return f.FoldDirtyAt(f.epoch, t, emit)
+	return f.FoldDirtyAt(f.epoch+1, t, emit)
 }
 
 // FoldDirtyAt is FoldDirty with an explicit epoch (see FoldAt).
 func (f *Folder) FoldDirtyAt(epoch uint64, t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Stats, error) {
-	f.epoch = epoch
+	f.begin(epoch)
 	objs := t.Take() // canonical ascending-id order already
 	nw, ns := f.geometry()
 	var (
@@ -442,85 +430,54 @@ func (f *Folder) outFor() *wire.Encoder {
 	return &f.out
 }
 
-// ensureWorkers grows the cached worker pool to at least n entries.
+// ensureWorkers grows the cached pool of detached shard workers to at least n
+// entries. A detached worker diffs against the shared shadow cache through
+// its emitter but owns neither the cache nor the session: the folder takes
+// what its records cleared and staged, and settles the merged epoch itself.
 func (f *Folder) ensureWorkers(n int) {
 	for len(f.pool) < n {
 		enc := wire.GetEncoder()
-		wr := ckpt.NewWriter(ckpt.WithEncoder(enc), ckpt.WithShadowCache(f.shadow))
+		wr := ckpt.NewWriter(ckpt.WithEncoder(enc))
+		wr.Emitter().SetShadow(f.shadow)
 		f.pool = append(f.pool, &worker{enc: enc, wr: wr, fold: f.newFold()})
 	}
 }
 
-// foldInline is the single-worker fold: it encodes the canonical item
-// sequence — header included, via Writer.StartAt — directly into the output
-// encoder, producing the same bytes as the sharded merge without per-worker
-// buffers, goroutines, or a merge copy. The worker's own pooled encoder is
-// swapped out for the duration and restored before returning.
+// foldInline is the single-worker fold, and it is the sequential writer: a
+// ckpt.Writer attached to the folder's session and shadow cache encodes the
+// canonical item sequence directly into the output encoder — the same bytes
+// as the sharded merge, without per-worker buffers, goroutines, or a merge
+// copy — and settles the epoch itself in Finish (or Discard, when an item
+// fails outside Writer.Checkpoint).
 func (f *Folder) foldInline(mode ckpt.Mode, epoch uint64, nitems int, item func(*worker, int) error) ([]byte, ckpt.Stats, error) {
-	f.retireClears()
-	f.ensureWorkers(1)
-	w := f.pool[0]
-	out := f.outFor()
-	w.wr.SwapEncoder(out)
+	if f.seq == nil {
+		wr := ckpt.NewWriter(ckpt.WithEncoder(&f.out),
+			ckpt.WithSession(f.session), ckpt.WithShadowCache(f.shadow))
+		f.seq = &worker{wr: wr, fold: f.newFold()}
+	}
+	w := f.seq
+	w.wr.SwapEncoder(f.outFor())
 	w.wr.StartAt(mode, epoch)
-	var itemErr error
 	for k := 0; k < nitems; k++ {
 		if err := item(w, k); err != nil {
-			itemErr = err
-			break
+			w.wr.Discard()
+			return nil, ckpt.Stats{}, err
 		}
 	}
-	// Gather the clear-set (and staged shadows) before Finish consumes them:
-	// the worker writer has no session, so the folder must observe or abort
-	// the epoch itself, the same way the sharded path does at merge time.
-	clears := w.wr.Emitter().TakeClears()
-	stages := w.wr.Emitter().TakeShadowStages()
-	_, stats, ferr := w.wr.Finish()
-	w.wr.SwapEncoder(w.enc)
-	if itemErr == nil && ferr != nil {
-		itemErr = ferr
+	body, stats, err := w.wr.Finish()
+	if err != nil {
+		return nil, ckpt.Stats{}, err
 	}
-	if itemErr != nil {
-		f.lastClears = nil
-		if f.shadow != nil {
-			f.shadow.Discard(stages)
-		}
-		if f.session != nil {
-			f.session.Observe(epoch, mode, clears)
-			f.session.Abort(epoch)
-		} else {
-			ckpt.Remark(clears)
-			ckpt.PutClearSet(clears)
-		}
-		return nil, ckpt.Stats{}, itemErr
-	}
-	stats.Bytes = out.Len()
-	f.lastLen = out.Len()
-	if f.shadow != nil {
-		f.shadow.Stage(epoch, stages)
-	}
-	if f.session != nil {
-		f.session.Observe(epoch, mode, clears)
-		if f.shadow != nil {
-			f.session.AttachShadow(epoch, f.shadow)
-		}
-		f.lastClears = nil
-	} else {
-		f.lastClears = clears
-		if f.shadow != nil {
-			f.shadowPend, f.shadowEpoch, f.shadowMode = true, epoch, mode
-		}
-	}
-	return out.Bytes(), stats, nil
+	f.lastLen = len(body)
+	return body, stats, nil
 }
 
 // foldShards is the engine shared by FoldAt and FoldDirtyAt: claim shards,
 // fold each shard's items via item (recording spans), merge chunks in
-// canonical order under one body header, and observe-or-abort the epoch's
-// merged clear-set. mergeOrder gives the output order of item positions; nil
-// means ascending positions (items pre-sorted).
+// canonical order behind one body header, and settle the merged epoch.
+// mergeOrder gives the output order of item positions; nil means ascending
+// positions (items pre-sorted).
 func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, shardItems [][]int, mergeOrder []int, item func(*worker, int) error) ([]byte, ckpt.Stats, error) {
-	f.retireClears()
 	f.ensureWorkers(nw)
 	// Pre-size the shard buffers from the previous merged body: an even split
 	// is the steady-state expectation, and growing up front turns the first
@@ -538,7 +495,8 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 	run := func(w *worker) {
 		w.spans = w.spans[:0]
 		w.err = nil
-		w.wr.StartShard(mode, epoch)
+		w.wr.StartAt(mode, epoch)
+		w.hdrLen = w.wr.BodyLen()
 		// Claim loop: once any shard has failed the epoch is doomed — its
 		// body will be discarded — so stop claiming new shards rather than
 		// burning CPU encoding records nobody will merge.
@@ -557,9 +515,9 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 				w.spans = append(w.spans, span{pos: p, start: start, end: w.wr.BodyLen()})
 			}
 		}
-		// Gather the shard's clear-set and staged shadows before Finish
-		// consumes them: the folder aborts or observes the whole epoch's
-		// set, as one batch, at merge time.
+		// The worker is detached: take what its records cleared and staged
+		// before Finish, which then has nothing to settle. The folder settles
+		// the whole epoch, as one batch, at merge time.
 		w.clears = w.wr.Emitter().TakeClears()
 		w.stages = w.wr.Emitter().TakeShadowStages()
 		body, _, err := w.wr.Finish()
@@ -571,33 +529,25 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 			chunks[sp.pos] = body[sp.start:sp.end]
 		}
 	}
-	if nw == 1 {
-		run(f.pool[0])
-	} else {
-		var wg sync.WaitGroup
-		for wi := 0; wi < nw; wi++ {
-			w := f.pool[wi]
-			wg.Add(1)
-			f.spawned++
-			go func() {
-				defer wg.Done()
-				run(w)
-			}()
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for _, w := range f.pool[:nw] {
+		wg.Add(1)
+		f.spawned++
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
 	}
+	wg.Wait()
 
-	// Merge the per-worker clear-sets: on failure the whole epoch —
-	// including shards that folded cleanly — must be re-marked, because the
-	// merged body is discarded as a unit. The merge target comes from the
-	// clear-set pool and the per-worker sets go straight back into it, so
-	// the next epoch's emitters (and the next merge) reuse the grown arrays
-	// instead of re-paying the append cascade.
-	clears := ckpt.GetClearSet()
+	// Gather the epoch: the session merges the clear-sets observed under one
+	// epoch (retiring the merged-in arrays to the pool the next fold's
+	// emitters draw from), so on failure the whole epoch — including shards
+	// that folded cleanly — is re-marked, as the merged body is discarded as
+	// a unit.
 	var stages []ckpt.ShadowStage
 	for _, w := range f.pool[:nw] {
-		clears = append(clears, w.clears...)
-		ckpt.PutClearSet(w.clears)
+		f.session.Observe(epoch, mode, w.clears)
 		w.clears = nil
 		stages = append(stages, w.stages...)
 		w.stages = nil
@@ -622,31 +572,17 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 			}
 		}
 	}
+	ckpt.Settle(f.session, f.shadow, epoch, mode, nil, stages, foldErr != nil)
 	if foldErr != nil {
-		f.lastClears = nil
-		if f.shadow != nil {
-			f.shadow.Discard(stages)
-		}
-		if f.session != nil {
-			f.session.Observe(epoch, mode, clears)
-			f.session.Abort(epoch)
-		} else {
-			ckpt.Remark(clears)
-			ckpt.PutClearSet(clears)
-		}
 		return nil, ckpt.Stats{}, foldErr
 	}
 
+	// Every worker started an ordinary body under the merged mode and epoch,
+	// so each one's prefix is the merged body's header — whatever its format.
 	out := f.outFor()
 	out.Reset()
-	if f.shadow != nil {
-		// Shard writers framed records with kind bytes, so the merged body
-		// must carry the version-2 header — byte-identical to a sequential
-		// delta-encoding fold.
-		ckpt.AppendDeltaBodyHeader(out, mode, epoch)
-	} else {
-		ckpt.AppendBodyHeader(out, mode, epoch)
-	}
+	w0 := f.pool[0]
+	out.Raw(w0.enc.Bytes()[:w0.hdrLen])
 	var stats ckpt.Stats
 	for _, w := range f.pool[:nw] {
 		st := w.wr.Emitter().Stats()
@@ -666,21 +602,6 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 	}
 	stats.Bytes = out.Len()
 	f.lastLen = out.Len()
-	if f.shadow != nil {
-		f.shadow.Stage(epoch, stages)
-	}
-	if f.session != nil {
-		f.session.Observe(epoch, mode, clears)
-		if f.shadow != nil {
-			f.session.AttachShadow(epoch, f.shadow)
-		}
-		f.lastClears = nil
-	} else {
-		f.lastClears = clears
-		if f.shadow != nil {
-			f.shadowPend, f.shadowEpoch, f.shadowMode = true, epoch, mode
-		}
-	}
 	return out.Bytes(), stats, nil
 }
 
@@ -690,7 +611,9 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 // remains valid (it lives in the folder's own merge buffer, not in a worker
 // encoder).
 func (f *Folder) Release() {
-	f.retireClears()
+	if f.ownSession {
+		f.session.Commit(f.epoch)
+	}
 	for _, w := range f.pool {
 		wire.PutEncoder(w.enc)
 	}
@@ -699,3 +622,8 @@ func (f *Folder) Release() {
 
 // Epoch returns the epoch of the last fold (0 before the first).
 func (f *Folder) Epoch() uint64 { return f.epoch }
+
+// Spawned returns the number of fold goroutines launched over the folder's
+// lifetime: zero while every fold ran inline, so tests that mean to exercise
+// the sharded path can assert they did.
+func (f *Folder) Spawned() int { return f.spawned }

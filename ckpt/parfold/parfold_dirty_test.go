@@ -11,6 +11,8 @@ import (
 	"ickpt/ckpt"
 	"ickpt/ckpt/parfold"
 	"ickpt/internal/synth"
+	"ickpt/reflectckpt"
+	"ickpt/wire"
 )
 
 // watched builds and drains a synth population and attaches a watched
@@ -183,5 +185,88 @@ func TestFoldDirtyFailureRequeues(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("retake body differs from sequential reference (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// tagged is a leaf checkpointed through struct tags. The type parameter is
+// unused on purpose: every instantiation is a distinct reflect.Type, so one
+// population exercises as many reflectckpt schema-cache keys as it has
+// instantiations.
+type tagged[T any] struct {
+	Info ckpt.Info
+	V    int64 `ckpt:"field"`
+}
+
+func (o *tagged[T]) CheckpointInfo() *ckpt.Info    { return &o.Info }
+func (o *tagged[T]) CheckpointTypeID() ckpt.TypeID { return ckpt.TypeIDOf("parfold_test.tagged") }
+func (o *tagged[T]) Record(e *wire.Encoder)        { e.Varint(o.V) }
+func (o *tagged[T]) Fold(*ckpt.Writer) error       { return nil }
+
+// taggedPopulation builds n fresh (modified) leaves cycling through six
+// instantiations of tagged, watched by a new tracker.
+func taggedPopulation(t *testing.T, n int) *ckpt.Tracker {
+	t.Helper()
+	d := ckpt.NewDomain()
+	objs := make([]ckpt.Checkpointable, n)
+	for i := range objs {
+		info, v := ckpt.NewInfo(d), int64(i)
+		switch i % 6 {
+		case 0:
+			objs[i] = &tagged[int8]{Info: info, V: v}
+		case 1:
+			objs[i] = &tagged[int16]{Info: info, V: v}
+		case 2:
+			objs[i] = &tagged[int32]{Info: info, V: v}
+		case 3:
+			objs[i] = &tagged[int64]{Info: info, V: v}
+		case 4:
+			objs[i] = &tagged[string]{Info: info, V: v}
+		case 5:
+			objs[i] = &tagged[bool]{Info: info, V: v}
+		}
+	}
+	tr := ckpt.NewTracker()
+	if err := tr.Watch(objs...); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestFoldDirtySharedReflectEngine: FoldDirty hands one emit function to all
+// of its workers, so a reflection engine's schema cache is hit from every
+// fold goroutine at once — cold, on several types. The engine must tolerate
+// that (run under -race: make race-tenant), and the merged body must still
+// match the sequential dirty fold.
+func TestFoldDirtySharedReflectEngine(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const n = 96
+	for round := 0; round < 20; round++ {
+		wr := ckpt.NewWriter()
+		wr.Start(ckpt.Incremental)
+		if err := wr.CheckpointDirty(taggedPopulation(t, n), reflectckpt.NewEngine().EmitOne); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := wr.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		folder := parfold.NewGeneric(parfold.WithWorkers(4))
+		got, stats, err := folder.FoldDirty(taggedPopulation(t, n), reflectckpt.NewEngine().EmitOne)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if folder.Spawned() == 0 {
+			t.Fatal("fold ran inline: the shared engine was never raced")
+		}
+		if stats.Recorded != n {
+			t.Fatalf("recorded %d objects, want %d", stats.Recorded, n)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: parallel reflect dirty body differs from sequential", round)
+		}
+		folder.Release()
 	}
 }

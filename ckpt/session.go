@@ -27,9 +27,8 @@ type ClearEntry struct {
 // objects registered with a Tracker are re-enqueued into its mark-queue and
 // an aborted epoch's dirty set is recaptured by the next dirty fold — and
 // reports how many entries it covered. It is the raw re-marking primitive
-// behind Session.Abort, used directly by drivers that fail an epoch without
-// a session attached (Writer.Finish after a fold error, a parfold worker
-// failure).
+// behind Session.Abort; Settle uses it directly when an epoch fails with no
+// session attached.
 func Remark(clears []ClearEntry) int {
 	n := 0
 	for _, c := range clears {
@@ -67,27 +66,15 @@ func getClears() []ClearEntry {
 	return nil
 }
 
-// GetClearSet returns an empty clear-set backed by a recycled array when one
-// is available. It is the exported face of the epoch clear-set pool for fold
-// drivers outside this package (parfold's merge step) that accumulate and
-// hold clear-sets without a Session; pair it with PutClearSet, the way
-// wire.GetEncoder pairs with wire.PutEncoder. Emitters draw from the same
-// pool internally, so a driver that takes a clear-set (Emitter.TakeClears)
-// and never retires it starves the pool and re-pays the append growth
-// cascade every epoch.
-func GetClearSet() []ClearEntry { return getClears() }
-
-// PutClearSet retires a clear-set's backing array for reuse. The entries
-// must be dead: the caller has committed the epoch, or re-marked the set via
-// Remark. Safe on nil.
-func PutClearSet(c []ClearEntry) { putClears(c) }
-
-// putClears retires a clear-set's backing array for reuse. Safe on nil and
-// on slices that did not come from the pool.
+// putClears retires a clear-set's backing array for reuse. The entries must
+// be dead — the epoch committed, or the set was re-marked — and are zeroed,
+// so a pooled array never keeps a retired object graph reachable. Safe on nil
+// and on slices that did not come from the pool.
 func putClears(c []ClearEntry) {
 	if cap(c) == 0 {
 		return
 	}
+	clear(c)
 	c = c[:0]
 	clearsPool.mu.Lock()
 	clearsPool.free = append(clearsPool.free, c)
@@ -115,6 +102,55 @@ func putEpochClears(ec *epochClears) {
 	clearsPool.mu.Lock()
 	clearsPool.ecs = append(clearsPool.ecs, ec)
 	clearsPool.mu.Unlock()
+}
+
+// Settle is the one place an epoch's fold ends: it takes the clear-set and
+// staged shadow payloads a finished or failed fold left behind and hands
+// them to the epoch's authority. Every driver — Writer.Finish and
+// Writer.Discard, parfold's merged sharded epoch — goes through it.
+//
+//   - failed: the body is discarded, so the staged payload copies were never
+//     published (recycle them) and every cleared flag is a lost update: the
+//     session observes and aborts the epoch, or without one the flags are
+//     re-marked directly.
+//   - finished, with a session: the stages become the cache's pending
+//     shadows, the session observes the clear-set, and both stay in flight
+//     until Session.Commit or Session.Abort resolves them in lockstep.
+//   - finished, sessionless: there is no later authority, so the body counts
+//     as durable the moment it is handed to the caller — the clear-set is
+//     retired and the epoch's shadows commit at once. A Full epoch therefore
+//     always prunes the cache, whether or not it staged anything.
+//
+// s and c may each be nil (no session; delta encoding off). clears and
+// stages are consumed.
+func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearEntry, stages []ShadowStage, failed bool) {
+	if failed {
+		if c != nil {
+			c.Discard(stages)
+		}
+		if s != nil {
+			// Observe+Abort even when no flag was cleared: the session's abort
+			// count tracks failed epochs, not just non-empty clear-sets.
+			s.Observe(epoch, mode, clears)
+			s.Abort(epoch)
+		} else {
+			Remark(clears)
+			putClears(clears)
+		}
+		return
+	}
+	if c != nil {
+		c.Stage(epoch, stages)
+	}
+	if s != nil {
+		s.Observe(epoch, mode, clears)
+		s.AttachShadow(epoch, c)
+	} else {
+		putClears(clears)
+		if c != nil {
+			c.CommitEpoch(epoch, mode)
+		}
+	}
 }
 
 // InfoResolver maps an object id to its current Info, or nil when the id no
@@ -221,12 +257,13 @@ func (s *Session) SetResolver(r InfoResolver) {
 }
 
 // Observe registers epoch's clear-set, leaving the epoch in-flight until
-// Commit or Abort. Drivers call it when an epoch's body is complete (or when
+// Commit or Abort. Settle calls it when an epoch's body is complete (or when
 // its fold has failed, immediately before aborting); applications using the
 // Writer or Folder integration never call it directly.
 //
-// Observing an epoch that is already pending merges the clear-sets (a retake
-// under the same epoch number after a partial failure).
+// Observing an epoch that is already pending merges the clear-sets: a
+// sharded fold observes each worker's set under the merged epoch, and a
+// retake reuses an epoch number after a partial failure.
 func (s *Session) Observe(epoch uint64, mode Mode, clears []ClearEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,7 +281,7 @@ func (s *Session) Observe(epoch uint64, mode Mode, clears []ClearEntry) {
 // AttachShadow ties a delta shadow cache to a pending epoch: the payloads
 // the cache staged for that epoch are promoted when the epoch commits and
 // dropped when it aborts, in lockstep with the clear-set. Writers with delta
-// encoding enabled call it from Finish, right after Observe. If the epoch is
+// encoding enabled reach it through Settle, right after Observe. If the epoch is
 // not pending it has already resolved — as an abort, since no body was ever
 // handed out — so the staged shadows are dropped immediately.
 //

@@ -60,7 +60,7 @@ type shadowEntry struct {
 	// in the stream (a backoff-suppressed emit, or an abort), so it must
 	// not serve as a diff base.
 	stale bool
-	pend  []shadowPend
+	pend  []pendingShadow
 
 	// miss counts consecutive failed delta attempts; at missBackoff each
 	// further miss arms a skip window (missLocked) that the emitter parks
@@ -68,8 +68,8 @@ type shadowEntry struct {
 	miss uint8
 }
 
-// shadowPend is a staged payload copy awaiting its epoch's commit.
-type shadowPend struct {
+// pendingShadow is a staged payload copy awaiting its epoch's commit.
+type pendingShadow struct {
 	epoch uint64
 	buf   []byte
 	hash  uint32
@@ -303,6 +303,9 @@ func (c *ShadowCache) getBufLocked(n int) []byte {
 // Staging the same epoch again replaces its entries (a retake under the same
 // epoch after a partial failure).
 func (c *ShadowCache) Stage(epoch uint64, stages []ShadowStage) {
+	if len(stages) == 0 {
+		return // nothing pending: CommitEpoch and AbortEpoch treat the epoch as empty
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := c.epochs[epoch]
@@ -315,9 +318,9 @@ func (c *ShadowCache) Stage(epoch uint64, stages []ShadowStage) {
 		if n := len(e.pend); n > 0 && e.pend[n-1].epoch == epoch {
 			// Same-epoch restage: the new payload supersedes.
 			c.free = append(c.free, e.pend[n-1].buf)
-			e.pend[n-1] = shadowPend{epoch: epoch, buf: st.buf, hash: st.hash}
+			e.pend[n-1] = pendingShadow{epoch: epoch, buf: st.buf, hash: st.hash}
 		} else {
-			e.pend = append(e.pend, shadowPend{epoch: epoch, buf: st.buf, hash: st.hash})
+			e.pend = append(e.pend, pendingShadow{epoch: epoch, buf: st.buf, hash: st.hash})
 			ids = append(ids, st.id)
 		}
 		// The newest pending now matches the object's latest payload in the
@@ -414,7 +417,7 @@ func (c *ShadowCache) AbortEpoch(epoch uint64) {
 			}
 		}
 		for i := len(kept); i < len(e.pend); i++ {
-			e.pend[i] = shadowPend{}
+			e.pend[i] = pendingShadow{}
 		}
 		e.pend = kept
 		e.stale = true

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ickpt/ckpt"
 	"ickpt/stablelog"
 )
 
@@ -183,7 +182,6 @@ func (m *Manager) admit(t *Tenant, weight int, block, force bool) error {
 // fold it, repeat. Workers drain the queue before exiting on Close.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	wr := ckpt.NewWriter()
 	for {
 		m.mu.Lock()
 		for m.queue.Len() == 0 && !m.closed {
@@ -203,7 +201,7 @@ func (m *Manager) worker() {
 		t.queued = false
 		t.mu.Unlock()
 
-		t.runFold(wr)
+		t.runFold()
 
 		m.mu.Lock()
 		m.running--

@@ -70,6 +70,7 @@ type Tenant struct {
 	domain    *ckpt.Domain
 	tracker   *ckpt.Tracker
 	session   *ckpt.Session
+	wr        *ckpt.Writer // attached to session; t.mu serialises its folds
 	roots     []ckpt.Checkpointable
 	emit      ckpt.EmitOne
 	epoch     uint64 // local; wire epochs add the tenant id
@@ -83,8 +84,8 @@ func (t *Tenant) ID() uint32 { return t.id }
 
 // Init attaches the tenant's domain and roots: a fresh Tracker is attached
 // to the domain as its write barrier, the roots are watched, and a Session
-// (resolving aborts through the tracker) becomes the epoch authority. The
-// tenant starts degraded-to-Full — its first fold is the Full anchor its
+// (resolving aborts through the tracker) becomes the epoch authority of the
+// tenant's writer. The tenant starts degraded-to-Full — its first fold is the Full anchor its
 // recovery chain needs.
 //
 // emit, when non-nil, is the engine-specific per-object incremental encoder
@@ -103,6 +104,7 @@ func (t *Tenant) Init(domain *ckpt.Domain, emit ckpt.EmitOne, roots ...ckpt.Chec
 	t.domain = domain
 	t.tracker = tr
 	t.session = ckpt.NewSession(ckpt.WithInfoResolver(tr.Resolve))
+	t.wr = ckpt.NewWriter(ckpt.WithSession(t.session))
 	t.roots = roots
 	t.emit = emit
 	t.forceFull = true
@@ -228,13 +230,13 @@ func (t *Tenant) retryRequest() {
 	}
 }
 
-// runFold executes one checkpoint of the tenant on a worker's writer: pick
+// runFold executes one checkpoint of the tenant on the calling worker: pick
 // the mode (degradations and shed re-anchors force Full), reserve a
-// log-owned buffer, encode into it zero-copy, observe the epoch with the
-// session, and submit. Failures recycle the reservation, abort the epoch —
-// re-marking cleared flags and re-enqueueing the dirty set — and schedule a
-// retry.
-func (t *Tenant) runFold(wr *ckpt.Writer) {
+// log-owned buffer, encode into it zero-copy with the tenant's writer — whose
+// Finish hands the epoch to the session, or aborts it — and submit. Failures
+// recycle the reservation and schedule a retry; the abort has re-marked the
+// cleared flags and re-enqueued the dirty set.
+func (t *Tenant) runFold() {
 	t.mu.Lock()
 	if t.tracker == nil {
 		t.mu.Unlock()
@@ -254,36 +256,28 @@ func (t *Tenant) runFold(wr *ckpt.Writer) {
 	t.epoch++
 	we := WireEpoch(t.id, t.epoch)
 	enc := t.m.aw.Reserve()
-	wr.SwapEncoder(enc)
-	wr.StartAt(mode, we)
-	var foldErr error
+	t.wr.SwapEncoder(enc)
+	t.wr.StartAt(mode, we)
 	if mode == ckpt.Full {
 		for _, r := range t.roots {
-			if err := wr.Checkpoint(r); err != nil {
-				foldErr = err
+			if t.wr.Checkpoint(r) != nil {
 				break
 			}
 		}
 	} else {
 		// CheckpointDirty re-enqueues the un-emitted tail itself on error.
-		foldErr = wr.CheckpointDirty(t.tracker, t.emit)
+		t.wr.CheckpointDirty(t.tracker, t.emit)
 	}
-	// Gather the clear-set before Finish consumes it: the worker's writer
-	// has no session — the tenant observes or aborts the epoch itself.
-	clears := wr.Emitter().TakeClears()
-	if _, _, err := wr.Finish(); foldErr == nil && err != nil {
-		foldErr = err
-	}
-	if foldErr != nil {
-		t.session.Observe(we, mode, clears)
-		t.session.Abort(we)
+	// Both fold steps record their first error in the writer, so Finish
+	// alone decides: it aborts a failed epoch through the session and hands
+	// a complete one to it.
+	if _, _, err := t.wr.Finish(); err != nil {
 		t.stats.Aborted++
 		t.mu.Unlock()
 		t.m.aw.Recycle(enc)
 		t.retryRequest()
 		return
 	}
-	t.session.Observe(we, mode, clears)
 	t.stats.Folds++
 	t.stats.Bytes += uint64(enc.Len())
 	if mode == ckpt.Full {

@@ -34,16 +34,16 @@ type Writer struct {
 	// set: a truncated body would rebuild into a corrupted graph.
 	visitErr error
 
-	// session, when set, receives each epoch's clear-set on Finish and is
-	// the commit/abort authority for it. Without a session the writer still
-	// re-marks cleared flags itself when an epoch fails (see Finish), but
-	// cannot protect bodies lost after a successful Finish.
+	// session, when set, receives each epoch's clear-set when the epoch ends
+	// and is the commit/abort authority for it. Without a session a failed
+	// epoch's flags are still re-marked, but nothing protects bodies lost
+	// after a successful Finish (see Settle).
 	session *Session
 
 	// shadow, when set, enables sub-object delta records: the emitter diffs
 	// large payloads against the cache and bodies carry per-record kinds
-	// (body version 2). Staged shadow updates resolve with the epoch —
-	// through the session when one is attached, immediately otherwise.
+	// (body version 2). Staged shadow updates resolve with the epoch (see
+	// Settle).
 	shadow *ShadowCache
 
 	// collect, when non-nil, switches visit into traversal-only mode:
@@ -89,16 +89,6 @@ func WithEncoder(enc *wire.Encoder) WriterOption {
 	return writerOptionFunc(func(w *Writer) { w.enc = enc })
 }
 
-// WithScratchEncode makes the writer's emitter encode each record payload
-// into a scratch buffer and copy it behind a computed length prefix — the
-// pre-zero-copy baseline — instead of writing payloads directly into the
-// body with a reserved/patched prefix. Bodies are byte-identical either way;
-// the option exists so benchmarks can measure the scratch-copy tax
-// (cmd/ckptbench -experiment interp).
-func WithScratchEncode() WriterOption {
-	return writerOptionFunc(func(w *Writer) { w.emitter.SetScratchEncode(true) })
-}
-
 // WithDeltaEncoding enables sub-object delta records: each payload larger
 // than minSize bytes is remembered in a shadow cache across epochs, and an
 // object whose payload changed a little is shipped as a copy/patch delta
@@ -111,9 +101,11 @@ func WithDeltaEncoding(minSize int) WriterOption {
 }
 
 // WithShadowCache is WithDeltaEncoding with an existing cache: drivers that
-// rotate several writers over one logical stream (parfold's workers, a
-// dirty fold and its Full-mode fallback writer) share the shadow state. A
-// nil cache leaves delta encoding off.
+// rotate several writers over one logical stream (a dirty fold and its
+// Full-mode fallback writer) share the shadow state. Each such writer settles
+// its own epochs' shadows; a writer that must diff against the cache without
+// settling is built detached instead (Emitter.SetShadow). A nil cache leaves
+// delta encoding off.
 func WithShadowCache(c *ShadowCache) WriterOption {
 	return writerOptionFunc(func(w *Writer) { w.shadow = c })
 }
@@ -136,80 +128,45 @@ func NewWriter(opts ...WriterOption) *Writer {
 	return w
 }
 
-// Start begins a new checkpoint body in the given mode. Any body in progress
-// is discarded — and its epoch aborted: the modified flags the discarded
-// body cleared are re-marked (through the session when one is attached), so
-// the abandoned state is recaptured rather than silently lost. The writer's
-// epoch is incremented; the first checkpoint has epoch 1.
-func (w *Writer) Start(mode Mode) {
-	w.abandon()
-	w.epoch++
-	w.enc.Reset()
-	w.emitter.Reset(w.enc, mode, w.epoch)
-	w.mode = mode
-	w.started = true
-	w.visitErr = nil
-	clear(w.onStack)
-}
+// Start begins a new checkpoint body in the given mode, under the epoch after
+// the writer's last one; the first checkpoint has epoch 1. See StartAt.
+func (w *Writer) Start(mode Mode) { w.StartAt(mode, w.epoch+1) }
 
-// StartAt is Start with an explicit epoch: the body header carries epoch and
-// the writer's own counter is pinned to it, so a later Start continues from
-// epoch+1. It exists for drivers that own the epoch sequence themselves — the
-// parallel folder's single-worker inline path encodes a complete body
-// (header included) with the folder's epoch, byte-identical to the
-// multi-worker merge of the same items.
+// StartAt begins a new checkpoint body in the given mode with an explicit
+// epoch: the body header carries epoch and the writer's own counter is pinned
+// to it, so a later Start continues from epoch+1. Drivers that own the epoch
+// sequence themselves (the parallel folder, the tenant service) start every
+// body this way. Any body in progress is discarded first (Discard).
 func (w *Writer) StartAt(mode Mode, epoch uint64) {
-	w.abandon()
+	w.Discard()
 	w.epoch = epoch
+	w.mode = mode
 	w.enc.Reset()
 	w.emitter.Reset(w.enc, mode, epoch)
-	w.mode = mode
 	w.started = true
 	w.visitErr = nil
 	clear(w.onStack)
 }
 
-// StartShard begins a headerless shard body in the given mode: the writer
-// frames records exactly as Start does but emits no body header, and its
-// epoch is pinned to the merged checkpoint's epoch instead of advancing. A
-// parallel fold (package parfold) gives each worker a shard writer, then
-// concatenates the shard bodies in canonical id order after a single
-// AppendBodyHeader, reconstituting a body byte-identical to a sequential
-// fold over the same roots in the same order.
-func (w *Writer) StartShard(mode Mode, epoch uint64) {
-	w.abandon()
-	w.epoch = epoch
-	w.enc.Reset()
-	w.emitter.ResetShard(w.enc)
-	w.emitter.mode = mode // ResetShard writes no header, so set the mode for delta policy
-	w.mode = mode
-	w.started = true
-	w.visitErr = nil
-	clear(w.onStack)
-}
-
-// abandon aborts a body in progress that was never finished. The flags its
-// records cleared are lost updates unless re-marked; a session attached to
-// the writer accounts the abort, otherwise the writer re-marks directly.
-func (w *Writer) abandon() {
-	if !w.started {
-		return
+// Discard aborts the body in progress, if any: its epoch is settled as
+// failed, so the modified flags its records cleared are re-marked (through
+// the session when one is attached) and the abandoned state is recaptured
+// rather than silently lost. Drivers call it when a fold step fails outside
+// Checkpoint and the body must not be finished; StartAt calls it for a body
+// that was never finished.
+func (w *Writer) Discard() {
+	if w.started {
+		w.settle(true)
 	}
+}
+
+// settle ends the epoch in progress, handing what its records left in the
+// emitter to the epoch's authority. A detached writer's driver has already
+// taken both sets, leaving nothing here to resolve.
+func (w *Writer) settle(failed bool) {
 	w.started = false
-	clears := w.emitter.TakeClears()
-	if w.shadow != nil {
-		// The staged payload copies were never published; recycle them.
-		w.shadow.Discard(w.emitter.TakeShadowStages())
-	}
-	if w.session != nil {
-		// Observe+Abort even when no flag was cleared: the session's abort
-		// count tracks failed epochs, not just non-empty clear-sets.
-		w.session.Observe(w.epoch, w.mode, clears)
-		w.session.Abort(w.epoch)
-	} else {
-		Remark(clears)
-		putClears(clears)
-	}
+	Settle(w.session, w.shadow, w.epoch, w.mode,
+		w.emitter.TakeClears(), w.emitter.TakeShadowStages(), failed)
 }
 
 // SwapEncoder points the writer at enc for the bodies that follow. It is the
@@ -223,9 +180,9 @@ func (w *Writer) SwapEncoder(enc *wire.Encoder) {
 	w.enc = enc
 }
 
-// BodyLen returns the number of bytes written to the body in progress.
-// Together with StartShard it lets a parallel fold slice the per-root chunks
-// out of a worker's shard body.
+// BodyLen returns the number of bytes written to the body in progress,
+// header included. It lets a parallel fold slice the header and the per-root
+// chunks out of a worker's body.
 func (w *Writer) BodyLen() int { return w.enc.Len() }
 
 // Checkpoint traverses the structure rooted at o, recording objects
@@ -331,9 +288,9 @@ func (w *Writer) visit(o Checkpointable) error {
 // next Start; copy it if it must outlive the writer's reuse.
 //
 // If any Checkpoint call failed since Start, Finish refuses the half-built
-// body: it returns a nil body and the first visit error, and aborts the
-// epoch — re-marking every modified flag the partial encode cleared
-// (through the session when one is attached) so the next incremental
+// body: it returns a nil body and the first visit error, and settles the
+// epoch as failed — re-marking every modified flag the partial encode
+// cleared (through the session when one is attached) so the next incremental
 // checkpoint recaptures the state the discarded body carried.
 //
 // On success with a session attached, the epoch's clear-set is handed to
@@ -342,43 +299,11 @@ func (w *Writer) Finish() ([]byte, Stats, error) {
 	if !w.started {
 		return nil, Stats{}, ErrNotStarted
 	}
-	w.started = false
-	clears := w.emitter.TakeClears()
-	if w.visitErr != nil {
-		err := w.visitErr
-		w.visitErr = nil
-		if w.shadow != nil {
-			w.shadow.Discard(w.emitter.TakeShadowStages())
-		}
-		if w.session != nil {
-			w.session.Observe(w.epoch, w.mode, clears)
-			w.session.Abort(w.epoch)
-		} else {
-			Remark(clears)
-			putClears(clears)
-		}
+	err := w.visitErr
+	w.visitErr = nil
+	w.settle(err != nil)
+	if err != nil {
 		return nil, w.emitter.Stats(), fmt.Errorf("ckpt: epoch %d aborted, body discarded: %w", w.epoch, err)
-	}
-	if w.shadow != nil {
-		// Publish the epoch's shadow updates. A driver that already drained
-		// the emitter (parfold takes the stages before worker Finish) leaves
-		// nothing here, and owns staging itself.
-		if stages := w.emitter.TakeShadowStages(); w.session != nil {
-			w.shadow.Stage(w.epoch, stages)
-		} else if len(stages) > 0 {
-			// No commit authority: the body is handed to the caller as
-			// durable, mirroring how the sessionless path drops clear-sets.
-			w.shadow.Stage(w.epoch, stages)
-			w.shadow.CommitEpoch(w.epoch, w.mode)
-		}
-	}
-	if w.session != nil {
-		w.session.Observe(w.epoch, w.mode, clears)
-		if w.shadow != nil {
-			w.session.AttachShadow(w.epoch, w.shadow)
-		}
-	} else {
-		putClears(clears)
 	}
 	return w.enc.Bytes(), w.emitter.Stats(), nil
 }
@@ -391,10 +316,11 @@ func (w *Writer) Epoch() uint64 { return w.epoch }
 // one).
 func (w *Writer) Mode() Mode { return w.mode }
 
-// Shadow returns the writer's delta shadow cache, nil when delta encoding is
-// off — drivers hand it to other writers of the same stream
-// (WithShadowCache, parfold.WithShadowCache) and tests assert the
-// commit/abort contract through it.
+// Shadow returns the shadow cache whose epochs the writer settles, nil when
+// delta encoding is off (or the writer is detached) — drivers hand it to
+// other writers of the same stream (WithShadowCache,
+// parfold.WithShadowCache) and tests assert the commit/abort contract
+// through it.
 func (w *Writer) Shadow() *ShadowCache { return w.shadow }
 
 // Emitter exposes the writer's low-level sink. It is used by compiled

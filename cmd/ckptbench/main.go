@@ -23,9 +23,10 @@
 //
 // The interp experiment runs the hostile interpreter workload
 // (internal/interp) across a program-size x allocation-churn grid and
-// measures the zero-copy encode path (AsyncWriter.Reserve / Writer.SwapEncoder
-// / AsyncWriter.Submit) against the scratch-encoder baseline, for both the
-// O(dirty) and full checkpoint disciplines, writing BENCH_interp.json.
+// measures the zero-copy log handoff (AsyncWriter.Reserve / Writer.SwapEncoder
+// / AsyncWriter.Submit) against the copying AsyncWriter.Append baseline, for
+// both the O(dirty) and full checkpoint disciplines, writing
+// BENCH_interp.json.
 //
 // The multitenant experiment measures the multi-tenant checkpoint service
 // (ckpt/tenant) across a tenant-count x churn-rate x worker-count grid:
@@ -34,9 +35,8 @@
 // flushes. It writes BENCH_multitenant.json, recording GOMAXPROCS and the
 // physical core count the numbers were taken on.
 //
-// The delta experiment sweeps payload size x mutated byte fraction x encode
-// path (zero-copy vs scratch) and measures the sub-object delta encoding
-// (ckpt.WithDeltaEncoding) — bytes/epoch and ns/checkpoint against a plain
+// The delta experiment sweeps payload size x mutated byte fraction and
+// measures the sub-object delta encoding (ckpt.WithDeltaEncoding) — bytes/epoch and ns/checkpoint against a plain
 // writer on a twin population — writing BENCH_delta.json.
 //
 // Each experiment prints a table whose rows mirror the corresponding paper

@@ -19,7 +19,9 @@ package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -122,6 +124,38 @@ var Strategies = []Strategy{
 	{Name: "dirty-delta-parallel", Dirty: true, Delta: true, Workers: 4, Shards: 7},
 }
 
+// pin raises GOMAXPROCS to the strategy's worker count for the duration of a
+// replay and returns the function that restores it. With fewer Ps than
+// workers — one, on a single-CPU host — parfold folds inline, and a parallel
+// cell would silently re-run the sequential path.
+func (st Strategy) pin() (restore func()) {
+	prev := runtime.GOMAXPROCS(0)
+	if st.Workers <= prev {
+		return func() {}
+	}
+	runtime.GOMAXPROCS(st.Workers)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
+// folder builds one take's folder for a parallel strategy.
+func (st Strategy) folder(newFold func() parfold.FoldFunc, opts ...parfold.Option) *parfold.Folder {
+	return parfold.New(newFold, append(opts,
+		parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards))...)
+}
+
+// errInline fails a parallel take whose fold never left the inline path.
+var errInline = errors.New("difftest: parallel strategy folded inline")
+
+// retire releases a parallel take's folder and checks that its fold really
+// ran sharded.
+func retire(f *parfold.Folder) error {
+	f.Release()
+	if f.Spawned() == 0 {
+		return errInline
+	}
+	return nil
+}
+
 // factory resolves the fold factory for one checkpoint, falling back to the
 // generic fold.
 func (e EngineSpec) factory(mode ckpt.Mode, phase string) func() parfold.FoldFunc {
@@ -183,6 +217,7 @@ func Replay(tr Trace, engine string, st Strategy) ([][]byte, *Population, error)
 
 	roots := append([]ckpt.Checkpointable(nil), pop.Roots...)
 	ckpt.SortRoots(roots)
+	defer st.pin()()
 
 	var bodies [][]byte
 	var epoch uint64
@@ -232,12 +267,9 @@ func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpo
 	}
 	return func(mode ckpt.Mode, phase string) error {
 		*epoch++
-		folder := parfold.New(eng.factory(mode, phase),
-			parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards),
-			parfold.WithShadowCache(cache))
+		folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
 		body, _, err := folder.FoldAt(mode, *epoch, roots)
-		folder.Release()
-		if err != nil {
+		if err := errors.Join(err, retire(folder)); err != nil {
 			return err
 		}
 		*bodies = append(*bodies, append([]byte(nil), body...))
@@ -297,12 +329,9 @@ func dirtyTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Check
 				return err
 			}
 		case mode == ckpt.Full:
-			folder := parfold.New(eng.factory(mode, phase),
-				parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards),
-				parfold.WithShadowCache(cache))
+			folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
 			b, _, err := folder.FoldAt(mode, *epoch, roots)
-			folder.Release()
-			if err != nil {
+			if err := errors.Join(err, retire(folder)); err != nil {
 				return err
 			}
 			body = b
@@ -320,12 +349,9 @@ func dirtyTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Check
 			}
 			body = b
 		default:
-			folder := parfold.New(eng.factory(mode, phase),
-				parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards),
-				parfold.WithShadowCache(cache))
+			folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
 			b, _, err := folder.FoldDirtyAt(*epoch, trk, eng.emit(phase))
-			folder.Release()
-			if err != nil {
+			if err := errors.Join(err, retire(folder)); err != nil {
 				return err
 			}
 			body = b

@@ -92,6 +92,7 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 
 	roots := append([]ckpt.Checkpointable(nil), pop.Roots...)
 	ckpt.SortRoots(roots)
+	defer st.pin()()
 	// The fold fault strikes at a mid-order root, so the epoch dies with
 	// earlier roots already encoded and their flags cleared.
 	victim := roots[len(roots)/2].CheckpointInfo().ID()
@@ -173,12 +174,10 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 				}
 				return append([]byte(nil), body...), wr.Epoch(), nil
 			}
-			folder := parfold.New(eng.factory(mode, phase), parfold.WithWorkers(st.Workers),
-				parfold.WithShards(st.Shards), parfold.WithSession(sess),
+			folder := st.folder(eng.factory(mode, phase), parfold.WithSession(sess),
 				parfold.WithShadowCache(cache))
 			body, _, err := folder.FoldDirtyAt(epoch, trk, emit)
-			folder.Release()
-			if err != nil {
+			if err := errors.Join(err, retire(folder)); err != nil {
 				// The folder has requeued the dirty set and aborted the epoch.
 				return nil, epoch, err
 			}
@@ -212,7 +211,7 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 			for _, r := range roots {
 				if err := fold(wr, r); err != nil {
 					// Body abandoned mid-fold; the retake's Start aborts it
-					// through the session (Writer.abandon).
+					// through the session (Writer.Discard).
 					return nil, wr.Epoch(), err
 				}
 			}
@@ -222,11 +221,9 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 			}
 			body, ep = append([]byte(nil), b...), wr.Epoch()
 		} else {
-			folder := parfold.New(nf, parfold.WithWorkers(st.Workers),
-				parfold.WithShards(st.Shards), parfold.WithSession(sess),
-				parfold.WithShadowCache(cache))
+			folder := st.folder(nf, parfold.WithSession(sess), parfold.WithShadowCache(cache))
 			b, _, err := folder.FoldAt(mode, epoch, roots)
-			if err != nil {
+			if err := errors.Join(err, retire(folder)); err != nil {
 				// The folder has already aborted the epoch through the session.
 				return nil, epoch, err
 			}

@@ -67,6 +67,7 @@ func ReplayStates(tr Trace, engine string, st Strategy) (bodies [][]byte, states
 	}
 	roots := append([]ckpt.Checkpointable(nil), pop.Roots...)
 	ckpt.SortRoots(roots)
+	defer st.pin()()
 
 	var epoch uint64
 	take := newTake(pop, eng, st, roots, &epoch, &bodies)

@@ -13,9 +13,8 @@ import (
 // This file measures the sub-object delta encoding (ckpt.WithDeltaEncoding):
 // an incremental record whose payload changed in a few places ships a
 // copy/patch opcode stream against the previous committed payload instead of
-// the whole payload. The sweep crosses payload size x mutated byte fraction x
-// encode path (zero-copy vs scratch) and reports bytes/epoch and
-// ns/checkpoint against a plain writer on a twin population. At low mutated
+// the whole payload. The sweep crosses payload size x mutated byte fraction
+// and reports bytes/epoch and ns/checkpoint against a plain writer on a twin population. At low mutated
 // fractions the byte ratio collapses toward the patch footprint; at 100% the
 // adaptive limit (a delta must undercut ~3/4 of the payload) plus the churn
 // backoff keep the time within noise of the baseline. Payloads at or below
@@ -45,8 +44,6 @@ type DeltaRow struct {
 	// MutatedPct is the fraction of each payload's bytes rewritten before
 	// every incremental checkpoint, in percent.
 	MutatedPct float64 `json:"mutated_pct"`
-	// Path is the encode path: "zero-copy" or "scratch".
-	Path string `json:"path"`
 	// PlainBytes and DeltaBytes are the median incremental body sizes of the
 	// plain and delta-encoding writers; ByteRatio is delta/plain.
 	PlainBytes int     `json:"plain_bytes"`
@@ -192,8 +189,7 @@ func measureDeltaCell(cells [2]*deltaCell, frac float64, warmup, reps int) error
 }
 
 // DeltaSweep measures the delta-encoding writer against a plain writer on
-// twin populations across the payload-size x mutated-fraction x encode-path
-// grid. Twin populations replay the same mutation schedule (same seed), so
+// twin populations across the payload-size x mutated-fraction grid. Twin populations replay the same mutation schedule (same seed), so
 // both writers see identical payload trajectories.
 func DeltaSweep(opts Options) (*Table, *DeltaReport, error) {
 	opts = opts.withDefaults()
@@ -206,7 +202,7 @@ func DeltaSweep(opts Options) (*Table, *DeltaReport, error) {
 	t := &Table{
 		ID:    "delta",
 		Title: "Sub-object delta encoding: patch records vs full payloads",
-		Columns: []string{"payload", "mutated", "path", "plain (KB)", "delta (KB)",
+		Columns: []string{"payload", "mutated", "plain (KB)", "delta (KB)",
 			"byte ratio", "plain (ms)", "delta (ms)", "ns ratio", "deltas/recs"},
 		Notes: []string{
 			fmt.Sprintf("%d fixed-width blobs per cell; mutations are rng-scattered single-byte rewrites", deltaBlobCount),
@@ -214,11 +210,6 @@ func DeltaSweep(opts Options) (*Table, *DeltaReport, error) {
 			fmt.Sprintf("minSize floor = %d B: smaller payloads bypass shadowing, so sub-floor cells measure the bypass", deltaSweepMin),
 		},
 	}
-
-	paths := []struct {
-		name    string
-		scratch bool
-	}{{"zero-copy", false}, {"scratch", true}}
 
 	for _, size := range deltaSizes {
 		// A 32-record epoch over small payloads runs in single-digit
@@ -235,72 +226,61 @@ func DeltaSweep(opts Options) (*Table, *DeltaReport, error) {
 			reps *= scale
 		}
 		for _, frac := range deltaFracs {
-			for _, p := range paths {
-				seed := opts.Seed + int64(size) + int64(frac*1000)
+			seed := opts.Seed + int64(size) + int64(frac*1000)
 
-				var plainOpts, deltaOpts []ckpt.WriterOption
-				if p.scratch {
-					plainOpts = append(plainOpts, ckpt.WithScratchEncode())
-					deltaOpts = append(deltaOpts, ckpt.WithScratchEncode())
-				}
-				deltaOpts = append(deltaOpts, ckpt.WithDeltaEncoding(deltaSweepMin))
-
-				plain := &deltaCell{
-					wr:    ckpt.NewWriter(plainOpts...),
-					blobs: buildDeltaBlobs(size, seed),
-					rng:   rand.New(rand.NewSource(seed)),
-				}
-				wd := ckpt.NewWriter(deltaOpts...)
-				delta := &deltaCell{
-					wr:    wd,
-					blobs: buildDeltaBlobs(size, seed),
-					rng:   rand.New(rand.NewSource(seed)),
-				}
-				if err := measureDeltaCell([2]*deltaCell{plain, delta}, frac, opts.Warmup, reps); err != nil {
-					return nil, nil, err
-				}
-				plainNs, plainBytes := median(plain.times), int(median(plain.sizes))
-				deltaNs, deltaBytes := median(delta.times), int(median(delta.sizes))
-
-				info, err := ckpt.InspectBodyKinds(delta.last, nil)
-				if err != nil {
-					return nil, nil, err
-				}
-				sst := wd.Shadow().Stats()
-				row := DeltaRow{
-					PayloadBytes: size,
-					MutatedPct:   frac * 100,
-					Path:         p.name,
-					PlainBytes:   plainBytes,
-					DeltaBytes:   deltaBytes,
-					PlainNs:      plainNs,
-					DeltaNs:      deltaNs,
-					DeltaRecords: info.Deltas,
-					Records:      info.Records,
-					Wins:         sst.Wins,
-					Losses:       sst.Losses,
-					Skipped:      sst.SkippedEmits,
-				}
-				if plainBytes > 0 {
-					row.ByteRatio = float64(deltaBytes) / float64(plainBytes)
-				}
-				if deltaNs > 0 {
-					row.NsRatio = plainNs / deltaNs
-				}
-				rep.Rows = append(rep.Rows, row)
-				t.AddRow(
-					fmt.Sprintf("%d B", size),
-					fmt.Sprintf("%.0f%%", row.MutatedPct),
-					p.name,
-					fmt.Sprintf("%.1f", float64(plainBytes)/1024),
-					fmt.Sprintf("%.1f", float64(deltaBytes)/1024),
-					fmt.Sprintf("%.3f", row.ByteRatio),
-					fmt.Sprintf("%.3f", plainNs/1e6),
-					fmt.Sprintf("%.3f", deltaNs/1e6),
-					fmt.Sprintf("%.2f", row.NsRatio),
-					fmt.Sprintf("%d/%d", info.Deltas, info.Records),
-				)
+			plain := &deltaCell{
+				wr:    ckpt.NewWriter(),
+				blobs: buildDeltaBlobs(size, seed),
+				rng:   rand.New(rand.NewSource(seed)),
 			}
+			wd := ckpt.NewWriter(ckpt.WithDeltaEncoding(deltaSweepMin))
+			delta := &deltaCell{
+				wr:    wd,
+				blobs: buildDeltaBlobs(size, seed),
+				rng:   rand.New(rand.NewSource(seed)),
+			}
+			if err := measureDeltaCell([2]*deltaCell{plain, delta}, frac, opts.Warmup, reps); err != nil {
+				return nil, nil, err
+			}
+			plainNs, plainBytes := median(plain.times), int(median(plain.sizes))
+			deltaNs, deltaBytes := median(delta.times), int(median(delta.sizes))
+
+			info, err := ckpt.InspectBodyKinds(delta.last, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			sst := wd.Shadow().Stats()
+			row := DeltaRow{
+				PayloadBytes: size,
+				MutatedPct:   frac * 100,
+				PlainBytes:   plainBytes,
+				DeltaBytes:   deltaBytes,
+				PlainNs:      plainNs,
+				DeltaNs:      deltaNs,
+				DeltaRecords: info.Deltas,
+				Records:      info.Records,
+				Wins:         sst.Wins,
+				Losses:       sst.Losses,
+				Skipped:      sst.SkippedEmits,
+			}
+			if plainBytes > 0 {
+				row.ByteRatio = float64(deltaBytes) / float64(plainBytes)
+			}
+			if deltaNs > 0 {
+				row.NsRatio = plainNs / deltaNs
+			}
+			rep.Rows = append(rep.Rows, row)
+			t.AddRow(
+				fmt.Sprintf("%d B", size),
+				fmt.Sprintf("%.0f%%", row.MutatedPct),
+				fmt.Sprintf("%.1f", float64(plainBytes)/1024),
+				fmt.Sprintf("%.1f", float64(deltaBytes)/1024),
+				fmt.Sprintf("%.3f", row.ByteRatio),
+				fmt.Sprintf("%.3f", plainNs/1e6),
+				fmt.Sprintf("%.3f", deltaNs/1e6),
+				fmt.Sprintf("%.2f", row.NsRatio),
+				fmt.Sprintf("%d/%d", info.Deltas, info.Records),
+			)
 		}
 	}
 	return t, rep, nil

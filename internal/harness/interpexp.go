@@ -9,21 +9,22 @@ import (
 	"ickpt/internal/faultfs"
 	"ickpt/internal/interp"
 	"ickpt/stablelog"
+	"ickpt/wire"
 )
 
-// This file measures the zero-copy encode path under the interpreter
+// This file measures the zero-copy log handoff under the interpreter
 // workload (internal/interp): checkpoint throughput when Record writes
 // straight into a log-segment-backed buffer (stablelog.AsyncWriter.Reserve /
-// Writer.SwapEncoder / AsyncWriter.Submit) against the scratch-encoder
-// baseline (ckpt.WithScratchEncode + AsyncWriter.Append), which pays one
-// per-record payload copy in the emitter and one whole-body copy at the log
-// handoff. The sweep crosses program size and allocation churn with both
-// checkpoint disciplines (O(dirty) mark-queue fold and full traversal), so
-// the copy tax is visible both where bodies are small and framing dominates
-// and where bodies are large and memcpy dominates.
+// Writer.SwapEncoder / AsyncWriter.Submit) against the append baseline (the
+// writer's own buffer + AsyncWriter.Append), which pays one whole-body copy
+// at the log handoff. Both variants run the one record encoder. The sweep
+// crosses program size and allocation churn with both checkpoint disciplines
+// (O(dirty) mark-queue fold and full traversal), so the copy tax is visible
+// both where bodies are small and framing dominates and where bodies are
+// large and memcpy dominates.
 
 // InterpRow is one cell of the interpreter sweep: a (size, churn, discipline)
-// point with both encode variants measured on twin machines.
+// point with both handoff variants measured on twin machines.
 type InterpRow struct {
 	// Size is the number of generated top-level forms.
 	Size int `json:"size"`
@@ -38,11 +39,11 @@ type InterpRow struct {
 	// Epochs measured, and the median checkpoint body size across them.
 	Epochs    int     `json:"epochs"`
 	BodyBytes float64 `json:"body_bytes"`
-	// ScratchBps and ZeroCopyBps are aggregate checkpoint throughputs
+	// AppendBps and ZeroCopyBps are aggregate checkpoint throughputs
 	// (total body bytes / total time through encode + log handoff).
-	ScratchBps  float64 `json:"scratch_bps"`
+	AppendBps   float64 `json:"append_bps"`
 	ZeroCopyBps float64 `json:"zerocopy_bps"`
-	// Speedup is ZeroCopyBps / ScratchBps.
+	// Speedup is ZeroCopyBps / AppendBps.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -84,7 +85,7 @@ func interpMeasure(size int, churn float64, seed int64, dirty, zerocopy bool, ep
 	return bps, body, n, heap, nil
 }
 
-// interpEncodeRun measures one encode variant over a fresh machine: epochs of
+// interpEncodeRun measures one handoff variant over a fresh machine: epochs of
 // stepped evaluation, each closed by a checkpoint sunk into a
 // stablelog.AsyncWriter on an in-memory filesystem. It returns the aggregate
 // bytes/sec across all epochs (dirty-epoch bodies are a few hundred bytes, so
@@ -104,11 +105,7 @@ func interpEncodeRun(size int, churn float64, seed int64, dirty, zerocopy bool, 
 	aw := stablelog.NewAsyncWriter(log)
 	defer aw.Close()
 
-	var wopts []ckpt.WriterOption
-	if !zerocopy {
-		wopts = append(wopts, ckpt.WithScratchEncode())
-	}
-	wr := ckpt.NewWriter(wopts...)
+	wr := ckpt.NewWriter()
 
 	var trk *ckpt.Tracker
 	if dirty {
@@ -145,53 +142,35 @@ func interpEncodeRun(size int, churn float64, seed int64, dirty, zerocopy bool, 
 			mode = ckpt.Incremental
 		}
 
-		var (
-			bodyLen int
-			dt      time.Duration
-		)
+		var enc *wire.Encoder
 		if zerocopy {
-			enc := aw.Reserve()
+			enc = aw.Reserve()
 			wr.SwapEncoder(enc)
-			t0 := time.Now()
-			wr.Start(mode)
-			if dirty {
-				err = wr.CheckpointDirty(trk, nil)
-			} else {
-				err = wr.Checkpoint(m)
-			}
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			b, _, ferr := wr.Finish()
-			if ferr != nil {
-				return 0, 0, 0, 0, ferr
-			}
-			bodyLen = len(b)
-			if err := aw.Submit(mode, wr.Epoch(), enc); err != nil {
-				return 0, 0, 0, 0, err
-			}
-			dt = time.Since(t0)
-		} else {
-			t0 := time.Now()
-			wr.Start(mode)
-			if dirty {
-				err = wr.CheckpointDirty(trk, nil)
-			} else {
-				err = wr.Checkpoint(m)
-			}
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			b, _, ferr := wr.Finish()
-			if ferr != nil {
-				return 0, 0, 0, 0, ferr
-			}
-			bodyLen = len(b)
-			if err := aw.Append(mode, wr.Epoch(), b); err != nil {
-				return 0, 0, 0, 0, err
-			}
-			dt = time.Since(t0)
 		}
+		t0 := time.Now()
+		wr.Start(mode)
+		if dirty {
+			err = wr.CheckpointDirty(trk, nil)
+		} else {
+			err = wr.Checkpoint(m)
+		}
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		b, _, err := wr.Finish()
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		bodyLen := len(b)
+		if zerocopy {
+			err = aw.Submit(mode, wr.Epoch(), enc)
+		} else {
+			err = aw.Append(mode, wr.Epoch(), b)
+		}
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		dt := time.Since(t0)
 		// Drain the log outside the timed window: both variants pay the same
 		// durability cost; the timed window isolates encode + handoff.
 		if err := aw.Flush(); err != nil {
@@ -221,11 +200,11 @@ func InterpSweep(opts Options) (*Table, *InterpReport, error) {
 	}
 	t := &Table{
 		ID:      "interp",
-		Title:   "Interpreter workload: zero-copy encode vs scratch-copy baseline (bytes/sec)",
-		Columns: []string{"size", "churn", "discipline", "heap", "epochs", "body (B)", "scratch (MB/s)", "zero-copy (MB/s)", "speedup"},
+		Title:   "Interpreter workload: zero-copy log handoff vs append baseline (bytes/sec)",
+		Columns: []string{"size", "churn", "discipline", "heap", "epochs", "body (B)", "append (MB/s)", "zero-copy (MB/s)", "speedup"},
 		Notes: []string{
 			fmt.Sprintf("%d interpreter steps per epoch; log on in-memory fs, Flush outside the timed window; best of %d runs per variant", interpStepsPerEpoch, interpRuns),
-			"scratch = ckpt.WithScratchEncode + AsyncWriter.Append (per-record copy + body copy)",
+			"append = writer-owned buffer + AsyncWriter.Append (one body copy)",
 			"zero-copy = AsyncWriter.Reserve + Writer.SwapEncoder + AsyncWriter.Submit",
 		},
 	}
@@ -235,7 +214,7 @@ func InterpSweep(opts Options) (*Table, *InterpReport, error) {
 			epochs := opts.Warmup + opts.Repetitions + size/interpStepsPerEpoch
 			for _, discipline := range []string{"dirty", "full"} {
 				dirty := discipline == "dirty"
-				sBps, sBody, _, _, err := interpMeasure(size, churn, opts.Seed, dirty, false, epochs)
+				aBps, aBody, _, _, err := interpMeasure(size, churn, opts.Seed, dirty, false, epochs)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -245,11 +224,11 @@ func InterpSweep(opts Options) (*Table, *InterpReport, error) {
 				}
 				row := InterpRow{
 					Size: size, ChurnPct: churn * 100, Discipline: discipline,
-					HeapObjects: heap, Epochs: n, BodyBytes: sBody,
-					ScratchBps: sBps, ZeroCopyBps: zBps,
+					HeapObjects: heap, Epochs: n, BodyBytes: aBody,
+					AppendBps: aBps, ZeroCopyBps: zBps,
 				}
-				if sBps > 0 {
-					row.Speedup = zBps / sBps
+				if aBps > 0 {
+					row.Speedup = zBps / aBps
 				}
 				rep.Rows = append(rep.Rows, row)
 				t.AddRow(
@@ -259,7 +238,7 @@ func InterpSweep(opts Options) (*Table, *InterpReport, error) {
 					fmt.Sprintf("%d", row.HeapObjects),
 					fmt.Sprintf("%d", row.Epochs),
 					fmt.Sprintf("%.0f", row.BodyBytes),
-					fmt.Sprintf("%.2f", row.ScratchBps/1e6),
+					fmt.Sprintf("%.2f", row.AppendBps/1e6),
 					fmt.Sprintf("%.2f", row.ZeroCopyBps/1e6),
 					fmt.Sprintf("%.2f", row.Speedup),
 				)

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 
 	"ickpt/ckpt"
 	"ickpt/wire"
@@ -88,23 +89,24 @@ type schema struct {
 	kids   []int // field indices of children, in order
 }
 
-// Engine caches per-type schemas.
-//
-// Engine is not safe for concurrent use.
+// Engine caches per-type schemas. It is safe for concurrent use: a parallel
+// dirty fold (parfold.FoldDirty) shares one EmitOne across its workers. The
+// cache is a sync.Map — lock-free on the read path, and two goroutines that
+// compile the same type concurrently produce equal schemas, so the last store
+// winning is harmless.
 type Engine struct {
-	schemas map[reflect.Type]*schema
+	schemas sync.Map // reflect.Type -> *schema
 }
 
 // NewEngine returns an empty engine; schemas are compiled on first use.
 func NewEngine() *Engine {
-	return &Engine{schemas: make(map[reflect.Type]*schema)}
+	return &Engine{}
 }
 
 // ShardFold returns a fold closure for the parallel fold driver
-// (ckpt/parfold). Each call builds a fresh Engine, so every fold worker owns
-// its schema cache: Engine is not safe for concurrent use, and per-worker
-// instances are how reflection joins the sharded fold. The cache is retained
-// across folds by workers that keep the closure.
+// (ckpt/parfold). Each call builds a fresh Engine, so every fold worker warms
+// its own schema cache; the cache is retained across folds by workers that
+// keep the closure.
 func ShardFold() func(w *ckpt.Writer, root ckpt.Checkpointable) error {
 	return NewEngine().Checkpoint
 }
@@ -311,8 +313,8 @@ func (en *Engine) Restore(o ckpt.Checkpointable, d *wire.Decoder, res *ckpt.Reso
 
 // schemaFor compiles (and caches) the schema for t.
 func (en *Engine) schemaFor(t reflect.Type) (*schema, error) {
-	if sc, ok := en.schemas[t]; ok {
-		return sc, nil
+	if sc, ok := en.schemas.Load(t); ok {
+		return sc.(*schema), nil
 	}
 	sc := &schema{typ: t}
 	for i := 0; i < t.NumField(); i++ {
@@ -365,7 +367,7 @@ func (en *Engine) schemaFor(t reflect.Type) (*schema, error) {
 			return nil, fmt.Errorf("%w: field %s.%s has unknown tag %q", ErrSchema, t, f.Name, tag)
 		}
 	}
-	en.schemas[t] = sc
+	en.schemas.Store(t, sc)
 	return sc, nil
 }
 
