@@ -42,10 +42,11 @@ func benchSynth(b *testing.B, cfg harness.SynthConfig) {
 	if err := w.Drain(); err != nil {
 		b.Fatal(err)
 	}
-	run, err := harness.NewRunner(cfg, w)
+	fold, err := harness.NewFold(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	roots := w.Roots()
 	rng := rand.New(rand.NewSource(1))
 	wr := ckpt.NewWriter()
 	var (
@@ -58,8 +59,10 @@ func benchSynth(b *testing.B, cfg harness.SynthConfig) {
 		w.Mutate(rng, cfg.Mod)
 		t0 := time.Now()
 		wr.Start(cfg.Mode)
-		if err := run(wr); err != nil {
-			b.Fatal(err)
+		for _, r := range roots {
+			if err := fold(wr, r); err != nil {
+				b.Fatal(err)
+			}
 		}
 		body, stats, err := wr.Finish()
 		ckptNs += time.Since(t0).Nanoseconds()

@@ -99,7 +99,9 @@
 // # Memory model for parallel folding
 //
 // Package parfold folds disjoint subtrees of the registered graph on a pool
-// of workers, each driving its own Writer. No lock or atomic guards the Info
+// of workers, each driving its own Writer through the one engine routine
+// (parfold.FoldFunc) the folder was built with; a routine that keeps state
+// beyond its arguments must make that state safe to share. No lock or atomic guards the Info
 // modified flag — that would tax the sequential fast path the paper is about
 // — so the parallel fold is sound only under the following contract:
 //

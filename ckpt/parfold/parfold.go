@@ -2,17 +2,26 @@
 // merges the result into a checkpoint body byte-identical to the sequential
 // fold.
 //
-// The sequential drivers — the generic ckpt.Writer, reflectckpt, compiled
-// spec plans, and generated specialized routines — all walk the roots one
-// goroutine at a time. parfold partitions the roots into deterministic
-// shards (stable assignment by checkpoint id), folds the shards concurrently
-// into per-worker wire.Encoder buffers — each worker an ordinary ckpt.Writer
-// starting an ordinary body under the merged epoch — and concatenates the
-// per-root chunks in canonical id order behind the header one worker wrote.
+// An engine is one routine, a FoldFunc: the generic (*ckpt.Writer).Checkpoint,
+// (*reflectckpt.Engine).Checkpoint, a compiled (*spec.Plan).Fold, or a
+// generated specialized routine behind FoldEmitter. Looped over the roots by
+// one goroutine it is the sequential checkpoint; handed to New it is shared,
+// as is, by every fold worker — the driver never changes with the engine.
+//
+// parfold partitions the roots into deterministic shards (stable assignment
+// by checkpoint id), folds the shards concurrently into per-worker
+// wire.Encoder buffers — each worker an ordinary ckpt.Writer starting an
+// ordinary body under the merged epoch — and concatenates the per-root chunks
+// in canonical id order behind the header one worker wrote.
 // Because each root's subtree encoding is independent of every other root's
 // — a record's bytes depend only on its object — the merged body reproduces,
 // byte for byte, what a sequential fold over the id-sorted roots would have
 // written. Shard and worker counts influence scheduling only, never bytes.
+//
+// A Folder has three entry points over one internal fold: Fold (roots, the
+// engine's routine), FoldTo (Fold into a sink) and FoldDirty (a tracker's
+// dirty set, a ckpt.EmitOne). Each advances the epoch by one, failed folds
+// included.
 //
 // The folder adds no epoch lifecycle of its own. With one effective worker
 // the fold is the sequential ckpt.Writer, encoding straight into the output;
@@ -31,7 +40,6 @@ package parfold
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,18 +47,18 @@ import (
 	"ickpt/wire"
 )
 
-// FoldFunc folds the subtree rooted at root into w, recording objects
-// according to w's mode. The generic driver's fold is w.Checkpoint(root);
-// the specialized engines provide their own (reflectckpt.ShardFold,
-// spec.Plan.ShardFold, FoldEmitter for generated routines).
+// FoldFunc is an engine's traversal routine: it folds the subtree rooted at
+// root into w, recording objects according to w's mode. The four engines are
+// four values of this type — (*ckpt.Writer).Checkpoint (the paper's generic
+// driver), (*reflectckpt.Engine).Checkpoint, (*spec.Plan).Fold, and
+// FoldEmitter over a generated routine — and the driver is the same for all
+// of them.
+//
+// A Folder calls its one FoldFunc from several workers at once, each with its
+// own writer and a root no other worker holds; any state the routine keeps
+// beyond its arguments must be safe for that (the same contract FoldDirty's
+// emit has).
 type FoldFunc func(w *ckpt.Writer, root ckpt.Checkpointable) error
-
-// Generic returns the virtual-dispatch fold: the paper's Checkpoint driver.
-func Generic() FoldFunc {
-	return func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-		return w.Checkpoint(root)
-	}
-}
 
 // FoldEmitter adapts a generated specialized checkpoint routine — a function
 // from root object to emitter calls, as produced by cmd/ckptgen — into a
@@ -144,14 +152,14 @@ func WithShadowCache(c *ckpt.ShadowCache) Option {
 // A Folder must not be used from multiple goroutines at once; it owns the
 // goroutines it spawns.
 type Folder struct {
-	newFold func() FoldFunc
+	fold    FoldFunc
 	workers int
 	shards  int
 
 	// session is every epoch's commit/abort authority. ownSession marks the
 	// private one of a folder built without WithSession: nobody outside can
 	// resolve its epochs, so the previous fold's body counts as durable once
-	// the next fold starts (see begin).
+	// the next fold starts (see run).
 	session    *ckpt.Session
 	ownSession bool
 
@@ -165,7 +173,7 @@ type Folder struct {
 	// seq is the single-worker fold: the sequential writer, attached to the
 	// session and the shadow cache, settling its own epochs. pool holds the
 	// sharded fold's detached workers.
-	seq  *worker
+	seq  *ckpt.Writer
 	pool []*worker
 
 	// target, when non-nil, receives the next fold's body in place of the
@@ -183,14 +191,12 @@ type Folder struct {
 	spawned int
 }
 
-// worker is the per-goroutine state, cached across folds so engines with
-// warm-up cost (reflectckpt schema caches) keep their caches. Each worker
+// worker is one shard goroutine's state, cached across folds. Each worker
 // encodes into an encoder drawn from the wire pool (wire.GetEncoder), so
 // short-lived folders reuse grown shard buffers; Release returns them.
 type worker struct {
 	enc    *wire.Encoder
 	wr     *ckpt.Writer
-	fold   FoldFunc
 	spans  []span
 	hdrLen int // length of the body header the worker's StartAt wrote
 	clears []ckpt.ClearEntry
@@ -200,16 +206,14 @@ type worker struct {
 
 // span locates one root's chunk inside a worker's body.
 type span struct {
-	pos        int // canonical position of the root
+	pos        int // position of the item in the canonical sequence
 	start, end int // byte range in the worker's body
 }
 
-// New returns a Folder. newFold is called once per worker goroutine to
-// produce that worker's fold closure, so engines with mutable per-fold state
-// (reflectckpt) get an instance each; stateless or read-only engines may
-// return a shared closure.
-func New(newFold func() FoldFunc, opts ...Option) *Folder {
-	f := &Folder{newFold: newFold}
+// New returns a Folder driving fold, the one routine every worker shares (see
+// FoldFunc for what that asks of it).
+func New(fold FoldFunc, opts ...Option) *Folder {
+	f := &Folder{fold: fold}
 	for _, o := range opts {
 		o.apply(f)
 	}
@@ -219,17 +223,31 @@ func New(newFold func() FoldFunc, opts ...Option) *Folder {
 	return f
 }
 
-// NewGeneric returns a Folder driving the generic virtual-dispatch fold.
+// NewGeneric returns a Folder driving the generic virtual-dispatch fold, the
+// paper's Checkpoint driver.
 func NewGeneric(opts ...Option) *Folder {
-	return New(Generic, opts...)
+	return New((*ckpt.Writer).Checkpoint, opts...)
 }
 
 // Fold takes one checkpoint of roots in the given mode, advancing the
-// folder's epoch (the first fold has epoch 1, like ckpt.Writer.Start). The
-// returned body aliases the folder's buffer and is invalidated by the next
-// fold; copy it if it must outlive the folder's reuse.
+// folder's epoch (the first fold has epoch 1, like ckpt.Writer.Start; a fold
+// that fails consumes its epoch too). The returned body aliases the folder's
+// buffer and is invalidated by the next fold; copy it if it must outlive the
+// folder's reuse.
 func (f *Folder) Fold(mode ckpt.Mode, roots []ckpt.Checkpointable) ([]byte, ckpt.Stats, error) {
-	return f.FoldAt(mode, f.epoch+1, roots)
+	// Canonical order: ascending checkpoint id. The sequential reference is
+	// a fold over the roots in this order. Roots that arrive already sorted
+	// (ckpt.SortRoots, registration order) skip the copy and the sort — on
+	// the inline path that keeps the fold free of per-epoch O(n log n)
+	// overhead the sequential driver doesn't pay.
+	for i := 1; i < len(roots); i++ {
+		if roots[i-1].CheckpointInfo().ID() > roots[i].CheckpointInfo().ID() {
+			roots = append([]ckpt.Checkpointable(nil), roots...)
+			ckpt.SortRoots(roots)
+			break
+		}
+	}
+	return f.run(mode, roots, f.fold)
 }
 
 // FoldTo folds and hands the merged body to sink — typically a
@@ -273,122 +291,25 @@ func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) 
 	return stats, nil
 }
 
-// begin opens epoch. Under the folder's private session the previous fold's
-// body survived to this point with nobody to say otherwise, so it is resolved
-// as durable first — retiring its clear-set to the pool the coming fold's
-// emitters draw from, and promoting its staged shadows. (No-op when that
-// epoch already aborted.)
-func (f *Folder) begin(epoch uint64) {
-	if f.ownSession {
-		f.session.Commit(f.epoch)
-	}
-	f.epoch = epoch
-}
-
-// FoldAt is Fold with an explicit epoch, for callers that interleave a
-// folder with other writers of the same stream (the difftest harness pins
-// sequential and parallel replays to the same epoch sequence). It also
-// updates the folder's epoch, so a later Fold continues from epoch+1.
-func (f *Folder) FoldAt(mode ckpt.Mode, epoch uint64, roots []ckpt.Checkpointable) ([]byte, ckpt.Stats, error) {
-	f.begin(epoch)
-	nw, ns := f.geometry()
-
-	// Canonical order: ascending checkpoint id. The sequential reference is
-	// a fold over the roots in this order. Roots that arrive already sorted
-	// (ckpt.SortRoots, registration order) skip the sort — on the inline
-	// path that keeps the fold free of per-epoch O(n log n) overhead the
-	// sequential driver doesn't pay.
-	ascending := true
-	for i := 1; i < len(roots); i++ {
-		if roots[i-1].CheckpointInfo().ID() > roots[i].CheckpointInfo().ID() {
-			ascending = false
-			break
-		}
-	}
-	var order []int
-	if !ascending {
-		order = make([]int, len(roots))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return roots[order[a]].CheckpointInfo().ID() < roots[order[b]].CheckpointInfo().ID()
-		})
-	}
-
-	if nw == 1 {
-		// One effective worker: encode the canonical sequence straight into
-		// the output encoder — no shard buffers, no merge copy.
-		return f.foldInline(mode, epoch, len(roots), func(w *worker, k int) error {
-			if order != nil {
-				k = order[k]
-			}
-			return w.fold(w.wr, roots[k])
-		})
-	}
-
-	// Stable shard assignment: root id mod shard count. Within a shard the
-	// canonical order is preserved, so a worker's body is a contiguous run of
-	// chunks only when ns == 1; in general the chunk table re-orders.
-	shardItems := make([][]int, ns)
-	if order != nil {
-		for _, p := range order {
-			s := int(roots[p].CheckpointInfo().ID() % uint64(ns))
-			shardItems[s] = append(shardItems[s], p)
-		}
-	} else {
-		for p := range roots {
-			s := int(roots[p].CheckpointInfo().ID() % uint64(ns))
-			shardItems[s] = append(shardItems[s], p)
-		}
-	}
-
-	return f.foldShards(mode, epoch, nw, ns, len(roots), shardItems, order,
-		func(w *worker, p int) error { return w.fold(w.wr, roots[p]) })
-}
-
 // FoldDirty takes one O(dirty) incremental checkpoint: it drains t's
 // mark-queue (ckpt.Tracker.Take) and encodes the dirty set — no traversal —
-// sharding it by id like FoldAt shards roots and merging in the same
-// canonical ascending-id order, so the merged body is byte-identical to a
-// sequential ckpt.Writer.CheckpointDirty over the same tracker with the same
-// emit. The folder's epoch advances as in Fold.
+// sharding it by id like Fold shards roots and merging in the same canonical
+// ascending-id order, so the merged body is byte-identical to a sequential
+// ckpt.Writer.CheckpointDirty over the same tracker with the same emit. The
+// folder's epoch advances as in Fold. emit, like the folder's FoldFunc, is
+// shared by all workers.
 //
 // Callers are expected to consult t.NextMode first and fall back to a
 // traversal Fold in Full mode (plus Tracker.Watch) when the tracker has
 // degraded. On failure the un-recorded dirty objects are re-enqueued and the
 // epoch aborted, exactly like CheckpointDirty.
 func (f *Folder) FoldDirty(t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Stats, error) {
-	return f.FoldDirtyAt(f.epoch+1, t, emit)
-}
-
-// FoldDirtyAt is FoldDirty with an explicit epoch (see FoldAt).
-func (f *Folder) FoldDirtyAt(epoch uint64, t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Stats, error) {
-	f.begin(epoch)
 	objs := t.Take() // canonical ascending-id order already
-	nw, ns := f.geometry()
-	var (
-		body  []byte
-		stats ckpt.Stats
-		err   error
-	)
-	if nw == 1 {
-		body, stats, err = f.foldInline(ckpt.Incremental, epoch, len(objs), func(w *worker, k int) error {
-			w.wr.Emitter().Visit()
-			return emit(w.wr.Emitter(), objs[k])
-		})
-	} else {
-		shardItems := make([][]int, ns)
-		for p, o := range objs {
-			s := int(o.CheckpointInfo().ID() % uint64(ns))
-			shardItems[s] = append(shardItems[s], p)
-		}
-		body, stats, err = f.foldShards(ckpt.Incremental, epoch, nw, ns, len(objs), shardItems, nil,
-			func(w *worker, p int) error {
-				w.wr.Emitter().Visit()
-				return emit(w.wr.Emitter(), objs[p])
-			})
-	}
+	body, stats, err := f.run(ckpt.Incremental, objs, func(w *ckpt.Writer, o ckpt.Checkpointable) error {
+		em := w.Emitter()
+		em.Visit()
+		return emit(em, o)
+	})
 	if err != nil {
 		// Re-enqueue the dirty objects the failed epoch never recorded; the
 		// recorded ones are re-marked (and re-enqueued) by the abort that
@@ -396,6 +317,27 @@ func (f *Folder) FoldDirtyAt(epoch uint64, t *ckpt.Tracker, emit ckpt.EmitOne) (
 		t.Requeue(objs)
 	}
 	return body, stats, err
+}
+
+// run is the one fold: it opens the next epoch and applies step to every item
+// of the canonical (ascending-id) sequence, inline or sharded. Roots with the
+// engine's traversal routine and a dirty set with visit-and-emit both reduce
+// to it.
+//
+// Under the folder's private session the previous fold's body survived to
+// this point with nobody to say otherwise, so it is resolved as durable first
+// — retiring its clear-set to the pool the coming fold's emitters draw from,
+// and promoting its staged shadows. (No-op when that epoch already aborted.)
+func (f *Folder) run(mode ckpt.Mode, items []ckpt.Checkpointable, step FoldFunc) ([]byte, ckpt.Stats, error) {
+	if f.ownSession {
+		f.session.Commit(f.epoch)
+	}
+	f.epoch++
+	nw, ns := f.geometry()
+	if nw == 1 {
+		return f.foldInline(mode, items, step)
+	}
+	return f.foldShards(mode, nw, ns, items, step)
 }
 
 // geometry resolves the effective worker and shard counts. The fold degrades
@@ -439,7 +381,7 @@ func (f *Folder) ensureWorkers(n int) {
 		enc := wire.GetEncoder()
 		wr := ckpt.NewWriter(ckpt.WithEncoder(enc))
 		wr.Emitter().SetShadow(f.shadow)
-		f.pool = append(f.pool, &worker{enc: enc, wr: wr, fold: f.newFold()})
+		f.pool = append(f.pool, &worker{enc: enc, wr: wr})
 	}
 }
 
@@ -447,24 +389,23 @@ func (f *Folder) ensureWorkers(n int) {
 // ckpt.Writer attached to the folder's session and shadow cache encodes the
 // canonical item sequence directly into the output encoder — the same bytes
 // as the sharded merge, without per-worker buffers, goroutines, or a merge
-// copy — and settles the epoch itself in Finish (or Discard, when an item
+// copy — and settles the epoch itself in Finish (or Discard, when a step
 // fails outside Writer.Checkpoint).
-func (f *Folder) foldInline(mode ckpt.Mode, epoch uint64, nitems int, item func(*worker, int) error) ([]byte, ckpt.Stats, error) {
+func (f *Folder) foldInline(mode ckpt.Mode, items []ckpt.Checkpointable, step FoldFunc) ([]byte, ckpt.Stats, error) {
 	if f.seq == nil {
-		wr := ckpt.NewWriter(ckpt.WithEncoder(&f.out),
+		f.seq = ckpt.NewWriter(ckpt.WithEncoder(&f.out),
 			ckpt.WithSession(f.session), ckpt.WithShadowCache(f.shadow))
-		f.seq = &worker{wr: wr, fold: f.newFold()}
 	}
-	w := f.seq
-	w.wr.SwapEncoder(f.outFor())
-	w.wr.StartAt(mode, epoch)
-	for k := 0; k < nitems; k++ {
-		if err := item(w, k); err != nil {
-			w.wr.Discard()
+	wr := f.seq
+	wr.SwapEncoder(f.outFor())
+	wr.StartAt(mode, f.epoch)
+	for _, it := range items {
+		if err := step(wr, it); err != nil {
+			wr.Discard()
 			return nil, ckpt.Stats{}, err
 		}
 	}
-	body, stats, err := w.wr.Finish()
+	body, stats, err := wr.Finish()
 	if err != nil {
 		return nil, ckpt.Stats{}, err
 	}
@@ -472,12 +413,12 @@ func (f *Folder) foldInline(mode ckpt.Mode, epoch uint64, nitems int, item func(
 	return body, stats, nil
 }
 
-// foldShards is the engine shared by FoldAt and FoldDirtyAt: claim shards,
-// fold each shard's items via item (recording spans), merge chunks in
-// canonical order behind one body header, and settle the merged epoch.
-// mergeOrder gives the output order of item positions; nil means ascending
-// positions (items pre-sorted).
-func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, shardItems [][]int, mergeOrder []int, item func(*worker, int) error) ([]byte, ckpt.Stats, error) {
+// foldShards is the sharded fold: assign items to shards, let nw workers claim
+// shards and apply step to each shard's items (recording spans), merge the
+// per-item chunks in item order behind one body header, and settle the merged
+// epoch.
+func (f *Folder) foldShards(mode ckpt.Mode, nw, ns int, items []ckpt.Checkpointable, step FoldFunc) ([]byte, ckpt.Stats, error) {
+	epoch := f.epoch
 	f.ensureWorkers(nw)
 	// Pre-size the shard buffers from the previous merged body: an even split
 	// is the steady-state expectation, and growing up front turns the first
@@ -488,11 +429,19 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 		}
 	}
 
-	chunks := make([][]byte, nitems)
+	// Stable shard assignment: item id mod shard count, item order preserved
+	// within a shard. A worker's body is a contiguous run of chunks only when
+	// ns == 1; in general the chunk table, indexed by item position, re-orders.
+	shardItems := make([][]int, ns)
+	for p, it := range items {
+		s := int(it.CheckpointInfo().ID() % uint64(ns))
+		shardItems[s] = append(shardItems[s], p)
+	}
+	chunks := make([][]byte, len(items))
 	errs := make([]error, ns)
 	var next atomic.Int64
 	var failed atomic.Bool
-	run := func(w *worker) {
+	work := func(w *worker) {
 		w.spans = w.spans[:0]
 		w.err = nil
 		w.wr.StartAt(mode, epoch)
@@ -507,7 +456,7 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 			}
 			for _, p := range shardItems[s] {
 				start := w.wr.BodyLen()
-				if err := item(w, p); err != nil {
+				if err := step(w.wr, items[p]); err != nil {
 					errs[s] = err
 					failed.Store(true)
 					break
@@ -535,7 +484,7 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 		f.spawned++
 		go func() {
 			defer wg.Done()
-			run(w)
+			work(w)
 		}()
 	}
 	wg.Wait()
@@ -589,16 +538,9 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 		st.Bytes = 0
 		stats.Add(st)
 	}
-	// Merge the per-item chunks in canonical order; canonical positions map
-	// 1:1 onto chunk-table slots via mergeOrder.
-	if mergeOrder != nil {
-		for _, p := range mergeOrder {
-			out.Raw(chunks[p])
-		}
-	} else {
-		for _, c := range chunks {
-			out.Raw(c)
-		}
+	// Items are in canonical order, so the chunk table already is.
+	for _, c := range chunks {
+		out.Raw(c)
 	}
 	stats.Bytes = out.Len()
 	f.lastLen = out.Len()

@@ -174,12 +174,14 @@ func TestFoldDirtyFailureRequeues(t *testing.T) {
 		t.Fatalf("Dirty() = %d after failed fold, want %d re-enqueued", got, dirtied)
 	}
 	// The retake matches a sequential dirty fold over a twin with the same
-	// mutation, pinned to the same epoch.
+	// mutation at the same epoch: the failed fold consumed epoch 1, so the
+	// twin writer burns an empty one.
 	twinW, twinTr := watched(t, shape)
 	twinW.MutateEvery(0.5)
 	wr := ckpt.NewWriter()
-	want, _ := seqDirty(t, wr, twinTr) // twin writer's first epoch is 1
-	got, _, err := folder.FoldDirtyAt(1, tr, ckpt.EmitObject)
+	seqFold(t, wr, ckpt.Incremental, nil)
+	want, _ := seqDirty(t, wr, twinTr)
+	got, _, err := folder.FoldDirty(tr, ckpt.EmitObject)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func (o *tagged[T]) Fold(*ckpt.Writer) error       { return nil }
 
 // taggedPopulation builds n fresh (modified) leaves cycling through six
 // instantiations of tagged, watched by a new tracker.
-func taggedPopulation(t *testing.T, n int) *ckpt.Tracker {
+func taggedPopulation(t *testing.T, n int) ([]ckpt.Checkpointable, *ckpt.Tracker) {
 	t.Helper()
 	d := ckpt.NewDomain()
 	objs := make([]ckpt.Checkpointable, n)
@@ -229,7 +231,7 @@ func taggedPopulation(t *testing.T, n int) *ckpt.Tracker {
 	if err := tr.Watch(objs...); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return objs, tr
 }
 
 // TestFoldDirtySharedReflectEngine: FoldDirty hands one emit function to all
@@ -245,7 +247,8 @@ func TestFoldDirtySharedReflectEngine(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		wr := ckpt.NewWriter()
 		wr.Start(ckpt.Incremental)
-		if err := wr.CheckpointDirty(taggedPopulation(t, n), reflectckpt.NewEngine().EmitOne); err != nil {
+		_, tr := taggedPopulation(t, n)
+		if err := wr.CheckpointDirty(tr, reflectckpt.NewEngine().EmitOne); err != nil {
 			t.Fatal(err)
 		}
 		want, _, err := wr.Finish()
@@ -254,7 +257,8 @@ func TestFoldDirtySharedReflectEngine(t *testing.T) {
 		}
 
 		folder := parfold.NewGeneric(parfold.WithWorkers(4))
-		got, stats, err := folder.FoldDirty(taggedPopulation(t, n), reflectckpt.NewEngine().EmitOne)
+		_, tr = taggedPopulation(t, n)
+		got, stats, err := folder.FoldDirty(tr, reflectckpt.NewEngine().EmitOne)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,6 +270,50 @@ func TestFoldDirtySharedReflectEngine(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: parallel reflect dirty body differs from sequential", round)
+		}
+		folder.Release()
+	}
+}
+
+// TestFoldSharedReflectEngine is the traversal twin: parfold.New hands one
+// FoldFunc to all of its workers, so one reflectckpt.Engine's Checkpoint is
+// called — cold, on six types — from every fold goroutine at once (run under
+// -race), and the merged body must match the sequential loop over the same
+// engine method.
+func TestFoldSharedReflectEngine(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const n = 96
+	for round := 0; round < 20; round++ {
+		roots, _ := taggedPopulation(t, n)
+		wr := ckpt.NewWriter()
+		wr.Start(ckpt.Incremental)
+		seq := reflectckpt.NewEngine()
+		for _, r := range roots {
+			if err := seq.Checkpoint(wr, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantStats, err := wr.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		roots, _ = taggedPopulation(t, n)
+		folder := parfold.New(reflectckpt.NewEngine().Checkpoint, parfold.WithWorkers(4))
+		got, stats, err := folder.Fold(ckpt.Incremental, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if folder.Spawned() == 0 {
+			t.Fatal("fold ran inline: the shared engine was never raced")
+		}
+		if stats != wantStats || stats.Recorded != n {
+			t.Fatalf("stats = %+v, sequential %+v, want %d recorded", stats, wantStats, n)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: parallel reflect body differs from sequential", round)
 		}
 		folder.Release()
 	}

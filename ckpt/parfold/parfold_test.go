@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -115,26 +116,26 @@ func TestEngineShardFoldsMatchSequential(t *testing.T) {
 	}
 
 	cases := []struct {
-		name    string
-		seq     func(w *synth.Workload, wr *ckpt.Writer) error
-		newFold func() parfold.FoldFunc
+		name string
+		seq  func(w *synth.Workload, wr *ckpt.Writer) error
+		fold parfold.FoldFunc
 	}{
 		{
 			name: "reflect",
 			seq: func(w *synth.Workload, wr *ckpt.Writer) error {
 				return w.CheckpointReflect(reflectckpt.NewEngine(), wr)
 			},
-			newFold: func() parfold.FoldFunc { return reflectckpt.ShardFold() },
+			fold: reflectckpt.NewEngine().Checkpoint,
 		},
 		{
-			name:    "plan",
-			seq:     func(w *synth.Workload, wr *ckpt.Writer) error { return w.CheckpointPlan(plan, wr) },
-			newFold: func() parfold.FoldFunc { return plan.ShardFold() },
+			name: "plan",
+			seq:  func(w *synth.Workload, wr *ckpt.Writer) error { return w.CheckpointPlan(plan, wr) },
+			fold: plan.Fold,
 		},
 		{
-			name:    "codegen",
-			seq:     func(w *synth.Workload, wr *ckpt.Writer) error { return w.CheckpointGenerated(genKey, wr) },
-			newFold: func() parfold.FoldFunc { return parfold.FoldEmitter(gen) },
+			name: "codegen",
+			seq:  func(w *synth.Workload, wr *ckpt.Writer) error { return w.CheckpointGenerated(genKey, wr) },
+			fold: parfold.FoldEmitter(gen),
 		},
 	}
 	for _, tc := range cases {
@@ -145,7 +146,7 @@ func TestEngineShardFoldsMatchSequential(t *testing.T) {
 			rngA := rand.New(rand.NewSource(3))
 			rngB := rand.New(rand.NewSource(3))
 			wr := ckpt.NewWriter()
-			folder := parfold.New(tc.newFold, parfold.WithWorkers(3), parfold.WithShards(5))
+			folder := parfold.New(tc.fold, parfold.WithWorkers(3), parfold.WithShards(5))
 			for round := 0; round < 2; round++ {
 				wa.Mutate(rngA, mod)
 				wb.Mutate(rngB, mod)
@@ -180,9 +181,10 @@ func TestFoldDeterminism100(t *testing.T) {
 	want, _ := seqFold(t, wr, ckpt.Full, w.Roots())
 	want = append([]byte(nil), want...)
 
-	folder := parfold.NewGeneric(parfold.WithWorkers(4), parfold.WithShards(7))
 	for i := 0; i < 100; i++ {
-		got, _, err := folder.FoldAt(ckpt.Full, 1, shuffled(w.Roots(), int64(i)))
+		// A folder per run: every body is epoch 1, like the reference.
+		folder := parfold.NewGeneric(parfold.WithWorkers(4), parfold.WithShards(7))
+		got, _, err := folder.Fold(ckpt.Full, shuffled(w.Roots(), int64(i)))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -285,18 +287,16 @@ func TestFoldErrorDeterministic(t *testing.T) {
 	for i := range roots {
 		roots[i] = &leaf{Info: ckpt.NewInfo(d), V: int64(i)}
 	}
-	newFold := func() parfold.FoldFunc {
-		return func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-			if id := root.CheckpointInfo().ID(); id%5 == 2 {
-				return fmt.Errorf("boom at %d", id)
-			}
-			return w.Checkpoint(root)
+	fold := func(w *ckpt.Writer, root ckpt.Checkpointable) error {
+		if id := root.CheckpointInfo().ID(); id%5 == 2 {
+			return fmt.Errorf("boom at %d", id)
 		}
+		return w.Checkpoint(root)
 	}
-	folder := parfold.New(newFold, parfold.WithWorkers(4), parfold.WithShards(8))
 	var first string
 	for i := 0; i < 50; i++ {
-		_, _, err := folder.FoldAt(ckpt.Full, 1, roots)
+		folder := parfold.New(fold, parfold.WithWorkers(4), parfold.WithShards(8))
+		_, _, err := folder.Fold(ckpt.Full, roots)
 		if err == nil {
 			t.Fatalf("run %d: fold succeeded, want error", i)
 		}
@@ -339,18 +339,49 @@ func TestEpochsAndEmptyFold(t *testing.T) {
 	if info := inspect(body); info.Epoch != 2 {
 		t.Fatalf("second fold epoch = %d, want 2", info.Epoch)
 	}
-	if _, _, err := folder.FoldAt(ckpt.Incremental, 9, nil); err != nil {
-		t.Fatalf("FoldAt: %v", err)
-	}
-	if folder.Epoch() != 9 {
-		t.Fatalf("epoch after FoldAt = %d, want 9", folder.Epoch())
-	}
-	body, _, err = folder.Fold(ckpt.Incremental, nil)
-	if err != nil {
-		t.Fatalf("fold after FoldAt: %v", err)
-	}
-	if info := inspect(body); info.Epoch != 10 {
-		t.Fatalf("epoch after FoldAt+Fold = %d, want 10", info.Epoch)
+}
+
+// TestEpochAdvancesPerFold: the epoch advances by exactly one per fold — a
+// failed fold consumes its epoch too, so a caller counting takes (a session's
+// Ack, the difftest sweeps) stays aligned with the bodies' headers.
+func TestEpochAdvancesPerFold(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(4)
+			defer runtime.GOMAXPROCS(prev)
+			d := ckpt.NewDomain()
+			roots := make([]ckpt.Checkpointable, 12)
+			for i := range roots {
+				roots[i] = &leaf{Info: ckpt.NewInfo(d), V: int64(i)}
+			}
+			fail := false
+			folder := parfold.New(func(w *ckpt.Writer, root ckpt.Checkpointable) error {
+				if fail {
+					return fmt.Errorf("boom")
+				}
+				return w.Checkpoint(root)
+			}, parfold.WithWorkers(workers))
+			for i, failing := range []bool{false, true, true, false} {
+				fail = failing
+				body, _, err := folder.Fold(ckpt.Incremental, roots)
+				if (err != nil) != failing {
+					t.Fatalf("fold %d: err = %v, failing = %v", i, err, failing)
+				}
+				if want := uint64(i + 1); folder.Epoch() != want {
+					t.Fatalf("fold %d: Epoch() = %d, want %d", i, folder.Epoch(), want)
+				}
+				if failing {
+					continue
+				}
+				info, err := ckpt.InspectBody(body, nil)
+				if err != nil {
+					t.Fatalf("fold %d: inspect: %v", i, err)
+				}
+				if info.Epoch != folder.Epoch() {
+					t.Fatalf("fold %d: body epoch %d, folder epoch %d", i, info.Epoch, folder.Epoch())
+				}
+			}
+		})
 	}
 }
 
@@ -375,16 +406,14 @@ func TestNoClaimsAfterFailure(t *testing.T) {
 	}
 
 	var calls atomic.Int32
-	newFold := func() parfold.FoldFunc {
-		return func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-			calls.Add(1)
-			if root.CheckpointInfo().ID() == lowest {
-				return fmt.Errorf("boom at %d", lowest)
-			}
-			return w.Checkpoint(root)
+	fold := func(w *ckpt.Writer, root ckpt.Checkpointable) error {
+		calls.Add(1)
+		if root.CheckpointInfo().ID() == lowest {
+			return fmt.Errorf("boom at %d", lowest)
 		}
+		return w.Checkpoint(root)
 	}
-	folder := parfold.New(newFold, parfold.WithWorkers(1), parfold.WithShards(nShards))
+	folder := parfold.New(fold, parfold.WithWorkers(1), parfold.WithShards(nShards))
 	if _, _, err := folder.Fold(ckpt.Full, roots); err == nil {
 		t.Fatal("fold succeeded, want error")
 	}
@@ -405,8 +434,11 @@ func TestFoldSessionAbortRecapture(t *testing.T) {
 	w := synth.Build(shape)
 
 	s := ckpt.NewSession()
-	folder := parfold.NewGeneric(parfold.WithWorkers(4), parfold.WithSession(s))
-	first, _, err := folder.FoldAt(ckpt.Incremental, 1, w.Roots())
+	// A folder per take, both under session s: each folds epoch 1.
+	newFolder := func() *parfold.Folder {
+		return parfold.NewGeneric(parfold.WithWorkers(4), parfold.WithSession(s))
+	}
+	first, _, err := newFolder().Fold(ckpt.Incremental, w.Roots())
 	if err != nil {
 		t.Fatalf("first fold: %v", err)
 	}
@@ -419,7 +451,7 @@ func TestFoldSessionAbortRecapture(t *testing.T) {
 		t.Fatal("abort re-marked nothing")
 	}
 	// ... so retaking the same epoch recaptures exactly the lost bytes.
-	second, _, err := folder.FoldAt(ckpt.Incremental, 1, w.Roots())
+	second, _, err := newFolder().Fold(ckpt.Incremental, w.Roots())
 	if err != nil {
 		t.Fatalf("retake: %v", err)
 	}
@@ -446,20 +478,18 @@ func TestFoldFailureRemarks(t *testing.T) {
 				roots[i] = l
 				failID = l.Info.ID() // fail on the highest id: most flags cleared first
 			}
-			newFold := func() parfold.FoldFunc {
-				return func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-					if root.CheckpointInfo().ID() == failID {
-						return fmt.Errorf("boom at %d", failID)
-					}
-					return w.Checkpoint(root)
+			fold := func(w *ckpt.Writer, root ckpt.Checkpointable) error {
+				if root.CheckpointInfo().ID() == failID {
+					return fmt.Errorf("boom at %d", failID)
 				}
+				return w.Checkpoint(root)
 			}
 			s := ckpt.NewSession()
 			opts := []parfold.Option{parfold.WithWorkers(4), parfold.WithShards(8)}
 			if withSession {
 				opts = append(opts, parfold.WithSession(s))
 			}
-			folder := parfold.New(newFold, opts...)
+			folder := parfold.New(fold, opts...)
 			if _, _, err := folder.Fold(ckpt.Incremental, roots); err == nil {
 				t.Fatal("fold succeeded, want error")
 			}
@@ -498,7 +528,7 @@ func TestFoldToSinkFailureRemarks(t *testing.T) {
 			if withSession {
 				opts = append(opts, parfold.WithSession(s))
 			}
-			folder := parfold.New(parfold.Generic, opts...)
+			folder := parfold.NewGeneric(opts...)
 			boom := fmt.Errorf("sink on fire")
 			if _, err := folder.FoldTo(errSink{boom}, ckpt.Incremental, roots); err != boom {
 				t.Fatalf("FoldTo = %v, want sink error", err)

@@ -147,15 +147,11 @@ func TestFoldToAbortRecyclesReservation(t *testing.T) {
 			drain(t, w)
 
 			boom := errors.New("boom")
-			newFold := func() parfold.FoldFunc {
-				return func(wr *ckpt.Writer, root ckpt.Checkpointable) error {
-					return boom
-				}
-			}
+			fold := func(*ckpt.Writer, ckpt.Checkpointable) error { return boom }
 			_, aw := newTestAsync(t, "abort.log")
 			defer aw.Close()
 			sink := &recordingSink{AsyncWriter: aw}
-			folder := parfold.New(newFold, parfold.WithWorkers(workers))
+			folder := parfold.New(fold, parfold.WithWorkers(workers))
 
 			const attempts = 20
 			for i := 0; i < attempts; i++ {

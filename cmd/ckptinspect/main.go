@@ -217,7 +217,7 @@ func statsLog(path string) error {
 // command exits non-zero.
 func verifyLog(path string) error {
 	if _, err := os.Stat(path + ".compact"); err == nil {
-		fmt.Printf("warning: stale compaction temp file %s (crashed compaction; next Compact removes it)\n", path+".compact")
+		fmt.Printf("warning: stale compaction temp file %s (crashed compaction; the next compaction removes it)\n", path+".compact")
 	}
 
 	log, err := stablelog.Open(path)

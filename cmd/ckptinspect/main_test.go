@@ -215,7 +215,7 @@ func TestVerifyIntactLog(t *testing.T) {
 		t.Errorf("verify intact log: %v", err)
 	}
 	// A stale compaction temp file is worth a warning but is not a problem:
-	// the next Compact removes it.
+	// the next compaction removes it.
 	if err := os.WriteFile(path+".compact", []byte("leftovers"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestIntegrationSynthThroughStablelog(t *testing.T) {
 	verifySynthState(t, w, objs)
 
 	// Compaction preserves the recoverable state.
-	if err := lg2.Compact(); err != nil {
+	if err := lg2.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	rb2 := ckpt.NewRebuilder(synth.Registry())

@@ -46,6 +46,7 @@ func AnalysisTrace(aw harness.AnalysisWorkload, scale int) Trace {
 			}
 			phaseGen[phase] = fn
 		}
+		reflectEng := reflectckpt.NewEngine()
 
 		return &Population{
 			Roots:    e.Roots(),
@@ -72,13 +73,13 @@ func AnalysisTrace(aw harness.AnalysisWorkload, scale int) Trace {
 			Engines: []EngineSpec{
 				{Name: "virtual"},
 				{Name: "reflect",
-					NewFold: func(ckpt.Mode, string) func() parfold.FoldFunc {
-						return func() parfold.FoldFunc { return reflectckpt.ShardFold() }
+					NewFold: func(ckpt.Mode, string) parfold.FoldFunc {
+						return reflectEng.Checkpoint
 					},
-					NewEmit: func(string) ckpt.EmitOne { return reflectckpt.NewEngine().EmitOne },
+					NewEmit: func(string) ckpt.EmitOne { return reflectEng.EmitOne },
 				},
 				{Name: "plan",
-					NewFold: func(mode ckpt.Mode, phase string) func() parfold.FoldFunc {
+					NewFold: func(mode ckpt.Mode, phase string) parfold.FoldFunc {
 						plan := planFull
 						if mode == ckpt.Incremental {
 							plan = phasePlans[phase]
@@ -86,7 +87,7 @@ func AnalysisTrace(aw harness.AnalysisWorkload, scale int) Trace {
 								return nil
 							}
 						}
-						return func() parfold.FoldFunc { return plan.ShardFold() }
+						return plan.Fold
 					},
 					NewEmit: func(phase string) ckpt.EmitOne {
 						if p := phasePlans[phase]; p != nil {
@@ -96,12 +97,12 @@ func AnalysisTrace(aw harness.AnalysisWorkload, scale int) Trace {
 					},
 				},
 				{Name: "codegen",
-					NewFold: func(mode ckpt.Mode, phase string) func() parfold.FoldFunc {
+					NewFold: func(mode ckpt.Mode, phase string) parfold.FoldFunc {
 						fn := phaseGen[phase]
 						if mode != ckpt.Incremental || fn == nil {
 							return nil
 						}
-						return func() parfold.FoldFunc { return parfold.FoldEmitter(fn) }
+						return parfold.FoldEmitter(fn)
 					},
 					NewEmit: func(phase string) ckpt.EmitOne {
 						fn, _ := analysis.GeneratedEmit(phase)

@@ -40,13 +40,13 @@ type Take func(mode ckpt.Mode, phase string) error
 type EngineSpec struct {
 	// Name identifies the engine: "virtual", "reflect", "plan", "codegen".
 	Name string
-	// NewFold returns a factory of per-goroutine fold closures for a
-	// checkpoint in the given mode and phase. A nil NewFold — or a nil
-	// factory for a particular (mode, phase) — falls back to the generic
-	// virtual fold, mirroring production use where specialized routines
-	// cover the steady-state phases and the generic driver takes base full
+	// NewFold returns the engine's traversal routine for a checkpoint in the
+	// given mode and phase. A nil NewFold — or a nil routine for a
+	// particular (mode, phase) — falls back to the generic virtual fold,
+	// mirroring production use where specialized routines cover the
+	// steady-state phases and the generic driver takes base full
 	// checkpoints.
-	NewFold func(mode ckpt.Mode, phase string) func() parfold.FoldFunc
+	NewFold func(mode ckpt.Mode, phase string) parfold.FoldFunc
 	// NewEmit returns the engine's single-object emit routine for a dirty
 	// (mark-queue) checkpoint in the given phase. A nil NewEmit — or a nil
 	// routine for a particular phase — falls back to the generic
@@ -137,34 +137,48 @@ func (st Strategy) pin() (restore func()) {
 	return func() { runtime.GOMAXPROCS(prev) }
 }
 
-// folder builds one take's folder for a parallel strategy.
-func (st Strategy) folder(newFold func() parfold.FoldFunc, opts ...parfold.Option) *parfold.Folder {
-	return parfold.New(newFold, append(opts,
-		parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards))...)
+// replayFolder is the one parfold.Folder a parallel replay folds every take
+// through — the shape production code has. The engine routine varies per
+// (mode, phase), so the folder is built over a closure that calls cur, and
+// each take points cur at the routine it wants before folding.
+type replayFolder struct {
+	*parfold.Folder
+	cur     parfold.FoldFunc
+	spawned int // Spawned() after the previous take
+}
+
+// folder builds the replay's folder for a parallel strategy.
+func (st Strategy) folder(opts ...parfold.Option) *replayFolder {
+	rf := &replayFolder{}
+	rf.Folder = parfold.New(
+		func(w *ckpt.Writer, r ckpt.Checkpointable) error { return rf.cur(w, r) },
+		append(opts, parfold.WithWorkers(st.Workers), parfold.WithShards(st.Shards))...)
+	return rf
 }
 
 // errInline fails a parallel take whose fold never left the inline path.
 var errInline = errors.New("difftest: parallel strategy folded inline")
 
-// retire releases a parallel take's folder and checks that its fold really
-// ran sharded.
-func retire(f *parfold.Folder) error {
-	f.Release()
-	if f.Spawned() == 0 {
+// sharded checks that the take just folded really ran sharded: it spawned
+// workers.
+func (rf *replayFolder) sharded() error {
+	prev := rf.spawned
+	rf.spawned = rf.Spawned()
+	if rf.spawned == prev {
 		return errInline
 	}
 	return nil
 }
 
-// factory resolves the fold factory for one checkpoint, falling back to the
+// fold resolves the traversal routine for one checkpoint, falling back to the
 // generic fold.
-func (e EngineSpec) factory(mode ckpt.Mode, phase string) func() parfold.FoldFunc {
+func (e EngineSpec) fold(mode ckpt.Mode, phase string) parfold.FoldFunc {
 	if e.NewFold != nil {
-		if nf := e.NewFold(mode, phase); nf != nil {
-			return nf
+		if fold := e.NewFold(mode, phase); fold != nil {
+			return fold
 		}
 	}
-	return parfold.Generic
+	return (*ckpt.Writer).Checkpoint
 }
 
 // emit resolves the engine's single-object emit routine for one dirty
@@ -220,8 +234,7 @@ func Replay(tr Trace, engine string, st Strategy) ([][]byte, *Population, error)
 	defer st.pin()()
 
 	var bodies [][]byte
-	var epoch uint64
-	take := newTake(pop, eng, st, roots, &epoch, &bodies)
+	take := newTake(pop, eng, st, roots, &bodies)
 	if err := pop.Replay(take); err != nil {
 		return nil, nil, fmt.Errorf("%s/%s/%s: replay: %w", tr.Name, engine, st.Name, err)
 	}
@@ -231,9 +244,9 @@ func Replay(tr Trace, engine string, st Strategy) ([][]byte, *Population, error)
 // newTake builds the Take for one engine x strategy, appending a copy of
 // every produced body to *bodies. Extracted from Replay so rewind replays
 // (see rewind.go) can wrap the take with per-epoch live-state capture.
-func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpointable, epoch *uint64, bodies *[][]byte) Take {
+func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpointable, bodies *[][]byte) Take {
 	if st.Dirty {
-		return dirtyTake(pop, eng, st, roots, epoch, bodies)
+		return dirtyTake(pop, eng, st, roots, bodies)
 	}
 	if st.Workers <= 0 {
 		var wopts []ckpt.WriterOption
@@ -242,15 +255,7 @@ func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpo
 		}
 		wr := ckpt.NewWriter(wopts...)
 		return func(mode ckpt.Mode, phase string) error {
-			*epoch++
-			fold := eng.factory(mode, phase)()
-			wr.Start(mode)
-			for _, r := range roots {
-				if err := fold(wr, r); err != nil {
-					return err
-				}
-			}
-			body, _, err := wr.Finish()
+			body, err := seqFold(wr, mode, eng.fold(mode, phase), roots)
 			if err != nil {
 				return err
 			}
@@ -258,18 +263,18 @@ func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpo
 			return nil
 		}
 	}
-	// The per-take folders share one replay-scoped shadow cache; Release after
-	// each take retires the sessionless epoch, committing the staged shadows
-	// before the next take diffs against them.
+	// The folder's private session commits a take's epoch — promoting its
+	// staged shadows — when the next take starts, before that take diffs
+	// against them.
 	var cache *ckpt.ShadowCache
 	if st.Delta {
 		cache = ckpt.NewShadowCache(deltaMin)
 	}
+	rf := st.folder(parfold.WithShadowCache(cache))
 	return func(mode ckpt.Mode, phase string) error {
-		*epoch++
-		folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
-		body, _, err := folder.FoldAt(mode, *epoch, roots)
-		if err := errors.Join(err, retire(folder)); err != nil {
+		rf.cur = eng.fold(mode, phase)
+		body, _, err := rf.Fold(mode, roots)
+		if err := errors.Join(err, rf.sharded()); err != nil {
 			return err
 		}
 		*bodies = append(*bodies, append([]byte(nil), body...))
@@ -277,30 +282,48 @@ func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpo
 	}
 }
 
+// seqFold is the byte reference every other path is compared against: the
+// sequential writer looping fold over the roots in canonical order.
+func seqFold(wr *ckpt.Writer, mode ckpt.Mode, fold parfold.FoldFunc, roots []ckpt.Checkpointable) ([]byte, error) {
+	wr.Start(mode)
+	for _, r := range roots {
+		if err := fold(wr, r); err != nil {
+			return nil, err
+		}
+	}
+	body, _, err := wr.Finish()
+	return body, err
+}
+
 // dirtyTake builds the Take for a dirty strategy: a tracker watches the
 // population, incremental checkpoints drain its mark-queue (sequentially via
-// Writer.CheckpointDirty or in parallel via Folder.FoldDirtyAt), and Full
+// Writer.CheckpointDirty or in parallel via Folder.FoldDirty), and Full
 // checkpoints — the trace's own base takes plus any Tracker.NextMode
 // degradation upgrade — fall back to the engine's traversal fold, followed
 // by a re-Watch that rebuilds the view.
-func dirtyTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpointable, epoch *uint64, bodies *[][]byte) Take {
+func dirtyTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpointable, bodies *[][]byte) Take {
 	trk := ckpt.NewTracker()
 	if pop.Domain != nil {
 		pop.Domain.AttachTracker(trk)
 	}
 	watched := false
 	// Delta strategies rotate full fallbacks and dirty drains over one body
-	// stream, so the sequential writer and any parallel folders must share the
-	// same replay-scoped shadow cache.
+	// stream, so both go through one writer — or one folder — and its
+	// replay-scoped shadow cache.
 	var cache *ckpt.ShadowCache
-	var wopts []ckpt.WriterOption
 	if st.Delta {
 		cache = ckpt.NewShadowCache(deltaMin)
-		wopts = append(wopts, ckpt.WithShadowCache(cache))
 	}
-	wr := ckpt.NewWriter(wopts...)
-	take := func(mode ckpt.Mode, phase string) error {
-		*epoch++
+	var (
+		wr *ckpt.Writer
+		rf *replayFolder
+	)
+	if st.Workers <= 0 {
+		wr = ckpt.NewWriter(ckpt.WithShadowCache(cache))
+	} else {
+		rf = st.folder(parfold.WithShadowCache(cache))
+	}
+	return func(mode ckpt.Mode, phase string) error {
 		if !watched {
 			if err := trk.Watch(roots...); err != nil {
 				return err
@@ -308,58 +331,37 @@ func dirtyTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Check
 			watched = true
 		}
 		mode = trk.NextMode(mode)
-		var body []byte
+		var (
+			body []byte
+			err  error
+		)
 		switch {
-		case mode == ckpt.Full && st.Workers <= 0:
-			// Traversal fallback in the engine's own fold; the Full body
-			// recaptures everything live, so Watch restores the index.
-			fold := eng.factory(mode, phase)()
-			wr.Start(mode)
-			for _, r := range roots {
-				if err := fold(wr, r); err != nil {
-					return err
-				}
-			}
-			b, _, err := wr.Finish()
-			if err != nil {
-				return err
-			}
-			body = b
-			if err := trk.Watch(roots...); err != nil {
-				return err
-			}
+		case mode == ckpt.Full && rf == nil:
+			body, err = seqFold(wr, mode, eng.fold(mode, phase), roots)
 		case mode == ckpt.Full:
-			folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
-			b, _, err := folder.FoldAt(mode, *epoch, roots)
-			if err := errors.Join(err, retire(folder)); err != nil {
-				return err
-			}
-			body = b
-			if err := trk.Watch(roots...); err != nil {
-				return err
-			}
-		case st.Workers <= 0:
+			rf.cur = eng.fold(mode, phase)
+			body, _, err = rf.Fold(mode, roots)
+			err = errors.Join(err, rf.sharded())
+		case rf == nil:
 			wr.Start(ckpt.Incremental)
-			if err := wr.CheckpointDirty(trk, eng.dirtyEmit(phase)); err != nil {
-				return err
+			if err = wr.CheckpointDirty(trk, eng.dirtyEmit(phase)); err == nil {
+				body, _, err = wr.Finish()
 			}
-			b, _, err := wr.Finish()
-			if err != nil {
-				return err
-			}
-			body = b
 		default:
-			folder := st.folder(eng.factory(mode, phase), parfold.WithShadowCache(cache))
-			b, _, err := folder.FoldDirtyAt(*epoch, trk, eng.emit(phase))
-			if err := errors.Join(err, retire(folder)); err != nil {
-				return err
-			}
-			body = b
+			body, _, err = rf.FoldDirty(trk, eng.emit(phase))
+			err = errors.Join(err, rf.sharded())
+		}
+		if err != nil {
+			return err
 		}
 		*bodies = append(*bodies, append([]byte(nil), body...))
+		if mode == ckpt.Full {
+			// The Full body recaptured everything live, so Watch restores
+			// the index.
+			return trk.Watch(roots...)
+		}
 		return nil
 	}
-	return take
 }
 
 // RunDiff replays tr through every engine x strategy combination and asserts

@@ -310,30 +310,31 @@ func EditorTrace(docs, paras, rounds int, seed int64) Trace {
 }
 
 func editorEngines(planIncr, planFull *spec.Plan) []EngineSpec {
+	reflectEng := reflectckpt.NewEngine()
 	return []EngineSpec{
 		{Name: "virtual"},
 		{Name: "reflect",
-			NewFold: func(ckpt.Mode, string) func() parfold.FoldFunc {
-				return func() parfold.FoldFunc { return reflectckpt.ShardFold() }
+			NewFold: func(ckpt.Mode, string) parfold.FoldFunc {
+				return reflectEng.Checkpoint
 			},
-			NewEmit: func(string) ckpt.EmitOne { return reflectckpt.NewEngine().EmitOne },
+			NewEmit: func(string) ckpt.EmitOne { return reflectEng.EmitOne },
 		},
 		{Name: "plan",
-			NewFold: func(mode ckpt.Mode, _ string) func() parfold.FoldFunc {
+			NewFold: func(mode ckpt.Mode, _ string) parfold.FoldFunc {
 				plan := planIncr
 				if mode == ckpt.Full {
 					plan = planFull
 				}
-				return func() parfold.FoldFunc { return plan.ShardFold() }
+				return plan.Fold
 			},
 			NewEmit: func(string) ckpt.EmitOne { return planIncr.EmitOne },
 		},
 		{Name: "codegen",
-			NewFold: func(mode ckpt.Mode, _ string) func() parfold.FoldFunc {
+			NewFold: func(mode ckpt.Mode, _ string) parfold.FoldFunc {
 				if mode != ckpt.Incremental {
 					return nil
 				}
-				return func() parfold.FoldFunc { return parfold.FoldEmitter(checkpointEditorIncr) }
+				return parfold.FoldEmitter(checkpointEditorIncr)
 			},
 			NewEmit: func(string) ckpt.EmitOne { return emitEditorOne },
 		},

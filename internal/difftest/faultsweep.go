@@ -100,15 +100,23 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 	sess := ckpt.NewSession()
 	res := &FaultResult{Pop: pop, Session: sess}
 
-	var epoch uint64
-	wopts := []ckpt.WriterOption{ckpt.WithSession(sess)}
 	var cache *ckpt.ShadowCache
 	if st.Delta {
 		cache = ckpt.NewShadowCache(deltaMin)
-		wopts = append(wopts, ckpt.WithShadowCache(cache))
 		res.Shadow = cache
 	}
-	wr := ckpt.NewWriter(wopts...)
+	// One writer or one folder takes every checkpoint of the replay, the
+	// faulted one and its retake included, so its epoch counter is the
+	// stream's: a failed fold consumes its epoch on either.
+	var (
+		wr *ckpt.Writer
+		rf *replayFolder
+	)
+	if st.Workers <= 0 {
+		wr = ckpt.NewWriter(ckpt.WithSession(sess), ckpt.WithShadowCache(cache))
+	} else {
+		rf = st.folder(parfold.WithSession(sess), parfold.WithShadowCache(cache))
+	}
 	var trk *ckpt.Tracker
 	if st.Dirty {
 		trk = ckpt.NewTracker()
@@ -123,11 +131,10 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 	// dirty steps (the middle object of the dirty set errors). It returns the
 	// epoch the body was (or would have been) taken under.
 	takeOnce := func(mode ckpt.Mode, phase string, inject bool) ([]byte, uint64, error) {
-		epoch++
 		if st.Dirty {
 			if !watched {
 				if err := trk.Watch(roots...); err != nil {
-					return nil, epoch, err
+					return nil, 0, err
 				}
 				watched = true
 			}
@@ -156,7 +163,7 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 					return inner(em, o)
 				}
 			}
-			if st.Workers <= 0 {
+			if rf == nil {
 				wr.Start(ckpt.Incremental)
 				if err := wr.CheckpointDirty(trk, emit); err != nil {
 					// Unemitted tail requeued; the retake's Start aborts the
@@ -174,60 +181,48 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 				}
 				return append([]byte(nil), body...), wr.Epoch(), nil
 			}
-			folder := st.folder(eng.factory(mode, phase), parfold.WithSession(sess),
-				parfold.WithShadowCache(cache))
-			body, _, err := folder.FoldDirtyAt(epoch, trk, emit)
-			if err := errors.Join(err, retire(folder)); err != nil {
+			body, _, err := rf.FoldDirty(trk, emit)
+			if err := errors.Join(err, rf.sharded()); err != nil {
 				// The folder has requeued the dirty set and aborted the epoch.
-				return nil, epoch, err
+				return nil, rf.Epoch(), err
 			}
 			if inject && !fired.Load() {
 				// The completed body dies before it could matter; abort the
 				// pending epoch as a failed write would.
-				sess.Ack(epoch, fmt.Errorf("%w: post-drain", ErrInjected))
-				return nil, epoch, fmt.Errorf("%w: post-drain", ErrInjected)
+				sess.Ack(rf.Epoch(), fmt.Errorf("%w: post-drain", ErrInjected))
+				return nil, rf.Epoch(), fmt.Errorf("%w: post-drain", ErrInjected)
 			}
-			return append([]byte(nil), body...), epoch, nil
+			return append([]byte(nil), body...), rf.Epoch(), nil
 		}
 
-		nf := eng.factory(mode, phase)
+		fold := eng.fold(mode, phase)
 		if inject {
-			inner := nf
-			nf = func() parfold.FoldFunc {
-				fold := inner()
-				return func(w *ckpt.Writer, r ckpt.Checkpointable) error {
-					if r.CheckpointInfo().ID() == victim {
-						return fmt.Errorf("%w: fold of object %d", ErrInjected, victim)
-					}
-					return fold(w, r)
+			inner := fold
+			fold = func(w *ckpt.Writer, r ckpt.Checkpointable) error {
+				if r.CheckpointInfo().ID() == victim {
+					return fmt.Errorf("%w: fold of object %d", ErrInjected, victim)
 				}
+				return inner(w, r)
 			}
 		}
 		var body []byte
 		var ep uint64
-		if st.Workers <= 0 {
-			fold := nf()
-			wr.Start(mode)
-			for _, r := range roots {
-				if err := fold(wr, r); err != nil {
-					// Body abandoned mid-fold; the retake's Start aborts it
-					// through the session (Writer.Discard).
-					return nil, wr.Epoch(), err
-				}
-			}
-			b, _, err := wr.Finish()
+		if rf == nil {
+			b, err := seqFold(wr, mode, fold, roots)
 			if err != nil {
+				// A body abandoned mid-fold is aborted through the session
+				// by the retake's Start.
 				return nil, wr.Epoch(), err
 			}
 			body, ep = append([]byte(nil), b...), wr.Epoch()
 		} else {
-			folder := st.folder(nf, parfold.WithSession(sess), parfold.WithShadowCache(cache))
-			b, _, err := folder.FoldAt(mode, epoch, roots)
-			if err := errors.Join(err, retire(folder)); err != nil {
+			rf.cur = fold
+			b, _, err := rf.Fold(mode, roots)
+			if err := errors.Join(err, rf.sharded()); err != nil {
 				// The folder has already aborted the epoch through the session.
-				return nil, epoch, err
+				return nil, rf.Epoch(), err
 			}
-			body, ep = append([]byte(nil), b...), epoch
+			body, ep = append([]byte(nil), b...), rf.Epoch()
 		}
 		if st.Dirty {
 			// The traversal recaptured everything live; rebuild the index.

@@ -47,21 +47,22 @@ func interpSetup(size int, churn float64, seed int64) (*Population, *interp.Mach
 }
 
 func interpEngines() []EngineSpec {
+	reflectEng := reflectckpt.NewEngine()
 	return []EngineSpec{
 		{Name: "virtual"},
 		{Name: "reflect",
-			NewFold: func(ckpt.Mode, string) func() parfold.FoldFunc {
-				return func() parfold.FoldFunc { return reflectckpt.ShardFold() }
+			NewFold: func(ckpt.Mode, string) parfold.FoldFunc {
+				return reflectEng.Checkpoint
 			},
-			NewEmit: func(string) ckpt.EmitOne { return reflectckpt.NewEngine().EmitOne },
+			NewEmit: func(string) ckpt.EmitOne { return reflectEng.EmitOne },
 		},
 		{Name: "plan"},
 		{Name: "codegen",
-			NewFold: func(mode ckpt.Mode, _ string) func() parfold.FoldFunc {
+			NewFold: func(mode ckpt.Mode, _ string) parfold.FoldFunc {
 				if mode != ckpt.Incremental {
 					return nil
 				}
-				return func() parfold.FoldFunc { return parfold.FoldEmitter(interp.CheckpointIncr) }
+				return parfold.FoldEmitter(interp.CheckpointIncr)
 			},
 			NewEmit: func(string) ckpt.EmitOne { return interp.EmitOne },
 		},

@@ -69,15 +69,14 @@ func ReplayStates(tr Trace, engine string, st Strategy) (bodies [][]byte, states
 	ckpt.SortRoots(roots)
 	defer st.pin()()
 
-	var epoch uint64
-	take := newTake(pop, eng, st, roots, &epoch, &bodies)
+	take := newTake(pop, eng, st, roots, &bodies)
 	wrapped := func(mode ckpt.Mode, phase string) error {
 		if err := take(mode, phase); err != nil {
 			return err
 		}
 		dump, err := SnapshotDump(pop)
 		if err != nil {
-			return fmt.Errorf("snapshot after epoch %d: %w", epoch, err)
+			return fmt.Errorf("snapshot after epoch %d: %w", len(bodies), err)
 		}
 		states = append(states, dump)
 		return nil

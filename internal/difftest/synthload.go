@@ -60,29 +60,29 @@ func SynthTrace(shape synth.Shape, mod synth.ModPattern, rounds int, seed int64)
 			Engines: []EngineSpec{
 				{Name: "virtual"},
 				{Name: "reflect",
-					NewFold: func(ckpt.Mode, string) func() parfold.FoldFunc {
-						return func() parfold.FoldFunc { return reflectckpt.ShardFold() }
+					NewFold: func(ckpt.Mode, string) parfold.FoldFunc {
+						return reflectEng.Checkpoint
 					},
 					NewEmit: func(string) ckpt.EmitOne { return reflectEng.EmitOne },
 				},
 				{Name: "plan",
-					NewFold: func(mode ckpt.Mode, _ string) func() parfold.FoldFunc {
+					NewFold: func(mode ckpt.Mode, _ string) parfold.FoldFunc {
 						plan := planIncr
 						if mode == ckpt.Full {
 							plan = planFull
 						}
-						return func() parfold.FoldFunc { return plan.ShardFold() }
+						return plan.Fold
 					},
 					NewEmit: func(string) ckpt.EmitOne { return planIncr.EmitOne },
 				},
 				// Generated routines are incremental-only; the base full
 				// checkpoint falls back to the generic driver.
 				{Name: "codegen",
-					NewFold: func(mode ckpt.Mode, _ string) func() parfold.FoldFunc {
+					NewFold: func(mode ckpt.Mode, _ string) parfold.FoldFunc {
 						if mode != ckpt.Incremental {
 							return nil
 						}
-						return func() parfold.FoldFunc { return parfold.FoldEmitter(gen) }
+						return parfold.FoldEmitter(gen)
 					},
 					NewEmit: func(string) ckpt.EmitOne { return genEmit },
 				},

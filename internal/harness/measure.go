@@ -106,17 +106,13 @@ func MeasureSynth(cfg SynthConfig) (Measurement, error) {
 	if err := w.Drain(); err != nil {
 		return Measurement{}, err
 	}
-	if cfg.Par.Enabled {
-		return measureSynthParallel(cfg, w)
-	}
-
-	run, err := NewRunner(cfg, w)
+	fold, err := NewFold(cfg)
 	if err != nil {
 		return Measurement{}, err
 	}
+	take := newTake(fold, cfg.Par, cfg.Mode, w.Roots())
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	wr := ckpt.NewWriter()
 	var (
 		times    []float64
 		last     Measurement
@@ -132,85 +128,62 @@ func MeasureSynth(cfg SynthConfig) (Measurement, error) {
 		default:
 			modified = w.Mutate(rng, cfg.Mod)
 		}
-		wr.Start(cfg.Mode)
-		t0 := time.Now()
-		if err := run(wr); err != nil {
+		dt, body, stats, err := take()
+		if err != nil {
 			return Measurement{}, err
+		}
+		if i >= cfg.Warmup {
+			times = append(times, float64(dt.Nanoseconds()))
+			last = Measurement{Bytes: len(body), Stats: stats, Modified: modified}
+		}
+	}
+	last.NsPerCheckpoint = median(times)
+	return last, nil
+}
+
+// newTake returns the measured step: one checkpoint of roots and the time it
+// is charged. The sequential writer's figure times the fold over the roots
+// only — Start and Finish are outside the clock, as in the paper's tables; the
+// parallel figure times one Folder.Fold end to end (shard folds plus merge).
+func newTake(fold parfold.FoldFunc, par ParConfig, mode ckpt.Mode, roots []ckpt.Checkpointable) func() (time.Duration, []byte, ckpt.Stats, error) {
+	if par.Enabled {
+		folder := parfold.New(fold, parfold.WithWorkers(par.Workers), parfold.WithShards(par.Shards))
+		return func() (time.Duration, []byte, ckpt.Stats, error) {
+			t0 := time.Now()
+			body, stats, err := folder.Fold(mode, roots)
+			return time.Since(t0), body, stats, err
+		}
+	}
+	wr := ckpt.NewWriter()
+	return func() (time.Duration, []byte, ckpt.Stats, error) {
+		wr.Start(mode)
+		t0 := time.Now()
+		for _, r := range roots {
+			if err := fold(wr, r); err != nil {
+				return 0, nil, ckpt.Stats{}, err
+			}
 		}
 		dt := time.Since(t0)
 		body, stats, err := wr.Finish()
-		if err != nil {
-			return Measurement{}, err
-		}
-		if i >= cfg.Warmup {
-			times = append(times, float64(dt.Nanoseconds()))
-			last = Measurement{Bytes: len(body), Stats: stats, Modified: modified}
-		}
+		return dt, body, stats, err
 	}
-	last.NsPerCheckpoint = median(times)
-	return last, nil
 }
 
-// measureSynthParallel is the parallel counterpart of the MeasureSynth
-// timing loop: each checkpoint is one Folder.Fold over the workload roots,
-// timed end to end (shard folds plus merge).
-func measureSynthParallel(cfg SynthConfig, w *synth.Workload) (Measurement, error) {
-	newFold, err := NewShardFold(cfg, w)
-	if err != nil {
-		return Measurement{}, err
-	}
-	folder := parfold.New(newFold,
-		parfold.WithWorkers(cfg.Par.Workers), parfold.WithShards(cfg.Par.Shards))
-	roots := w.Roots()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var (
-		times    []float64
-		last     Measurement
-		modified int
-	)
-	total := cfg.Warmup + cfg.Repetitions
-	for i := 0; i < total; i++ {
-		switch {
-		case cfg.Traversal:
-		case cfg.TouchAll:
-			w.TouchAll()
-			modified = w.Objects()
-		default:
-			modified = w.Mutate(rng, cfg.Mod)
-		}
-		t0 := time.Now()
-		body, stats, err := folder.Fold(cfg.Mode, roots)
-		dt := time.Since(t0)
-		if err != nil {
-			return Measurement{}, err
-		}
-		if i >= cfg.Warmup {
-			times = append(times, float64(dt.Nanoseconds()))
-			last = Measurement{Bytes: len(body), Stats: stats, Modified: modified}
-		}
-	}
-	last.NsPerCheckpoint = median(times)
-	return last, nil
-}
-
-// NewShardFold builds the per-engine shard fold factory for the parallel
-// driver: every call of the returned factory yields a FoldFunc that is safe
-// for one parfold worker to use concurrently with the others.
-func NewShardFold(cfg SynthConfig, w *synth.Workload) (func() parfold.FoldFunc, error) {
+// NewFold returns the configured engine's traversal routine: the one value
+// the sequential writer loops over the roots and parfold.New shares across
+// its workers. It is exported for the root benchmark suite.
+func NewFold(cfg SynthConfig) (parfold.FoldFunc, error) {
 	switch cfg.Engine {
 	case EngineVirtual, "":
-		return func() parfold.FoldFunc { return parfold.Generic() }, nil
+		return (*ckpt.Writer).Checkpoint, nil
 	case EngineReflect:
-		// One reflection engine per worker: Engine caches are not
-		// concurrency-safe.
-		return func() parfold.FoldFunc { return reflectckpt.ShardFold() }, nil
+		return reflectckpt.NewEngine().Checkpoint, nil
 	case EnginePlan:
 		plan, err := synth.CompilePlan(cfg.Shape.Kind, patternFor(cfg), spec.WithMode(cfg.Mode))
 		if err != nil {
 			return nil, err
 		}
-		return func() parfold.FoldFunc { return plan.ShardFold() }, nil
+		return plan.Fold, nil
 	case EngineCodegen:
 		if cfg.Mode != ckpt.Incremental {
 			return nil, fmt.Errorf("harness: codegen engine supports incremental mode only")
@@ -224,39 +197,7 @@ func NewShardFold(cfg SynthConfig, w *synth.Workload) (func() parfold.FoldFunc, 
 		if !ok {
 			return nil, fmt.Errorf("harness: no generated routine %q", key)
 		}
-		return func() parfold.FoldFunc { return parfold.FoldEmitter(fn) }, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown engine %q", cfg.Engine)
-	}
-}
-
-// NewRunner builds the per-engine checkpoint closure for a workload: the
-// function that performs one whole-population checkpoint into a started
-// writer. It is exported for the root benchmark suite.
-func NewRunner(cfg SynthConfig, w *synth.Workload) (func(*ckpt.Writer) error, error) {
-	switch cfg.Engine {
-	case EngineReflect:
-		en := reflectckpt.NewEngine()
-		return func(wr *ckpt.Writer) error { return w.CheckpointReflect(en, wr) }, nil
-	case EngineVirtual, "":
-		return w.CheckpointGeneric, nil
-	case EnginePlan:
-		pat := patternFor(cfg)
-		plan, err := synth.CompilePlan(cfg.Shape.Kind, pat, spec.WithMode(cfg.Mode))
-		if err != nil {
-			return nil, err
-		}
-		return func(wr *ckpt.Writer) error { return w.CheckpointPlan(plan, wr) }, nil
-	case EngineCodegen:
-		if cfg.Mode != ckpt.Incremental {
-			return nil, fmt.Errorf("harness: codegen engine supports incremental mode only")
-		}
-		name := ""
-		if pat := patternFor(cfg); pat != nil {
-			name = pat.Name
-		}
-		key := synth.GenKey(cfg.Shape.Kind, name)
-		return func(wr *ckpt.Writer) error { return w.CheckpointGenerated(key, wr) }, nil
+		return parfold.FoldEmitter(fn), nil
 	default:
 		return nil, fmt.Errorf("harness: unknown engine %q", cfg.Engine)
 	}

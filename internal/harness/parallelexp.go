@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"ickpt/ckpt"
 	"ickpt/ckpt/parfold"
@@ -131,20 +130,20 @@ func ParallelScaling(opts Options, aw AnalysisWorkload, scale, shards int) (*Tab
 		return nil, nil, err
 	}
 	analysisCells := []struct {
-		engine  string
-		newFold func() parfold.FoldFunc
+		engine string
+		fold   parfold.FoldFunc
 	}{
-		{"virtual", parfold.Generic},
-		{"plan", func() parfold.FoldFunc { return planFull.ShardFold() }},
+		{"virtual", (*ckpt.Writer).Checkpoint},
+		{"plan", planFull.Fold},
 	}
 	for _, c := range analysisCells {
-		seqNs, err := measureSeqFold(roots, c.newFold, opts)
+		seqNs, err := measureFold(roots, c.fold, ParConfig{}, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		parNs := make(map[int]float64, len(parallelWorkers))
 		for _, wk := range parallelWorkers {
-			ns, err := measureParFold(roots, c.newFold, ParConfig{Enabled: true, Workers: wk, Shards: shards}, opts)
+			ns, err := measureFold(roots, c.fold, ParConfig{Enabled: true, Workers: wk, Shards: shards}, opts)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -155,42 +154,16 @@ func ParallelScaling(opts Options, aw AnalysisWorkload, scale, shards int) (*Tab
 	return t, rep, nil
 }
 
-// measureSeqFold times a sequential full checkpoint of roots with one
-// writer, median over the configured repetitions.
-func measureSeqFold(roots []ckpt.Checkpointable, newFold func() parfold.FoldFunc, opts Options) (float64, error) {
-	wr := ckpt.NewWriter()
-	fold := newFold()
+// measureFold times a full checkpoint of roots — sequential, or parallel when
+// par is enabled — median over the configured repetitions.
+func measureFold(roots []ckpt.Checkpointable, fold parfold.FoldFunc, par ParConfig, opts Options) (float64, error) {
+	take := newTake(fold, par, ckpt.Full, roots)
 	var times []float64
 	for i := 0; i < opts.Warmup+opts.Repetitions; i++ {
-		wr.Start(ckpt.Full)
-		t0 := time.Now()
-		for _, r := range roots {
-			if err := fold(wr, r); err != nil {
-				return 0, err
-			}
-		}
-		dt := time.Since(t0)
-		if _, _, err := wr.Finish(); err != nil {
+		dt, _, _, err := take()
+		if err != nil {
 			return 0, err
 		}
-		if i >= opts.Warmup {
-			times = append(times, float64(dt.Nanoseconds()))
-		}
-	}
-	return median(times), nil
-}
-
-// measureParFold times the parallel fold of roots, median over the
-// configured repetitions.
-func measureParFold(roots []ckpt.Checkpointable, newFold func() parfold.FoldFunc, par ParConfig, opts Options) (float64, error) {
-	folder := parfold.New(newFold, parfold.WithWorkers(par.Workers), parfold.WithShards(par.Shards))
-	var times []float64
-	for i := 0; i < opts.Warmup+opts.Repetitions; i++ {
-		t0 := time.Now()
-		if _, _, err := folder.Fold(ckpt.Full, roots); err != nil {
-			return 0, err
-		}
-		dt := time.Since(t0)
 		if i >= opts.Warmup {
 			times = append(times, float64(dt.Nanoseconds()))
 		}

@@ -90,7 +90,7 @@ type schema struct {
 }
 
 // Engine caches per-type schemas. It is safe for concurrent use: a parallel
-// dirty fold (parfold.FoldDirty) shares one EmitOne across its workers. The
+// fold (parfold.Fold, FoldDirty) shares one engine across its workers. The
 // cache is a sync.Map — lock-free on the read path, and two goroutines that
 // compile the same type concurrently produce equal schemas, so the last store
 // winning is harmless.
@@ -103,98 +103,68 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// ShardFold returns a fold closure for the parallel fold driver
-// (ckpt/parfold). Each call builds a fresh Engine, so every fold worker warms
-// its own schema cache; the cache is retained across folds by workers that
-// keep the closure.
-func ShardFold() func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-	return NewEngine().Checkpoint
-}
-
 // Checkpoint traverses the structure rooted at root by reflection, recording
-// objects into w according to w's mode. The writer must be started.
+// objects into w according to w's mode. The writer must be started. It has
+// the parfold.FoldFunc signature: one engine serves every worker of a
+// parallel fold.
 func (en *Engine) Checkpoint(w *ckpt.Writer, root ckpt.Checkpointable) error {
 	if root == nil {
 		return nil
 	}
-	em := w.Emitter()
-	mode := w.Mode()
-	return en.visit(w, em, mode, root)
+	return en.visit(w, w.Emitter(), w.Mode() == ckpt.Full, root)
 }
 
 // EmitOne records exactly one object — no traversal — through the engine's
 // cached schema: the reflection engine's ckpt.EmitOne, for encoding a
 // tracker's dirty set (ckpt.Writer.CheckpointDirty, parfold.FoldDirty).
 func (en *Engine) EmitOne(em *ckpt.Emitter, o ckpt.Checkpointable) error {
-	if _, ok := o.(SelfDescribed); ok {
-		info := o.CheckpointInfo()
-		if !info.Modified() {
-			em.Skip()
-			return nil
+	_, _, err := en.emit(em, false, o)
+	return err
+}
+
+// emit is the one record step traversal and dirty emit share: record o if
+// always is set or its modified flag is (clearing the flag), count a skip
+// otherwise. A SelfDescribed object records through its own Record method and
+// has no schema (sc == nil); any other object must be a pointer to a tagged
+// struct, returned as sv with its compiled schema for the caller to traverse.
+func (en *Engine) emit(em *ckpt.Emitter, always bool, o ckpt.Checkpointable) (sv reflect.Value, sc *schema, err error) {
+	if _, self := o.(SelfDescribed); !self {
+		v := reflect.ValueOf(o)
+		if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
+			return sv, nil, fmt.Errorf("%w: %T is not a pointer to struct", ErrSchema, o)
 		}
-		p := em.Begin(info, o.CheckpointTypeID())
-		o.Record(p)
-		em.End()
-		info.ResetModified()
-		return nil
-	}
-	v := reflect.ValueOf(o)
-	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
-		return fmt.Errorf("%w: %T is not a pointer to struct", ErrSchema, o)
-	}
-	sv := v.Elem()
-	sc, err := en.schemaFor(sv.Type())
-	if err != nil {
-		return err
+		sv = v.Elem()
+		if sc, err = en.schemaFor(sv.Type()); err != nil {
+			return sv, nil, err
+		}
 	}
 	info := o.CheckpointInfo()
-	if !info.Modified() {
+	if !always && !info.Modified() {
 		em.Skip()
-		return nil
+		return sv, sc, nil
 	}
 	p := em.Begin(info, o.CheckpointTypeID())
-	if err := sc.record(sv, p); err != nil {
-		return err
+	if sc == nil {
+		o.Record(p)
+	} else if err := sc.record(sv, p); err != nil {
+		return sv, sc, err
 	}
 	em.End()
 	info.ResetModified()
-	return nil
+	return sv, sc, nil
 }
 
-func (en *Engine) visit(w *ckpt.Writer, em *ckpt.Emitter, mode ckpt.Mode, o ckpt.Checkpointable) error {
+func (en *Engine) visit(w *ckpt.Writer, em *ckpt.Emitter, full bool, o ckpt.Checkpointable) error {
 	em.Visit()
-	if _, ok := o.(SelfDescribed); ok {
-		info := o.CheckpointInfo()
-		if mode == ckpt.Full || info.Modified() {
-			p := em.Begin(info, o.CheckpointTypeID())
-			o.Record(p)
-			em.End()
-			info.ResetModified()
-		}
+	sv, sc, err := en.emit(em, full, o)
+	if err != nil {
+		return err
+	}
+	if sc == nil {
 		// The type owns its traversal; children it folds re-enter through
 		// the writer's virtual path, which frames records identically.
 		return o.Fold(w)
 	}
-	v := reflect.ValueOf(o)
-	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
-		return fmt.Errorf("%w: %T is not a pointer to struct", ErrSchema, o)
-	}
-	sv := v.Elem()
-	sc, err := en.schemaFor(sv.Type())
-	if err != nil {
-		return err
-	}
-
-	info := o.CheckpointInfo()
-	if mode == ckpt.Full || info.Modified() {
-		p := em.Begin(info, o.CheckpointTypeID())
-		if err := sc.record(sv, p); err != nil {
-			return err
-		}
-		em.End()
-		info.ResetModified()
-	}
-
 	for _, idx := range sc.kids {
 		fv := sv.Field(idx)
 		if fv.IsNil() {
@@ -205,7 +175,7 @@ func (en *Engine) visit(w *ckpt.Writer, em *ckpt.Emitter, mode ckpt.Mode, o ckpt
 			return fmt.Errorf("%w: field %s of %s is not Checkpointable",
 				ErrSchema, sv.Type().Field(idx).Name, sv.Type())
 		}
-		if err := en.visit(w, em, mode, child); err != nil {
+		if err := en.visit(w, em, full, child); err != nil {
 			return err
 		}
 	}

@@ -24,15 +24,13 @@ func (p *Plan) Execute(w *ckpt.Writer, root any) error {
 	return p.exec(w.Emitter(), p.root, root)
 }
 
-// ShardFold returns a fold closure for the parallel fold driver
-// (ckpt/parfold). A compiled Plan is immutable — Compile freezes the nodes,
-// edges and bindings, and Execute only reads them — so a single plan may be
+// Fold is Execute with the parfold.FoldFunc signature, for the parallel fold
+// driver (ckpt/parfold). A compiled Plan is immutable — Compile freezes the
+// nodes, edges and bindings, and Execute only reads them — so one plan is
 // executed from many fold workers concurrently; the per-worker state (the
 // emitter and its buffers) comes from the worker's own writer.
-func (p *Plan) ShardFold() func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-	return func(w *ckpt.Writer, root ckpt.Checkpointable) error {
-		return p.Execute(w, root)
-	}
+func (p *Plan) Fold(w *ckpt.Writer, root ckpt.Checkpointable) error {
+	return p.Execute(w, root)
 }
 
 // EmitOne records exactly one object — no traversal — through the catalog

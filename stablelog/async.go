@@ -338,31 +338,12 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrIO)
 }
 
-// appendRetry writes one item to the log, retrying transient failures per
+// retry runs op — a log append or an fsync — retrying transient failures per
 // the retry policy. Called without w.mu held.
-func (w *AsyncWriter) appendRetry(item asyncItem) error {
+func (w *AsyncWriter) retry(op func() error) error {
 	backoff := w.retryBackoff
 	for attempt := 0; ; attempt++ {
-		_, err := w.log.Append(item.mode, item.epoch, item.body)
-		if err == nil || attempt >= w.retryN || !retryable(err) {
-			return err
-		}
-		w.mu.Lock()
-		w.stats.Retried++
-		w.mu.Unlock()
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-	}
-}
-
-// syncRetry fsyncs the log, retrying transient failures per the retry
-// policy. Called without w.mu held.
-func (w *AsyncWriter) syncRetry() error {
-	backoff := w.retryBackoff
-	for attempt := 0; ; attempt++ {
-		err := w.log.Sync()
+		err := op()
 		if err == nil || attempt >= w.retryN || !retryable(err) {
 			return err
 		}
@@ -403,7 +384,10 @@ func (w *AsyncWriter) run() {
 		item := w.queue[0]
 		w.mu.Unlock()
 
-		err := w.appendRetry(item)
+		err := w.retry(func() error {
+			_, err := w.log.Append(item.mode, item.epoch, item.body)
+			return err
+		})
 
 		w.mu.Lock()
 		w.queue = w.queue[1:]
@@ -450,7 +434,7 @@ func (w *AsyncWriter) run() {
 // body the group commit made durable. It returns false when the writer must
 // stop because the sync failed.
 func (w *AsyncWriter) doSync() bool {
-	err := w.syncRetry()
+	err := w.retry(w.log.Sync)
 	w.mu.Lock()
 	if err != nil && w.err == nil {
 		w.err = fmt.Errorf("async sync: %w", err)

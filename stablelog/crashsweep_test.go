@@ -350,7 +350,7 @@ func TestCrashSweepCompact(t *testing.T) {
 		// the recovery run is preserved, the dead prefix is not.
 		acks[label] = []crashExpectation{crashExpectation(payloads[:i+1]), compacted}
 	}
-	if err := l.Compact(); err != nil {
+	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatal(err)
 	}
 	m.Mark("compacted")

@@ -52,7 +52,7 @@ func TestCompactRecoversFromStaleTempFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := l.Compact(); err != nil {
+	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatalf("Compact with stale temp file: %v", err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -84,7 +84,7 @@ func TestCompactCommitDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Compact(); err != nil {
+	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -279,7 +279,7 @@ func TestCompactPostRenameSyncDirFault(t *testing.T) {
 	// Compact's syncs: tmp Create fsyncs file+dir (1,2), tmp data fsync (3),
 	// tmp Close fsync (4), post-rename SyncDir (5).
 	m.FailSync(5, syscall.EIO)
-	err := l.Compact()
+	err := l.Retain(stablelog.KeepLastRun{})
 	if !errors.Is(err, stablelog.ErrIO) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Compact = %v, want ErrIO wrapping EIO", err)
 	}
@@ -319,7 +319,7 @@ func TestCompactPostRenameCloseFault(t *testing.T) {
 
 	// Closes during Compact: the tmp log's Close (1), the replaced handle (2).
 	m.FailClose(2, syscall.EIO)
-	err := l.Compact()
+	err := l.Retain(stablelog.KeepLastRun{})
 	if !errors.Is(err, stablelog.ErrIO) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Compact = %v, want ErrIO wrapping EIO", err)
 	}
@@ -341,7 +341,7 @@ func TestCompactPostRenameReopenFaultWedges(t *testing.T) {
 
 	// Opens during Compact: the tmp Create (1), the post-rename reopen (2).
 	m.FailOpen(2, syscall.EIO)
-	err := l.Compact()
+	err := l.Retain(stablelog.KeepLastRun{})
 	if !errors.Is(err, stablelog.ErrWedged) {
 		t.Fatalf("Compact = %v, want ErrWedged", err)
 	}
@@ -357,7 +357,7 @@ func TestCompactPostRenameRescanFaultWedges(t *testing.T) {
 	// Reads during Compact: the two kept payloads (1,2), then the rescan's
 	// file magic (3).
 	m.FailRead(3, syscall.EIO)
-	err := l.Compact()
+	err := l.Retain(stablelog.KeepLastRun{})
 	if !errors.Is(err, stablelog.ErrWedged) {
 		t.Fatalf("Compact = %v, want ErrWedged", err)
 	}
@@ -377,7 +377,7 @@ func assertWedgedOps(t *testing.T, l *stablelog.Log, m *faultfs.Mem) {
 	if err := l.Sync(); !errors.Is(err, stablelog.ErrWedged) {
 		t.Errorf("Sync on wedged log = %v, want ErrWedged", err)
 	}
-	if err := l.Compact(); !errors.Is(err, stablelog.ErrWedged) {
+	if err := l.Retain(stablelog.KeepLastRun{}); !errors.Is(err, stablelog.ErrWedged) {
 		t.Errorf("Compact on wedged log = %v, want ErrWedged", err)
 	}
 	rb := ckpt.NewRebuilder(ckpt.NewRegistry())

@@ -32,8 +32,8 @@ type RetentionPolicy interface {
 	Keep(segs []SegmentInfo) []bool
 }
 
-// KeepLastRun retains only the latest recovery run — the historical Compact
-// behaviour. It marks nothing itself; Retain's always-keep-the-latest-run
+// KeepLastRun retains only the latest recovery run: Retain(KeepLastRun{}) is
+// compaction. It marks nothing itself; Retain's always-keep-the-latest-run
 // rule does all the work.
 type KeepLastRun struct{}
 

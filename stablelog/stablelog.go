@@ -453,12 +453,6 @@ func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
 	return nil
 }
 
-// Compact rewrites the log to contain only the latest recovery run,
-// renumbering segments from 1. It is the degenerate retention policy: Compact
-// is exactly Retain(KeepLastRun{}); see Retain for the rewrite's atomicity
-// and durability contract.
-func (l *Log) Compact() error { return l.Retain(KeepLastRun{}) }
-
 // Sync flushes the file to stable storage. A failed fsync is classified
 // ErrIO: transient, retryable, and saying nothing about the bytes on disk.
 func (l *Log) Sync() error {

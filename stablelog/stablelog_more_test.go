@@ -62,7 +62,7 @@ func TestCompactWithoutFullFails(t *testing.T) {
 	if _, err := l.Append(ckpt.Incremental, 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Compact(); !errors.Is(err, stablelog.ErrNoFull) {
+	if err := l.Retain(stablelog.KeepLastRun{}); !errors.Is(err, stablelog.ErrNoFull) {
 		t.Errorf("Compact = %v, want ErrNoFull", err)
 	}
 }

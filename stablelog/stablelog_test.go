@@ -245,7 +245,7 @@ func TestCompact(t *testing.T) {
 		}
 	}
 
-	if err := l.Compact(); err != nil {
+	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	segs := l.Segments()
