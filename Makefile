@@ -121,7 +121,8 @@ rewind-check:
 	$(GO) test -count=1 -run 'TestRewindSweep' ./internal/harness/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body
-# decoder, and the rebuilder (go test -fuzz runs one target at a time).
+# decoder, the rebuilder, and the log's Open scan against its per-segment
+# reference (go test -fuzz runs one target at a time).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./wire/
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInspectBody -fuzztime $(FUZZTIME) ./ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzRebuilderApply -fuzztime $(FUZZTIME) ./ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzInterpEval -fuzztime $(FUZZTIME) ./internal/interp/
+	$(GO) test -run '^$$' -fuzz FuzzOpenScan -fuzztime $(FUZZTIME) ./stablelog/
 
 # Paper-scale evaluation: prints every table/figure and writes CSVs.
 experiments:

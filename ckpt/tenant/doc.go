@@ -10,7 +10,11 @@
 // set of segment files. Epochs on the wire are composite —
 // tenantID<<32 | localEpoch (see WireEpoch/SplitEpoch) — so interleaved
 // segments from different tenants recover independently (Recover filters a
-// shared log down to one tenant's run).
+// shared log down to one tenant's run). The tenant id is the log's stream
+// id, and the filter is a lookup in the per-stream index the log caches
+// (stablelog.Log.StreamRun): a restart — TenantIDs, then Recover per tenant
+// — walks the segment table once and then touches only each tenant's own
+// chain, O(segments) in total rather than O(tenants × segments).
 //
 // Scheduling is smallest-dirty-first: a tenant with three dirty objects
 // checkpoints before one with three thousand, minimizing mean epoch latency

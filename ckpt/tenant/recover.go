@@ -7,46 +7,24 @@ import (
 	"ickpt/stablelog"
 )
 
-// TenantIDs scans a shared log and returns the distinct tenant ids with at
-// least one segment, in ascending order.
+// TenantIDs returns the distinct tenant ids with at least one segment in a
+// shared log, in ascending order — including tenants that have no full
+// checkpoint to recover from. A tenant id is the log's stream id, so this
+// and RecoveryRun are lookups in the stream index the log caches.
 func TenantIDs(l *stablelog.Log) []uint32 {
-	seen := make(map[uint32]bool)
-	var ids []uint32
-	for _, seg := range l.Segments() {
-		id, _ := SplitEpoch(seg.Epoch)
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
+	return l.StreamIDs()
 }
 
-// RecoveryRun filters a shared log down to one tenant's latest replay
-// chain: its most recent Full segment and every later segment of the same
+// RecoveryRun returns one tenant's latest replay chain out of a shared
+// log: its most recent Full segment and every later segment of the same
 // tenant, in log order. Unlike stablelog.RecoveryRun the chain is not
 // contiguous in the log — other tenants' segments interleave — so sequence
-// numbers increase but need not be consecutive. Returns
-// stablelog.ErrNoFull when the tenant has no full checkpoint.
+// numbers increase but need not be consecutive. The slice is the caller's.
+// Returns stablelog.ErrNoFull when the tenant has no full checkpoint.
 func RecoveryRun(l *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, error) {
-	var run []stablelog.SegmentInfo
-	for _, seg := range l.Segments() {
-		segID, _ := SplitEpoch(seg.Epoch)
-		if segID != id {
-			continue
-		}
-		if seg.Mode == ckpt.Full {
-			run = run[:0]
-		}
-		run = append(run, seg)
-	}
-	if len(run) == 0 || run[0].Mode != ckpt.Full {
-		return nil, fmt.Errorf("tenant %d: %w", id, stablelog.ErrNoFull)
+	run, err := l.StreamRun(id)
+	if err != nil {
+		return nil, fmt.Errorf("tenant %d: %w", id, err)
 	}
 	return run, nil
 }

@@ -149,14 +149,18 @@ func TestTransientReadErrorDoesNotTruncate(t *testing.T) {
 	}
 	before := len(m.Snapshot()["t.log"])
 
-	// Fail each of the reads Open issues in turn (magic, headers, payloads):
-	// none may truncate, none may report corruption.
-	for nth := 1; nth <= 5; nth++ {
+	// Fail each of the reads Open issues in turn — the file magic, then every
+	// window of the scan — until an Open gets through with the fault still
+	// pending: none may truncate, none may report corruption.
+	failed := 0
+	for nth := 1; ; nth++ {
 		m.FailRead(nth, syscall.EIO)
-		_, err := stablelog.Open("t.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
+		lg, err := stablelog.Open("t.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
 		if err == nil {
-			t.Fatalf("read %d: Open succeeded despite injected EIO", nth)
+			lg.Close()
+			break
 		}
+		failed++
 		if errors.Is(err, stablelog.ErrCorrupt) {
 			t.Errorf("read %d: transient EIO misreported as corruption: %v", nth, err)
 		}
@@ -167,6 +171,10 @@ func TestTransientReadErrorDoesNotTruncate(t *testing.T) {
 			t.Fatalf("read %d: file truncated from %d to %d bytes on a transient error", nth, before, after)
 		}
 	}
+	if failed < 2 {
+		t.Fatalf("only %d read position(s) exercised, want the file magic and at least one window", failed)
+	}
+	m.FailRead(0, nil)
 
 	// With the fault gone, everything is still there.
 	lg, err := stablelog.Open("t.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
@@ -176,6 +184,51 @@ func TestTransientReadErrorDoesNotTruncate(t *testing.T) {
 	defer lg.Close()
 	if len(lg.Segments()) != 2 {
 		t.Errorf("segments = %d, want 2", len(lg.Segments()))
+	}
+}
+
+// TestTransientReadErrorInLaterWindow: the same rule past the first window.
+// On a log larger than the scan window, an EIO on the second window's read
+// must not be taken for the end of the file and truncate everything after
+// the first window.
+func TestTransientReadErrorInLaterWindow(t *testing.T) {
+	m := faultfs.NewMem()
+	l, err := stablelog.Create("w.log", stablelog.WithFS(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, stablelog.ScanWindowSize/8)
+	const segments = 20 // 2.5 windows
+	for i := 0; i < segments; i++ {
+		mode := ckpt.Incremental
+		if i == 0 {
+			mode = ckpt.Full
+		}
+		if _, err := l.Append(mode, uint64(i+1), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := len(m.Snapshot()["w.log"])
+
+	m.FailRead(3, syscall.EIO) // file magic, first window, second window
+	_, err = stablelog.Open("w.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
+	if !errors.Is(err, stablelog.ErrIO) || !errors.Is(err, syscall.EIO) || errors.Is(err, stablelog.ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrIO wrapping EIO", err)
+	}
+	if after := len(m.Snapshot()["w.log"]); after != before {
+		t.Fatalf("file truncated from %d to %d bytes on a transient error", before, after)
+	}
+
+	lg, err := stablelog.Open("w.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
+	if err != nil {
+		t.Fatalf("clean reopen: %v", err)
+	}
+	defer lg.Close()
+	if n := len(lg.Segments()); n != segments {
+		t.Errorf("segments = %d, want %d", n, segments)
 	}
 }
 

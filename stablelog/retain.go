@@ -214,14 +214,14 @@ func (l *Log) commitRewrite() error {
 		commitErr = fmt.Errorf("close replaced log handle: %w: %w", ErrIO, err)
 	}
 	l.f = nil
-	l.idx, l.idxLen = nil, 0
+	l.idx, l.idxLen, l.str = nil, 0, nil
 	f, err := l.fs.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
 		return l.poison(fmt.Errorf("reopen renamed log: %w", err))
 	}
 	l.f = f
 	l.segs = nil
-	if err := l.scan(false); err != nil {
+	if err := l.scan(false, scanWindowSize); err != nil {
 		return l.poison(fmt.Errorf("rescan renamed log: %w", err))
 	}
 	return commitErr

@@ -1,0 +1,277 @@
+package stablelog_test
+
+// The Open scan is one forward pass through a sliding window. These tests
+// hold it to the per-segment algorithm it replaced (kept below as refScan):
+// same segments, same error class, same truncation offset — at every window
+// alignment, under injected read faults, and under fuzz — and pin the bound
+// on what a hostile length field can make it allocate.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
+	"slices"
+	"syscall"
+	"testing"
+
+	"ickpt/ckpt"
+	"ickpt/internal/faultfs"
+	"ickpt/stablelog"
+)
+
+const (
+	imgMagic   = "ICKPTLG1"
+	imgSegMark = 0x5345474d
+	imgHdrSize = 29
+)
+
+// appendSegment frames body as segment seq at the end of img.
+func appendSegment(img []byte, seq uint64, mode ckpt.Mode, body []byte) []byte {
+	img = binary.LittleEndian.AppendUint32(img, imgSegMark)
+	img = binary.LittleEndian.AppendUint64(img, seq)
+	img = binary.LittleEndian.AppendUint64(img, seq) // epoch
+	img = append(img, byte(mode))
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(body)))
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(body))
+	return append(img, body...)
+}
+
+// logImage is a valid log whose segments have the given payload lengths.
+func logImage(lens ...int) []byte {
+	img := []byte(imgMagic)
+	for i, n := range lens {
+		mode := ckpt.Incremental
+		if i == 0 {
+			mode = ckpt.Full
+		}
+		body := bytes.Repeat([]byte{byte('a' + i)}, n)
+		img = appendSegment(img, uint64(i+1), mode, body)
+	}
+	return img
+}
+
+// hostileHeader is a well-formed header for segment seq that claims a
+// payload the file cannot back.
+func hostileHeader(img []byte, seq uint64) []byte {
+	img = appendSegment(img, seq, ckpt.Incremental, nil)
+	binary.LittleEndian.PutUint32(img[len(img)-8:], 0xFFFFFFF0)
+	return img
+}
+
+// refScan is the algorithm Open ran before the windowed scan — one header,
+// then one payload, per segment — over an in-memory image, so a length
+// field costs it nothing. It returns the segments a successful Open
+// indexes, whether Open fails with ErrCorrupt, and the file's length after.
+func refScan(img []byte, truncateTorn bool) (segs []stablelog.SegmentInfo, corrupt bool, size int) {
+	if len(img) < len(imgMagic) || string(img[:len(imgMagic)]) != imgMagic {
+		return nil, true, len(img)
+	}
+	off := len(imgMagic)
+	for off < len(img) {
+		hdr := img[off:min(off+imgHdrSize, len(img))]
+		ok := len(hdr) == imgHdrSize && binary.LittleEndian.Uint32(hdr) == imgSegMark
+		var seg stablelog.SegmentInfo
+		if ok {
+			seg = stablelog.SegmentInfo{
+				Seq:    binary.LittleEndian.Uint64(hdr[4:]),
+				Epoch:  binary.LittleEndian.Uint64(hdr[12:]),
+				Mode:   ckpt.Mode(hdr[20]),
+				Offset: int64(off),
+				Length: int(binary.LittleEndian.Uint32(hdr[21:])),
+				CRC:    binary.LittleEndian.Uint32(hdr[25:]),
+			}
+			ok = (seg.Mode == ckpt.Full || seg.Mode == ckpt.Incremental) &&
+				seg.Seq == uint64(len(segs)+1) &&
+				seg.Length <= len(img)-off-imgHdrSize &&
+				crc32.ChecksumIEEE(img[off+imgHdrSize:][:seg.Length]) == seg.CRC
+		}
+		if !ok {
+			if truncateTorn {
+				return segs, false, off
+			}
+			return nil, true, len(img)
+		}
+		segs = append(segs, seg)
+		off += imgHdrSize + seg.Length
+	}
+	return segs, false, len(img)
+}
+
+// checkScan opens img with the given window and demands refScan's answer.
+// With failNth > 0 the nth read fails with EIO: then either the fault was
+// reached — ErrIO wrapping EIO, never ErrCorrupt, file untouched — or it was
+// not, and the answer is the reference's.
+func checkScan(t *testing.T, img []byte, window int, truncateTorn bool, failNth int) {
+	t.Helper()
+	m := faultfs.NewMemFromState(map[string][]byte{"s.log": img})
+	opts := []stablelog.Option{stablelog.WithFS(m)}
+	if truncateTorn {
+		opts = append(opts, stablelog.WithTruncateTorn())
+	}
+	if failNth > 0 {
+		m.FailRead(failNth, syscall.EIO)
+	}
+	l, err := stablelog.OpenWindow("s.log", window, opts...)
+	after := len(m.Snapshot()["s.log"])
+	if errors.Is(err, stablelog.ErrIO) {
+		if failNth == 0 || !errors.Is(err, syscall.EIO) || errors.Is(err, stablelog.ErrCorrupt) {
+			t.Fatalf("window %d: err = %v, want ErrIO only for the injected EIO", window, err)
+		}
+		if after != len(img) {
+			t.Fatalf("window %d: file %d -> %d bytes on a transient error", window, len(img), after)
+		}
+		return
+	}
+	wantSegs, wantCorrupt, wantLen := refScan(img, truncateTorn)
+	if after != wantLen {
+		t.Fatalf("window %d truncate=%v: file length after Open = %d, want %d", window, truncateTorn, after, wantLen)
+	}
+	if wantCorrupt {
+		if !errors.Is(err, stablelog.ErrCorrupt) {
+			t.Fatalf("window %d truncate=%v: err = %v, want ErrCorrupt", window, truncateTorn, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("window %d truncate=%v: err = %v, want nil", window, truncateTorn, err)
+	}
+	defer l.Close()
+	if got := l.Segments(); !slices.Equal(got, wantSegs) {
+		t.Fatalf("window %d truncate=%v: segments\n got %v\nwant %v", window, truncateTorn, got, wantSegs)
+	}
+	if failNth > 0 {
+		return
+	}
+	// The append position is where the scan ended: one more segment lands
+	// right behind the last one a plain Open accepts.
+	if _, err := l.Append(ckpt.Incremental, 1<<40, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := stablelog.Open("s.log", stablelog.WithFS(m))
+	if err != nil {
+		t.Fatalf("window %d truncate=%v: reopen after append: %v", window, truncateTorn, err)
+	}
+	defer lg.Close()
+	if n := len(lg.Segments()); n != len(wantSegs)+1 {
+		t.Fatalf("window %d truncate=%v: %d segments after append, want %d", window, truncateTorn, n, len(wantSegs)+1)
+	}
+}
+
+// scanCases are file images built around a 64-byte window: the first window
+// covers file bytes [8, 72).
+func scanCases() map[string][]byte {
+	const w = 64
+	flip := func(img []byte, at int) []byte {
+		img = slices.Clone(img)
+		if at < 0 {
+			at += len(img)
+		}
+		img[at] ^= 0x40
+		return img
+	}
+	three := logImage(10, 200, 7)
+	return map[string][]byte{
+		"empty log":                       logImage(),
+		"short file magic":                []byte(imgMagic[:5]),
+		"bad file magic":                  flip(logImage(3), 2),
+		"header straddles window edge":    logImage(w-imgHdrSize-10, 5),
+		"payload ends at window edge":     logImage(w-imgHdrSize, 5),
+		"empty payload ends the window":   logImage(w-2*imgHdrSize, 0, 5),
+		"empty payload ends the file":     logImage(4, 0),
+		"payload larger than the window":  logImage(3, 3*w+5, 4),
+		"torn header in the last window":  three[:len(three)-7-imgHdrSize+11],
+		"torn payload in the last window": three[:len(three)-3],
+		"bad CRC in the last window":      flip(three, -1),
+		"bad CRC mid-file":                flip(three, len(imgMagic)+imgHdrSize+10+imgHdrSize+100),
+		"bad segment magic mid-file":      flip(three, len(imgMagic)+imgHdrSize+10),
+		"bad mode":                        flip(three, len(imgMagic)+imgHdrSize+10+20),
+		"sequence gap":                    appendSegment(logImage(4), 3, ckpt.Incremental, []byte("x")),
+		"length the file cannot back":     hostileHeader(logImage(9), 2),
+		"garbage after a hostile length":  append(hostileHeader(logImage(9), 2), bytes.Repeat([]byte{0xEE}, 3*w)...),
+	}
+}
+
+// TestOpenScanMatchesReference runs every case at every window alignment
+// from one header up, at the production window, and with a read fault at
+// every position the scan reaches.
+func TestOpenScanMatchesReference(t *testing.T) {
+	for name, img := range scanCases() {
+		t.Run(name, func(t *testing.T) {
+			windows := []int{stablelog.ScanWindowSize}
+			for w := imgHdrSize; w <= 3*64; w++ {
+				windows = append(windows, w)
+			}
+			for _, w := range windows {
+				for _, truncateTorn := range []bool{false, true} {
+					checkScan(t, img, w, truncateTorn, 0)
+				}
+			}
+			for failNth := 1; failNth <= 12; failNth++ {
+				checkScan(t, img, 64, true, failNth)
+				checkScan(t, img, 64, false, failNth)
+			}
+		})
+	}
+}
+
+// FuzzOpenScan: any file image, any window, with or without a read fault,
+// gets the reference's segments, error class and post-Open file length.
+func FuzzOpenScan(f *testing.F) {
+	for _, img := range scanCases() {
+		f.Add(img, uint16(64-imgHdrSize), true, uint8(0))
+		f.Add(img, uint16(0), false, uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, img []byte, window uint16, truncateTorn bool, failNth uint8) {
+		if len(img) > 1<<16 {
+			t.Skip()
+		}
+		checkScan(t, img, imgHdrSize+int(window)%512, truncateTorn, int(failNth))
+	})
+}
+
+// TestOpenHostileLengthAllocatesNothing: a header whose length field the
+// file cannot back is a short payload — ErrCorrupt, truncated away under
+// WithTruncateTorn — and costs no more memory than the window. The old scan
+// allocated the claimed 4 GiB before reading a byte.
+func TestOpenHostileLengthAllocatesNothing(t *testing.T) {
+	valid := logImage(9)
+	for name, tail := range map[string][]byte{
+		"bare header":             nil,
+		"a window of garbage too": bytes.Repeat([]byte{0xEE}, stablelog.ScanWindowSize),
+	} {
+		t.Run(name, func(t *testing.T) {
+			img := append(hostileHeader(slices.Clone(valid), 2), tail...)
+			m := faultfs.NewMemFromState(map[string][]byte{"h.log": img})
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := stablelog.Open("h.log", stablelog.WithFS(m))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, stablelog.ErrCorrupt) {
+				t.Fatalf("plain Open = %v, want ErrCorrupt", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+				t.Errorf("plain Open allocated %d bytes", grew)
+			}
+
+			runtime.ReadMemStats(&before)
+			l, err := stablelog.Open("h.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("Open(WithTruncateTorn) = %v", err)
+			}
+			defer l.Close()
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+				t.Errorf("Open(WithTruncateTorn) allocated %d bytes", grew)
+			}
+			if n := len(l.Segments()); n != 1 {
+				t.Errorf("segments = %d, want the 1 valid one", n)
+			}
+			if size := len(m.Snapshot()["h.log"]); size != len(valid) {
+				t.Errorf("file is %d bytes after truncation, want %d", size, len(valid))
+			}
+		})
+	}
+}

@@ -9,7 +9,18 @@
 //
 // Recovery tolerates a torn tail: a crash while appending leaves a final
 // partial or corrupt segment, which Open detects (via length and CRC checks)
-// and can truncate away, exposing the longest consistent prefix.
+// and can truncate away, exposing the longest consistent prefix. Open reads
+// the file once, front to back, through a fixed-size window — every header
+// parsed and every payload's CRC verified out of the same large reads — so
+// what it allocates does not depend on any length field in the file.
+//
+// A restart then asks the log two kinds of question, and both are answered
+// from indexes cached on the Log that are built on first use, extended over
+// newly appended segments on later calls, and dropped when Retain rewrites
+// the file: [Log.EpochIndex] (which epochs are rebuildable, by which chain)
+// and the stream index behind [Log.StreamIDs] and [Log.StreamRun] (which
+// domains share this log, and each one's latest chain). Appending never
+// touches either.
 //
 // The exact durability guarantees — which operations fsync which file or
 // directory, and what survives a power cut — are documented in
@@ -98,9 +109,14 @@ type Log struct {
 	closed bool
 	wedged error // non-nil: handle lost after a rewrite rename (ErrWedged)
 
+	hdr [segmentHeaderSize]byte // Append's header scratch
+
 	// Epoch catalog cache, maintained by EpochIndex (see retain.go).
 	idx    *EpochIndex
 	idxLen int // segments covered by idx
+
+	// Per-stream chain index, maintained by streams (see stream.go).
+	str *streamIndex
 }
 
 // usable reports why the log cannot be operated on, or nil.
@@ -192,43 +208,58 @@ func Create(path string, opts ...Option) (*Log, error) {
 // truncated at the first invalid segment. Transient read failures (ErrIO)
 // are never grounds for truncation.
 func Open(path string, opts ...Option) (*Log, error) {
+	return open(path, scanWindowSize, opts)
+}
+
+// open is Open with the scan's window size as a parameter, so tests can put
+// window edges anywhere in a small file.
+func open(path string, window int, opts []Option) (*Log, error) {
 	oo := resolveOptions(opts)
 	f, err := oo.fs.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("open log: %w", err)
 	}
 	l := &Log{fs: oo.fs, f: f, path: path, sync: oo.sync}
-	if err := l.scan(oo.truncateTorn); err != nil {
+	if err := l.scan(oo.truncateTorn, window); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-// scan reads and validates the file, populating the segment index.
+// scan reads and validates the file, populating the segment index, in one
+// forward pass through a scanWindow of at most window bytes: no per-segment
+// read, no per-segment allocation, and every payload's CRC still checked.
 //
 // Only genuine framing, checksum, or end-of-file corruption may truncate
 // under truncateTorn; a transient read failure (ErrIO) aborts the scan
 // without touching the file, because the bytes on disk may be perfectly
 // good.
-func (l *Log) scan(truncateTorn bool) error {
-	magic := make([]byte, len(fileMagic))
-	if n, err := l.f.ReadAt(magic, 0); err != nil && !errors.Is(err, io.EOF) {
+func (l *Log) scan(truncateTorn bool, window int) error {
+	var magic [len(fileMagic)]byte
+	if n, err := l.f.ReadAt(magic[:], 0); err != nil && !isEOF(err) {
 		return fmt.Errorf("%w: file magic: %w", ErrIO, err)
-	} else if n < len(magic) || string(magic) != fileMagic {
+	} else if n < len(magic) || string(magic[:]) != fileMagic {
 		return fmt.Errorf("%w: bad file magic", ErrCorrupt)
 	}
 	off := int64(len(fileMagic))
-	hdr := make([]byte, segmentHeaderSize)
+	size, err := l.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	// A file shorter than the window needs no more buffer than it has
+	// bytes; a header must always fit.
+	buf := make([]byte, max(min(int64(window), size-off), segmentHeaderSize))
+	w := scanWindow{f: l.f, buf: buf, off: off}
 	for {
-		n, err := l.f.ReadAt(hdr, off)
-		if err != nil && !errors.Is(err, io.EOF) {
+		hdr, err := w.peek(segmentHeaderSize)
+		if err != nil {
 			return fmt.Errorf("%w: header at %d: %w", ErrIO, off, err)
 		}
-		if n == 0 {
+		if len(hdr) == 0 {
 			break // clean end
 		}
-		seg, payload, segErr := l.readSegmentAt(off, hdr[:n])
+		seg, segErr := l.scanSegment(&w, hdr)
 		if segErr != nil {
 			if truncateTorn && errors.Is(segErr, ErrCorrupt) {
 				if err := l.f.Truncate(off); err != nil {
@@ -238,7 +269,6 @@ func (l *Log) scan(truncateTorn bool) error {
 			}
 			return segErr
 		}
-		_ = payload
 		l.segs = append(l.segs, seg)
 		off += int64(segmentHeaderSize + seg.Length)
 	}
@@ -249,14 +279,16 @@ func (l *Log) scan(truncateTorn bool) error {
 	return nil
 }
 
-// readSegmentAt parses and validates the segment whose header starts at off.
-// hdr holds the bytes read at off (possibly fewer than a full header).
-func (l *Log) readSegmentAt(off int64, hdr []byte) (SegmentInfo, []byte, error) {
+// scanSegment parses and validates the segment whose header starts at the
+// window's position, consuming it. hdr holds the bytes the file has there
+// (fewer than a full header only at end of file).
+func (l *Log) scanSegment(w *scanWindow, hdr []byte) (SegmentInfo, error) {
+	off := w.off
 	if len(hdr) < segmentHeaderSize {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: partial header at %d", ErrCorrupt, off)
+		return SegmentInfo{}, fmt.Errorf("%w: partial header at %d", ErrCorrupt, off)
 	}
 	if binary.LittleEndian.Uint32(hdr) != segmentMagic {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: bad magic at %d", ErrCorrupt, off)
+		return SegmentInfo{}, fmt.Errorf("%w: bad magic at %d", ErrCorrupt, off)
 	}
 	seg := SegmentInfo{
 		Seq:    binary.LittleEndian.Uint64(hdr[4:]),
@@ -267,24 +299,85 @@ func (l *Log) readSegmentAt(off int64, hdr []byte) (SegmentInfo, []byte, error) 
 		CRC:    binary.LittleEndian.Uint32(hdr[25:]),
 	}
 	if seg.Mode != ckpt.Full && seg.Mode != ckpt.Incremental {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: bad mode %d at %d", ErrCorrupt, seg.Mode, off)
+		return SegmentInfo{}, fmt.Errorf("%w: bad mode %d at %d", ErrCorrupt, seg.Mode, off)
 	}
 	if want := uint64(len(l.segs) + 1); seg.Seq != want {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: seq %d at %d, want %d", ErrCorrupt, seg.Seq, off, want)
+		return SegmentInfo{}, fmt.Errorf("%w: seq %d at %d, want %d", ErrCorrupt, seg.Seq, off, want)
 	}
-	payload := make([]byte, seg.Length)
-	if seg.Length > 0 {
-		if _, err := l.f.ReadAt(payload, off+segmentHeaderSize); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return SegmentInfo{}, nil, fmt.Errorf("%w: short payload at %d", ErrCorrupt, off)
+	w.skip(segmentHeaderSize)
+	crc, short, err := w.checksum(seg.Length)
+	if err != nil {
+		return SegmentInfo{}, fmt.Errorf("%w: payload at %d: %w", ErrIO, off, err)
+	}
+	if short {
+		return SegmentInfo{}, fmt.Errorf("%w: short payload at %d", ErrCorrupt, off)
+	}
+	if crc != seg.CRC {
+		return SegmentInfo{}, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
+	}
+	return seg, nil
+}
+
+// scanWindowSize is how much of the file one read of the Open scan fetches.
+const scanWindowSize = 1 << 20
+
+// scanWindow is the sliding read window of the Open scan: buf[r:w] holds the
+// file's bytes from off on, refilled with one buffer-sized ReadAt whenever it
+// runs short. The buffer never grows — a payload larger than it is
+// checksummed window by window — so a scan allocates at most scanWindowSize
+// bytes whatever the length fields in the file claim.
+type scanWindow struct {
+	f    io.ReaderAt
+	buf  []byte
+	r, w int
+	off  int64 // file offset of buf[r]
+	eof  bool  // the file ends at buf[w]
+}
+
+func isEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// peek returns the next n bytes (n <= len(buf)) without consuming them, or
+// as many as the file has left. An error is a failed read, never end of file.
+func (s *scanWindow) peek(n int) ([]byte, error) {
+	if s.w-s.r < n && !s.eof {
+		s.w = copy(s.buf, s.buf[s.r:s.w])
+		s.r = 0
+		m, err := s.f.ReadAt(s.buf[s.w:], s.off+int64(s.w))
+		s.w += m
+		if err != nil {
+			if !isEOF(err) {
+				return nil, err
 			}
-			return SegmentInfo{}, nil, fmt.Errorf("%w: payload at %d: %w", ErrIO, off, err)
+			s.eof = true
 		}
 	}
-	if crc32.ChecksumIEEE(payload) != seg.CRC {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
+	return s.buf[s.r:min(s.r+n, s.w)], nil
+}
+
+// skip consumes n bytes a peek returned.
+func (s *scanWindow) skip(n int) {
+	s.r += n
+	s.off += int64(n)
+}
+
+// checksum consumes the next n bytes and returns their CRC-32 (IEEE); short
+// reports that the file ended before n bytes.
+func (s *scanWindow) checksum(n int) (crc uint32, short bool, err error) {
+	for n > 0 {
+		chunk, err := s.peek(min(n, len(s.buf)))
+		if err != nil {
+			return 0, false, err
+		}
+		if len(chunk) == 0 {
+			return 0, true, nil
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		s.skip(len(chunk))
+		n -= len(chunk)
 	}
-	return seg, payload, nil
+	return crc, false, nil
 }
 
 // Append writes one checkpoint body as a new segment and returns its
@@ -294,13 +387,14 @@ func (l *Log) Append(mode ckpt.Mode, epoch uint64, body []byte) (uint64, error) 
 		return 0, err
 	}
 	seq := uint64(len(l.segs) + 1)
-	hdr := make([]byte, segmentHeaderSize)
+	crc := crc32.ChecksumIEEE(body)
+	hdr := l.hdr[:]
 	binary.LittleEndian.PutUint32(hdr, segmentMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
 	binary.LittleEndian.PutUint64(hdr[12:], epoch)
 	hdr[20] = byte(mode)
 	binary.LittleEndian.PutUint32(hdr[21:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[25:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(hdr[25:], crc)
 
 	// Failed writes and fsyncs are classified ErrIO: the fault is in the
 	// transfer, not provably in the bytes on disk, so the caller may retry
@@ -326,7 +420,7 @@ func (l *Log) Append(mode ckpt.Mode, epoch uint64, body []byte) (uint64, error) 
 		Mode:   mode,
 		Offset: l.end,
 		Length: len(body),
-		CRC:    crc32.ChecksumIEEE(body),
+		CRC:    crc,
 	})
 	l.end += int64(segmentHeaderSize + len(body))
 	return seq, nil
