@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race cover bench bench-short bench-smoke bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint race cover bench bench-short bench-smoke bench-pairs bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -36,6 +36,17 @@ bench-short:
 # test here, so a root API change that breaks the benchmark build is noticed.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired runs of one benchmark workload, parent commit against the working
+# tree: N pairs alternating which side goes first, per end-to-end metric both
+# medians, both quartile spreads and wins/N (scripts/benchpairs.sh; BASE=,
+# PARENT=, OUT= and SEED0= pass through the environment).
+#   make bench-pairs W=tenants N=10 S=30
+N ?= 10
+S ?= 30
+bench-pairs:
+	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [S=30]"; exit 2; }
+	bash scripts/benchpairs.sh $(W) $(N) $(S)
 
 # Dirty-set density sweep: O(dirty) mark-queue fold vs incremental traversal
 # at 0.1%..100% modification density, written as BENCH_dirtyset.json, plus
@@ -99,12 +110,13 @@ infer-check:
 	$(GO) run ./cmd/ckptinfer -pkg ickpt/internal/analysis -catalog 'Catalog()' -root Attributes -check
 
 # Crash-consistency suite: the fault-injection harness plus the stablelog
-# power-cut sweep and durability regressions (see docs/DURABILITY.md),
-# the epoch commit/abort session, the parallel fold, and the differential
-# harness (including the fault sweep), under the race detector and without
-# cached results.
+# power-cut sweep and durability regressions (see docs/DURABILITY.md; faults
+# inside a gathered group-commit write are stablelog/gather_test.go),
+# the epoch commit/abort session, the parallel fold, the multi-tenant
+# service, and the differential harness (including the log and tenant fault
+# sweeps), under the race detector and without cached results.
 faultcheck:
-	$(GO) test -race -count=1 ./internal/faultfs/ ./stablelog/ ./ckpt/ ./ckpt/parfold/ ./internal/difftest/
+	$(GO) test -race -count=1 ./internal/faultfs/ ./stablelog/ ./ckpt/ ./ckpt/parfold/ ./ckpt/tenant/ ./internal/difftest/
 
 # Cross-engine differential equivalence suite: every engine, sequential and
 # parallel, byte-level and rebuild-level (see internal/difftest).

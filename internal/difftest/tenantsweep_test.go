@@ -18,6 +18,19 @@ import (
 // and each tenant's recovery — filtered out of the interleaved segment
 // stream — must still be byte-identical to its live graph.
 
+// groupSizes are the WithSyncEvery settings each sweep runs under: 1 makes
+// every epoch its own write and fsync; 8 is more than a round submits, so a
+// round's epochs reach the file as one gathered write at Flush and a fault
+// strikes all of them at once.
+var groupSizes = []int{1, 8}
+
+// forGroupSizes runs sweep once per group size, as a subtest.
+func forGroupSizes(t *testing.T, sweep func(t *testing.T, every int)) {
+	for _, every := range groupSizes {
+		t.Run(fmt.Sprintf("every%d", every), func(t *testing.T) { sweep(t, every) })
+	}
+}
+
 // tenantFixture is one tenant's synth workload plus its twin rng stream.
 type tenantFixture struct {
 	id uint32
@@ -79,7 +92,9 @@ func verifyTenants(t *testing.T, lg *stablelog.Log, fixtures []tenantFixture, ta
 // absorbs the transient failure inside the shared AsyncWriter — no tenant
 // epoch aborts, nothing is dropped, and every tenant's recovery stays
 // byte-identical to its live graph.
-func TestTenantTransientFaultSweep(t *testing.T) {
+func TestTenantTransientFaultSweep(t *testing.T) { forGroupSizes(t, tenantTransientFaultSweep) }
+
+func tenantTransientFaultSweep(t *testing.T, every int) {
 	const nTenants, rounds = 3, 4
 	faults := []struct {
 		name string
@@ -98,7 +113,7 @@ func TestTenantTransientFaultSweep(t *testing.T) {
 				}
 				defer lg.Close()
 				m := tenant.NewManager(lg,
-					tenant.WithWorkers(2), tenant.WithSyncEvery(1),
+					tenant.WithWorkers(2), tenant.WithSyncEvery(every),
 					tenant.WithRetry(2, 0))
 				fixtures := buildTenants(t, m, nTenants)
 
@@ -147,14 +162,16 @@ func TestTenantTransientFaultSweep(t *testing.T) {
 // their tenants' flags — and every tenant degrades to Full. A new manager
 // over the crash-recovered log re-anchors all tenants, after more mutations,
 // and per-tenant recovery is byte-identical to the final live graphs.
-func TestTenantStickyFaultRecovery(t *testing.T) {
+func TestTenantStickyFaultRecovery(t *testing.T) { forGroupSizes(t, tenantStickyFaultRecovery) }
+
+func tenantStickyFaultRecovery(t *testing.T, every int) {
 	const nTenants = 3
 	mem := faultfs.NewMem()
 	lg, err := stablelog.Create("tenants.log", stablelog.WithFS(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tenant.NewManager(lg, tenant.WithWorkers(2), tenant.WithSyncEvery(1))
+	m := tenant.NewManager(lg, tenant.WithWorkers(2), tenant.WithSyncEvery(every))
 	fixtures := buildTenants(t, m, nTenants)
 
 	// One healthy round: every tenant anchors.
@@ -206,7 +223,7 @@ func TestTenantStickyFaultRecovery(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer lg2.Close()
-	m2 := tenant.NewManager(lg2, tenant.WithWorkers(2), tenant.WithSyncEvery(1))
+	m2 := tenant.NewManager(lg2, tenant.WithWorkers(2), tenant.WithSyncEvery(every))
 	for _, fx := range fixtures {
 		tn := m2.Tenant(fx.id)
 		if err := tn.Init(fx.w.Domain, nil, fx.w.Roots()...); err != nil {
@@ -246,7 +263,9 @@ func TestTenantStickyFaultRecovery(t *testing.T) {
 // TestTenantStickySweepPerRound arms the hard failure under each round in
 // turn (not just one fixed point), restarting the service after each kill —
 // a sweep over where in the epoch stream the shared storage dies.
-func TestTenantStickySweepPerRound(t *testing.T) {
+func TestTenantStickySweepPerRound(t *testing.T) { forGroupSizes(t, tenantStickySweepPerRound) }
+
+func tenantStickySweepPerRound(t *testing.T, every int) {
 	const nTenants, rounds = 3, 3
 	for failRound := 0; failRound < rounds; failRound++ {
 		t.Run(fmt.Sprintf("round%d", failRound), func(t *testing.T) {
@@ -255,7 +274,7 @@ func TestTenantStickySweepPerRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := tenant.NewManager(lg, tenant.WithWorkers(2), tenant.WithSyncEvery(1))
+			m := tenant.NewManager(lg, tenant.WithWorkers(2), tenant.WithSyncEvery(every))
 			fixtures := buildTenants(t, m, nTenants)
 
 			for round := 0; round < rounds; round++ {
@@ -290,7 +309,7 @@ func TestTenantStickySweepPerRound(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer lg2.Close()
-			m2 := tenant.NewManager(lg2, tenant.WithWorkers(2), tenant.WithSyncEvery(1))
+			m2 := tenant.NewManager(lg2, tenant.WithWorkers(2), tenant.WithSyncEvery(every))
 			for _, fx := range fixtures {
 				tn := m2.Tenant(fx.id)
 				if err := tn.Init(fx.w.Domain, nil, fx.w.Roots()...); err != nil {

@@ -20,6 +20,16 @@ import (
 // policy (WithSyncEvery / WithSyncInterval); with a policy active, Flush
 // does not return until everything written has also been fsynced.
 //
+// The unit of I/O is the fsync group, not the body: the writer takes what
+// is queued a batch at a time, frames each body into a staging buffer owned
+// by the log, and writes the buffer with one write at the group commit,
+// right before its fsync (without a policy: after each batch, before its
+// acknowledgements). A group larger than the buffer takes several writes,
+// and a body larger than the buffer is written on its own; where writes
+// begin and end follows from the body sizes and the sync points alone,
+// never from how the queue happened to fill. Nothing stays staged across a
+// returning Flush or Close.
+//
 // Each accepted body is individually acknowledged (WithAck) once its fate
 // is known: nil when it is durably written, the failure otherwise. Wiring
 // the acknowledgement to a ckpt.Session closes the gap between the
@@ -30,8 +40,10 @@ import (
 // Bodies enter the queue either by Append — which copies — or by the
 // zero-copy pair Reserve/Submit, which hands the writer an encoder backed
 // by a recycled log-owned buffer so checkpoint Record calls write body
-// bytes straight into storage the log will persist, with no per-body copy
-// at all (see DESIGN.md decision 11 for the ownership contract).
+// bytes straight into storage the log owns: the producer copies nothing,
+// and the one copy a body takes — into its group's write, unless it is too
+// large to share one — happens on the background goroutine (see DESIGN.md
+// decision 11 for the ownership contract).
 //
 // Appends are ordered. Transient I/O failures (ErrIO) are retried under a
 // bounded backoff policy (WithRetry); the first unrecovered write or sync
@@ -51,15 +63,20 @@ type AsyncWriter struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []asyncItem
-	unsynced []uint64 // epochs written since the last fsync, awaiting ack
+	queue    []asyncItem // accepted bodies, the batch being written included
 	free     []*wire.Encoder
-	dirty    int // segments appended since the last fsync
+	bodyHint int // length of the last accepted body: presizes a fresh Reserve encoder
+	dirty    int // segments staged or written since the last fsync
 	syncReq  bool
 	err      error
 	closed   bool
 	stats    AsyncStats
 	done     chan struct{}
+
+	// unsynced holds the epochs that left the queue and await their ack: the
+	// current fsync group under a policy, the batch just written without
+	// one. Only the background goroutine touches it.
+	unsynced []uint64
 }
 
 type asyncItem struct {
@@ -68,13 +85,22 @@ type asyncItem struct {
 	body  []byte
 	// enc, when non-nil, owns body's backing storage (a Submit handoff);
 	// the writer recycles it into the free list once the body has been
-	// written or dropped.
+	// copied into the log's staging buffer, written, or dropped.
 	enc *wire.Encoder
 }
 
 // maxFreeEncoders bounds the Reserve/Submit recycle list; encoders beyond it
 // are dropped to the garbage collector. Steady-state use holds one or two.
 const maxFreeEncoders = 8
+
+// oversized reports an encoder the free list should not keep: one grown for
+// a far larger body (a Full, say) than the one it just carried, which would
+// pin that capacity behind every small body it carries from now on. Buffers
+// up to gatherSize are always worth keeping.
+func oversized(enc *wire.Encoder) bool {
+	c := cap(enc.Bytes())
+	return c > gatherSize && c > 4*enc.Len()
+}
 
 // AsyncStats counts acknowledgement outcomes over the writer's lifetime.
 type AsyncStats struct {
@@ -185,9 +211,10 @@ func (w *AsyncWriter) Append(mode ckpt.Mode, epoch uint64, body []byte) error {
 // (ckpt.Writer.SwapEncoder or ckpt.WithEncoder), let Record write the body
 // straight into it, and hand it back with Submit. The encoder — and every
 // slice its Bytes returned — is owned by the AsyncWriter again after
-// Submit; Reserve recycles buffers of bodies already written, so a
-// steady-state reserve/encode/submit loop stops allocating body storage
-// once its buffers have grown to the body size.
+// Submit; Reserve recycles buffers of bodies already staged or written, so
+// a steady-state reserve/encode/submit loop stops allocating body storage
+// once its buffers have grown to the body size. A buffer grown for a far
+// larger body than the one it last carried is not kept (see oversized).
 func (w *AsyncWriter) Reserve() *wire.Encoder {
 	w.mu.Lock()
 	var enc *wire.Encoder
@@ -196,18 +223,23 @@ func (w *AsyncWriter) Reserve() *wire.Encoder {
 		w.free[n-1] = nil
 		w.free = w.free[:n-1]
 	}
+	hint := w.bodyHint
 	w.mu.Unlock()
 	if enc == nil {
-		enc = wire.NewEncoder(0)
+		// Sized for a body like the last one, so encoding into it does not
+		// grow it step by step — but not for an outlier the free list would
+		// refuse to keep.
+		enc = wire.NewEncoder(min(hint, gatherSize))
 	}
 	enc.Reset()
 	return enc
 }
 
 // Submit enqueues the contents of enc — a body encoded into a Reserve
-// encoder — for writing, without copying: ownership of enc and its buffer
-// transfers to the AsyncWriter, which recycles it after the body is durably
-// written (or dropped on failure). The caller must not touch enc, or any
+// encoder — for writing, without copying on the caller's side: ownership of
+// enc and its buffer transfers to the AsyncWriter, which recycles it once
+// the background goroutine has staged the body for its group's write (or
+// dropped it on failure). The caller must not touch enc, or any
 // body slice aliasing it, after Submit returns — including on error.
 // Blocking, backpressure, acknowledgement, and retry behave exactly as for
 // Append.
@@ -236,6 +268,7 @@ func (w *AsyncWriter) push(item asyncItem) error {
 		return w.err
 	}
 	w.queue = append(w.queue, item)
+	w.bodyHint = len(item.body)
 	w.cond.Broadcast()
 	return nil
 }
@@ -253,12 +286,12 @@ func (w *AsyncWriter) Recycle(enc *wire.Encoder) {
 	w.mu.Unlock()
 }
 
-// recycleLocked returns a Submit encoder to the free list. Caller holds w.mu.
-// Identity-deduped: an encoder already on the free list is left alone, so a
-// double-recycle (a Close racing an abort path, say) cannot hand the same
-// buffer to two reservations.
+// recycleLocked returns a Submit encoder to the free list, still holding the
+// body it carried. Caller holds w.mu. Identity-deduped: an encoder already on
+// the free list is left alone, so a double-recycle (a Close racing an abort
+// path, say) cannot hand the same buffer to two reservations.
 func (w *AsyncWriter) recycleLocked(enc *wire.Encoder) {
-	if enc == nil || len(w.free) >= maxFreeEncoders {
+	if enc == nil || len(w.free) >= maxFreeEncoders || oversized(enc) {
 		return
 	}
 	for _, e := range w.free {
@@ -381,48 +414,44 @@ func (w *AsyncWriter) run() {
 			}
 			continue
 		}
-		item := w.queue[0]
+		// One batch per lock round-trip: everything queued, but never past
+		// the next count-triggered group commit, so the fsync cadence is
+		// WithSyncEvery's whatever the queue held. The batch stays in the
+		// queue — counted by WithQueueLimit and by Flush — until it is done;
+		// producers append behind it.
+		n := len(w.queue)
+		if w.syncEvery > 0 {
+			n = min(n, w.syncEvery-w.dirty)
+		}
+		batch := w.queue[:n:n]
 		w.mu.Unlock()
 
-		err := w.retry(func() error {
-			_, err := w.log.Append(item.mode, item.epoch, item.body)
-			return err
-		})
+		if err := w.writeBatch(batch); err != nil {
+			w.fail(fmt.Errorf("async append: %w", err))
+			return
+		}
 
 		w.mu.Lock()
-		w.queue = w.queue[1:]
-		w.recycleLocked(item.enc)
-		if err != nil && w.err == nil {
-			w.err = fmt.Errorf("async append: %w", err)
+		for i := range batch {
+			w.unsynced = append(w.unsynced, batch[i].epoch)
+			w.recycleLocked(batch[i].enc)
 		}
-		stop := w.err != nil
-		var syncNow, ackNow bool
-		if !stop {
-			w.dirty++
-			if w.policyActive() {
-				// Durable only after the covering group commit; park the
-				// epoch until doSync acknowledges it.
-				w.unsynced = append(w.unsynced, item.epoch)
-			} else {
-				w.stats.Acked++
-				ackNow = true
-			}
-			syncNow = w.syncEvery > 0 && w.dirty >= w.syncEvery
+		rest := copy(w.queue, w.queue[n:])
+		clear(w.queue[rest:])
+		w.queue = w.queue[:rest]
+		policy := w.policyActive()
+		if policy {
+			// Durable only after the covering group commit; the epochs stay
+			// parked until doSync acknowledges them.
+			w.dirty += n
 		} else {
-			// The failing body was accepted but will never be durable.
-			w.stats.Dropped++
+			w.stats.Acked += uint64(n)
 		}
+		syncNow := w.syncEvery > 0 && w.dirty >= w.syncEvery
 		w.cond.Broadcast()
 		w.mu.Unlock()
-		if ackNow {
-			w.acknowledge(item.epoch, nil)
-		}
-		if stop {
-			// Drain mode: fail fast, keep accepting Flush/Close, and tell
-			// every stranded producer body's owner what happened.
-			w.acknowledge(item.epoch, err)
-			w.failRemaining()
-			return
+		if !policy {
+			w.ackUnsynced(nil)
 		}
 		if syncNow && !w.doSync() {
 			return
@@ -430,31 +459,51 @@ func (w *AsyncWriter) run() {
 	}
 }
 
-// doSync fsyncs the log, clears the dirty counter, and acknowledges every
-// body the group commit made durable. It returns false when the writer must
-// stop because the sync failed.
+// writeBatch stages the batch in the log, in order, and without a sync
+// policy writes it out: the acknowledgements that follow promise a write.
+// Under a policy the bytes wait in the log's staging buffer for the group
+// commit, which writes them with the rest of its group. It returns the
+// first error retries did not cure. Called without w.mu held.
+func (w *AsyncWriter) writeBatch(batch []asyncItem) error {
+	for i := range batch {
+		item := &batch[i]
+		err := w.retry(func() error { return w.log.stage(item.mode, item.epoch, item.body) })
+		if err != nil {
+			return err
+		}
+	}
+	if w.policyActive() {
+		return nil
+	}
+	return w.retry(w.log.flushStaged)
+}
+
+// ackUnsynced acknowledges the parked epochs with err, in append order, and
+// forgets them. Called without w.mu held.
+func (w *AsyncWriter) ackUnsynced(err error) {
+	for _, epoch := range w.unsynced {
+		w.acknowledge(epoch, err)
+	}
+	w.unsynced = w.unsynced[:0]
+}
+
+// doSync is the group commit: one write of everything staged, one fsync,
+// then the acknowledgement of every body that made durable. It returns
+// false when the writer must stop because the write or the fsync failed.
 func (w *AsyncWriter) doSync() bool {
-	err := w.retry(w.log.Sync)
-	w.mu.Lock()
-	if err != nil && w.err == nil {
-		w.err = fmt.Errorf("async sync: %w", err)
-	}
-	var acks []uint64
-	if err == nil {
-		w.dirty = 0
-		acks = w.unsynced
-		w.unsynced = nil
-		w.stats.Acked += uint64(len(acks))
-	}
-	stop := w.err != nil
-	w.mu.Unlock()
-	for _, epoch := range acks {
-		w.acknowledge(epoch, nil)
-	}
-	if stop {
-		w.failRemaining()
+	if err := w.retry(w.log.flushStaged); err != nil {
+		w.fail(fmt.Errorf("async append: %w", err))
 		return false
 	}
+	if err := w.retry(w.log.Sync); err != nil {
+		w.fail(fmt.Errorf("async sync: %w", err))
+		return false
+	}
+	w.mu.Lock()
+	w.dirty = 0
+	w.stats.Acked += uint64(len(w.unsynced))
+	w.mu.Unlock()
+	w.ackUnsynced(nil)
 	// Release Flush waiters only after the acknowledgements above have fired:
 	// a nil Flush promises the flushed bodies are durable and acked.
 	w.mu.Lock()
@@ -484,27 +533,28 @@ func (w *AsyncWriter) tick() {
 	}
 }
 
-// failRemaining clears the queue after a write or sync error so Flush and a
-// blocked Append do not hang — and, unlike its silent ancestor, accounts
-// for every body it discards: each queued (never written) and unsynced
-// (written, not durable) body is counted in Dropped and acknowledged with
-// the sticky error, so the owning session can abort its epoch.
-func (w *AsyncWriter) failRemaining() {
+// fail makes cause the sticky error and enters drain mode: fail fast, keep
+// accepting Flush and Close. It clears the queue so Flush and a blocked
+// Append do not hang, and accounts for every body it strands: each parked
+// one (staged or written, not durable) and each queued one (never written)
+// is counted in Dropped and acknowledged with the error, in append order, so
+// the owning session can abort its epoch. What was staged is dropped from
+// the log with it, so the log lists only segments in the file.
+func (w *AsyncWriter) fail(cause error) {
+	w.log.unstage()
 	w.mu.Lock()
-	err := w.err
-	var acks []uint64
-	for _, item := range w.queue {
-		acks = append(acks, item.epoch)
-		w.recycleLocked(item.enc)
+	if w.err == nil {
+		w.err = cause
 	}
-	acks = append(acks, w.unsynced...)
-	w.stats.Dropped += uint64(len(acks))
+	err := w.err
+	for i := range w.queue {
+		w.unsynced = append(w.unsynced, w.queue[i].epoch)
+		w.recycleLocked(w.queue[i].enc)
+	}
+	w.stats.Dropped += uint64(len(w.unsynced))
 	w.queue = nil
-	w.unsynced = nil
 	w.syncReq = false
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	for _, epoch := range acks {
-		w.acknowledge(epoch, err)
-	}
+	w.ackUnsynced(err)
 }

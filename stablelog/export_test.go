@@ -9,3 +9,7 @@ const ScanWindowSize = scanWindowSize
 func OpenWindow(path string, window int, opts ...Option) (*Log, error) {
 	return open(path, window, opts)
 }
+
+// GatherSize is the capacity of the staging buffer, for tests that place
+// bodies on either side of it.
+const GatherSize = gatherSize

@@ -111,6 +111,12 @@ type Log struct {
 
 	hdr [segmentHeaderSize]byte // Append's header scratch
 
+	// Staged segments (see stage): wbuf holds them framed, back to back,
+	// bound for the file at l.end; pend holds their index entries. Neither
+	// l.segs nor l.end moves before flushStaged has written them.
+	wbuf []byte
+	pend []SegmentInfo
+
 	// Epoch catalog cache, maintained by EpochIndex (see retain.go).
 	idx    *EpochIndex
 	idxLen int // segments covered by idx
@@ -380,21 +386,32 @@ func (s *scanWindow) checksum(n int) (crc uint32, short bool, err error) {
 	return crc, false, nil
 }
 
+// appendSegmentHeader frames seg's header — segmentHeaderSize bytes — onto
+// dst.
+func appendSegmentHeader(dst []byte, seg SegmentInfo) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, segmentMagic)
+	dst = binary.LittleEndian.AppendUint64(dst, seg.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, seg.Epoch)
+	dst = append(dst, byte(seg.Mode))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(seg.Length))
+	return binary.LittleEndian.AppendUint32(dst, seg.CRC)
+}
+
 // Append writes one checkpoint body as a new segment and returns its
 // sequence number.
 func (l *Log) Append(mode ckpt.Mode, epoch uint64, body []byte) (uint64, error) {
 	if err := l.usable(); err != nil {
 		return 0, err
 	}
-	seq := uint64(len(l.segs) + 1)
-	crc := crc32.ChecksumIEEE(body)
-	hdr := l.hdr[:]
-	binary.LittleEndian.PutUint32(hdr, segmentMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], seq)
-	binary.LittleEndian.PutUint64(hdr[12:], epoch)
-	hdr[20] = byte(mode)
-	binary.LittleEndian.PutUint32(hdr[21:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[25:], crc)
+	seg := SegmentInfo{
+		Seq:    uint64(len(l.segs) + 1),
+		Epoch:  epoch,
+		Mode:   mode,
+		Offset: l.end,
+		Length: len(body),
+		CRC:    crc32.ChecksumIEEE(body),
+	}
+	hdr := appendSegmentHeader(l.hdr[:0], seg)
 
 	// Failed writes and fsyncs are classified ErrIO: the fault is in the
 	// transfer, not provably in the bytes on disk, so the caller may retry
@@ -402,28 +419,101 @@ func (l *Log) Append(mode ckpt.Mode, epoch uint64, body []byte) (uint64, error) 
 	// way). AsyncWriter's bounded-retry policy keys on this classification.
 	if _, err := l.f.WriteAt(hdr, l.end); err != nil {
 		l.discardTail()
-		return 0, fmt.Errorf("append segment %d: %w: %w", seq, ErrIO, err)
+		return 0, fmt.Errorf("append segment %d: %w: %w", seg.Seq, ErrIO, err)
 	}
 	if _, err := l.f.WriteAt(body, l.end+segmentHeaderSize); err != nil {
 		l.discardTail()
-		return 0, fmt.Errorf("append segment %d: %w: %w", seq, ErrIO, err)
+		return 0, fmt.Errorf("append segment %d: %w: %w", seg.Seq, ErrIO, err)
 	}
 	if l.sync {
 		if err := l.f.Sync(); err != nil {
 			l.discardTail()
-			return 0, fmt.Errorf("append segment %d: %w: %w", seq, ErrIO, err)
+			return 0, fmt.Errorf("append segment %d: %w: %w", seg.Seq, ErrIO, err)
 		}
 	}
-	l.segs = append(l.segs, SegmentInfo{
-		Seq:    seq,
+	l.segs = append(l.segs, seg)
+	l.end += int64(segmentHeaderSize + len(body))
+	return seg.Seq, nil
+}
+
+// gatherSize is the capacity of the staging buffer: the most one gathered
+// write carries. A group commit larger than it takes several writes, cut
+// where the next segment no longer fits; a single segment larger than it is
+// not staged at all.
+const gatherSize = 64 << 10
+
+// stage frames one checkpoint body as the log's next segment into the
+// staging buffer, for flushStaged to write together with its neighbours —
+// AsyncWriter's group commit. Until then the segment is in no index and not
+// in the file. A segment that does not fit the space left flushes the buffer
+// first; one that does not fit an empty buffer goes through Append, uncopied.
+// So where one write ends and the next begins depends on the sizes of the
+// bodies staged and on the flushStaged calls, and on nothing else.
+//
+// An error is that flush's or that Append's, with the body not staged:
+// staging the same body again retries exactly the failed write.
+func (l *Log) stage(mode ckpt.Mode, epoch uint64, body []byte) error {
+	if err := l.usable(); err != nil {
+		return err
+	}
+	need := segmentHeaderSize + len(body)
+	if need > gatherSize-len(l.wbuf) {
+		if err := l.flushStaged(); err != nil {
+			return err
+		}
+	}
+	if need > gatherSize {
+		_, err := l.Append(mode, epoch, body)
+		return err
+	}
+	if l.wbuf == nil {
+		l.wbuf = make([]byte, 0, gatherSize)
+	}
+	seg := SegmentInfo{
+		Seq:    uint64(len(l.segs) + len(l.pend) + 1),
 		Epoch:  epoch,
 		Mode:   mode,
-		Offset: l.end,
+		Offset: l.end + int64(len(l.wbuf)),
 		Length: len(body),
-		CRC:    crc,
-	})
-	l.end += int64(segmentHeaderSize + len(body))
-	return seq, nil
+		CRC:    crc32.ChecksumIEEE(body),
+	}
+	l.wbuf = append(appendSegmentHeader(l.wbuf, seg), body...)
+	l.pend = append(l.pend, seg)
+	return nil
+}
+
+// flushStaged writes the staged segments with one WriteAt at l.end — and one
+// fsync under WithSync — and indexes them. On failure the file is truncated
+// back to l.end and the segments stay staged, so calling it again re-issues
+// the same write. With nothing staged it does nothing.
+func (l *Log) flushStaged() error {
+	if len(l.pend) == 0 {
+		return nil
+	}
+	fail := func(err error) error {
+		l.discardTail()
+		return fmt.Errorf("append segments %d..%d: %w: %w",
+			l.pend[0].Seq, l.pend[len(l.pend)-1].Seq, ErrIO, err)
+	}
+	if _, err := l.f.WriteAt(l.wbuf, l.end); err != nil {
+		return fail(err)
+	}
+	if l.sync {
+		if err := l.f.Sync(); err != nil {
+			return fail(err)
+		}
+	}
+	l.segs = append(l.segs, l.pend...)
+	l.end += int64(len(l.wbuf))
+	l.unstage()
+	return nil
+}
+
+// unstage forgets the staged segments: after a flush wrote them, or because
+// their write failed for good and they will never be in the file.
+func (l *Log) unstage() {
+	l.wbuf = l.wbuf[:0]
+	l.pend = l.pend[:0]
 }
 
 // discardTail truncates the file back to the last valid segment after a
