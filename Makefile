@@ -129,7 +129,7 @@ difftest:
 # Compact faults, retention crash sweep, aborted-epoch skipping), and the
 # harness sweep's O(log T) retained-storage bound.
 rewind-check:
-	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRunAtomic|TestCrashSweepRetain|TestVerifyIncoherentChain' ./internal/difftest/ ./stablelog/ ./ckpt/ ./cmd/ckptinspect/
+	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain' ./internal/difftest/ ./stablelog/ ./ckpt/ ./cmd/ckptinspect/
 	$(GO) test -count=1 -run 'TestRewindSweep' ./internal/harness/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body
@@ -141,7 +141,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzInspectBody -fuzztime $(FUZZTIME) ./ckpt/
-	$(GO) test -run '^$$' -fuzz FuzzRebuilderApply -fuzztime $(FUZZTIME) ./ckpt/
+	$(GO) test -run '^$$' -fuzz 'FuzzRebuilderApply$$' -fuzztime $(FUZZTIME) ./ckpt/
+	$(GO) test -run '^$$' -fuzz FuzzRebuilderApplyRun -fuzztime $(FUZZTIME) ./ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzInterpEval -fuzztime $(FUZZTIME) ./internal/interp/
 	$(GO) test -run '^$$' -fuzz FuzzOpenScan -fuzztime $(FUZZTIME) ./stablelog/
 

@@ -1,9 +1,11 @@
 package ckpt_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/internal/synth"
 )
 
 // benchChain builds a box with a 64-element list.
@@ -125,6 +127,82 @@ func BenchmarkRebuild(b *testing.B) {
 		if err := rb.Apply(bodyCopy); err != nil {
 			b.Fatal(err)
 		}
+		if _, err := rb.Build(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sparseChain is the replay chain of the synth-sparse benchmark workload at
+// full size: one Full body of 104 000 records (synth.Shape{4000, 5, Ints10})
+// followed by 231 incrementals of 200 marked elements each.
+func sparseChain(tb testing.TB) [][]byte {
+	tb.Helper()
+	w := synth.Build(synth.Shape{Structures: 4000, ListLen: 5, Kind: synth.Ints10})
+	var elems []*synth.Element10
+	for _, r := range w.Roots() {
+		s := r.(*synth.Structure10)
+		for li := 0; li < synth.NumLists; li++ {
+			for e := s.List(li); e != nil; e = e.Next {
+				elems = append(elems, e)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	wr := ckpt.NewWriter()
+	bodies := make([][]byte, 0, 232)
+	for epoch := 0; epoch < 232; epoch++ {
+		mode := ckpt.Incremental
+		if epoch == 0 {
+			mode = ckpt.Full
+		}
+		wr.Start(mode)
+		if err := w.CheckpointGeneric(wr); err != nil {
+			tb.Fatal(err)
+		}
+		body, _, err := wr.Finish()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, append([]byte(nil), body...))
+		for i := 0; i < 200; i++ {
+			e := elems[rng.Intn(len(elems))]
+			e.V0++
+			e.Info.Mark()
+		}
+	}
+	return bodies
+}
+
+// BenchmarkApplyRunSparse measures one rewind's replay at the size the
+// repository benchmark runs it: a reused rebuilder, as RewindTo callers have.
+func BenchmarkApplyRunSparse(b *testing.B) {
+	bodies := sparseChain(b)
+	var n int64
+	for _, body := range bodies {
+		n += int64(len(body))
+	}
+	rb := ckpt.NewRebuilder(synth.Registry())
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rb.ApplyRun(bodies); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildSparse measures materializing the 104 000 objects that chain
+// leaves behind.
+func BenchmarkBuildSparse(b *testing.B) {
+	rb := ckpt.NewRebuilder(synth.Registry())
+	if err := rb.ApplyRun(sparseChain(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := rb.Build(nil); err != nil {
 			b.Fatal(err)
 		}

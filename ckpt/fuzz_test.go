@@ -66,3 +66,23 @@ func FuzzRebuilderApply(f *testing.F) {
 		_, _ = rb.Build(ckpt.NewDomain())
 	})
 }
+
+// FuzzRebuilderApplyRun replays two arbitrary bodies as one run on top of a
+// known-good base and holds it to ApplyRun's oracle (rebuild_run_test.go):
+// the same bodies applied one at a time must fail with the same class or
+// leave the same state, and a run that fails must leave the rebuilder's
+// digest exactly as it was.
+func FuzzRebuilderApplyRun(f *testing.F) {
+	bodies, err := difftest.SeedBodies()
+	if err != nil {
+		f.Fatalf("seed corpus: %v", err)
+	}
+	for i := 1; i < len(bodies); i++ {
+		f.Add(bodies[i-1], bodies[i])
+	}
+	f.Add([]byte{}, []byte{1})
+	base := bodies[0]
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		checkRunAgainstSequential(t, "fuzz", [][]byte{base}, [][]byte{a, b})
+	})
+}

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -18,15 +19,14 @@ type latestRec struct {
 	owned   bool
 }
 
-// stagedRec is one record staged during Apply's validation pass. payload
-// aliases the body (the delta bytes, for kind wire.KindDelta) unless mat is
-// set; base is the resolved diff base a delta was validated against.
+// stagedRec is one validated record on its way into latest. payload aliases
+// the body (the delta bytes, for kind wire.KindDelta); base is the resolved
+// diff base a delta was validated against.
 type stagedRec struct {
 	typeID  TypeID
 	kind    byte
 	payload []byte
 	base    []byte
-	mat     bool // payload is an already-materialized owned buffer
 }
 
 // Rebuilder reconstructs object state from a sequence of checkpoint bodies:
@@ -43,9 +43,9 @@ type Rebuilder struct {
 	maxID  uint64
 	seen   int // bodies applied
 
-	// staged is Apply's validation-pass scratch, retained across calls so
-	// the steady-state re-apply loop (a replica following a stream) stays
-	// allocation-free.
+	// staged is an incremental Apply's validation-pass scratch, retained
+	// across calls so the steady-state re-apply loop (a replica following a
+	// stream) stays allocation-free. Full bodies and runs never touch it.
 	staged map[uint64]stagedRec
 }
 
@@ -73,14 +73,20 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 // Apply is atomic: a body that fails to parse or validate leaves the
 // rebuilder exactly as it was, so recovery can skip a corrupt body (or a
 // body that a transient read error garbled) and continue from intact state.
+// A Full body is a one-body run (see ApplyRun): built beside the live state
+// and swapped in. An incremental body is staged: every record is decoded and
+// validated before the first one is committed.
 func (rb *Rebuilder) Apply(body []byte) error {
 	d := wire.NewDecoder(body)
 	h, err := parseBodyHeader(d)
 	if err != nil {
 		return fmt.Errorf("apply body: %w", err)
 	}
-	if rb.seen == 0 && h.mode != Full {
-		return fmt.Errorf("%w: first body must be a full checkpoint", ErrBadBody)
+	if h.mode == Full {
+		return rb.ApplyRun([][]byte{body})
+	}
+	if rb.seen == 0 {
+		return errFirstNotFull
 	}
 	hasKind := h.version == bodyVersion2
 	// Decode and validate every record before touching any state. Deltas
@@ -91,7 +97,6 @@ func (rb *Rebuilder) Apply(body []byte) error {
 		rb.staged = make(map[uint64]stagedRec)
 	}
 	staged := rb.staged
-	clear(staged)
 	defer clear(staged) // drop body aliases either way
 	for {
 		rec, ok, err := nextRecord(d, hasKind)
@@ -101,113 +106,153 @@ func (rb *Rebuilder) Apply(body []byte) error {
 		if !ok {
 			break
 		}
-		if rec.id == NilID {
-			return fmt.Errorf("%w: record with nil id", ErrBadBody)
-		}
+		// What the object holds just before this record: an earlier record
+		// of this body, else the live generation's.
 		prev, found := staged[rec.id]
-		prevType, haveType := prev.typeID, found
-		if !found && h.mode != Full {
-			// A full body resets the state, so conflicts against the old
-			// generation do not apply.
-			if cur, ok := rb.latest[rec.id]; ok {
-				prevType, haveType = cur.typeID, true
+		if found {
+			if rec.kind == wire.KindDelta && prev.kind == wire.KindDelta {
+				// Two deltas for one object in one body: materialize the
+				// first so the second has bytes to validate against.
+				buf := make([]byte, len(prev.base))
+				wire.ApplyValidatedDelta(buf, prev.base, prev.payload)
+				prev.payload = buf
 			}
+		} else if cur, ok := rb.latest[rec.id]; ok {
+			prev, found = stagedRec{typeID: cur.typeID, payload: cur.payload}, true
 		}
-		if haveType && prevType != rec.typeID {
-			return fmt.Errorf("%w: object %d recorded as %q then %q",
-				ErrTypeConflict, rec.id, rb.reg.Name(prevType), rb.reg.Name(rec.typeID))
+		if err := rb.validate(h.mode, rec, prev.typeID, prev.payload, found); err != nil {
+			return err
 		}
-		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload}
-		if rec.kind == wire.KindDelta {
-			if h.mode == Full {
-				return fmt.Errorf("%w: object %d: delta record in a full checkpoint", ErrDeltaBase, rec.id)
-			}
-			var base []byte
-			switch {
-			case found:
-				if prev.kind == wire.KindDelta && !prev.mat {
-					// Two deltas for one object in one body: materialize
-					// the first so the second has bytes to validate
-					// against.
-					buf := make([]byte, len(prev.base))
-					wire.ApplyValidatedDelta(buf, prev.base, prev.payload)
-					prev = stagedRec{typeID: prev.typeID, kind: wire.KindFull, payload: buf, mat: true}
-				}
-				base = prev.payload
-			default:
-				cur, ok := rb.latest[rec.id]
-				if !ok {
-					return fmt.Errorf("%w: object %d has no earlier payload in the stream", ErrDeltaBase, rec.id)
-				}
-				base = cur.payload
-			}
-			if _, err := wire.ValidateDelta(rec.payload, len(base), wire.DeltaBaseHash(base)); err != nil {
-				if errors.Is(err, wire.ErrBaseMismatch) {
-					return fmt.Errorf("%w: object %d: %v", ErrDeltaBase, rec.id, err)
-				}
-				return fmt.Errorf("%w: object %d: %v", ErrBadBody, rec.id, err)
-			}
-			st.base = base
-		}
-		staged[rec.id] = st
-	}
-	// Commit.
-	if h.mode == Full {
-		clear(rb.latest)
-		rb.bodies = rb.bodies[:0]
-		rb.maxID = 0
+		staged[rec.id] = stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: prev.payload}
 	}
 	if !hasKind {
 		rb.bodies = append(rb.bodies, body)
 	}
 	for id, st := range staged {
-		rb.latest[id] = rb.commitRecord(id, st, hasKind)
-		if id > rb.maxID {
-			rb.maxID = id
-		}
+		rb.latest[id] = commitRecord(rb.latest[id], st, hasKind)
+		rb.maxID = max(rb.maxID, id)
 	}
 	rb.seen++
 	return nil
 }
 
-// commitRecord turns a validated staged record into the object's latest
-// payload. Version-1 records alias the retained body; version-2 records are
-// materialized into owned storage, reusing the object's existing owned
-// buffer whenever the new payload fits its capacity — the steady-state
-// same-size re-apply allocates nothing.
-func (rb *Rebuilder) commitRecord(id uint64, st stagedRec, hasKind bool) latestRec {
+var errFirstNotFull = fmt.Errorf("%w: first body must be a full checkpoint", ErrBadBody)
+
+// validate checks one decoded record against what its object held just
+// before it (prevType and prev, when found): a nil id, a type conflict, and
+// for a delta that there is a base at all and that the delta's structure,
+// base length and base hash fit it.
+func (rb *Rebuilder) validate(mode Mode, rec record, prevType TypeID, prev []byte, found bool) error {
+	if rec.id == NilID {
+		return fmt.Errorf("%w: record with nil id", ErrBadBody)
+	}
+	if found && prevType != rec.typeID {
+		return fmt.Errorf("%w: object %d recorded as %q then %q",
+			ErrTypeConflict, rec.id, rb.reg.Name(prevType), rb.reg.Name(rec.typeID))
+	}
+	if rec.kind != wire.KindDelta {
+		return nil
+	}
+	if mode == Full {
+		return fmt.Errorf("%w: object %d: delta record in a full checkpoint", ErrDeltaBase, rec.id)
+	}
+	if !found {
+		return fmt.Errorf("%w: object %d has no earlier payload in the stream", ErrDeltaBase, rec.id)
+	}
+	if _, err := wire.ValidateDelta(rec.payload, len(prev), wire.DeltaBaseHash(prev)); err != nil {
+		if errors.Is(err, wire.ErrBaseMismatch) {
+			return fmt.Errorf("%w: object %d: %v", ErrDeltaBase, rec.id, err)
+		}
+		return fmt.Errorf("%w: object %d: %v", ErrBadBody, rec.id, err)
+	}
+	return nil
+}
+
+// commitRecord turns a validated record into its object's latest payload;
+// cur is what the object holds now (the zero value if nothing). Version-1
+// records alias the retained body; version-2 records are materialized into
+// owned storage, reusing the object's existing owned buffer whenever the new
+// payload fits its capacity — the steady-state same-size re-apply allocates
+// nothing.
+func commitRecord(cur latestRec, st stagedRec, hasKind bool) latestRec {
 	if !hasKind {
 		return latestRec{typeID: st.typeID, payload: st.payload}
 	}
-	if st.mat {
-		return latestRec{typeID: st.typeID, payload: st.payload, owned: true}
-	}
-	cur, exists := rb.latest[id]
-	if st.kind == wire.KindDelta {
-		n := len(st.base)
-		var dst []byte
-		if exists && cur.owned && cap(cur.payload) >= n {
-			dst = cur.payload[:n]
-		} else {
-			dst = make([]byte, n)
-		}
-		if n > 0 {
-			// dst may be st.base itself (the common consecutive-epoch
-			// case); in-place application is safe because aligned deltas
-			// only overwrite literal runs.
-			wire.ApplyValidatedDelta(dst, st.base, st.payload)
-		}
-		return latestRec{typeID: st.typeID, payload: dst, owned: true}
-	}
 	n := len(st.payload)
+	if st.kind == wire.KindDelta {
+		n = len(st.base)
+	}
 	var dst []byte
-	if exists && cur.owned && cap(cur.payload) >= n {
+	if cur.owned && cap(cur.payload) >= n {
 		dst = cur.payload[:n]
 	} else {
 		dst = make([]byte, n)
 	}
-	copy(dst, st.payload)
+	switch {
+	case st.kind != wire.KindDelta:
+		copy(dst, st.payload)
+	case n > 0:
+		// dst may be st.base itself (the common consecutive-epoch case);
+		// in-place application is safe because aligned deltas only overwrite
+		// literal runs.
+		wire.ApplyValidatedDelta(dst, st.base, st.payload)
+	}
 	return latestRec{typeID: st.typeID, payload: dst, owned: true}
+}
+
+// scratch returns the rebuilder a run is replayed into beside rb, its map
+// presized from the state it will replace. A run that extends the current
+// state rather than replacing it starts from a copy; the copies are marked
+// un-owned — the scratch must never materialize a delta in place over a
+// buffer rb still references.
+func (rb *Rebuilder) scratch(extend bool) *Rebuilder {
+	next := &Rebuilder{reg: rb.reg, latest: make(map[uint64]latestRec, len(rb.latest)), staged: rb.staged}
+	if extend {
+		for id, rec := range rb.latest {
+			rec.owned = false
+			next.latest[id] = rec
+		}
+		next.bodies = append([][]byte(nil), rb.bodies...)
+		next.maxID, next.seen = rb.maxID, rb.seen
+	}
+	return next
+}
+
+// replay folds one body, header already parsed off d, into a scratch
+// rebuilder: each record is decoded, validated and committed straight into
+// latest. There is no staging because there is nothing to protect — a scratch
+// that fails is thrown away — so the cost is this body's records and nothing
+// else.
+func (rb *Rebuilder) replay(d *wire.Decoder, h bodyHeader, body []byte) error {
+	if h.mode == Full {
+		clear(rb.latest)
+		rb.bodies = rb.bodies[:0]
+		rb.maxID = 0
+	} else if rb.seen == 0 {
+		return errFirstNotFull
+	}
+	hasKind := h.version == bodyVersion2
+	if !hasKind {
+		rb.bodies = append(rb.bodies, body)
+	}
+	for {
+		rec, ok, err := nextRecord(d, hasKind)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		cur, found := rb.latest[rec.id]
+		if err := rb.validate(h.mode, rec, cur.typeID, cur.payload, found); err != nil {
+			return err
+		}
+		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: cur.payload}
+		rb.latest[rec.id] = commitRecord(cur, st, hasKind)
+		rb.maxID = max(rb.maxID, rec.id)
+	}
+	rb.seen++
+	return nil
 }
 
 // ApplyRun folds a sequence of checkpoint bodies into the rebuilder as one
@@ -216,32 +261,29 @@ func (rb *Rebuilder) commitRecord(id uint64, st stagedRec, hasKind bool) latestR
 // from a retained log must never leave the rebuilder half-rewound when a
 // later body turns out to be unreadable or corrupt.
 //
-// The bodies are staged into a scratch rebuilder (starting empty when the
-// first body is Full, since a full checkpoint resets the state anyway) and
-// swapped in only after the last one applies. An empty run is a no-op.
+// The run is what is staged: its records are validated and committed one by
+// one into a scratch generation (starting empty when the first body is Full,
+// since a full checkpoint resets the state anyway; from a copy of the current
+// state otherwise), which is swapped in only after the last body applies. An
+// empty run is a no-op.
 func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
-	if len(bodies) == 0 {
-		return nil
-	}
-	scratch := &Rebuilder{reg: rb.reg, latest: make(map[uint64]latestRec)}
-	if h, err := parseBodyHeader(wire.NewDecoder(bodies[0])); err != nil || h.mode != Full {
-		// The run extends the current state rather than replacing it: stage
-		// onto a copy so partial failure cannot leak into rb. The copies are
-		// marked un-owned: scratch must never materialize a delta in place
-		// over a buffer rb still references.
-		for id, rec := range rb.latest {
-			rec.owned = false
-			scratch.latest[id] = rec
-		}
-		scratch.bodies = append([][]byte(nil), rb.bodies...)
-		scratch.maxID, scratch.seen = rb.maxID, rb.seen
-	}
+	var next *Rebuilder
 	for i, b := range bodies {
-		if err := scratch.Apply(b); err != nil {
+		d := wire.NewDecoder(b)
+		h, err := parseBodyHeader(d)
+		if err == nil {
+			if next == nil {
+				next = rb.scratch(h.mode != Full)
+			}
+			err = next.replay(d, h, b)
+		}
+		if err != nil {
 			return fmt.Errorf("apply body %d of %d: %w", i+1, len(bodies), err)
 		}
 	}
-	*rb = *scratch
+	if next != nil {
+		*rb = *next
+	}
 	return nil
 }
 
@@ -261,46 +303,50 @@ func (rb *Rebuilder) MaxID() uint64 { return rb.maxID }
 //
 // The returned map is keyed by object id.
 func (rb *Rebuilder) Build(d *Domain) (map[uint64]Restorable, error) {
-	ids := rb.sortedIDs()
-	objs := make(map[uint64]Restorable, len(rb.latest))
-	for _, id := range ids {
-		rec := rb.latest[id]
+	// One snapshot of the state, walked in id order by both passes. The sort
+	// moves 16-byte keys, not the records.
+	type key struct {
+		id uint64
+		at int // index into recs
+	}
+	keys := make([]key, 0, len(rb.latest))
+	recs := make([]latestRec, 0, len(rb.latest))
+	for id, rec := range rb.latest {
+		keys = append(keys, key{id, len(recs)})
+		recs = append(recs, rec)
+	}
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Compare(a.id, b.id) })
+	built := make([]Restorable, len(recs))
+	objs := make(map[uint64]Restorable, len(recs))
+	for i, k := range keys {
+		rec := recs[k.at]
 		f, ok := rb.reg.factory(rec.typeID)
 		if !ok {
-			return nil, fmt.Errorf("%w: %d (object %d)", ErrUnknownType, rec.typeID, id)
+			return nil, fmt.Errorf("%w: %d (object %d)", ErrUnknownType, rec.typeID, k.id)
 		}
-		o := f(id)
-		if got := o.CheckpointInfo().ID(); got != id {
+		o := f(k.id)
+		if got := o.CheckpointInfo().ID(); got != k.id {
 			return nil, fmt.Errorf("%w: factory for %q built object with id %d, want %d",
-				ErrTypeConflict, rb.reg.Name(rec.typeID), got, id)
+				ErrTypeConflict, rb.reg.Name(rec.typeID), got, k.id)
 		}
-		objs[id] = o
+		built[i], objs[k.id] = o, o
 	}
 	res := &Resolver{objects: objs}
-	for _, id := range ids {
-		rec := rb.latest[id]
+	for i, k := range keys {
+		rec := recs[k.at]
 		dec := wire.NewDecoder(rec.payload)
-		if err := objs[id].Restore(dec, res); err != nil {
-			return nil, fmt.Errorf("restore object %d (%s): %w", id, rb.reg.Name(rec.typeID), err)
+		err := built[i].Restore(dec, res)
+		if err == nil {
+			err = dec.Err()
 		}
-		if err := dec.Err(); err != nil {
-			return nil, fmt.Errorf("restore object %d (%s): %w", id, rb.reg.Name(rec.typeID), err)
+		if err != nil {
+			return nil, fmt.Errorf("restore object %d (%s): %w", k.id, rb.reg.Name(rec.typeID), err)
 		}
 	}
 	if d != nil {
 		d.Advance(rb.maxID)
 	}
 	return objs, nil
-}
-
-// sortedIDs returns the known object ids in ascending order.
-func (rb *Rebuilder) sortedIDs() []uint64 {
-	ids := make([]uint64, 0, len(rb.latest))
-	for id := range rb.latest {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // Resolver resolves child ids to rebuilt objects during Restore.

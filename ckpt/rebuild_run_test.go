@@ -1,0 +1,307 @@
+package ckpt_test
+
+// ApplyRun stages the run, not each body: records go straight into a scratch
+// generation that is swapped in at the end. The oracle it is held to here is
+// the slow, obviously-atomic way of doing the same thing — the same bodies
+// applied one by one with Apply — over seeded random runs that mix body
+// versions, repeat ids, stack deltas, restart mid-run and break in every way
+// the rebuilder has an error class for.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"ickpt/ckpt"
+	"ickpt/wire"
+)
+
+// errClass names the documented class of a rebuilder error, or the root
+// cause's text for anything else (wire-level truncation).
+func errClass(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	for _, class := range []error{ckpt.ErrTypeConflict, ckpt.ErrDeltaBase, ckpt.ErrBadBody} {
+		if errors.Is(err, class) {
+			return class.Error()
+		}
+	}
+	for next := errors.Unwrap(err); next != nil; next = errors.Unwrap(err) {
+		err = next
+	}
+	return err.Error()
+}
+
+// runGen writes random but well-formed bodies against a model of what a
+// rebuilder that applied them all would hold, so it can produce deltas that
+// really apply — and, on request, records that really do not.
+type runGen struct {
+	rng   *rand.Rand
+	model map[uint64][]byte // id → payload after the bodies written so far
+	epoch uint64
+}
+
+const genIDs = 10 // ids 1..genIDs: small, so bodies repeat them
+
+func genType(id uint64) uint64 { return id%3 + 1 }
+
+// defect is one way to make a body invalid at a known record.
+type defect int
+
+const (
+	none defect = iota
+	nilID
+	typeConflict
+	baselessDelta // a delta for an id the run has never carried
+	deltaInFull
+	wrongBase // a delta computed against bytes the rebuilder does not hold
+	numDefects
+)
+
+func (g *runGen) payload(n int) []byte {
+	p := make([]byte, n)
+	g.rng.Read(p)
+	return p
+}
+
+// body writes one body of version v (1 or 2). A Full forgets the model, as
+// the rebuilder will. bad plants one defective record after the good ones.
+func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
+	g.epoch++
+	e := wire.NewEncoder(256)
+	e.Byte(v)
+	e.Byte(byte(mode))
+	e.Uvarint(g.epoch)
+	if mode == ckpt.Full {
+		clear(g.model)
+	}
+	record := func(id, typ uint64, kind byte, payload []byte) {
+		e.Uvarint(id)
+		e.Uvarint(typ)
+		if v == 2 {
+			e.Byte(kind)
+		}
+		e.Uvarint(uint64(len(payload)))
+		e.Raw(payload)
+	}
+	// delta returns next encoded against base, or nil when it does not pay.
+	delta := func(base, next []byte) []byte {
+		de := wire.NewEncoder(len(next))
+		if !wire.AppendDelta(de, base, next, len(next)) {
+			return nil
+		}
+		return de.Bytes()
+	}
+	for n := 1 + g.rng.Intn(8); n > 0; n-- {
+		id := uint64(1 + g.rng.Intn(genIDs)) // repeats within a body are wanted
+		prev, known := g.model[id]
+		if v == 2 && mode == ckpt.Incremental && known && g.rng.Intn(3) > 0 {
+			// Same length, a few bytes changed: a second delta for the same
+			// id in this body stacks on the first.
+			next := append([]byte(nil), prev...)
+			for k := 1 + g.rng.Intn(3); k > 0; k-- {
+				next[g.rng.Intn(len(next))] ^= byte(1 + g.rng.Intn(255))
+			}
+			if d := delta(prev, next); d != nil {
+				record(id, genType(id), wire.KindDelta, d)
+				g.model[id] = next
+				continue
+			}
+		}
+		p := g.payload(48 + 16*g.rng.Intn(4))
+		record(id, genType(id), wire.KindFull, p)
+		g.model[id] = p
+	}
+	anyKnown := func() (uint64, []byte, bool) {
+		for id := uint64(1); id <= genIDs; id++ {
+			if p, ok := g.model[id]; ok {
+				return id, p, true
+			}
+		}
+		return 0, nil, false
+	}
+	switch id, prev, ok := anyKnown(); {
+	case bad == nilID:
+		record(0, 1, wire.KindFull, g.payload(8))
+	case bad == typeConflict && ok:
+		record(id, genType(id)+1, wire.KindFull, g.payload(8))
+	case bad == baselessDelta && v == 2 && mode == ckpt.Incremental:
+		p := g.payload(64)
+		q := append([]byte(nil), p...)
+		q[3] ^= 1
+		record(genIDs+1, 1, wire.KindDelta, delta(p, q))
+	case bad == deltaInFull && v == 2 && mode == ckpt.Full && ok:
+		q := append([]byte(nil), prev...)
+		q[0] ^= 1
+		record(id, genType(id), wire.KindDelta, delta(prev, q))
+	case bad == wrongBase && v == 2 && mode == ckpt.Incremental && ok:
+		other := append([]byte(nil), prev...)
+		other[len(other)-1] ^= 1
+		q := append([]byte(nil), other...)
+		q[0] ^= 1
+		record(id, genType(id), wire.KindDelta, delta(other, q))
+	}
+	return e.Bytes()
+}
+
+// run writes n bodies: a Full first (unless extend), a second Full mid-run
+// now and then, versions mixed, and the defect planted in body badAt.
+func (g *runGen) run(n int, extend bool, badAt int, bad defect) [][]byte {
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		mode := ckpt.Incremental
+		if i == 0 && !extend || i > 0 && g.rng.Intn(6) == 0 {
+			mode = ckpt.Full
+		}
+		d := none
+		if i == badAt {
+			d = bad
+		}
+		bodies[i] = g.body(byte(1+g.rng.Intn(2)), mode, d)
+	}
+	return bodies
+}
+
+// checkRunAgainstSequential is the oracle. Both rebuilders start from the
+// same prelude; ref then takes the run one Apply at a time and stops at the
+// first error, rb takes it as one ApplyRun.
+func checkRunAgainstSequential(t *testing.T, label string, prelude, run [][]byte) {
+	t.Helper()
+	ref, rb := ckpt.NewRebuilder(ckpt.NewRegistry()), ckpt.NewRebuilder(ckpt.NewRegistry())
+	for _, b := range prelude {
+		if err := ref.Apply(b); err != nil {
+			t.Fatalf("%s: prelude: %v", label, err)
+		}
+	}
+	if err := rb.ApplyRun(prelude); err != nil {
+		t.Fatalf("%s: prelude as a run: %v", label, err)
+	}
+	before := rb.Digest()
+	if got := ref.Digest(); got != before {
+		t.Fatalf("%s: prelude: run digest %s, sequential %s", label, before, got)
+	}
+	var want error
+	for _, b := range run {
+		if want = ref.Apply(b); want != nil {
+			break
+		}
+	}
+	got := rb.ApplyRun(run)
+	if errClass(got) != errClass(want) {
+		t.Fatalf("%s: ApplyRun = %v, sequential Apply = %v", label, got, want)
+	}
+	if want != nil {
+		if after := rb.Digest(); after != before {
+			t.Fatalf("%s: failed ApplyRun (%v) changed the rebuilder: %s, was %s", label, got, after, before)
+		}
+		return
+	}
+	if a, b := rb.Digest(), ref.Digest(); a != b {
+		t.Fatalf("%s: ApplyRun left %s, sequential Apply %s", label, a, b)
+	}
+}
+
+func TestApplyRunMatchesSequentialApply(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		for bad := none; bad < numDefects; bad++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := &runGen{rng: rng, model: make(map[uint64][]byte)}
+			var prelude [][]byte
+			extend := seed%3 == 0 // every third run extends a prelude's state
+			if extend || seed%3 == 1 {
+				prelude = g.run(1+rng.Intn(3), false, -1, none)
+			}
+			n := 1 + rng.Intn(5)
+			run := g.run(n, extend, rng.Intn(n), bad)
+			label := fmt.Sprintf("seed %d defect %d", seed, bad)
+			checkRunAgainstSequential(t, label, prelude, run)
+			if bad != none {
+				continue
+			}
+			// The valid run again, torn and garbled at every position.
+			for at := range run {
+				torn := append([][]byte(nil), run...)
+				torn[at] = run[at][:rng.Intn(len(run[at]))]
+				checkRunAgainstSequential(t, fmt.Sprintf("%s torn at %d", label, at), prelude, torn)
+
+				garbled := append([][]byte(nil), run...)
+				garbled[at] = append([]byte(nil), run[at]...)
+				garbled[at][rng.Intn(len(run[at]))] ^= byte(1 + rng.Intn(255))
+				checkRunAgainstSequential(t, fmt.Sprintf("%s garbled at %d", label, at), prelude, garbled)
+			}
+		}
+	}
+}
+
+// TestApplyRunDefectsAreClassified keeps the oracle honest: each planted
+// defect must actually be hit and fail with its documented class, so "both
+// sides agree" above cannot mean "both sides applied everything".
+func TestApplyRunDefectsAreClassified(t *testing.T) {
+	want := map[defect]error{
+		nilID:         ckpt.ErrBadBody,
+		typeConflict:  ckpt.ErrTypeConflict,
+		baselessDelta: ckpt.ErrDeltaBase,
+		deltaInFull:   ckpt.ErrDeltaBase,
+		wrongBase:     ckpt.ErrDeltaBase,
+	}
+	for bad, class := range want {
+		g := &runGen{rng: rand.New(rand.NewSource(int64(bad))), model: make(map[uint64][]byte)}
+		full := g.body(2, ckpt.Full, none)
+		mode := ckpt.Incremental
+		if bad == deltaInFull {
+			mode = ckpt.Full
+		}
+		rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+		if err := rb.ApplyRun([][]byte{full, g.body(2, mode, bad)}); !errors.Is(err, class) {
+			t.Errorf("defect %d: ApplyRun = %v, want %v", bad, err, class)
+		}
+		if rb.Objects() != 0 {
+			t.Errorf("defect %d: failed run left %d objects", bad, rb.Objects())
+		}
+	}
+}
+
+// TestApplyRunBadFirstHeaderFailsBeforeCopying: a run whose first header does
+// not parse is rejected on the header alone — the rebuilder's state is not
+// cloned into a scratch that is about to be thrown away.
+func TestApplyRunBadFirstHeaderFailsBeforeCopying(t *testing.T) {
+	const objects = 4096
+	e := wire.NewEncoder(16 * objects)
+	e.Byte(1)
+	e.Byte(byte(ckpt.Full))
+	e.Uvarint(1)
+	for id := uint64(1); id <= objects; id++ {
+		e.Uvarint(id)
+		e.Uvarint(1)
+		e.Uvarint(8)
+		e.Uint64(id)
+	}
+	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+	if err := rb.Apply(e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	before := rb.Digest()
+	g := &runGen{rng: rand.New(rand.NewSource(1)), model: make(map[uint64][]byte)}
+	bad := [][]byte{{9, 9, 9}, g.body(1, ckpt.Incremental, none)}
+
+	const calls = 16
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		if err := rb.ApplyRun(bad); !errors.Is(err, ckpt.ErrBadBody) {
+			t.Fatalf("ApplyRun = %v, want ErrBadBody", err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	// A copy of the state is at least 40 bytes an object; the wrapped error
+	// is a few hundred bytes in all.
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per > 8*objects {
+		t.Errorf("rejecting an unparsable first header allocated %d bytes with %d objects held", per, objects)
+	}
+	if after := rb.Digest(); after != before {
+		t.Errorf("rebuilder changed: %s, was %s", after, before)
+	}
+}

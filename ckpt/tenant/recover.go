@@ -63,10 +63,12 @@ func validateRun(id uint32, run []stablelog.SegmentInfo) error {
 }
 
 // Recover replays one tenant's latest run out of a shared log into rb,
-// validating the filtered chain first and applying it atomically: on any
-// error — no full anchor, incoherent chain, read failure, corrupt body —
-// rb is unchanged. Other tenants' interleaved segments are untouched, so N
-// tenants recover independently from the same file.
+// validating the filtered chain first, reading it through the log's run
+// reader (stablelog.Log.ReadRun: per-payload CRC, delta coherence) and
+// applying it atomically: on any error — no full anchor, incoherent chain,
+// read failure, corrupt body — rb is unchanged. Other tenants' interleaved
+// segments are untouched, so N tenants recover independently from the same
+// file.
 func Recover(l *stablelog.Log, id uint32, rb *ckpt.Rebuilder) error {
 	run, err := RecoveryRun(l, id)
 	if err != nil {
@@ -75,13 +77,9 @@ func Recover(l *stablelog.Log, id uint32, rb *ckpt.Rebuilder) error {
 	if err := validateRun(id, run); err != nil {
 		return err
 	}
-	bodies := make([][]byte, len(run))
-	for i, seg := range run {
-		body, err := l.Read(seg.Seq)
-		if err != nil {
-			return fmt.Errorf("tenant %d: %w", id, err)
-		}
-		bodies[i] = body
+	bodies, err := l.ReadRun(run)
+	if err != nil {
+		return fmt.Errorf("tenant %d: %w", id, err)
 	}
 	if err := rb.ApplyRun(bodies); err != nil {
 		return fmt.Errorf("tenant %d: replay run at seq %d: %w", id, run[0].Seq, err)

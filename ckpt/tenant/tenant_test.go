@@ -447,3 +447,56 @@ func TestRecoverNoFull(t *testing.T) {
 		t.Fatalf("tenant ids = %v, want [5]", ids)
 	}
 }
+
+// TestRecoverRejectsBaselessDeltaLikeTheLog: a tenant chain whose delta has
+// no base in the run is the same defect as a single-stream chain with one,
+// and both replay paths read through stablelog.ReadRun, so both call it
+// ErrIncoherent — before the rebuilder sees a byte.
+func TestRecoverRejectsBaselessDeltaLikeTheLog(t *testing.T) {
+	v2 := func(mode ckpt.Mode, epoch uint64, records func(e *wire.Encoder)) []byte {
+		e := wire.NewEncoder(128)
+		e.Byte(2)
+		e.Byte(byte(mode))
+		e.Uvarint(epoch)
+		if records != nil {
+			records(e)
+		}
+		return e.Bytes()
+	}
+	base := bytes.Repeat([]byte{7}, 64)
+	next := append([]byte(nil), base...)
+	next[5] ^= 1
+	orphan := v2(ckpt.Incremental, 2, func(e *wire.Encoder) {
+		d := wire.NewEncoder(32)
+		if !wire.AppendDelta(d, base, next, len(next)) {
+			t.Fatal("delta does not pay")
+		}
+		e.Uvarint(9) // id: never recorded by the Full below
+		e.Uvarint(1)
+		e.Byte(wire.KindDelta)
+		e.Uvarint(uint64(d.Len()))
+		e.Raw(d.Bytes())
+	})
+	for _, id := range []uint32{0, 5} { // stream 0 is a single-domain log
+		lg := newLog(t)
+		if _, err := lg.Append(ckpt.Full, tenant.WireEpoch(id, 1), v2(ckpt.Full, 1, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lg.Append(ckpt.Incremental, tenant.WireEpoch(id, 2), orphan); err != nil {
+			t.Fatal(err)
+		}
+		rb := ckpt.NewRebuilder(synth.Registry())
+		err := tenant.Recover(lg, id, rb)
+		if !errors.Is(err, stablelog.ErrIncoherent) || !errors.Is(err, ckpt.ErrDeltaBase) {
+			t.Errorf("tenant.Recover(%d) = %v, want ErrIncoherent naming ErrDeltaBase", id, err)
+		}
+		if id == 0 {
+			if lerr := lg.Recover(rb); !errors.Is(lerr, stablelog.ErrIncoherent) || !errors.Is(lerr, ckpt.ErrDeltaBase) {
+				t.Errorf("Log.Recover = %v, want the same classes as tenant.Recover's %v", lerr, err)
+			}
+		}
+		if rb.Objects() != 0 {
+			t.Errorf("stream %d: rejected chain left %d objects", id, rb.Objects())
+		}
+	}
+}

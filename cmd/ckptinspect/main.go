@@ -272,14 +272,10 @@ func verifyLog(path string) error {
 	// see: every patch needs an earlier payload for the same object in the
 	// same run. Reject a baseless delta here by name, rather than letting
 	// replay surface it as a generic recovery failure.
-	bodies := make([][]byte, len(run))
-	for i, seg := range run {
-		if bodies[i], err = log.Read(seg.Seq); err != nil {
-			return fmt.Errorf("segment %d: %w", seg.Seq, err)
-		}
-	}
-	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
+	if _, err := log.ReadRun(run); errors.Is(err, stablelog.ErrIncoherent) {
 		return fmt.Errorf("baseless delta in recovery run: %w", err)
+	} else if err != nil {
+		return err
 	}
 	// The epoch index validates the whole retained chain (strictly
 	// increasing epochs, full-anchored runs), not just the latest run — an

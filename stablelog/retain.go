@@ -412,9 +412,10 @@ type RewindStats struct {
 // epoch) via the epoch catalog, validates it, and replays it.
 //
 // The replay is atomic on rb: validation runs first, every payload is read
-// (and CRC-checked) before anything is applied, and the bodies go through
-// ckpt.Rebuilder.ApplyRun — so an unavailable epoch, a read fault, or a
-// corrupt body leaves rb exactly as it was. rb need not be fresh: a chain
+// (ReadRun: one gathered read, each payload CRC-checked) before anything is
+// applied, and the bodies go through ckpt.Rebuilder.ApplyRun, which stages
+// the whole run beside rb's state and swaps it in — so an unavailable epoch,
+// a read fault, or a corrupt body leaves rb exactly as it was. rb need not be fresh: a chain
 // starts with a full checkpoint, which resets the rebuilder, so one
 // rebuilder can rewind forward and backward repeatedly.
 //

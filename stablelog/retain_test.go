@@ -280,8 +280,9 @@ func TestRewindReadFaultLeavesRebuilderUnchanged(t *testing.T) {
 	}
 	before := builtValues(t, rb)
 
-	// The epoch-7 chain reads segments 5,6,7; fail the second read.
-	m.FailRead(2, syscall.EIO)
+	// The epoch-7 chain is segments 5,6,7, adjacent in the file: one gathered
+	// read (TestReadRunOneReadPerContiguousRun), so that is the one to fail.
+	m.FailRead(1, syscall.EIO)
 	if _, err := lg.RewindTo(rb, 7); !errors.Is(err, stablelog.ErrIO) {
 		t.Fatalf("faulted RewindTo = %v, want ErrIO", err)
 	}

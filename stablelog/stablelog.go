@@ -610,26 +610,71 @@ func (l *Log) Recover(rb *ckpt.Rebuilder) error {
 	return l.replayRun(rb, run)
 }
 
-// replayRun validates run, reads every payload, and applies them to rb as
-// one atomic unit.
+// ReadRun returns the bodies of a replay run — RecoveryRun's, StreamRun's or
+// an EpochIndex chain — in order, ready for ckpt.Rebuilder.ApplyRun. The
+// bodies share one allocation. A run whose segments sit back to back in the
+// file, as every single-stream chain does, is fetched with one read; a run
+// interleaved with other streams' segments with one read per segment, of
+// its payload alone. Every payload is verified against its checksum, as
+// Read does.
+//
+// Delta-bearing bodies add a cross-body dependency segment framing knows
+// nothing about: every delta record needs an earlier payload in the same
+// run. ReadRun checks it (ckpt.CheckDeltaCoherence), so a mis-anchored run
+// fails here with ErrIncoherent rather than partway through materialization.
+func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
+	if err := l.usable(); err != nil {
+		return nil, err
+	}
+	// The log's own index, not the caller's copy, says where the bytes are.
+	segs := make([]SegmentInfo, len(run))
+	size, gap := 0, segmentHeaderSize // gap: header bytes in front of each body in buf
+	for i, seg := range run {
+		if seg.Seq == 0 || seg.Seq > uint64(len(l.segs)) {
+			return nil, fmt.Errorf("%w: %d", ErrNotFound, seg.Seq)
+		}
+		segs[i] = l.segs[seg.Seq-1]
+		size += segs[i].Length
+		if i > 0 && segs[i].Seq != segs[i-1].Seq+1 {
+			gap = 0 // not one span of the file: no headers come along
+		}
+	}
+	buf := make([]byte, size+gap*len(segs))
+	if gap > 0 && len(segs) > 0 {
+		if _, err := l.f.ReadAt(buf, segs[0].Offset); err != nil {
+			return nil, fmt.Errorf("%w: read segments %d..%d: %w", ErrIO, segs[0].Seq, segs[len(segs)-1].Seq, err)
+		}
+	}
+	bodies := make([][]byte, len(segs))
+	for i, seg := range segs {
+		body := buf[gap : gap+seg.Length : gap+seg.Length]
+		buf = buf[gap+seg.Length:]
+		if gap == 0 && seg.Length > 0 {
+			if _, err := l.f.ReadAt(body, seg.Offset+segmentHeaderSize); err != nil {
+				return nil, fmt.Errorf("%w: read segment %d: %w", ErrIO, seg.Seq, err)
+			}
+		}
+		if crc32.ChecksumIEEE(body) != seg.CRC {
+			return nil, fmt.Errorf("read segment %d: %w: checksum mismatch", seg.Seq, ErrCorrupt)
+		}
+		bodies[i] = body
+	}
+	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
+		return nil, fmt.Errorf("%w: run at seq %d: %w", ErrIncoherent, run[0].Seq, err)
+	}
+	return bodies, nil
+}
+
+// replayRun validates run, reads it (ReadRun) and applies the bodies to rb
+// as one atomic unit: the run is staged beside rb's state and swapped in, so
+// on any error rb is unchanged.
 func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
 	if err := ValidateRun(run); err != nil {
 		return err
 	}
-	bodies := make([][]byte, len(run))
-	for i, seg := range run {
-		body, err := l.Read(seg.Seq)
-		if err != nil {
-			return err
-		}
-		bodies[i] = body
-	}
-	// Delta-bearing bodies add a cross-body dependency segment framing knows
-	// nothing about: every delta record needs an earlier payload in the same
-	// chain. Check it up front so a mis-anchored chain fails as incoherent
-	// here rather than partway through materialization.
-	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
-		return fmt.Errorf("%w: replay run at seq %d: %v", ErrIncoherent, run[0].Seq, err)
+	bodies, err := l.ReadRun(run)
+	if err != nil {
+		return err
 	}
 	if err := rb.ApplyRun(bodies); err != nil {
 		return fmt.Errorf("replay run at seq %d: %w", run[0].Seq, err)
