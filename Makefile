@@ -68,7 +68,7 @@ bench-interp:
 # BENCH_delta.json (records GOMAXPROCS and the physical core count), gated by
 # the delta round-trip, shadow-commit coherence, and apply-buffer-reuse tests.
 bench-delta:
-	$(GO) test -count=1 -run 'TestDelta|TestShadow|TestRebuilderDelta|TestCheckDeltaCoherence' ./ckpt/ ./wire/
+	$(GO) test -count=1 -run 'TestDelta|TestShadow|TestFoldFailureStales|TestRebuilderDelta|TestCheckDeltaCoherence' ./ckpt/ ./wire/
 	$(GO) run ./cmd/ckptbench -experiment delta -reps 45 -warmup 20
 
 # Race leg over the interpreter workload and the zero-copy encode substrate.

@@ -170,9 +170,10 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaAbortKeepsCommittedBase: aborting an epoch leaves the shadow at
-// the last committed payload, the next emit of the aborted object ships a
-// full record, and the surviving bodies rebuild to the live state.
+// TestDeltaAbortKeepsCommittedBase: aborting an epoch leaves no diff base
+// behind (the shadow holds the lost payload, stale), the next emit of the
+// aborted object ships a full record, and the surviving bodies rebuild to the
+// live state.
 func TestDeltaAbortKeepsCommittedBase(t *testing.T) {
 	d := ckpt.NewDomain()
 	b := newBlob(d, 2048, 1)
@@ -222,7 +223,7 @@ func TestDeltaAbortKeepsCommittedBase(t *testing.T) {
 	if deltas(body3) != 1 {
 		t.Fatal("epoch 3 did not delta")
 	}
-	s.Abort(3) // the sink lost the body; the session re-marks and the cache rolls back
+	s.Abort(3) // the sink lost the body; the session re-marks and the cache stales the entry
 	if got := cache.CommittedBase(b.info.ID()); got != nil {
 		t.Fatalf("CommittedBase after abort = %d bytes, want nil (stale until restaged)", len(got))
 	}

@@ -86,9 +86,9 @@ type Emitter struct {
 	// version-2 records (with a kind byte) and diffs each payload larger
 	// than the cache's threshold against the object's shadow, shipping the
 	// delta when it wins (see ShadowCache). mode gates the diff: Full
-	// bodies never carry deltas. stages accumulates the epoch's payload
-	// copies; Settle stages them when the epoch ends and the cache promotes
-	// them only when the epoch commits.
+	// bodies never carry deltas. stages accumulates the heads the epoch's
+	// records advanced; Settle stages them when the epoch ends, or stales
+	// them when its fold failed.
 	shadow   *ShadowCache
 	mode     Mode
 	deltaBuf wire.Encoder
@@ -110,17 +110,18 @@ type Emitter struct {
 // workers, whose folder settles the merged epoch once).
 func (em *Emitter) SetShadow(c *ShadowCache) { em.shadow = c }
 
-// TakeShadowStages returns the payload copies accumulated for the epoch in
-// progress and detaches them, transferring ownership to the caller, who must
-// hand them to Settle: a Writer does when its epoch ends, and a parallel fold
-// gathers its detached workers' batches and settles the merged epoch as one.
+// TakeShadowStages returns the shadow stages accumulated for the epoch in
+// progress, for the caller to hand to Settle: a Writer does when its epoch
+// ends, and a parallel fold gathers its detached workers' batches and settles
+// the merged epoch as one. The slice is lent, not given — the emitter's next
+// epoch refills it — so it must be settled before the emitter records again.
 func (em *Emitter) TakeShadowStages() []ShadowStage {
 	if em.shadowSkips > 0 && em.shadow != nil {
 		em.shadow.addSkipped(em.shadowSkips)
 		em.shadowSkips = 0
 	}
 	p := em.stages
-	em.stages = nil
+	em.stages = p[:0]
 	return p
 }
 
@@ -169,16 +170,15 @@ func (em *Emitter) Begin(info *Info, t TypeID) *wire.Encoder {
 // With a shadow cache attached, End is also where the delta decision runs:
 // the completed payload is diffed against the object's shadow, the delta
 // replaces the payload when it comes in under the size limit (by truncating
-// back to the reserved prefix and patching the kind byte), and the payload is
-// copied into the epoch's pending shadows so the next epoch diffs against it
-// once this one commits.
+// back to the reserved prefix and patching the kind byte), and the object's
+// shadow is advanced to the payload so the next epoch diffs against it.
 func (em *Emitter) End() {
 	if em.shadow != nil {
 		payload := em.dst.Bytes()[em.lenPos+1:]
 		if em.deltaOrFull(payload) == wire.KindDelta {
-			// The payload was staged into the shadow copy above and the delta
-			// encoded into deltaBuf; rewind to the reserved length prefix and
-			// frame the delta in its place.
+			// The shadow has been advanced to the payload and the delta is in
+			// deltaBuf; rewind to the reserved length prefix and frame the
+			// delta in its place.
 			em.dst.Truncate(em.lenPos + 1)
 			em.dst.Raw(em.deltaBuf.Bytes())
 			em.dst.PatchByte(em.kindPos, wire.KindDelta)
@@ -189,9 +189,9 @@ func (em *Emitter) End() {
 }
 
 // deltaOrFull consults the shadow cache for the record's diff base, attempts
-// the delta, stages the payload copy when the cache asks for one, and
-// returns the record kind to frame. The delta bytes, when it returns
-// wire.KindDelta, are in em.deltaBuf.
+// the delta, advances the object's head to the payload — in place — when the
+// cache asks for it staged, and returns the record kind to frame. The delta
+// bytes, when it returns wire.KindDelta, are in em.deltaBuf.
 //
 // The churn backoff's skip window is consumed here, from the object's own
 // Info, before the cache is ever consulted: a fully-churned object in its
@@ -211,16 +211,16 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 		// object a fresh base; the rest of the window would only waste it.
 		em.curInfo.shadowSkip = 0
 	}
-	base, hash, stage, window := em.shadow.decide(em.curID, len(payload), em.mode)
+	head, hash, diff, stage, window := em.shadow.decide(em.curID, len(payload), em.mode)
 	kind := wire.KindFull
-	if base != nil {
+	if diff {
 		em.deltaBuf.Reset()
-		win := wire.AppendDeltaHashed(&em.deltaBuf, base, hash, payload,
+		win := wire.AppendDeltaHashed(&em.deltaBuf, head, hash, payload,
 			len(payload)*deltaLimitNum/deltaLimitDen)
 		if w := em.shadow.report(em.curID, win); w > 0 {
 			// The loss armed the churn backoff: the coming emits skip the
-			// cache entirely and the entry is already stale, so the staged
-			// copy could never serve as a base — save the copy.
+			// cache entirely and the entry is already stale, so an advanced
+			// head could never serve as a base — save the copy.
 			window = w
 			stage = false
 		}
@@ -233,7 +233,7 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 		em.curInfo.shadowSkip = uint16(window)
 	}
 	if stage {
-		em.stages = append(em.stages, em.shadow.copyPayload(em.curID, payload))
+		em.stages = append(em.stages, advanceHead(em.curID, head, payload))
 	}
 	return kind
 }

@@ -538,8 +538,8 @@ func checkLifeReference(t *testing.T, w *lifeWorld, f fault, got lifeOutcome) {
 // TestStalePendScheduleEveryDriver replays the schedule behind PR 10's
 // stale-pend bug — two epochs in flight and a shrink below the shadow floor
 // between them — through every driver that can hold epochs in flight. The
-// regrown object must ship in full (its pending shadow is no longer its
-// latest payload in the stream), every driver must produce the same bytes,
+// regrown object must ship in full (its shadow is no longer its latest
+// payload in the stream), every driver must produce the same bytes,
 // and the stream must rebuild to the live state.
 func TestStalePendScheduleEveryDriver(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)

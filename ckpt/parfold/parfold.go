@@ -327,7 +327,7 @@ func (f *Folder) FoldDirty(t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Sta
 // Under the folder's private session the previous fold's body survived to
 // this point with nobody to say otherwise, so it is resolved as durable first
 // — retiring its clear-set to the pool the coming fold's emitters draw from,
-// and promoting its staged shadows. (No-op when that epoch already aborted.)
+// and committing its staged shadows. (No-op when that epoch already aborted.)
 func (f *Folder) run(mode ckpt.Mode, items []ckpt.Checkpointable, step FoldFunc) ([]byte, ckpt.Stats, error) {
 	if f.ownSession {
 		f.session.Commit(f.epoch)

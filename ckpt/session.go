@@ -109,20 +109,20 @@ func putEpochClears(ec *epochClears) {
 // them to the epoch's authority. Every driver — Writer.Finish and
 // Writer.Discard, parfold's merged sharded epoch — goes through it.
 //
-//   - failed: the body is discarded, so the staged payload copies were never
-//     published (recycle them) and every cleared flag is a lost update: the
-//     session observes and aborts the epoch, or without one the flags are
-//     re-marked directly.
-//   - finished, with a session: the stages become the cache's pending
-//     shadows, the session observes the clear-set, and both stay in flight
-//     until Session.Commit or Session.Abort resolves them in lockstep.
+//   - failed: the body is discarded, so the shadow heads its records advanced
+//     match nothing published (stale them) and every cleared flag is a lost
+//     update: the session observes and aborts the epoch, or without one the
+//     flags are re-marked directly.
+//   - finished, with a session: the stages are published to the cache, the
+//     session observes the clear-set, and both stay in flight until
+//     Session.Commit or Session.Abort resolves them in lockstep.
 //   - finished, sessionless: there is no later authority, so the body counts
 //     as durable the moment it is handed to the caller — the clear-set is
 //     retired and the epoch's shadows commit at once. A Full epoch therefore
 //     always prunes the cache, whether or not it staged anything.
 //
-// s and c may each be nil (no session; delta encoding off). clears and
-// stages are consumed.
+// s and c may each be nil (no session; delta encoding off). clears is
+// consumed; stages is only read (Emitter.TakeShadowStages lends it).
 func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearEntry, stages []ShadowStage, failed bool) {
 	if failed {
 		if c != nil {
@@ -278,12 +278,12 @@ func (s *Session) Observe(epoch uint64, mode Mode, clears []ClearEntry) {
 	s.stats.Epochs++
 }
 
-// AttachShadow ties a delta shadow cache to a pending epoch: the payloads
-// the cache staged for that epoch are promoted when the epoch commits and
-// dropped when it aborts, in lockstep with the clear-set. Writers with delta
-// encoding enabled reach it through Settle, right after Observe. If the epoch is
-// not pending it has already resolved — as an abort, since no body was ever
-// handed out — so the staged shadows are dropped immediately.
+// AttachShadow ties a delta shadow cache to a pending epoch: the shadows the
+// cache staged for that epoch resolve with it (ShadowCache.CommitEpoch,
+// AbortEpoch), in lockstep with the clear-set. Writers with delta encoding
+// enabled reach it through Settle, right after Observe. If the epoch is not
+// pending it has already resolved — as an abort, since no body was ever
+// handed out — so the staged shadows are staled immediately.
 //
 // Sticky-failure requirement: a sink driving a shadow-attached session must
 // not commit an epoch after aborting an earlier one — once epoch E is lost,

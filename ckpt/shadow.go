@@ -8,27 +8,31 @@ import (
 )
 
 // This file implements the shadow-payload cache behind sub-object delta
-// encoding. The emitter diffs each large record payload against a shadow of
-// the payload the same object carried in the last *committed* checkpoint and
-// ships only the changed byte runs (wire.KindDelta); the cache is what makes
-// that safe under the epoch commit/abort protocol:
+// encoding. The emitter diffs each large record payload against the object's
+// head — one buffer per object, holding the payload the object last staged —
+// and ships only the changed byte runs (wire.KindDelta). One invariant makes
+// that safe under the epoch commit/abort protocol: a head serves diffs iff it
+// equals the object's latest payload in the published stream; abort, failed
+// fold, shrink and churn window stale it; commit never touches bytes.
 //
-//   - While an epoch is being encoded, the payloads it emits are staged as
-//     pending shadows (Stage). The diff base for a record is the newest
-//     pending shadow when one exists — an in-flight epoch's body precedes
-//     this one in the stream, so the rebuilder will have materialized its
-//     payload by the time this delta applies — falling back to the last
-//     committed shadow.
-//   - Session.Commit promotes the epoch's pending shadows to committed
-//     (CommitEpoch); Session.Abort drops them (AbortEpoch) and marks the
-//     touched entries stale, so an aborted epoch can never poison the base:
-//     the next emit of the object ships a full payload and re-establishes
-//     the shadow from bytes that actually reached the stream.
+//   - The emitter that records an object overwrites its head in place,
+//     outside the cache's lock (advanceHead): no buffer is allocated, zeroed
+//     or retained per record. The epoch's driver then stages the batch
+//     (Stage), which installs each head's new hash and clears its stale flag.
+//     An in-flight epoch's body precedes the next one in the stream — the
+//     rebuilder will have materialized its payload by the time the next delta
+//     applies — so the head serves before its epoch is acknowledged.
+//   - Session.Commit and Session.Abort route to CommitEpoch and AbortEpoch,
+//     which touch flags under the lock and never a payload byte: the ack
+//     goroutine and the emitters share no buffer. An abort stales every entry
+//     the epoch staged, so an aborted epoch can never poison the base: the next
+//     emit of the object ships a full payload and re-establishes the head from
+//     bytes that actually reached the stream. A fold that fails before its body
+//     is published (Discard) stales the heads it advanced the same way.
 //   - An object emitted while its shadow update is suppressed (the churn
-//     backoff below) also stales its entry: a base may only serve diffs if
-//     it equals the object's latest payload in the durable stream, byte for
-//     byte. The base hash embedded in every delta (wire.DeltaBaseHash) is
-//     the recovery-time backstop should a driver violate the protocol.
+//     backoff below, a shrink below the floor) stales its entry too. The base
+//     hash embedded in every delta (wire.DeltaBaseHash) is the recovery-time
+//     backstop should a driver violate the protocol.
 //
 // Fully-churned objects would otherwise pay a wasted comparison sweep plus a
 // shadow copy every epoch for zero byte savings. The cache backs off
@@ -46,21 +50,25 @@ type ShadowCache struct {
 	entries map[uint64]*shadowEntry
 	// count mirrors len(entries), readable without mu: decide's sub-floor
 	// fast path checks it to skip the lock while nothing is shadowed.
-	count  atomic.Int64
-	epochs map[uint64][]uint64 // in-flight epoch -> staged ids
-	free   [][]byte            // recycled payload buffers (never ack-path buffers)
-	stats  ShadowStats
+	count atomic.Int64
+	stats ShadowStats
 }
 
-// shadowEntry is one object's shadow state.
+// shadowEntry is one object's shadow state. The fields are guarded by the
+// cache's mu; head's bytes are not — they belong to the one emitter recording
+// the object (a stream's writers fold disjoint objects).
 type shadowEntry struct {
-	committed []byte
-	hash      uint32
-	// stale means committed no longer matches the object's latest payload
-	// in the stream (a backoff-suppressed emit, or an abort), so it must
-	// not serve as a diff base.
+	head []byte
+	hash uint32
+	// stale means head does not match the object's latest payload in the
+	// published stream, so it must not serve as a diff base until an emit
+	// restages it.
 	stale bool
-	pend  []pendingShadow
+	// epoch is the newest epoch that staged head. A stream's epochs ascend, so
+	// it is all an epoch's resolution needs to find its entries: an abort
+	// stales those staged by the lost epoch or a later one, a Full commit
+	// prunes those staged by neither it nor a later epoch in flight.
+	epoch uint64
 
 	// miss counts consecutive failed delta attempts; at missBackoff each
 	// further miss arms a skip window (missLocked) that the emitter parks
@@ -68,17 +76,10 @@ type shadowEntry struct {
 	miss uint8
 }
 
-// pendingShadow is a staged payload copy awaiting its epoch's commit.
-type pendingShadow struct {
-	epoch uint64
-	buf   []byte
-	hash  uint32
-}
-
 // ShadowStats counts cache activity, for tests and diagnostics.
 type ShadowStats struct {
-	// Staged counts payload copies staged; Committed and Aborted count
-	// epoch resolutions that promoted or dropped pending shadows.
+	// Staged counts payloads staged; Committed and Aborted count epoch
+	// resolutions.
 	Staged    int
 	Committed int
 	Aborted   int
@@ -109,7 +110,6 @@ func NewShadowCache(minSize int) *ShadowCache {
 	return &ShadowCache{
 		minSize: minSize,
 		entries: make(map[uint64]*shadowEntry),
-		epochs:  make(map[uint64][]uint64),
 	}
 }
 
@@ -130,71 +130,59 @@ func (c *ShadowCache) Stats() ShadowStats {
 	return c.stats
 }
 
-// CommittedBase returns a copy of the payload the cache would use as the
-// diff base for id if no epoch were in flight: the last committed shadow, or
-// nil when none exists or the entry is stale. It exists for tests asserting
-// the commit/abort contract (an abort must leave the base at the last
-// committed payload).
+// CommittedBase returns a copy of the base the next emit of id would be
+// diffed against: the object's head, or nil when it has none or the entry is
+// stale. It exists for tests asserting the commit/abort contract (an abort
+// must leave no base behind). Emitters patch heads outside the cache's lock,
+// so it must not be called concurrently with a fold on the same cache.
 func (c *ShadowCache) CommittedBase(id uint64) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[id]
-	if e == nil || e.stale || e.committed == nil {
+	if e == nil || e.stale {
 		return nil
 	}
-	return append([]byte(nil), e.committed...)
+	return append([]byte(nil), e.head...)
 }
 
 // decide is the per-record policy call, made by the emitter before framing a
-// payload of n bytes for id. It returns the diff base to attempt a delta
-// against (nil: emit a full payload), whether the payload should be staged
-// as the object's next shadow, and — when the call armed the churn backoff —
-// the skip window for the emitter to park in the object's Info.
-func (c *ShadowCache) decide(id uint64, n int, mode Mode) (base []byte, hash uint32, stage bool, window int) {
+// payload of n bytes for id. It returns the object's head buffer (nil before
+// its first staging), whether to attempt a delta against it (diff; hash is
+// then its fingerprint), whether the payload should be staged as the object's
+// next head — the emitter advances head to it (advanceHead) — and, when the
+// call armed the churn backoff, the skip window for the emitter to park in
+// the object's Info.
+func (c *ShadowCache) decide(id uint64, n int, mode Mode) (head []byte, hash uint32, diff, stage bool, window int) {
 	if n <= c.minSize && c.count.Load() == 0 {
 		// Below the floor while nothing is shadowed: no entry to stale-mark,
 		// no base to serve. An entry for this id could only have been created
 		// by this id's own writer, synchronously before this call, so the
 		// lock-free check cannot miss one. Domains whose payloads never
 		// exceed the floor stay at plain-writer cost.
-		return nil, 0, false, 0
+		return nil, 0, false, false, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[id]
 	if n <= c.minSize {
 		// The object shrank out of shadowing range: its full payload is in
-		// the stream now, so an existing shadow no longer matches it.
+		// the stream now, so an existing head no longer matches it.
 		if e != nil {
 			e.stale = true
 		}
-		return nil, 0, false, 0
+		return nil, 0, false, false, 0
 	}
 	if e == nil {
-		return nil, 0, true, 0 // first sighting: establish the shadow
+		return nil, 0, false, true, 0 // first sighting: establish the head
 	}
-	if mode == Full {
+	if mode == Full || e.stale {
 		// Full bodies never carry deltas (a full checkpoint resets the
-		// rebuilder, so a delta in one has no base) but refresh the shadow,
-		// so the incremental epochs that follow can diff immediately.
-		return nil, 0, true, 0
+		// rebuilder, so a delta in one has no base) but refresh the head, so
+		// the incremental epochs that follow can diff immediately. A stale
+		// head has no usable base either: full payload, re-establish.
+		return e.head, 0, false, true, 0
 	}
-	if k := len(e.pend); k > 0 && !e.stale {
-		// The newest pending shadow is the base: its epoch's body precedes
-		// this one in the stream, so the rebuilder materializes it first.
-		// A stale entry disqualifies pendings too — staling paths that ship
-		// unstaged full payloads (a shrink below the floor, a churn-window
-		// arming) leave older pends behind, and the object's latest payload
-		// in the stream is the unstaged full body, not the pend. Stage
-		// resets the flag once a copy that matches the stream is restaged.
-		base, hash = e.pend[k-1].buf, e.pend[k-1].hash
-	} else if !e.stale && e.committed != nil {
-		base, hash = e.committed, e.hash
-	}
-	if base == nil {
-		return nil, 0, true, 0 // no usable base: full payload, re-establish
-	}
-	if len(base) != n {
+	if len(e.head) != n {
 		// Resizing payloads cannot delta (deltas are aligned); treat like a
 		// failed attempt so oscillating objects back off too. A window armed
 		// here behaves like a loss-armed one: the entry is staled and the
@@ -202,11 +190,11 @@ func (c *ShadowCache) decide(id uint64, n int, mode Mode) (base []byte, hash uin
 		// staged copy before it could serve.
 		if w := c.missLocked(e); w > 0 {
 			e.stale = true
-			return nil, 0, false, int(w)
+			return nil, 0, false, false, int(w)
 		}
-		return nil, 0, true, 0
+		return e.head, 0, false, true, 0
 	}
-	return base, hash, true, 0
+	return e.head, e.hash, true, true, 0
 }
 
 // report records a delta attempt's outcome for id. On a loss that arms the
@@ -261,8 +249,8 @@ func (c *ShadowCache) addSkipped(n int) {
 	c.mu.Unlock()
 }
 
-// ShadowStage is one payload copy bound for the cache: the emitter
-// accumulates them per epoch (copyPayload) and the epoch's driver stages the
+// ShadowStage is one advanced head bound for the cache: the emitter
+// accumulates them per epoch (advanceHead) and the epoch's driver stages the
 // batch at Finish (Stage) or discards it when the epoch dies before its body
 // completes (Discard). The fields are owned by the cache.
 type ShadowStage struct {
@@ -271,70 +259,46 @@ type ShadowStage struct {
 	hash uint32
 }
 
-// copyPayload copies payload into a cache-owned buffer (recycled when one
-// fits) and fingerprints it, returning the stage entry to accumulate.
-func (c *ShadowCache) copyPayload(id uint64, payload []byte) ShadowStage {
-	c.mu.Lock()
-	buf := c.getBufLocked(len(payload))
-	c.mu.Unlock()
-	buf = buf[:len(payload)]
-	copy(buf, payload)
-	return ShadowStage{id: id, buf: buf, hash: wire.DeltaBaseHash(buf)}
+// advanceHead overwrites head — the object's buffer as decide handed it out,
+// replaced only when it is too small — with payload and returns the stage
+// entry to accumulate. Both are cache-hot here (Record just wrote one, the
+// diff just read the other), which makes the plain copy cheaper than patching
+// the delta's literal runs in.
+func advanceHead(id uint64, head, payload []byte) ShadowStage {
+	head = append(head[:0], payload...)
+	return ShadowStage{id: id, buf: head, hash: wire.DeltaBaseHash(payload)}
 }
 
-// getBufLocked returns a buffer with capacity for n bytes, recycling a
-// discarded one when it fits.
-func (c *ShadowCache) getBufLocked(n int) []byte {
-	for i := len(c.free) - 1; i >= 0 && i >= len(c.free)-8; i-- {
-		if cap(c.free[i]) >= n {
-			buf := c.free[i]
-			c.free[i] = c.free[len(c.free)-1]
-			c.free[len(c.free)-1] = nil
-			c.free = c.free[:len(c.free)-1]
-			return buf[:0]
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// Stage registers an epoch's payload copies as pending shadows. The epoch
-// stays in flight until CommitEpoch or AbortEpoch resolves it — with a
-// Session attached, Session.Commit/Abort route here (Session.AttachShadow).
-// Staging the same epoch again replaces its entries (a retake under the same
-// epoch after a partial failure).
+// Stage publishes an epoch's advanced heads: each becomes its object's diff
+// base for the records that follow. The epoch stays in flight until
+// CommitEpoch or AbortEpoch resolves it — with a Session attached,
+// Session.Commit/Abort route here (Session.AttachShadow). Staging the same
+// epoch again supersedes (a retake under the same epoch after a partial
+// failure).
 func (c *ShadowCache) Stage(epoch uint64, stages []ShadowStage) {
 	if len(stages) == 0 {
-		return // nothing pending: CommitEpoch and AbortEpoch treat the epoch as empty
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.epochs[epoch]
 	for _, st := range stages {
 		e := c.entries[st.id]
 		if e == nil {
 			e = &shadowEntry{}
 			c.entries[st.id] = e
 		}
-		if n := len(e.pend); n > 0 && e.pend[n-1].epoch == epoch {
-			// Same-epoch restage: the new payload supersedes.
-			c.free = append(c.free, e.pend[n-1].buf)
-			e.pend[n-1] = pendingShadow{epoch: epoch, buf: st.buf, hash: st.hash}
-		} else {
-			e.pend = append(e.pend, pendingShadow{epoch: epoch, buf: st.buf, hash: st.hash})
-			ids = append(ids, st.id)
-		}
-		// The newest pending now matches the object's latest payload in the
-		// stream, so the entry serves diffs again.
-		e.stale = false
-		c.stats.Staged++
+		// The head now matches the object's latest payload in the stream, so
+		// the entry serves diffs again.
+		e.head, e.hash, e.epoch, e.stale = st.buf, st.hash, epoch, false
 	}
-	c.epochs[epoch] = ids
+	c.stats.Staged += len(stages)
 	c.count.Store(int64(len(c.entries)))
 }
 
-// Discard recycles stage entries that never reached Stage: the epoch's fold
-// failed or its body was abandoned before Finish, so the copies were never
-// published and their buffers can be reused directly.
+// Discard stales the entries of stages that never reached Stage: the epoch's
+// fold failed or its body was abandoned before Finish, so the heads were
+// advanced to payloads that are never published. The retake ships those
+// objects in full and re-establishes their heads.
 func (c *ShadowCache) Discard(stages []ShadowStage) {
 	if len(stages) == 0 {
 		return
@@ -342,85 +306,48 @@ func (c *ShadowCache) Discard(stages []ShadowStage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, st := range stages {
-		c.free = append(c.free, st.buf)
+		if e := c.entries[st.id]; e != nil {
+			e.stale = true
+		}
 	}
 }
 
-// CommitEpoch promotes epoch's pending shadows to committed: the epoch's
-// body is durable, so its payloads are now the diff bases for the records
-// that follow. A Full epoch additionally prunes entries it did not stage —
-// objects absent from a full checkpoint are dead (or shrank below the
-// shadowing threshold), and must not linger.
-//
-// Buffers replaced on the commit path are never recycled: an emitter may be
-// diffing against them concurrently (acknowledgements arrive from the log's
-// goroutine), so they are left to the garbage collector.
+// CommitEpoch resolves epoch as durable. The heads it staged already serve as
+// diff bases, so an Incremental commit has nothing to promote. A Full commit
+// prunes the entries neither it nor a later epoch in flight staged — objects
+// absent from a full checkpoint are dead (or shrank below the shadowing
+// threshold), and must not linger.
 func (c *ShadowCache) CommitEpoch(epoch uint64, mode Mode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.epochs[epoch]
-	delete(c.epochs, epoch)
-	for _, id := range ids {
-		e := c.entries[id]
-		if e == nil {
-			continue
-		}
-		for i, p := range e.pend {
-			if p.epoch == epoch {
-				// In-order resolution makes i == 0; older unresolved
-				// pendings (a protocol violation) are dropped with it.
-				e.committed, e.hash = p.buf, p.hash
-				e.pend = append(e.pend[:0], e.pend[i+1:]...)
-				break
-			}
-		}
-	}
 	c.stats.Committed++
 	if mode != Full {
 		return
 	}
-	staged := make(map[uint64]struct{}, len(ids))
-	for _, id := range ids {
-		staged[id] = struct{}{}
-	}
 	for id, e := range c.entries {
-		if _, ok := staged[id]; !ok && len(e.pend) == 0 {
+		if e.epoch < epoch {
 			delete(c.entries, id)
 		}
 	}
 	c.count.Store(int64(len(c.entries)))
 }
 
-// AbortEpoch drops epoch's pending shadows — its body never became part of
-// the stream — and stales every touched entry, conservatively covering
-// pendings of later epochs encoded against the lost payloads. That cover
-// depends on the sticky-failure requirement documented on
-// Session.AttachShadow: a sink must abort every epoch in flight after the
-// first lost one, never commit a later epoch whose delta bases died with an
-// earlier body. The surviving committed shadow is exactly the last
-// committed payload; the entry serves diffs again once a re-marked emit
-// restages it.
+// AbortEpoch resolves epoch as lost — its body never became part of the
+// stream — and stales every entry staged by it or by a later epoch, whose
+// records were encoded against the lost payloads. Later epochs are lost with
+// it by the sticky-failure requirement documented on Session.AttachShadow: a
+// sink must abort every epoch in flight after the first lost one, never
+// commit a later epoch whose delta bases died with an earlier body. An entry
+// serves diffs again once a re-marked emit restages it. Aborts are the rare
+// path, so they pay a scan of the cache rather than every epoch paying to
+// record which ids it staged.
 func (c *ShadowCache) AbortEpoch(epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.epochs[epoch]
-	delete(c.epochs, epoch)
-	for _, id := range ids {
-		e := c.entries[id]
-		if e == nil {
-			continue
-		}
-		kept := e.pend[:0]
-		for _, p := range e.pend {
-			if p.epoch < epoch {
-				kept = append(kept, p)
-			}
-		}
-		for i := len(kept); i < len(e.pend); i++ {
-			e.pend[i] = pendingShadow{}
-		}
-		e.pend = kept
-		e.stale = true
-	}
 	c.stats.Aborted++
+	for _, e := range c.entries {
+		if e.epoch >= epoch {
+			e.stale = true
+		}
+	}
 }

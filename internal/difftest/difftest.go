@@ -263,9 +263,8 @@ func newTake(pop *Population, eng *EngineSpec, st Strategy, roots []ckpt.Checkpo
 			return nil
 		}
 	}
-	// The folder's private session commits a take's epoch — promoting its
-	// staged shadows — when the next take starts, before that take diffs
-	// against them.
+	// The folder's private session commits a take's epoch — and its staged
+	// shadows with it — when the next take starts.
 	var cache *ckpt.ShadowCache
 	if st.Delta {
 		cache = ckpt.NewShadowCache(deltaMin)

@@ -134,9 +134,9 @@ func TestValidateDeltaRejectsGarbage(t *testing.T) {
 }
 
 // FuzzDeltaRoundTrip: for random base/next pairs of equal length,
-// encode-delta followed by apply reproduces next exactly, and applying onto
-// a base of the wrong length errors cleanly instead of corrupting or
-// panicking.
+// encode-delta followed by apply reproduces next exactly — out of place and
+// in place over the base itself — and applying onto a base of the wrong
+// length errors cleanly instead of corrupting or panicking.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Add([]byte("hello world, hello world"), []byte("helloворлд, hello world"), uint8(1))
@@ -160,6 +160,13 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, next) {
 			t.Fatalf("round trip mismatch: %x -> %x, got %x", base, next, got)
+		}
+		// The rebuilder materializes a same-size delta over its own copy of the
+		// base, in place: that must land on next too, exactly as out of place.
+		inPlace := bytes.Clone(base)
+		ApplyValidatedDelta(inPlace, inPlace, e.Bytes())
+		if !bytes.Equal(inPlace, next) {
+			t.Fatalf("in-place apply mismatch: %x -> %x, got %x", base, next, inPlace)
 		}
 		// Wrong-length bases must fail validation, never misapply.
 		short := base[:len(base)-int(chop)%(len(base)+1)]
