@@ -68,7 +68,7 @@ bench-interp:
 # BENCH_delta.json (records GOMAXPROCS and the physical core count), gated by
 # the delta round-trip, shadow-commit coherence, and apply-buffer-reuse tests.
 bench-delta:
-	$(GO) test -count=1 -run 'TestDelta|TestShadow|TestFoldFailureStales|TestRebuilderDelta|TestCheckDeltaCoherence' ./ckpt/ ./wire/
+	$(GO) test -count=1 -run 'TestDelta|TestCopyRuns|TestShadow|TestStageHashes|TestFoldFailureStales|TestRebuilderDelta|TestCheckDeltaCoherence' ./ckpt/ ./wire/
 	$(GO) run ./cmd/ckptbench -experiment delta -reps 45 -warmup 20
 
 # Race leg over the interpreter workload and the zero-copy encode substrate.
@@ -140,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZTIME) ./wire/
+	$(GO) test -run '^$$' -fuzz FuzzDeltaBaseHash4 -fuzztime $(FUZZTIME) ./wire/
 	$(GO) test -run '^$$' -fuzz FuzzInspectBody -fuzztime $(FUZZTIME) ./ckpt/
 	$(GO) test -run '^$$' -fuzz 'FuzzRebuilderApply$$' -fuzztime $(FUZZTIME) ./ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzRebuilderApplyRun -fuzztime $(FUZZTIME) ./ckpt/

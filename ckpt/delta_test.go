@@ -291,7 +291,7 @@ func TestRebuilderDeltaBase(t *testing.T) {
 	payB := append([]byte(nil), payA...)
 	payB[7] ^= 0xff
 	var de wire.Encoder
-	if !wire.AppendDelta(&de, payA, payB, len(payB)) {
+	if !wire.AppendDeltaHashed(&de, payA, wire.DeltaBaseHash(payA), payB, len(payB)) {
 		t.Fatal("delta encode")
 	}
 	deltaAB := de.Bytes()
@@ -362,7 +362,7 @@ func TestCheckDeltaCoherence(t *testing.T) {
 	next := append([]byte(nil), pay...)
 	next[5] ^= 2
 	var de wire.Encoder
-	if !wire.AppendDelta(&de, pay, next, len(next)) {
+	if !wire.AppendDeltaHashed(&de, pay, wire.DeltaBaseHash(pay), next, len(next)) {
 		t.Fatal("delta encode")
 	}
 	delta := de.Bytes()
@@ -399,7 +399,7 @@ func TestRebuilderDeltaReapplyAllocs(t *testing.T) {
 		payB[i*500] ^= 0x3c
 	}
 	var eAB, eBA wire.Encoder
-	if !wire.AppendDelta(&eAB, payA, payB, len(payB)) || !wire.AppendDelta(&eBA, payB, payA, len(payA)) {
+	if !wire.AppendDeltaHashed(&eAB, payA, wire.DeltaBaseHash(payA), payB, len(payB)) || !wire.AppendDeltaHashed(&eBA, payB, wire.DeltaBaseHash(payB), payA, len(payA)) {
 		t.Fatal("delta encode")
 	}
 	full := rawBody(ckpt.Full, 1, func(e *wire.Encoder) { rawRec(e, 1, wire.KindFull, payA) })

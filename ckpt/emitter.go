@@ -15,7 +15,7 @@ import "ickpt/wire"
 //	records: (id uvarint, typeID uvarint, kind byte, payloadLen uvarint, payload)*
 //
 // kind wire.KindFull payloads are Record output as in version 1; kind
-// wire.KindDelta payloads are a copy/patch opcode stream (wire.AppendDelta)
+// wire.KindDelta payloads are a copy/patch opcode stream (wire.AppendDeltaHashed)
 // against the object's previous payload in the stream. Writers without a
 // shadow cache keep producing version 1, byte-identical to before.
 const (
@@ -87,8 +87,10 @@ type Emitter struct {
 	// than the cache's threshold against the object's shadow, shipping the
 	// delta when it wins (see ShadowCache). mode gates the diff: Full
 	// bodies never carry deltas. stages accumulates the heads the epoch's
-	// records advanced; Settle stages them when the epoch ends, or stales
-	// them when its fold failed.
+	// records advanced — fingerprinted in whole groups of hashLanes, the last
+	// one to three waiting for the group to fill or for TakeShadowStages;
+	// Settle stages them when the epoch ends, or stales them when its fold
+	// failed.
 	shadow   *ShadowCache
 	mode     Mode
 	deltaBuf wire.Encoder
@@ -115,12 +117,17 @@ func (em *Emitter) SetShadow(c *ShadowCache) { em.shadow = c }
 // ends, and a parallel fold gathers its detached workers' batches and settles
 // the merged epoch as one. The slice is lent, not given — the emitter's next
 // epoch refills it — so it must be settled before the emitter records again.
+// The heads the four-at-a-time cadence left over are fingerprinted here, on
+// the goroutine that folded them.
 func (em *Emitter) TakeShadowStages() []ShadowStage {
 	if em.shadowSkips > 0 && em.shadow != nil {
 		em.shadow.addSkipped(em.shadowSkips)
 		em.shadowSkips = 0
 	}
 	p := em.stages
+	if rest := len(p) % hashLanes; rest > 0 {
+		hashStages(p[len(p)-rest:])
+	}
 	em.stages = p[:0]
 	return p
 }
@@ -234,6 +241,9 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 	}
 	if stage {
 		em.stages = append(em.stages, advanceHead(em.curID, head, payload))
+		if n := len(em.stages); n%hashLanes == 0 {
+			hashStages(em.stages[n-hashLanes:])
+		}
 	}
 	return kind
 }

@@ -90,7 +90,7 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 	// delta returns next encoded against base, or nil when it does not pay.
 	delta := func(base, next []byte) []byte {
 		de := wire.NewEncoder(len(next))
-		if !wire.AppendDelta(de, base, next, len(next)) {
+		if !wire.AppendDeltaHashed(de, base, wire.DeltaBaseHash(base), next, len(next)) {
 			return nil
 		}
 		return de.Bytes()

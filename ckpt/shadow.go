@@ -252,7 +252,11 @@ func (c *ShadowCache) addSkipped(n int) {
 // ShadowStage is one advanced head bound for the cache: the emitter
 // accumulates them per epoch (advanceHead) and the epoch's driver stages the
 // batch at Finish (Stage) or discards it when the epoch dies before its body
-// completes (Discard). The fields are owned by the cache.
+// completes (Discard). The fields are owned by the cache. hash is the head's
+// fingerprint and is not filled when the stage is created: the emitter hashes
+// its stages four at a time (hashStages) and has hashed all of them by the
+// time TakeShadowStages hands the batch out, so Stage — the only reader —
+// always sees it; Discard never looks.
 type ShadowStage struct {
 	id   uint64
 	buf  []byte
@@ -261,12 +265,31 @@ type ShadowStage struct {
 
 // advanceHead overwrites head — the object's buffer as decide handed it out,
 // replaced only when it is too small — with payload and returns the stage
-// entry to accumulate. Both are cache-hot here (Record just wrote one, the
-// diff just read the other), which makes the plain copy cheaper than patching
-// the delta's literal runs in.
+// entry to accumulate, its hash still to be filled. Both buffers are cache-hot
+// here (Record just wrote one, the diff just read the other), which makes the
+// plain copy cheaper than patching the delta's literal runs in.
 func advanceHead(id uint64, head, payload []byte) ShadowStage {
-	head = append(head[:0], payload...)
-	return ShadowStage{id: id, buf: head, hash: wire.DeltaBaseHash(payload)}
+	return ShadowStage{id: id, buf: append(head[:0], payload...)}
+}
+
+// hashLanes is how many heads hashStages fingerprints side by side.
+const hashLanes = 4
+
+// hashStages fills the hash of up to hashLanes stages. One fingerprint is a
+// serial multiply chain, bound by latency rather than by loads, so four
+// independent chains interleaved (wire.DeltaBaseHash4) finish in little more
+// than the time of one — and the heads of the last four records are still in
+// L2 when the emitter gets here.
+func hashStages(st []ShadowStage) {
+	var lanes [hashLanes][]byte
+	for i := range st {
+		lanes[i] = st[i].buf
+	}
+	var h [hashLanes]uint32
+	h[0], h[1], h[2], h[3] = wire.DeltaBaseHash4(lanes[0], lanes[1], lanes[2], lanes[3])
+	for i := range st {
+		st[i].hash = h[i]
+	}
 }
 
 // Stage publishes an epoch's advanced heads: each becomes its object's diff

@@ -3,6 +3,7 @@ package ckpt_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -129,6 +130,88 @@ func TestFoldFailureStalesAdvancedHeads(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStageHashesFilledBeforeTake: the emitter fingerprints the heads it
+// advances four at a time and the leftovers when its stages are taken, so
+// whatever the number of shadowed records an emitter folds in one epoch —
+// under, at and over a multiple of four, in one writer or split across shard
+// workers — every head the cache goes on to serve carries the hash of its own
+// bytes (the hash the next delta embeds and replay verifies). A fold that
+// fails after j records settles through Discard, which needs no hash: the
+// heads it advanced stop serving, and the retake re-establishes them.
+func TestStageHashesFilledBeforeTake(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	for _, drvName := range []string{"writer", "parfold-w2s4"} {
+		for _, n := range []int{1, 3, 4, 5, 9} {
+			t.Run(fmt.Sprintf("%s/records=%d", drvName, n), func(t *testing.T) {
+				d := ckpt.NewDomain()
+				objs := make([]*seenObj, n)
+				roots := make([]ckpt.Checkpointable, 0, n+2)
+				for i := range objs {
+					objs[i] = &seenObj{lifeObj: lifeObj{blob: *newBlob(d, 256+i, int64(i))}}
+					roots = append(roots, objs[i])
+				}
+				// Two records below the floor ride along unshadowed.
+				roots = append(roots, newBlob(d, lifeFloor/2, 90), newBlob(d, lifeFloor/2, 91))
+				sess, cache := lifeCfg{session: true, delta: true}.parts()
+				var drv lifeDriver = newWriterDriver(t, sess, cache, false)
+				if drvName != "writer" {
+					drv = newFolderDriver(t, sess, cache, 2)
+				}
+				pokeAll := func(at int) {
+					for _, o := range objs {
+						o.poke(at)
+						o.seen = false
+					}
+				}
+				good := func(mode ckpt.Mode) {
+					t.Helper()
+					epoch, err := drv.take(mode, roots)
+					if err != nil {
+						t.Fatalf("take: %v", err)
+					}
+					if err := cache.CheckServingHashes(); err != nil {
+						t.Fatalf("after epoch %d: %v", epoch, err)
+					}
+					drv.ack(epoch)
+				}
+				good(ckpt.Full)
+				if cache.Len() != n {
+					t.Fatalf("cache shadows %d objects, want %d", cache.Len(), n)
+				}
+				pokeAll(3)
+				good(ckpt.Incremental)
+				for j := 1; j <= n; j++ {
+					pokeAll(40 + j)
+					objs[j-1].fail = errLifeTrip
+					if _, err := drv.take(ckpt.Incremental, roots); !errors.Is(err, errLifeTrip) {
+						t.Fatalf("take armed at record %d = %v, want the injected failure", j, err)
+					}
+					for _, o := range objs {
+						if o.seen && cache.CommittedBase(o.info.ID()) != nil {
+							t.Fatalf("failure at record %d: object %d was recorded and its head still serves", j, o.info.ID())
+						}
+					}
+					if err := cache.CheckServingHashes(); err != nil {
+						t.Fatalf("failure at record %d: %v", j, err)
+					}
+					good(ckpt.Incremental) // the retake
+				}
+				if got, want := cache.Stats().Wins, n; got < want {
+					t.Fatalf("%d delta wins, want at least %d", got, want)
+				}
+				rebuilt := rebuildBlobs(t, drv.close())
+				for _, o := range objs {
+					if got := rebuilt[o.info.ID()].(*blob).data; !bytes.Equal(got, o.data) {
+						t.Errorf("object %d rebuilt from the stream differs from the live one", o.info.ID())
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -468,7 +468,7 @@ func TestRecoverRejectsBaselessDeltaLikeTheLog(t *testing.T) {
 	next[5] ^= 1
 	orphan := v2(ckpt.Incremental, 2, func(e *wire.Encoder) {
 		d := wire.NewEncoder(32)
-		if !wire.AppendDelta(d, base, next, len(next)) {
+		if !wire.AppendDeltaHashed(d, base, wire.DeltaBaseHash(base), next, len(next)) {
 			t.Fatal("delta does not pay")
 		}
 		e.Uvarint(9) // id: never recorded by the Full below

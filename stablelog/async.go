@@ -68,10 +68,14 @@ type AsyncWriter struct {
 	bodyHint int // length of the last accepted body: presizes a fresh Reserve encoder
 	dirty    int // segments staged or written since the last fsync
 	syncReq  bool
-	err      error
-	closed   bool
-	stats    AsyncStats
-	done     chan struct{}
+	// failing is set while a failure's acknowledgements are being delivered:
+	// the queue is already empty but err is not published yet, and push and
+	// Flush wait it out (see fail).
+	failing bool
+	err     error
+	closed  bool
+	stats   AsyncStats
+	done    chan struct{}
 
 	// unsynced holds the epochs that left the queue and await their ack: the
 	// current fsync group under a policy, the batch just written without
@@ -199,7 +203,8 @@ func (w *AsyncWriter) policyActive() bool {
 // The body is copied, so the caller may reuse its buffer immediately
 // (checkpoint writers recycle theirs). A producer blocked on a full queue
 // is released with ErrClosed as soon as Close begins, and with the sticky
-// error as soon as one is recorded.
+// error once the acknowledgements of the failure behind it have been
+// delivered (see fail).
 func (w *AsyncWriter) Append(mode ckpt.Mode, epoch uint64, body []byte) error {
 	cp := make([]byte, len(body))
 	copy(cp, body)
@@ -258,7 +263,7 @@ func (w *AsyncWriter) Submit(mode ckpt.Mode, epoch uint64, enc *wire.Encoder) er
 func (w *AsyncWriter) push(item asyncItem) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.queueLimit > 0 && len(w.queue) >= w.queueLimit && w.err == nil && !w.closed {
+	for w.failing || (w.queueLimit > 0 && len(w.queue) >= w.queueLimit && w.err == nil && !w.closed) {
 		w.cond.Wait()
 	}
 	if w.closed {
@@ -306,7 +311,9 @@ func (w *AsyncWriter) recycleLocked(enc *wire.Encoder) {
 // Flush blocks until every enqueued body has been written (or a write has
 // failed) and returns the first write error, if any. With an fsync policy
 // active it additionally forces a group commit, so a nil return means the
-// flushed segments are durable — and their acknowledgements have fired.
+// flushed segments are durable — and their acknowledgements have fired. An
+// error return means the same of the failure: every body it stranded has been
+// acknowledged with it.
 func (w *AsyncWriter) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -314,15 +321,17 @@ func (w *AsyncWriter) Flush() error {
 		return w.err
 	}
 	for w.err == nil {
-		// Re-arm the sync request each pass: a count-triggered group commit
-		// mid-flush consumes syncReq while later bodies are still queued, and
-		// those must be covered by a sync of their own before Flush returns.
-		if w.policyActive() && w.dirty > 0 && !w.syncReq {
-			w.syncReq = true
-			w.cond.Broadcast()
-		}
-		if len(w.queue) == 0 && !w.syncReq && (!w.policyActive() || w.dirty == 0) {
-			break
+		if !w.failing {
+			// Re-arm the sync request each pass: a count-triggered group commit
+			// mid-flush consumes syncReq while later bodies are still queued, and
+			// those must be covered by a sync of their own before Flush returns.
+			if w.policyActive() && w.dirty > 0 && !w.syncReq {
+				w.syncReq = true
+				w.cond.Broadcast()
+			}
+			if len(w.queue) == 0 && !w.syncReq && (!w.policyActive() || w.dirty == 0) {
+				break
+			}
 		}
 		w.cond.Wait()
 	}
@@ -540,13 +549,18 @@ func (w *AsyncWriter) tick() {
 // is counted in Dropped and acknowledged with the error, in append order, so
 // the owning session can abort its epoch. What was staged is dropped from
 // the log with it, so the log lists only segments in the file.
+//
+// The order mirrors doSync's success path: the failure is parked (failing),
+// the acknowledgements are delivered without the lock, and only then is the
+// error published and the waiters released — a caller that sees the error
+// from Flush, Append or Submit finds every epoch it implies already aborted.
+// While the acknowledgements run nothing may enter the emptied queue, so push
+// waits too; an ack callback must therefore never call back into the writer's
+// Append, Submit or Flush.
 func (w *AsyncWriter) fail(cause error) {
 	w.log.unstage()
 	w.mu.Lock()
-	if w.err == nil {
-		w.err = cause
-	}
-	err := w.err
+	w.failing = true
 	for i := range w.queue {
 		w.unsynced = append(w.unsynced, w.queue[i].epoch)
 		w.recycleLocked(w.queue[i].enc)
@@ -554,7 +568,11 @@ func (w *AsyncWriter) fail(cause error) {
 	w.stats.Dropped += uint64(len(w.unsynced))
 	w.queue = nil
 	w.syncReq = false
+	w.mu.Unlock()
+	w.ackUnsynced(cause)
+	w.mu.Lock()
+	w.failing = false
+	w.err = cause
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	w.ackUnsynced(err)
 }

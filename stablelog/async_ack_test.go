@@ -3,6 +3,7 @@ package stablelog_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -140,6 +141,89 @@ func TestAsyncAckStickyError(t *testing.T) {
 	}
 	if st := aw.Stats(); st.Acked != 1 || st.Dropped != 3 {
 		t.Errorf("stats = %+v, want 1 acked, 3 dropped", st)
+	}
+}
+
+// TestAsyncErrorHappensAfterFailureAcks pins the order of a failure: the
+// sticky error becomes visible — to Flush, to a producer in Append — only
+// after every acknowledgement it implies has been delivered, so a caller that
+// reacts to the error finds its session already holding the aborts. The writer
+// goroutine is parked inside its first failure ack; nothing may get past it.
+func TestAsyncErrorHappensAfterFailureAcks(t *testing.T) {
+	m := faultfs.NewMem()
+	l, err := stablelog.Create("a.log", stablelog.WithFS(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	entered := make(chan struct{}) // epoch 1's ack has begun
+	block := make(chan struct{})   // released once epochs 2..4 are queued
+	parked := make(chan struct{})  // the first failure ack has begun
+	release := make(chan struct{}) // lets it, and the acks behind it, finish
+	var delivered atomic.Int32     // failure acks that have returned
+	aw := stablelog.NewAsyncWriter(l, stablelog.WithSyncEvery(1),
+		stablelog.WithAck(func(epoch uint64, err error) {
+			switch {
+			case epoch == 1:
+				close(entered)
+				<-block
+			case epoch == 2:
+				close(parked)
+				<-release
+			}
+			if err != nil {
+				delivered.Add(1)
+			}
+		}))
+	if err := aw.Append(ckpt.Incremental, 1, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for e := uint64(2); e <= 4; e++ {
+		if err := aw.Append(ckpt.Incremental, e, []byte("doomed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.FailWrite(1, 0, syscall.EIO) // epoch 2's write; 3 and 4 are stranded behind it
+	close(block)
+	<-parked
+
+	// The writer sits in epoch 2's failure ack; 3 and 4 have not had theirs.
+	if err := aw.StickyErr(); err != nil {
+		t.Fatalf("sticky error %v visible with %d of 3 failure acks delivered", err, delivered.Load())
+	}
+	type result struct {
+		err   error
+		acked int32
+	}
+	flushed, appended := make(chan result, 1), make(chan result, 1)
+	go func() {
+		err := aw.Flush()
+		flushed <- result{err, delivered.Load()}
+	}()
+	go func() {
+		err := aw.Append(ckpt.Incremental, 5, []byte("late"))
+		appended <- result{err, delivered.Load()}
+	}()
+	select {
+	case r := <-flushed:
+		t.Fatalf("Flush returned %v with the first failure ack still running", r.err)
+	case r := <-appended:
+		t.Fatalf("Append returned %v with the first failure ack still running", r.err)
+	default:
+	}
+	close(release)
+	for name, ch := range map[string]chan result{"Flush": flushed, "Append": appended} {
+		if r := <-ch; !errors.Is(r.err, syscall.EIO) || r.acked != 3 {
+			t.Errorf("%s = %v after %d failure acks, want EIO after all 3", name, r.err, r.acked)
+		}
+	}
+	if err := aw.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close = %v, want EIO", err)
+	}
+	if st := aw.Stats(); st.Acked != 1 || st.Dropped != 3 {
+		t.Errorf("stats = %+v, want 1 acked, 3 dropped (epoch 5 never entered the queue)", st)
 	}
 }
 

@@ -13,3 +13,11 @@ func OpenWindow(path string, window int, opts ...Option) (*Log, error) {
 // GatherSize is the capacity of the staging buffer, for tests that place
 // bodies on either side of it.
 const GatherSize = gatherSize
+
+// StickyErr returns the writer's sticky error as an Append, Submit or Flush
+// arriving right now would find it, without waiting for anything.
+func (w *AsyncWriter) StickyErr() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}

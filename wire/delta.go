@@ -18,13 +18,18 @@
 // aligned restriction (newLen == baseLen) is what buys that; a payload that
 // changes length falls back to a full record at the encoder.
 //
-// The encoder scans word-at-a-time and only ends a literal run for a match
-// of at least minCopyRun bytes, so op framing can never blow up the stream
-// on noisy data; an explicit size limit aborts the encode — before copying
-// literal bytes — as soon as the delta stops paying for itself.
+// The encoder only ends a literal run for a match of at least minCopyRun
+// bytes, so op framing can never blow up the stream on noisy data; an explicit
+// size limit aborts the encode — before copying literal bytes — as soon as the
+// delta stops paying for itself. Literal runs are scanned a word at a time;
+// copy runs are measured in words while a match is short and in whole blocks
+// (bytes.Equal, the runtime's vectorised memequal) once it is long, so a
+// payload that is mostly unchanged costs what a memequal over it costs rather
+// than a compare per word (see matchLong).
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,28 +53,90 @@ var ErrBaseMismatch = errors.New("wire: delta base mismatch")
 // matches cost more in op framing (two uvarints) than they save in bytes.
 const minCopyRun = 8
 
+// The constants of DeltaBaseHash: FNV-1a's 64-bit offset basis and prime.
+const (
+	hashOffset64 = 14695981039346656037
+	hashPrime64  = 1099511628211
+)
+
+// hashStride is how many bytes of each lane one pass of DeltaBaseHash4's
+// outer loop covers.
+const hashStride = 64
+
 // DeltaBaseHash fingerprints a delta base. It is an FNV-style multiply-xor
 // over 64-bit words (byte-exact tail), folded to 32 bits — word-at-a-time
 // because it runs once per shadowed payload per epoch, where byte-wise FNV
-// would cost more than the encode itself.
+// would cost more than the encode itself. The chain is serial — every word
+// waits for the previous multiply — so one call is bound by multiply latency,
+// not by loads; a caller with several payloads to fingerprint runs their
+// chains side by side with DeltaBaseHash4.
 func DeltaBaseHash(b []byte) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64) ^ uint64(len(b))*prime64
+	return hashFold(hashChain(hashSeed(len(b)), b))
+}
+
+// DeltaBaseHash4 returns DeltaBaseHash of each of four buffers. The four
+// chains are independent, so interleaving them in one loop keeps four
+// multiplies in flight where a single chain keeps one: the lanes advance
+// together over their common prefix and each finishes its own remainder
+// alone, so the lengths may differ freely (an unused lane is a nil buffer).
+func DeltaBaseHash4(a, b, c, d []byte) (ha, hb, hc, hd uint32) {
+	h0, h1, h2, h3 := hashSeed(len(a)), hashSeed(len(b)), hashSeed(len(c)), hashSeed(len(d))
+	n := min(len(a), len(b), len(c), len(d)) &^ (hashStride - 1)
+	for i := 0; i < n; i += hashStride {
+		// One bounds check per lane per stride; the words inside are indexed
+		// by constants.
+		pa, pb := (*[hashStride]byte)(a[i:]), (*[hashStride]byte)(b[i:])
+		pc, pd := (*[hashStride]byte)(c[i:]), (*[hashStride]byte)(d[i:])
+		for k := 0; k < hashStride; k += 8 {
+			h0 = (h0 ^ binary.LittleEndian.Uint64(pa[k:])) * hashPrime64
+			h1 = (h1 ^ binary.LittleEndian.Uint64(pb[k:])) * hashPrime64
+			h2 = (h2 ^ binary.LittleEndian.Uint64(pc[k:])) * hashPrime64
+			h3 = (h3 ^ binary.LittleEndian.Uint64(pd[k:])) * hashPrime64
+		}
+	}
+	return hashFold(hashChain(h0, a[n:])), hashFold(hashChain(h1, b[n:])),
+		hashFold(hashChain(h2, c[n:])), hashFold(hashChain(h3, d[n:]))
+}
+
+// hashSeed starts a chain for a buffer of n bytes.
+func hashSeed(n int) uint64 { return hashOffset64 ^ uint64(n)*hashPrime64 }
+
+// hashChain advances h over b: whole little-endian words, then the tail byte
+// by byte.
+func hashChain(h uint64, b []byte) uint64 {
 	for len(b) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * prime64
+		h = (h ^ binary.LittleEndian.Uint64(b)) * hashPrime64
 		b = b[8:]
 	}
 	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
+		h = (h ^ uint64(c)) * hashPrime64
 	}
-	return uint32(h ^ h>>32)
+	return h
 }
 
+// hashFold folds a finished chain to the 32 bits a delta embeds.
+func hashFold(h uint64) uint32 { return uint32(h ^ h>>32) }
+
+// A copy run is measured in two stages. Its first matchWords bytes are
+// compared word by word, inline (matchLen) — scattered edits produce short
+// matches, which must never pay a call. A match that outlives them is handed
+// to matchLong, which lets bytes.Equal (the runtime's vectorised memequal) skip
+// it matchBlock bytes at a time while blocks keep matching, then
+// matchSubBlock bytes at a time to close in on the difference, and drops back
+// to words only inside the one sub-block that differs. The values were picked
+// on BenchmarkAppendDeltaShapes (table in EXPERIMENTS.md): blocks from the
+// first byte made every short match pay two failed memequal calls — 64 KB
+// with 10% scattered single-byte edits took twice as long — and a 64-byte
+// word-first stretch still cost 4 KB at 1% a seventh more; from 128 bytes up
+// no scattered shape is more than a few percent off the plain word loop.
+const (
+	matchWords    = 128
+	matchBlock    = 512
+	matchSubBlock = 64
+)
+
 // matchLen returns the length of the common prefix of a[i:] and b[i:],
-// comparing 8 bytes at a time.
+// comparing 8 bytes at a time. It is small enough to inline.
 func matchLen(a, b []byte, i int) int {
 	n := len(a)
 	j := i
@@ -87,25 +154,35 @@ func matchLen(a, b []byte, i int) int {
 	return j - i
 }
 
+// matchLong returns what matchLen returns, at memequal speed over the blocks
+// that match and at two failed block compares' cost when none does — so it is
+// only worth calling on a match already known to be long.
+func matchLong(a, b []byte, i int) int {
+	n := len(a)
+	j := i
+	for n-j >= matchBlock && bytes.Equal(a[j:j+matchBlock], b[j:j+matchBlock]) {
+		j += matchBlock
+	}
+	for n-j >= matchSubBlock && bytes.Equal(a[j:j+matchSubBlock], b[j:j+matchSubBlock]) {
+		j += matchSubBlock
+	}
+	return j - i + matchLen(a, b, j)
+}
+
 // uvarintLen returns the encoded size of v.
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// AppendDelta encodes next as a delta against base and appends it to e,
-// reporting success. It fails — leaving e untouched — when the lengths
+// AppendDeltaHashed encodes next as a delta against base — whose
+// DeltaBaseHash the caller supplies; shadow caches store it beside the payload
+// so steady-state encoding never rehashes an unchanged base — and appends it
+// to e, reporting success. It fails — leaving e untouched — when the lengths
 // differ (deltas are aligned) or when the delta would exceed limit bytes:
 // past that point shipping the full payload is cheaper than the opcode
 // stream plus the apply cost. The scan aborts before copying literal bytes
 // once the projected size crosses the limit, so a 100%-churned payload costs
 // one comparison sweep, not a wasted encode.
-func AppendDelta(e *Encoder, base, next []byte, limit int) bool {
-	return AppendDeltaHashed(e, base, DeltaBaseHash(base), next, limit)
-}
-
-// AppendDeltaHashed is AppendDelta with the base hash precomputed — shadow
-// caches store the hash beside the payload so steady-state encoding never
-// rehashes an unchanged base.
 func AppendDeltaHashed(e *Encoder, base []byte, baseHash uint32, next []byte, limit int) bool {
 	n := len(next)
 	if len(base) != n {
@@ -116,7 +193,12 @@ func AppendDeltaHashed(e *Encoder, base []byte, baseHash uint32, next []byte, li
 	e.Uint32(baseHash)
 	i := 0
 	for i < n {
-		c := matchLen(base, next, i)
+		// Copy run: words for the first matchWords bytes, blocks beyond.
+		stop := min(n, i+matchWords)
+		c := matchLen(base[:stop], next[:stop], i)
+		if c == matchWords {
+			c += matchLong(base, next, stop)
+		}
 		e.Uvarint(uint64(c))
 		i += c
 		if i == n {

@@ -60,7 +60,7 @@ func (e *Encoder) Grow(n int) {
 }
 
 // Truncate discards everything encoded after offset n, retaining capacity.
-// It is the undo behind speculative encodes: AppendDelta restores the
+// It is the undo behind speculative encodes: AppendDeltaHashed restores the
 // encoder to its starting length when a delta stops paying for itself.
 func (e *Encoder) Truncate(n int) {
 	e.buf = e.buf[:n]
