@@ -126,10 +126,11 @@ difftest:
 # Time-travel suite: rewind equivalence for every trace x engine x strategy
 # (RewindTo(e) byte-identical to the live state at epoch e, before and after
 # retention), the retention/rewind unit and fault sweeps (post-rename
-# Compact faults, retention crash sweep, aborted-epoch skipping), and the
-# harness sweep's O(log T) retained-storage bound.
+# Compact faults, retention crash sweep, aborted-epoch skipping), retention
+# and rewind per stream of a shared log against the single-stream log, and
+# the harness sweep's O(log T) retained-storage bound.
 rewind-check:
-	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain' ./internal/difftest/ ./stablelog/ ./ckpt/ ./cmd/ckptinspect/
+	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
 	$(GO) test -count=1 -run 'TestRewindSweep' ./internal/harness/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body

@@ -8,18 +8,22 @@
 // expensive machinery: a bounded pool of fold workers and one
 // stablelog.AsyncWriter multiplexing every tenant's bodies onto a bounded
 // set of segment files. Epochs on the wire are composite —
-// tenantID<<32 | localEpoch (see WireEpoch/SplitEpoch) — so interleaved
-// segments from different tenants recover independently (Recover filters a
-// shared log down to one tenant's run). The tenant id is the log's stream
-// id, and the filter is a lookup in the per-stream index the log caches
-// (stablelog.Log.StreamRun): a restart — TenantIDs, then Recover per tenant
-// — walks the segment table once and then touches only each tenant's own
-// chain, O(segments) in total rather than O(tenants × segments).
+// tenantID<<32 | localEpoch (see WireEpoch/SplitEpoch). The tenant id is the
+// log's stream id, and the log runs every chain operation per stream, so
+// interleaved segments from different tenants recover, rewind
+// (stablelog.Log.RewindTo at a wire epoch) and are retained
+// (stablelog.Log.Retain) independently, each exactly as on a log holding
+// that tenant alone. Recover is the log's replay at the tenant's latest
+// epoch, and TenantIDs and RecoveryRun are lookups in the chain catalog the
+// log caches: a restart — TenantIDs, then Recover per tenant — walks the
+// segment table once and then touches only each tenant's own chain,
+// O(segments) in total rather than O(tenants × segments).
 //
 // Scheduling is smallest-dirty-first: a tenant with three dirty objects
 // checkpoints before one with three thousand, minimizing mean epoch latency
 // across tenants, with an anti-starvation aging rule — a request passed over
-// too many times is taken next regardless of size — bounding the tail.
+// by four pops per worker is taken next regardless of size — bounding the
+// tail.
 //
 // Admission control bounds the pending-fold queue. Tenant.Request applies
 // backpressure (blocks until the pool drains); Tenant.TryRequest sheds

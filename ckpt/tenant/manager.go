@@ -33,13 +33,6 @@ func WithQueueLimit(n int) Option {
 	return optionFunc(func(m *Manager) { m.queueLimit = n })
 }
 
-// WithAging sets the anti-starvation limit: a pending request passed over n
-// times is scheduled next regardless of dirty-set size. n <= 0 disables
-// aging. The default is 4x the worker count.
-func WithAging(n int) Option {
-	return optionFunc(func(m *Manager) { m.aging = n })
-}
-
 // WithSyncEvery forwards the group-commit count policy to the shared
 // AsyncWriter (see stablelog.WithSyncEvery).
 func WithSyncEvery(n int) Option {
@@ -79,12 +72,13 @@ type Manager struct {
 
 	workers       int
 	queueLimit    int
-	aging         int
 	syncEvery     int
 	syncInterval  time.Duration
 	logQueueLimit int
 	retryN        int
 	retryBackoff  time.Duration
+
+	resume map[uint32]uint64 // per tenant, the latest local epoch already in the log
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -96,11 +90,19 @@ type Manager struct {
 }
 
 // NewManager starts a manager writing to log. The caller must not use log
-// directly until Close returns, and closes log itself afterwards.
+// directly until Close returns, and closes log itself afterwards. A manager
+// restarted over a log that already holds tenants' segments continues each
+// tenant's local epochs after the latest in the log, so every tenant's
+// stream keeps strictly increasing epochs and stays rewindable.
 func NewManager(log *stablelog.Log, opts ...Option) *Manager {
 	m := &Manager{
 		log:     log,
+		resume:  make(map[uint32]uint64),
 		tenants: make(map[uint32]*Tenant),
+	}
+	for _, seg := range log.Segments() {
+		id, local := SplitEpoch(seg.Epoch)
+		m.resume[id] = max(m.resume[id], local)
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for _, o := range opts {
@@ -109,10 +111,9 @@ func NewManager(log *stablelog.Log, opts ...Option) *Manager {
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
-	if m.aging == 0 {
-		m.aging = 4 * m.workers
-	}
-	m.queue.agingLimit = uint64(max(m.aging, 0))
+	// Anti-starvation: once the oldest pending request has waited four pops
+	// per worker, it is scheduled next regardless of its dirty-set size.
+	m.queue.agingLimit = uint64(4 * m.workers)
 
 	awOpts := []stablelog.AsyncOption{stablelog.WithAck(m.ack)}
 	if m.syncEvery > 0 {
@@ -143,7 +144,7 @@ func (m *Manager) Tenant(id uint32) *Tenant {
 	defer m.mu.Unlock()
 	t, ok := m.tenants[id]
 	if !ok {
-		t = &Tenant{id: id, m: m}
+		t = &Tenant{id: id, m: m, epoch: m.resume[id]}
 		m.tenants[id] = t
 	}
 	return t
@@ -275,6 +276,5 @@ func (m *Manager) LogStats() stablelog.AsyncStats {
 
 // String summarizes the manager configuration.
 func (m *Manager) String() string {
-	return fmt.Sprintf("tenant.Manager{workers:%d queue:%d aging:%d}",
-		m.workers, m.queueLimit, m.aging)
+	return fmt.Sprintf("tenant.Manager{workers:%d queue:%d}", m.workers, m.queueLimit)
 }

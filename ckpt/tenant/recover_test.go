@@ -1,7 +1,7 @@
 package tenant_test
 
-// TenantIDs and RecoveryRun are lookups in the stream index the log caches.
-// These tests hold the index to the two linear filters it replaced, through
+// TenantIDs and RecoveryRun are lookups in the chain catalog the log caches.
+// These tests hold the catalog to the two linear filters it replaced, through
 // its whole life cycle, and pin its cost by counting.
 
 import (
@@ -141,8 +141,19 @@ func TestStreamIndexMatchesLinearFilter(t *testing.T) {
 	}
 }
 
+// runEpochs returns the epochs of a run.
+func runEpochs(run []stablelog.SegmentInfo) []uint64 {
+	out := make([]uint64, len(run))
+	for i, seg := range run {
+		out[i] = seg.Epoch
+	}
+	return out
+}
+
 // TestStreamIndexDroppedByRetain: a rewrite renumbers every segment, so the
-// index built before it must not survive it.
+// index built before it must not survive it — and compacting a log two
+// tenants share keeps each one's latest run, not the file's last Full and
+// whatever follows it.
 func TestStreamIndexDroppedByRetain(t *testing.T) {
 	m := faultfs.NewMem()
 	l, err := stablelog.Create("r.log", stablelog.WithFS(m))
@@ -152,22 +163,40 @@ func TestStreamIndexDroppedByRetain(t *testing.T) {
 	defer l.Close()
 	rng := rand.New(rand.NewSource(7))
 	local := make(map[uint32]uint64)
-	interleave(t, l, rng, []uint32{7}, 0xFFFF, local, 120)
+	ids := []uint32{7, 9}
+	interleave(t, l, rng, ids, 0xFFFF, local, 120)
 	checkAgainstFilters(t, "before Retain", l)
 	before := len(l.Segments())
+	want := make(map[uint32][]uint64)
+	for _, id := range ids {
+		run, err := tenant.RecoveryRun(l, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = runEpochs(run)
+	}
 
 	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
 		t.Fatal(err)
 	}
-	if after := len(l.Segments()); after >= before {
-		t.Fatalf("Retain kept %d of %d segments; the test needs a dead prefix", after, before)
+	after := l.Segments()
+	if len(after) >= before {
+		t.Fatalf("Retain kept %d of %d segments; the test needs a dead prefix", len(after), before)
 	}
 	checkAgainstFilters(t, "after Retain", l)
-	run, err := tenant.RecoveryRun(l, 7)
-	if err != nil || run[0].Seq != 1 {
-		t.Fatalf("after Retain: run = %v, %v; want it to start at the rewritten segment 1", run, err)
+	kept := 0
+	for _, id := range ids {
+		run, err := tenant.RecoveryRun(l, id)
+		if err != nil || !slices.Equal(runEpochs(run), want[id]) {
+			t.Fatalf("after Retain: tenant %d run = %v, %v; want its latest run %v", id, run, err, want[id])
+		}
+		kept += len(run)
 	}
-	interleave(t, l, rng, []uint32{7}, 0xFFFF, local, 10)
+	if len(after) != kept || after[0].Seq != 1 {
+		t.Fatalf("after Retain: %d segments from seq %d; want the %d of the tenants' runs, renumbered from 1",
+			len(after), after[0].Seq, kept)
+	}
+	interleave(t, l, rng, ids, 0xFFFF, local, 10)
 	checkAgainstFilters(t, "appends after Retain", l)
 }
 

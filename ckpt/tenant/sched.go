@@ -50,7 +50,7 @@ func (q *schedQueue) Pop() *Tenant {
 		q.fifo = q.fifo[1:]
 	}
 	var r *request
-	if len(q.fifo) > 0 && q.agingLimit > 0 && q.pops-q.fifo[0].seq > q.agingLimit {
+	if len(q.fifo) > 0 && q.pops-q.fifo[0].seq > q.agingLimit {
 		r = q.fifo[0]
 		q.fifo[0] = nil
 		q.fifo = q.fifo[1:]

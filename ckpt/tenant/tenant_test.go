@@ -430,6 +430,122 @@ func TestRequestCoalesces(t *testing.T) {
 	}
 }
 
+// TestRestartContinuesEpochs: a manager restarted over a shared log picks
+// every tenant's local epochs up after the log's, so the tenant's stream
+// stays strictly increasing and every epoch in it rewinds.
+func TestRestartContinuesEpochs(t *testing.T) {
+	lg := newLog(t)
+	w := synth.Build(synth.Shape{Structures: 4, ListLen: 4, Kind: synth.Ints1})
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		m := tenant.NewManager(lg, tenant.WithWorkers(1), tenant.WithSyncEvery(1))
+		tn := m.Tenant(3)
+		if err := tn.Init(w.Domain, nil, w.Roots()...); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			tn.Update(func() { w.MutateEvery(0.5) })
+			if err := tn.Request(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var locals []uint64
+	for _, seg := range lg.Segments() {
+		_, local := tenant.SplitEpoch(seg.Epoch)
+		locals = append(locals, local)
+	}
+	if want := []uint64{1, 2, 3, 4}; fmt.Sprint(locals) != fmt.Sprint(want) {
+		t.Fatalf("local epochs across a restart = %v, want %v", locals, want)
+	}
+	for _, local := range locals {
+		if _, err := lg.RewindTo(ckpt.NewRebuilder(synth.Registry()), tenant.WireEpoch(3, local)); err != nil {
+			t.Fatalf("RewindTo(local %d): %v", local, err)
+		}
+	}
+	if got, want := recoveredDump(t, lg, 3), liveDump(t, w); !bytes.Equal(got, want) {
+		t.Fatal("recovery after a restart differs from the live graph")
+	}
+}
+
+// appendEpoch appends one checkpoint of w at a tenant's local epoch, as the
+// tenant's fold writes it.
+func appendEpoch(t *testing.T, lg *stablelog.Log, w *synth.Workload, id uint32, mode ckpt.Mode, local uint64) {
+	t.Helper()
+	wr := ckpt.NewWriter()
+	wr.StartAt(mode, tenant.WireEpoch(id, local))
+	if err := w.CheckpointGeneric(wr); err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := wr.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Append(mode, tenant.WireEpoch(id, local), body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRestartedNumbering: a manager that did not resume a tenant's
+// epochs began them again at 1 on restart, and logs written that way hold
+// streams like Full@1, Inc@2, Full@1, Inc@2. Such a stream's latest run is
+// coherent, so it recovers — through tenant.Recover and, on a one-stream
+// log, through Log.Recover alike — and the epochs since the restart rewind.
+func TestRecoverRestartedNumbering(t *testing.T) {
+	for _, ids := range [][]uint32{{7}, {7, 9}} {
+		lg := newLog(t)
+		loads := make(map[uint32]*synth.Workload)
+		for i, id := range ids {
+			loads[id] = synth.Build(synth.Shape{Structures: 4 + i, ListLen: 3, Kind: synth.Ints1})
+		}
+		for restart := 0; restart < 2; restart++ {
+			for local, mode := range []ckpt.Mode{ckpt.Full, ckpt.Incremental} {
+				for _, id := range ids {
+					loads[id].MutateEvery(0.5)
+					appendEpoch(t, lg, loads[id], id, mode, uint64(local+1))
+				}
+			}
+		}
+		for _, id := range ids {
+			if got, want := recoveredDump(t, lg, id), liveDump(t, loads[id]); !bytes.Equal(got, want) {
+				t.Fatalf("tenants %v: tenant %d recovered state differs from the live graph", ids, id)
+			}
+			for local := uint64(1); local <= 2; local++ {
+				st, err := lg.RewindTo(ckpt.NewRebuilder(synth.Registry()), tenant.WireEpoch(id, local))
+				if err != nil || st.Segments != int(local) {
+					t.Fatalf("tenants %v: RewindTo(tenant %d, local %d) = %+v, %v; want the chain since the restart",
+						ids, id, local, st, err)
+				}
+			}
+		}
+		if len(ids) > 1 {
+			continue
+		}
+		if _, err := lg.EpochIndex(); !errors.Is(err, stablelog.ErrIncoherent) {
+			t.Fatalf("EpochIndex over a repeated epoch = %v, want ErrIncoherent", err)
+		}
+		byTenant, byLog := ckpt.NewRebuilder(synth.Registry()), ckpt.NewRebuilder(synth.Registry())
+		if err := tenant.Recover(lg, ids[0], byTenant); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Recover(byLog); err != nil {
+			t.Fatalf("Log.Recover = %v; tenant.Recover recovered the same stream", err)
+		}
+		if byLog.Objects() != byTenant.Objects() || byLog.MaxID() != byTenant.MaxID() {
+			t.Fatalf("Log.Recover rebuilt %d objects up to id %d, tenant.Recover %d up to %d",
+				byLog.Objects(), byLog.MaxID(), byTenant.Objects(), byTenant.MaxID())
+		}
+	}
+}
+
 // TestRecoverNoFull: a tenant with no full anchor on the log fails recovery
 // with stablelog.ErrNoFull instead of replaying nonsense.
 func TestRecoverNoFull(t *testing.T) {
@@ -490,10 +606,9 @@ func TestRecoverRejectsBaselessDeltaLikeTheLog(t *testing.T) {
 		if !errors.Is(err, stablelog.ErrIncoherent) || !errors.Is(err, ckpt.ErrDeltaBase) {
 			t.Errorf("tenant.Recover(%d) = %v, want ErrIncoherent naming ErrDeltaBase", id, err)
 		}
-		if id == 0 {
-			if lerr := lg.Recover(rb); !errors.Is(lerr, stablelog.ErrIncoherent) || !errors.Is(lerr, ckpt.ErrDeltaBase) {
-				t.Errorf("Log.Recover = %v, want the same classes as tenant.Recover's %v", lerr, err)
-			}
+		// A log holding one stream is Log.Recover's, whatever the stream id.
+		if lerr := lg.Recover(rb); !errors.Is(lerr, stablelog.ErrIncoherent) || !errors.Is(lerr, ckpt.ErrDeltaBase) {
+			t.Errorf("stream %d: Log.Recover = %v, want the same classes as tenant.Recover's %v", id, lerr, err)
 		}
 		if rb.Objects() != 0 {
 			t.Errorf("stream %d: rejected chain left %d objects", id, rb.Objects())

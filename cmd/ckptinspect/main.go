@@ -16,12 +16,15 @@
 // sub-object delta layer bought.
 //
 // With -verify it instead checks the log end-to-end — framing, checksums,
-// body structure, chain coherence (strictly increasing epochs and
-// full-anchored runs, over the whole retained chain; delta records must
-// have an in-run base), and that the recovery run applies cleanly —
-// distinguishes a torn tail from mid-log corruption, flags a stale
-// compaction temp file, and prints the rewindable epoch catalog. It exits
-// non-zero if the log is not fully intact.
+// body structure, chain coherence (strictly increasing epochs and a
+// full-anchored recovery run; delta records must have an in-run base), and
+// that the recovery run applies cleanly — distinguishes a torn tail from
+// mid-log corruption, flags a stale compaction temp file and a stream whose
+// epochs go backwards (its history before that point does not rewind), and
+// prints the rewindable epoch catalog. A log that
+// several streams share (ckpt/tenant) is checked stream by stream, one line
+// each, and a failure names its stream. It exits non-zero if the log is not
+// fully intact.
 package main
 
 import (
@@ -125,11 +128,21 @@ func run(path string, records, types bool, diff string) error {
 			seg.Seq, seg.Mode, seg.Epoch, seg.Length, info.Records)
 	}
 
-	if run, err := log.RecoveryRun(); err == nil {
-		fmt.Printf("recovery run: segments %d..%d (%d bodies)\n",
-			run[0].Seq, run[len(run)-1].Seq, len(run))
+	printRun := func(label string, run []stablelog.SegmentInfo, err error) {
+		if err != nil {
+			fmt.Printf("%s: %v\n", label, err)
+			return
+		}
+		fmt.Printf("%s: segments %d..%d (%d bodies)\n", label, run[0].Seq, run[len(run)-1].Seq, len(run))
+	}
+	if ids := log.StreamIDs(); len(ids) > 1 {
+		for _, id := range ids { // a shared log: one run per stream
+			run, err := log.StreamRun(id)
+			printRun(fmt.Sprintf("stream %d recovery run", id), run, err)
+		}
 	} else {
-		fmt.Printf("recovery run: %v\n", err)
+		run, err := log.RecoveryRun()
+		printRun("recovery run", run, err)
 	}
 
 	if types {
@@ -244,6 +257,7 @@ func verifyLog(path string) error {
 
 	segs := log.Segments()
 	fmt.Printf("%s: %d segments\n", path, len(segs))
+	last := make(map[uint32]uint64) // per stream (docs/FORMAT.md), its latest epoch
 	for _, seg := range segs {
 		body, err := log.Read(seg.Seq) // re-checks the payload checksum
 		if err != nil {
@@ -255,46 +269,73 @@ func verifyLog(path string) error {
 		}
 		fmt.Printf("  seq %-4d %-11s epoch %-4d %8d bytes  %5d records  ok\n",
 			seg.Seq, seg.Mode, seg.Epoch, seg.Length, info.Records)
+		id := uint32(seg.Epoch >> 32)
+		if prev, ok := last[id]; ok && seg.Epoch <= prev {
+			fmt.Printf("warning: stream %d: epoch %d after %d at seq %d; its history before seq %d does not rewind\n",
+				id, seg.Epoch, prev, seg.Seq, seg.Seq)
+		}
+		last[id] = seg.Epoch
 	}
 
-	if len(segs) == 0 {
+	ids := log.StreamIDs()
+	if len(ids) == 0 {
 		fmt.Println("verify: OK (empty log)")
 		return nil
 	}
-	run, err := log.RecoveryRun()
+	if len(ids) == 1 {
+		run, objects, err := verifyStream(log, ids[0])
+		if err != nil {
+			return err
+		}
+		if idx, err := log.EpochIndex(); err == nil {
+			epochs := idx.Epochs()
+			fmt.Printf("  epoch catalog: %d rewindable epochs (%d..%d)\n",
+				len(epochs), epochs[0], epochs[len(epochs)-1])
+		}
+		fmt.Printf("verify: OK — recovery run %d..%d (%d bodies) applies, %d live objects\n",
+			run[0].Seq, run[len(run)-1].Seq, len(run), objects)
+		return nil
+	}
+	// A shared log: each stream is its own chain.
+	total := 0
+	for _, id := range ids {
+		run, objects, err := verifyStream(log, id)
+		if err != nil {
+			return fmt.Errorf("stream %d: %w", id, err)
+		}
+		fmt.Printf("  stream %d: recovery run %d..%d (%d bodies) applies, %d live objects\n",
+			id, run[0].Seq, run[len(run)-1].Seq, len(run), objects)
+		total += objects
+	}
+	fmt.Printf("verify: OK — %d streams recover, %d live objects\n", len(ids), total)
+	return nil
+}
+
+// verifyStream checks one stream's chain and recovers it, returning its
+// latest run and how many objects that run rebuilds.
+func verifyStream(log *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, int, error) {
+	run, err := log.StreamRun(id)
 	if err != nil {
-		return fmt.Errorf("no usable recovery run: %w", err)
+		return nil, 0, fmt.Errorf("no usable recovery run: %w", err)
 	}
 	if err := stablelog.ValidateRun(run); err != nil {
-		return fmt.Errorf("incoherent recovery run: %w", err)
+		return nil, 0, fmt.Errorf("incoherent recovery run: %w", err)
 	}
 	// Delta records add a cross-body dependency the segment framing cannot
 	// see: every patch needs an earlier payload for the same object in the
 	// same run. Reject a baseless delta here by name, rather than letting
 	// replay surface it as a generic recovery failure.
 	if _, err := log.ReadRun(run); errors.Is(err, stablelog.ErrIncoherent) {
-		return fmt.Errorf("baseless delta in recovery run: %w", err)
+		return nil, 0, fmt.Errorf("baseless delta in recovery run: %w", err)
 	} else if err != nil {
-		return err
+		return nil, 0, err
 	}
-	// The epoch index validates the whole retained chain (strictly
-	// increasing epochs, full-anchored runs), not just the latest run — an
-	// incoherent older chain would poison RewindTo even when Recover works.
-	idx, err := log.EpochIndex()
-	if err != nil {
-		return fmt.Errorf("incoherent segment chain: %w", err)
-	}
-	if epochs := idx.Epochs(); len(epochs) > 0 {
-		fmt.Printf("  epoch catalog: %d rewindable epochs (%d..%d)\n",
-			len(epochs), epochs[0], epochs[len(epochs)-1])
-	}
+	// Rewinding to the head recovers the stream.
 	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
-	if err := log.Recover(rb); err != nil {
-		return fmt.Errorf("recovery run does not apply: %w", err)
+	if _, err := log.RewindTo(rb, run[len(run)-1].Epoch); err != nil {
+		return nil, 0, fmt.Errorf("recovery run does not apply: %w", err)
 	}
-	fmt.Printf("verify: OK — recovery run %d..%d (%d bodies) applies, %d live objects\n",
-		run[0].Seq, run[len(run)-1].Seq, len(run), rb.Objects())
-	return nil
+	return run, rb.Objects(), nil
 }
 
 // diffSegments compares the object records of two segments.

@@ -6,6 +6,7 @@ import (
 	"syscall"
 	"testing"
 
+	"ickpt/ckpt"
 	"ickpt/ckpt/tenant"
 	"ickpt/internal/faultfs"
 	"ickpt/internal/synth"
@@ -86,6 +87,44 @@ func verifyTenants(t *testing.T, lg *stablelog.Log, fixtures []tenantFixture, ta
 	}
 }
 
+// retainAndRewindTenants runs binomial retention over the shared log, then
+// holds every tenant's recovery, and its rewind to its latest epoch, to its
+// live graph byte for byte: retention and rewind run per tenant, as on a log
+// holding that tenant alone.
+func retainAndRewindTenants(t *testing.T, lg *stablelog.Log, fixtures []tenantFixture, tag string) {
+	t.Helper()
+	if err := lg.Retain(stablelog.Binomial{Window: 4, Tail: 1}); err != nil {
+		t.Fatalf("%s: Retain: %v", tag, err)
+	}
+	for _, fx := range fixtures {
+		live, err := SnapshotDump(&Population{Roots: fx.w.Roots()})
+		if err != nil {
+			t.Fatalf("%s: tenant %d live dump: %v", tag, fx.id, err)
+		}
+		run, err := tenant.RecoveryRun(lg, fx.id)
+		if err != nil {
+			t.Fatalf("%s: tenant %d recovery run after Retain: %v", tag, fx.id, err)
+		}
+		_, latest := tenant.SplitEpoch(run[len(run)-1].Epoch)
+		recovered, rewound := ckpt.NewRebuilder(synth.Registry()), ckpt.NewRebuilder(synth.Registry())
+		if err := tenant.Recover(lg, fx.id, recovered); err != nil {
+			t.Fatalf("%s: tenant %d Recover after Retain: %v", tag, fx.id, err)
+		}
+		if _, err := lg.RewindTo(rewound, tenant.WireEpoch(fx.id, latest)); err != nil {
+			t.Fatalf("%s: tenant %d RewindTo(%d) after Retain: %v", tag, fx.id, latest, err)
+		}
+		for what, rb := range map[string]*ckpt.Rebuilder{"Recover": recovered, "RewindTo": rewound} {
+			dump, err := rebuilderDump(rb)
+			if err != nil {
+				t.Fatalf("%s: tenant %d %s dump: %v", tag, fx.id, what, err)
+			}
+			if !bytes.Equal(dump, live) {
+				t.Fatalf("%s: tenant %d %s after Retain differs from the live graph", tag, fx.id, what)
+			}
+		}
+	}
+}
+
 // TestTenantTransientFaultSweep: three tenants interleave epochs onto a
 // shared log over a fault-injected filesystem; a one-shot write or sync
 // fault is armed under each round in turn. The manager's retry policy
@@ -152,6 +191,7 @@ func tenantTransientFaultSweep(t *testing.T, every int) {
 					}
 				}
 				verifyTenants(t, lg, fixtures, "transient")
+				retainAndRewindTenants(t, lg, fixtures, "transient")
 			})
 		}
 	}
@@ -258,6 +298,7 @@ func tenantStickyFaultRecovery(t *testing.T, every int) {
 		}
 	}
 	verifyTenants(t, lg2, fixtures, "sticky")
+	retainAndRewindTenants(t, lg2, fixtures, "sticky")
 }
 
 // TestTenantStickySweepPerRound arms the hard failure under each round in

@@ -427,6 +427,79 @@ func TestCrashSweepRetain(t *testing.T) {
 
 	possible := [][][]byte{payloads, withPost}
 	runCrashSweep(t, m, possible, acks)
+
+	t.Run("two-streams", crashSweepRetainStreams)
+}
+
+// crashSweepRetainStreams: compacting a log two streams share keeps each
+// stream's latest run, atomically. At every cut the log is the raw history
+// or the compacted one, and from the last append on, both streams recover
+// their latest state.
+func crashSweepRetainStreams(t *testing.T) {
+	m := faultfs.NewMem()
+	l, err := stablelog.Create(sweepLog, stablelog.WithFS(m), stablelog.WithSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Mark("created")
+	// Local epochs 1..6 of streams 1 and 2, interleaved; stream 1 is
+	// re-anchored at 5, stream 2 at 6, so the file's last Full is stream 2's.
+	lastFull := map[uint64]uint64{1: 5, 2: 6}
+	var payloads, compacted [][]byte
+	acks := map[string][]crashExpectation{"created": {{}}}
+	for e := uint64(1); e <= 6; e++ {
+		for _, s := range []uint64{1, 2} {
+			mode := ckpt.Incremental
+			if e == 1 || e == lastFull[s] {
+				mode = ckpt.Full
+			}
+			body := v1Body(mode, s<<32|e, e)
+			if _, err := l.Append(mode, s<<32|e, body); err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, body)
+			if e >= lastFull[s] {
+				compacted = append(compacted, body)
+			}
+			m.Mark(fmt.Sprintf("ack-%d", len(payloads)))
+		}
+	}
+	for i := range payloads {
+		acks[fmt.Sprintf("ack-%d", i+1)] = []crashExpectation{crashExpectation(payloads[:i+1]), compacted}
+	}
+	if err := l.Retain(stablelog.KeepLastRun{}); err != nil {
+		t.Fatal(err)
+	}
+	m.Mark("retained")
+	acks["retained"] = []crashExpectation{compacted}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runCrashSweep(t, m, [][][]byte{payloads, compacted}, acks)
+
+	whole := map[string]bool{fmt.Sprintf("ack-%d", len(payloads)): true, "retained": true}
+	for _, p := range m.CrashPlan() {
+		marks := m.CrashMarks(p)
+		if len(marks) == 0 || !whole[marks[len(marks)-1]] {
+			continue
+		}
+		desc := fmt.Sprintf("cut{op=%d partial=%d lossy=%v marks=%v}", p.Op, p.Partial, p.Lossy, marks)
+		lg, err := stablelog.Open(sweepLog, stablelog.WithFS(faultfs.NewMemFromState(m.CrashState(p))), stablelog.WithTruncateTorn())
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		for s, full := range lastFull {
+			run, err := lg.StreamRun(uint32(s))
+			if err != nil || run[0].Epoch != s<<32|full {
+				t.Fatalf("%s: stream %d: run %v, %v; want it anchored at local epoch %d", desc, s, run, err, full)
+			}
+			rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+			if _, err := lg.RewindTo(rb, run[len(run)-1].Epoch); err != nil || rb.MaxID() != 6 {
+				t.Fatalf("%s: stream %d does not recover its latest state: %v (max id %d)", desc, s, err, rb.MaxID())
+			}
+		}
+		lg.Close()
+	}
 }
 
 // TestCrashSweepRecoveryAfterRecovery: a crash during the truncation of a

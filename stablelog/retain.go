@@ -4,11 +4,13 @@
 // Retention keeps it able to answer "what was the state at epoch e?" for a
 // useful set of e without keeping everything: Retain rewrites the log to a
 // policy-chosen subset of its full+incremental chains, and RewindTo replays
-// the cheapest retained chain ending at a requested epoch. The Binomial
+// the cheapest retained chain ending at a requested epoch. Both work on one
+// stream at a time (stream.go), so a shared log retains and rewinds each of
+// its domains exactly as a log holding that domain alone would. The Binomial
 // policy follows the checkpoint-placement theory of binomial /
 // divide-and-conquer checkpointing: one chain anchor per power-of-two age
-// bucket, so rewinding T epochs back costs O(log T) retained storage and a
-// bounded replay.
+// bucket, so rewinding T epochs back costs O(log T) retained storage per
+// stream and a bounded replay.
 package stablelog
 
 import (
@@ -16,7 +18,6 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"ickpt/ckpt"
 )
@@ -25,10 +26,11 @@ import (
 type RetentionPolicy interface {
 	// Keep returns one mark per segment (aligned with segs: marks[i]
 	// corresponds to segs[i]) saying whether the policy wants it retained.
-	// Retain post-processes the marks: the latest recovery run is always
-	// kept regardless, and an incremental whose chain prefix was dropped is
-	// dropped too — a chain is only replayable whole, so a policy cannot
-	// punch holes in one.
+	// Retain calls it once per stream with that stream's segments alone, in
+	// log order, and post-processes the marks: the stream's latest recovery
+	// run is always kept regardless, and an incremental whose chain prefix
+	// was dropped is dropped too — a chain is only replayable whole, so a
+	// policy cannot punch holes in one.
 	Keep(segs []SegmentInfo) []bool
 }
 
@@ -114,10 +116,14 @@ func (b Binomial) Keep(segs []SegmentInfo) []bool {
 }
 
 // Retain rewrites the log to the subset of segments the policy keeps,
-// renumbering segments from 1 and preserving epochs and modes. The latest
-// recovery run is always kept, so Retain never loses the ability to Recover
-// the newest state; an incremental whose prefix the policy dropped is
-// dropped with it (see RetentionPolicy.Keep).
+// renumbering segments from 1 and preserving epochs, modes and the
+// interleaving of streams. It decides per stream: the policy sees one
+// stream's segments at a time, that stream's latest recovery run is always
+// kept, so Retain never loses the ability to recover any stream's newest
+// state, and an incremental whose prefix in its stream was dropped is
+// dropped with it (see RetentionPolicy.Keep) — so a stream with no full
+// checkpoint, which has nothing replayable, is dropped whole. A log with no
+// full checkpoint in any stream fails with ErrNoFull and is left alone.
 //
 // The rewrite is atomic and durable: it writes a sibling temporary file,
 // fsyncs it, renames it over the log, and fsyncs the parent directory so the
@@ -137,26 +143,31 @@ func (l *Log) Retain(policy RetentionPolicy) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	run, err := l.RecoveryRun()
-	if err != nil {
-		return err
-	}
-	segs := l.Segments()
-	marked := policy.Keep(segs)
-	if len(marked) != len(segs) {
-		return fmt.Errorf("stablelog: retention policy returned %d marks for %d segments",
-			len(marked), len(segs))
-	}
-	for _, seg := range run {
-		marked[seg.Seq-1] = true
-	}
-	// Chain closure repair: a kept incremental survives only if its whole
-	// prefix back to a full survived.
+	c := l.catalog()
+	segs := c.segs
 	kept := make([]bool, len(segs))
-	for i, m := range marked {
-		if m && (segs[i].Mode == ckpt.Full || (i > 0 && kept[i-1])) {
-			kept[i] = true
+	anchored := false
+	for _, id := range c.ids {
+		x := c.streams[id]
+		own := x.segments(0, len(x.pos))
+		marked := policy.Keep(own)
+		if len(marked) != len(own) {
+			return fmt.Errorf("stablelog: retention policy returned %d marks for the %d segments of stream %d",
+				len(marked), len(own), id)
 		}
+		latest := len(own) // the latest run starts here, if there is one
+		if n := len(x.fulls); n > 0 {
+			latest, anchored = int(x.fulls[n-1]), true
+		}
+		// Chain closure repair: a kept incremental survives only if its
+		// whole prefix in the stream back to a full survived.
+		for i, p := range x.pos {
+			kept[p] = (marked[i] || i >= latest) &&
+				(own[i].Mode == ckpt.Full || i > 0 && kept[x.pos[i-1]])
+		}
+	}
+	if !anchored {
+		return ErrNoFull
 	}
 
 	tmp := l.path + ".compact"
@@ -214,7 +225,7 @@ func (l *Log) commitRewrite() error {
 		commitErr = fmt.Errorf("close replaced log handle: %w: %w", ErrIO, err)
 	}
 	l.f = nil
-	l.idx, l.idxLen, l.str = nil, 0, nil
+	l.cat = nil
 	f, err := l.fs.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
 		return l.poison(fmt.Errorf("reopen renamed log: %w", err))
@@ -254,148 +265,6 @@ func (e *EpochUnavailableError) Error() string {
 // Unwrap makes errors.Is(err, ErrEpochUnavailable) hold.
 func (e *EpochUnavailableError) Unwrap() error { return ErrEpochUnavailable }
 
-// EpochIndex is the log's epoch catalog: which epochs are rebuildable and
-// which chain rebuilds each, derived from the segment index alone — no body
-// is re-read. Chain selection is a binary search, O(log n) in the number of
-// retained segments. The index reflects the log as of the EpochIndex call
-// that produced it; Append extends it and Retain rebuilds it.
-type EpochIndex struct {
-	segs    []SegmentInfo
-	fullPos []int // positions of full checkpoints, ascending
-}
-
-// newEpochIndex validates that epochs are strictly increasing across the
-// segments (the invariant every search below leans on) and builds the
-// catalog.
-func newEpochIndex(segs []SegmentInfo) (*EpochIndex, error) {
-	x := &EpochIndex{segs: segs}
-	for i, seg := range segs {
-		if i > 0 && seg.Epoch <= segs[i-1].Epoch {
-			return nil, fmt.Errorf("%w: epoch not increasing at seq %d (%d after %d)",
-				ErrIncoherent, seg.Seq, seg.Epoch, segs[i-1].Epoch)
-		}
-		if seg.Mode == ckpt.Full {
-			x.fullPos = append(x.fullPos, i)
-		}
-	}
-	return x, nil
-}
-
-// extend appends newly scanned segments to the catalog.
-func (x *EpochIndex) extend(segs []SegmentInfo) error {
-	for _, seg := range segs {
-		if n := len(x.segs); n > 0 && seg.Epoch <= x.segs[n-1].Epoch {
-			return fmt.Errorf("%w: epoch not increasing at seq %d (%d after %d)",
-				ErrIncoherent, seg.Seq, seg.Epoch, x.segs[n-1].Epoch)
-		}
-		if seg.Mode == ckpt.Full {
-			x.fullPos = append(x.fullPos, len(x.segs))
-		}
-		x.segs = append(x.segs, seg)
-	}
-	return nil
-}
-
-// EpochIndex returns the log's epoch catalog, building it on first use and
-// extending it incrementally as segments are appended. It fails with
-// ErrIncoherent if the log's epochs are not strictly increasing.
-func (l *Log) EpochIndex() (*EpochIndex, error) {
-	if err := l.usable(); err != nil {
-		return nil, err
-	}
-	switch {
-	case l.idx != nil && l.idxLen == len(l.segs):
-	case l.idx != nil && l.idxLen < len(l.segs):
-		if err := l.idx.extend(l.segs[l.idxLen:]); err != nil {
-			l.idx, l.idxLen = nil, 0
-			return nil, err
-		}
-		l.idxLen = len(l.segs)
-	default:
-		idx, err := newEpochIndex(l.Segments())
-		if err != nil {
-			return nil, err
-		}
-		l.idx, l.idxLen = idx, len(l.segs)
-	}
-	return l.idx, nil
-}
-
-// pos returns the position of the segment recorded at exactly epoch, or
-// (insertion point, false).
-func (x *EpochIndex) pos(epoch uint64) (int, bool) {
-	return slices.BinarySearchFunc(x.segs, epoch, func(s SegmentInfo, e uint64) int {
-		switch {
-		case s.Epoch < e:
-			return -1
-		case s.Epoch > e:
-			return 1
-		}
-		return 0
-	})
-}
-
-// Epochs returns every rebuildable epoch in ascending order: the epochs of
-// all segments at or after the first full checkpoint. Segments before the
-// first full have no chain anchor and cannot be rebuilt.
-func (x *EpochIndex) Epochs() []uint64 {
-	if len(x.fullPos) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(x.segs)-x.fullPos[0])
-	for _, seg := range x.segs[x.fullPos[0]:] {
-		out = append(out, seg.Epoch)
-	}
-	return out
-}
-
-// Latest returns the newest rebuildable epoch, or (0, false) if none.
-func (x *EpochIndex) Latest() (uint64, bool) {
-	if len(x.fullPos) == 0 {
-		return 0, false
-	}
-	return x.segs[len(x.segs)-1].Epoch, true
-}
-
-// unavailable builds the structured not-retained error for epoch.
-func (x *EpochIndex) unavailable(epoch uint64) error {
-	e := &EpochUnavailableError{Epoch: epoch}
-	if len(x.fullPos) == 0 {
-		return e
-	}
-	first := x.fullPos[0]
-	p, _ := x.pos(epoch)
-	if p-1 >= first {
-		e.Before = x.segs[p-1].Epoch
-	}
-	if after := max(p, first); after < len(x.segs) && x.segs[after].Epoch > epoch {
-		e.After = x.segs[after].Epoch
-	}
-	return e
-}
-
-// Chain returns the cheapest replay chain for epoch: the nearest full
-// checkpoint at or before it, through the segment recorded at exactly that
-// epoch. A target that is not a retained, rebuildable epoch fails with an
-// *EpochUnavailableError naming the nearest retained neighbors; a log with
-// no full checkpoint at all fails with ErrNoFull.
-func (x *EpochIndex) Chain(epoch uint64) ([]SegmentInfo, error) {
-	if len(x.fullPos) == 0 {
-		return nil, ErrNoFull
-	}
-	p, ok := x.pos(epoch)
-	if !ok || p < x.fullPos[0] {
-		return nil, x.unavailable(epoch)
-	}
-	// Last full at or before p.
-	fi, found := slices.BinarySearch(x.fullPos, p)
-	if !found {
-		fi--
-	}
-	f := x.fullPos[fi]
-	return slices.Clone(x.segs[f : p+1]), nil
-}
-
 // RewindStats summarizes what a RewindTo replayed.
 type RewindStats struct {
 	// Segments is the chain length: one full plus its incremental suffix.
@@ -407,9 +276,12 @@ type RewindStats struct {
 }
 
 // RewindTo rebuilds into rb the state recorded at epoch — time travel over
-// the retained history. It selects the cheapest retained chain (the nearest
-// full checkpoint at or before epoch, plus the incremental suffix through
-// epoch) via the epoch catalog, validates it, and replays it.
+// the retained history of the epoch's stream (its high 32 bits; on a shared
+// log the other streams are not consulted). It selects the cheapest retained
+// chain (the nearest full checkpoint of the stream at or before epoch, plus
+// the incremental suffix through epoch) via the stream's epoch catalog,
+// validates it, and replays it. Rewinding a stream to its latest epoch is
+// recovering it.
 //
 // The replay is atomic on rb: validation runs first, every payload is read
 // (ReadRun: one gathered read, each payload CRC-checked) before anything is
@@ -421,17 +293,16 @@ type RewindStats struct {
 //
 // A target epoch that was aged out by retention — or aborted and never
 // committed — fails with an *EpochUnavailableError carrying the nearest
-// retained epochs (see ErrEpochUnavailable).
+// retained epochs (see ErrEpochUnavailable). On a stream whose epochs go
+// backwards somewhere, a chain reaching back across the last such point
+// fails with ErrIncoherent (see EpochIndex.Chain); its latest run, like any
+// chain after that point, still replays.
 func (l *Log) RewindTo(rb *ckpt.Rebuilder, epoch uint64) (RewindStats, error) {
 	var st RewindStats
 	if err := l.usable(); err != nil {
 		return st, err
 	}
-	idx, err := l.EpochIndex()
-	if err != nil {
-		return st, err
-	}
-	chain, err := idx.Chain(epoch)
+	chain, err := l.catalog().stream(streamOf(epoch)).Chain(epoch)
 	if err != nil {
 		return st, err
 	}

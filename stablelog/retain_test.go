@@ -492,7 +492,11 @@ func TestValidateRun(t *testing.T) {
 		{"single-full", []stablelog.SegmentInfo{seg(1, 1, ckpt.Full)}, true},
 		{"chain", []stablelog.SegmentInfo{seg(3, 7, ckpt.Full), seg(4, 9, ckpt.Incremental)}, true},
 		{"mid-run-full", []stablelog.SegmentInfo{seg(1, 1, ckpt.Full), seg(2, 2, ckpt.Full)}, false},
-		{"seq-jump", []stablelog.SegmentInfo{seg(1, 1, ckpt.Full), seg(3, 2, ckpt.Incremental)}, false},
+		// Other streams' segments sit between a shared log's run.
+		{"seq-gap", []stablelog.SegmentInfo{seg(1, 1, ckpt.Full), seg(3, 2, ckpt.Incremental)}, true},
+		{"seq-repeat", []stablelog.SegmentInfo{seg(2, 1, ckpt.Full), seg(2, 2, ckpt.Incremental)}, false},
+		{"seq-decrease", []stablelog.SegmentInfo{seg(2, 1, ckpt.Full), seg(1, 2, ckpt.Incremental)}, false},
+		{"two-streams", []stablelog.SegmentInfo{seg(1, 1<<32|1, ckpt.Full), seg(2, 2<<32|2, ckpt.Incremental)}, false},
 		{"epoch-repeat", []stablelog.SegmentInfo{seg(1, 4, ckpt.Full), seg(2, 4, ckpt.Incremental)}, false},
 		{"epoch-decrease", []stablelog.SegmentInfo{seg(1, 4, ckpt.Full), seg(2, 3, ckpt.Incremental)}, false},
 	}

@@ -14,13 +14,15 @@
 // parsed and every payload's CRC verified out of the same large reads — so
 // what it allocates does not depend on any length field in the file.
 //
-// A restart then asks the log two kinds of question, and both are answered
-// from indexes cached on the Log that are built on first use, extended over
-// newly appended segments on later calls, and dropped when Retain rewrites
-// the file: [Log.EpochIndex] (which epochs are rebuildable, by which chain)
-// and the stream index behind [Log.StreamIDs] and [Log.StreamRun] (which
-// domains share this log, and each one's latest chain). Appending never
-// touches either.
+// Every chain operation runs per stream — the high 32 bits of a segment's
+// epoch (docs/FORMAT.md) — so a log shared by many domains gets the same
+// recovery, rewind and retention as a single-domain log, which is a log with
+// one stream. The questions a restart asks — which streams share this log
+// ([Log.StreamIDs]), each one's latest chain ([Log.StreamRun]), which epochs
+// are rebuildable and by which chain ([Log.RewindTo], [EpochIndex]) — are
+// answered from one catalog cached on the Log: built on first use, extended
+// over newly appended segments on later calls, and dropped when Retain
+// rewrites the file. Appending never touches it.
 //
 // The exact durability guarantees — which operations fsync which file or
 // directory, and what survives a power cut — are documented in
@@ -73,10 +75,11 @@ var (
 	// write to an unlinked file no future Open could ever see.
 	ErrWedged = errors.New("stablelog: log handle lost after rewrite; reopen the path")
 	// ErrIncoherent reports a recovery run or rewind chain whose segments do
-	// not form a valid chain: epochs not strictly increasing, an incremental
-	// not anchored to a preceding full, or non-consecutive sequence numbers.
-	// A CRC-valid but hand-edited (or collision-corrupted) history is
-	// rejected rather than silently applied.
+	// not form a valid chain: epochs not strictly increasing within a stream,
+	// an incremental not anchored to a preceding full, or a run that mixes
+	// streams — including a call that names no stream on a log several
+	// streams share. A CRC-valid but hand-edited (or collision-corrupted)
+	// history is rejected rather than silently applied.
 	ErrIncoherent = errors.New("stablelog: incoherent segment chain")
 	// ErrEpochUnavailable reports a RewindTo target that is not retained:
 	// either never written or aged out by a retention policy. The concrete
@@ -117,12 +120,7 @@ type Log struct {
 	wbuf []byte
 	pend []SegmentInfo
 
-	// Epoch catalog cache, maintained by EpochIndex (see retain.go).
-	idx    *EpochIndex
-	idxLen int // segments covered by idx
-
-	// Per-stream chain index, maintained by streams (see stream.go).
-	str *streamIndex
+	cat *catalog // per-stream chain catalog, maintained by catalog (see stream.go)
 }
 
 // usable reports why the log cannot be operated on, or nil.
@@ -553,26 +551,15 @@ func (l *Log) Read(seq uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// RecoveryRun returns the segments needed to reconstruct the latest state:
-// the most recent full checkpoint and every incremental after it, in order.
-// It returns ErrNoFull if the log contains no full checkpoint.
-func (l *Log) RecoveryRun() ([]SegmentInfo, error) {
-	for i := len(l.segs) - 1; i >= 0; i-- {
-		if l.segs[i].Mode == ckpt.Full {
-			run := make([]SegmentInfo, len(l.segs)-i)
-			copy(run, l.segs[i:])
-			return run, nil
-		}
-	}
-	return nil, ErrNoFull
-}
-
-// ValidateRun checks that run is a coherent replay chain: non-empty, anchored
-// by a full checkpoint, consecutive sequence numbers, strictly increasing
-// epochs, and no second full mid-run. Segment framing CRCs protect individual
-// payloads, but nothing in the framing ties segments to each other — a
-// hand-edited (or collision-corrupted) history could otherwise replay
-// silently into nonsense. Violations return an error wrapping ErrIncoherent.
+// ValidateRun checks that run is a coherent replay chain of one stream:
+// non-empty, anchored by a full checkpoint, no second full mid-run, every
+// segment in the anchor's stream, sequence numbers and epochs strictly
+// increasing. Segment framing CRCs protect individual payloads, but nothing
+// in the framing ties segments to each other — a hand-edited (or
+// collision-corrupted) history could otherwise replay silently into
+// nonsense. Other streams' segments may sit between a run's, so sequence
+// numbers need not be consecutive. Violations return an error wrapping
+// ErrIncoherent.
 func ValidateRun(run []SegmentInfo) error {
 	if len(run) == 0 {
 		return fmt.Errorf("%w: empty run", ErrIncoherent)
@@ -582,13 +569,15 @@ func ValidateRun(run []SegmentInfo) error {
 	}
 	for i := 1; i < len(run); i++ {
 		prev, cur := run[i-1], run[i]
-		if cur.Mode != ckpt.Incremental {
+		switch {
+		case cur.Mode != ckpt.Incremental:
 			return fmt.Errorf("%w: full checkpoint mid-run (seq %d)", ErrIncoherent, cur.Seq)
-		}
-		if cur.Seq != prev.Seq+1 {
-			return fmt.Errorf("%w: seq jumps %d -> %d", ErrIncoherent, prev.Seq, cur.Seq)
-		}
-		if cur.Epoch <= prev.Epoch {
+		case streamOf(cur.Epoch) != streamOf(run[0].Epoch):
+			return fmt.Errorf("%w: seq %d is in stream %d, the run in stream %d",
+				ErrIncoherent, cur.Seq, streamOf(cur.Epoch), streamOf(run[0].Epoch))
+		case cur.Seq <= prev.Seq:
+			return fmt.Errorf("%w: seq not increasing (%d after %d)", ErrIncoherent, cur.Seq, prev.Seq)
+		case cur.Epoch <= prev.Epoch:
 			return fmt.Errorf("%w: epoch not increasing at seq %d (%d after %d)",
 				ErrIncoherent, cur.Seq, cur.Epoch, prev.Epoch)
 		}
@@ -596,9 +585,12 @@ func ValidateRun(run []SegmentInfo) error {
 	return nil
 }
 
-// Recover applies the recovery run to rb, reading each segment's payload.
-// The run is validated first (see ValidateRun) and applied atomically: on any
-// error — incoherent chain, read failure, corrupt body — rb is unchanged.
+// Recover applies the recovery run of a log holding one stream to rb,
+// reading each segment's payload. The run is validated first (see
+// ValidateRun) and applied atomically: on any error — incoherent chain, read
+// failure, corrupt body — rb is unchanged. A log shared by several streams
+// fails with ErrIncoherent naming the stream count; replay one of its
+// streams with RewindTo at that stream's latest epoch.
 func (l *Log) Recover(rb *ckpt.Rebuilder) error {
 	if err := l.usable(); err != nil {
 		return err
