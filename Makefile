@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race cover bench bench-short bench-smoke bench-pairs bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint race cover bench bench-short bench-smoke bench-pairs race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -48,40 +48,9 @@ bench-pairs:
 	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [S=30]"; exit 2; }
 	bash scripts/benchpairs.sh $(W) $(N) $(S)
 
-# Dirty-set density sweep: O(dirty) mark-queue fold vs incremental traversal
-# at 0.1%..100% modification density, written as BENCH_dirtyset.json, plus
-# the zero-allocation steady-state regression test.
-bench-dirty:
-	$(GO) test -count=1 -run 'TestSteadyStateDirtyFoldAllocsZero|TestSteadyStateNilEmitDirtyFoldAllocsZero|TestPooledEncoderAllocsZero' ./ckpt/ ./wire/
-	$(GO) run ./cmd/ckptbench -experiment dirtyset -n 20000 -reps 7 -warmup 2
-
-# Interpreter workload sweep: zero-copy log handoff (Reserve/SwapEncoder/
-# Submit) vs the copying Append baseline across program size x allocation
-# churn, written as BENCH_interp.json, gated by the zero-allocation regression tests
-# for the mutation step and the fused dirty fold under interpreter churn.
-bench-interp:
-	$(GO) test -count=1 -run 'TestMutationStepAllocsZero|TestInterpDirtyEpochAllocsZero' ./internal/interp/
-	$(GO) run ./cmd/ckptbench -experiment interp -reps 7 -warmup 2
-
-# Sub-object delta sweep: payload size x mutated byte fraction,
-# delta-encoding writer vs plain writer on twin populations, written as
-# BENCH_delta.json (records GOMAXPROCS and the physical core count), gated by
-# the delta round-trip, shadow-commit coherence, and apply-buffer-reuse tests.
-bench-delta:
-	$(GO) test -count=1 -run 'TestDelta|TestCopyRuns|TestShadow|TestStageHashes|TestFoldFailureStales|TestRebuilderDelta|TestCheckDeltaCoherence' ./ckpt/ ./wire/
-	$(GO) run ./cmd/ckptbench -experiment delta -reps 45 -warmup 20
-
 # Race leg over the interpreter workload and the zero-copy encode substrate.
 race-interp:
 	$(GO) test -race -count=1 ./internal/interp/ ./ckpt/ ./wire/ ./stablelog/
-
-# Multi-tenant service sweep: tenant count x churn rate x worker count over
-# one shared worker pool and AsyncWriter log, written as
-# BENCH_multitenant.json (records GOMAXPROCS and the physical core count),
-# gated by the workers=1 inline-path speedup floor.
-bench-multitenant:
-	$(GO) test -count=1 -run 'TestWorkers1RunsInline|TestWorkers1SpeedupFloor|TestSteadyStateFoldClearSetRecycled' ./ckpt/parfold/
-	$(GO) run ./cmd/ckptbench -experiment multitenant -reps 7 -warmup 2
 
 # Race leg over the multi-tenant service, its scheduler, and the parallel
 # fold (includes the shared-log fault sweeps in difftest, and the dirty fold
@@ -128,10 +97,11 @@ difftest:
 # retention), the retention/rewind unit and fault sweeps (post-rename
 # Compact faults, retention crash sweep, aborted-epoch skipping), retention
 # and rewind per stream of a shared log against the single-stream log, and
-# the harness sweep's O(log T) retained-storage bound.
+# the binomial schedule's O(log T) bounds: retained segments, a retained byte
+# share that shrinks with the history, and short rewind chains
+# (TestRetainBinomialSchedule, TestRetainBinomialSublinear).
 rewind-check:
 	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
-	$(GO) test -count=1 -run 'TestRewindSweep' ./internal/harness/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body
 # decoder, the rebuilder, and the log's Open scan against its per-segment

@@ -170,6 +170,98 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaBodyBytes counts what delta encoding ships against a plain writer
+// on a twin population: 32 fixed-width blobs under WithDeltaEncoding(512),
+// every payload rewritten at churn × its width of rng-scattered offsets per
+// epoch. Scattered single-byte rewrites are the encoder's hardest profitable
+// case: every changed byte opens its own literal run.
+func TestDeltaBodyBytes(t *testing.T) {
+	const (
+		blobs  = 32
+		floor  = 512
+		epochs = 6
+	)
+	cases := []struct {
+		size   int
+		churn  float64
+		lo, hi float64 // delta bytes / plain bytes over the incrementals
+		deltas bool    // the incrementals carry delta records
+	}{
+		{4096, 0.01, 0, 0.35, true},
+		{4096, 0.10, 0, 0.35, true},
+		{65536, 0.01, 0, 0.35, true},
+		{65536, 0.10, 0, 0.35, true},
+		// Rewriting every byte leaves nothing to copy: the budget refuses
+		// the delta and the full payload ships.
+		{4096, 1, 0.95, 1.01, false},
+		{65536, 1, 0.95, 1.01, false},
+		// At or below the floor shadowing is bypassed (lo = hi = 0 asks for
+		// the exact count): the plain body's bytes plus the one kind byte
+		// per record that version-2 framing adds.
+		{256, 0.01, 0, 0, false},
+		{256, 0.10, 0, 0, false},
+		{256, 1, 0, 0, false},
+	}
+	// incrementals runs the schedule and returns the incremental bodies'
+	// total size and delta record count.
+	incrementals := func(size int, churn float64, opts ...ckpt.WriterOption) (n, deltas int) {
+		d := ckpt.NewDomain()
+		objs := make([]*blob, blobs)
+		for i := range objs {
+			objs[i] = newBlob(d, size, int64(i))
+		}
+		rng := rand.New(rand.NewSource(int64(size) + int64(churn*1000)))
+		w := ckpt.NewWriter(opts...)
+		for e := 0; e <= epochs; e++ {
+			mode := ckpt.Full
+			if e > 0 {
+				mode = ckpt.Incremental
+				for _, b := range objs {
+					for k := max(int(churn*float64(size)), 1); k > 0; k-- {
+						b.data[rng.Intn(size)] ^= byte(1 + rng.Intn(255))
+					}
+					b.info.Mark()
+				}
+			}
+			w.Start(mode)
+			for _, b := range objs {
+				if err := w.Checkpoint(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			body, _, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e == 0 {
+				continue
+			}
+			info, err := ckpt.InspectBodyKinds(body, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(body)
+			deltas += info.Deltas
+		}
+		return n, deltas
+	}
+	for _, c := range cases {
+		plain, _ := incrementals(c.size, c.churn)
+		delta, deltas := incrementals(c.size, c.churn, ckpt.WithDeltaEncoding(floor))
+		if c.hi == 0 {
+			if want := plain + blobs*epochs; delta != want {
+				t.Errorf("%d B at %.0f%% churn: delta body %d bytes, want %d", c.size, c.churn*100, delta, want)
+			}
+		} else if ratio := float64(delta) / float64(plain); ratio < c.lo || ratio > c.hi {
+			t.Errorf("%d B at %.0f%% churn: delta body %.3f× the plain body, want [%.2f, %.2f]",
+				c.size, c.churn*100, ratio, c.lo, c.hi)
+		}
+		if (deltas > 0) != c.deltas {
+			t.Errorf("%d B at %.0f%% churn: %d delta records, want any: %v", c.size, c.churn*100, deltas, c.deltas)
+		}
+	}
+}
+
 // TestDeltaAbortKeepsCommittedBase: aborting an epoch leaves no diff base
 // behind (the shadow holds the lost payload, stale), the next emit of the
 // aborted object ships a full record, and the surviving bodies rebuild to the

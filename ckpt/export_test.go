@@ -20,3 +20,18 @@ func (c *ShadowCache) CheckServingHashes() error {
 	}
 	return nil
 }
+
+// CommittedBase returns a copy of the base the next emit of id would be
+// diffed against: the object's head, or nil when it has none or the entry is
+// stale. Tests assert the commit/abort contract with it (an abort must leave
+// no base behind). Emitters patch heads outside the cache's lock, so it must
+// not be called concurrently with a fold on the same cache.
+func (c *ShadowCache) CommittedBase(id uint64) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[id]
+	if e == nil || e.stale {
+		return nil
+	}
+	return append([]byte(nil), e.head...)
+}

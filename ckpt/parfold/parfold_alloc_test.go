@@ -15,9 +15,9 @@ import (
 // its epoch clear-set (or its body buffer) every epoch. Before the fix, the
 // folder took each epoch's clear-set out of the emitter and stranded it in
 // lastClears without ever retiring it to the pool, so every fold re-paid the
-// full append growth cascade — ~2.5x wall time on the dirty-set-heavy
-// incremental cells of BENCH_parallel.json, the dominant part of the old
-// "parallel fold loses at workers=1" regression. Mallocs are counted, not
+// full append growth cascade — ~2.5x wall time on dirty-set-heavy
+// incremental folds, the dominant part of the old "parallel fold loses at
+// workers=1" regression. Mallocs are counted, not
 // timed, so the test is immune to scheduler noise.
 func TestSteadyStateFoldClearSetRecycled(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)

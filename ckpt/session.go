@@ -173,6 +173,10 @@ type SessionStats struct {
 	// ForcedFull counts NextMode calls that upgraded a requested
 	// Incremental checkpoint to Full because the session was degraded.
 	ForcedFull int
+	// LateAcks counts nil acknowledgements for epochs the session had
+	// already aborted because an earlier epoch was lost. Each commits
+	// nothing and degrades the session.
+	LateAcks int
 }
 
 // Session tracks the clear-sets of in-flight checkpoint epochs and resolves
@@ -204,6 +208,7 @@ type Session struct {
 	mu       sync.Mutex
 	resolver InfoResolver
 	pending  map[uint64]*epochClears
+	lost     map[uint64]bool // aborted with an earlier epoch, ack still due
 	degraded bool
 	stats    SessionStats
 }
@@ -285,15 +290,8 @@ func (s *Session) Observe(epoch uint64, mode Mode, clears []ClearEntry) {
 // pending it has already resolved — as an abort, since no body was ever
 // handed out — so the staged shadows are staled immediately.
 //
-// Sticky-failure requirement: a sink driving a shadow-attached session must
-// not commit an epoch after aborting an earlier one — once epoch E is lost,
-// every later in-flight epoch must abort too. Later epochs may carry deltas
-// encoded against E's payloads; committing one would put a delta in the
-// durable stream whose base body never entered it, making recovery fail
-// with ErrDeltaBase. stablelog.AsyncWriter satisfies this by construction
-// (its first unrecovered error is sticky and fails all subsequent appends);
-// a custom sink that can drop one body and persist the next must instead
-// abort all in-flight epochs on the first failure (Session.AbortAll).
+// Once a shadow is attached, failure is sticky: Abort(E) aborts every later
+// pending epoch too (see Abort).
 func (s *Session) AttachShadow(epoch uint64, c *ShadowCache) {
 	if c == nil {
 		return
@@ -312,12 +310,20 @@ func (s *Session) AttachShadow(epoch uint64, c *ShadowCache) {
 // Commit resolves epoch as durable: its clear-set is dropped, and a
 // committed Full checkpoint clears the session's degraded state (everything
 // live is recaptured by a full body, so nothing can be stale). It reports
-// whether the epoch was pending.
+// whether the epoch was pending. Committing an epoch Abort already took down
+// with an earlier one commits nothing: the body may diff against a payload
+// that never became durable, so the session degrades until a Full re-anchors
+// the stream.
 func (s *Session) Commit(epoch uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ec, ok := s.pending[epoch]
 	if !ok {
+		if s.lost[epoch] {
+			delete(s.lost, epoch)
+			s.stats.LateAcks++
+			s.degraded = true
+		}
 		return false
 	}
 	delete(s.pending, epoch)
@@ -338,15 +344,36 @@ func (s *Session) Commit(epoch uint64) bool {
 // when one is set; ids the resolver cannot cover are counted and degrade
 // the session, so NextMode forces a Full checkpoint that recaptures
 // everything live regardless. It returns the number of objects re-marked.
+//
+// When epoch has a shadow cache attached, every later pending epoch aborts
+// with it: their bodies may carry deltas against epoch's payloads, and a
+// delta whose base never became durable fails recovery with ErrDeltaBase.
+// A sink that persists one of those bodies anyway reports it through a nil
+// ack, which Commit answers by forcing the next checkpoint to Full.
 func (s *Session) Abort(epoch uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ec, ok := s.pending[epoch]
 	if !ok {
+		delete(s.lost, epoch)
 		return 0
 	}
 	delete(s.pending, epoch)
-	return s.abortLocked(ec)
+	sticky := ec.shadow != nil
+	n := s.abortLocked(ec)
+	if sticky {
+		for e, later := range s.pending {
+			if e > epoch {
+				delete(s.pending, e)
+				n += s.abortLocked(later)
+				if s.lost == nil {
+					s.lost = make(map[uint64]bool)
+				}
+				s.lost[e] = true
+			}
+		}
+	}
+	return n
 }
 
 // AbortAll aborts every pending epoch — the teardown path after a sticky
@@ -404,8 +431,9 @@ func (s *Session) Ack(epoch uint64, err error) {
 	}
 }
 
-// Degraded reports whether an abort left state no resolver could cover, so
-// that only a Full checkpoint restores the incremental invariant.
+// Degraded reports whether an abort left state no resolver could cover, or a
+// late ack put a body with a lost delta base in the stream, so that only a
+// Full checkpoint restores the incremental invariant.
 func (s *Session) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

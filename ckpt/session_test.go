@@ -1,12 +1,15 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/internal/faultfs"
+	"ickpt/stablelog"
 	"ickpt/wire"
 )
 
@@ -244,6 +247,70 @@ func TestSessionAbortAll(t *testing.T) {
 	}
 	if got := modifiedCount(rootsA) + modifiedCount(rootsB); got != 5 {
 		t.Fatalf("%d flags set after AbortAll, want 5", got)
+	}
+}
+
+// TestSessionAbortIsSticky: a sink that loses one delta-encoded body and
+// persists the next. The later body diffs against the lost one's payload, so
+// the session aborts it with the lost one; its late nil ack commits nothing
+// and forces a Full, and the log recovers from that anchor without
+// ErrDeltaBase.
+func TestSessionAbortIsSticky(t *testing.T) {
+	lg, err := stablelog.Create("sticky.log", stablelog.WithFS(faultfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	b := newBlob(ckpt.NewDomain(), 2048, 1)
+	s := ckpt.NewSession()
+	w := ckpt.NewWriter(ckpt.WithSession(s), ckpt.WithDeltaEncoding(64))
+	take := func(mode ckpt.Mode) (ckpt.Mode, []byte, uint64) {
+		t.Helper()
+		w.Start(mode)
+		if err := w.Checkpoint(b); err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mode, bytes.Clone(body), w.Epoch()
+	}
+	persist := func(mode ckpt.Mode, body []byte, epoch uint64) {
+		t.Helper()
+		if _, err := lg.Append(mode, epoch, body); err != nil {
+			t.Fatal(err)
+		}
+		s.Ack(epoch, nil)
+	}
+
+	persist(take(ckpt.Full))
+	b.poke(10)
+	_, _, lost := take(ckpt.Incremental)
+	b.poke(20)
+	mode, body, epoch := take(ckpt.Incremental)
+	s.Ack(lost, errors.New("dropped"))
+	persist(mode, body, epoch)
+
+	b.poke(30)
+	if mode = s.NextMode(ckpt.Incremental); mode != ckpt.Full {
+		t.Errorf("next mode after a late ack = %v, want Full", mode)
+	}
+	persist(take(mode))
+	if st := s.Stats(); st.LateAcks != 1 || st.Commits != 2 || st.Aborts != 2 {
+		t.Errorf("stats = %+v, want 1 late ack, 2 commits, 2 aborts", st)
+	}
+
+	rb := ckpt.NewRebuilder(blobRegistry(t))
+	if err := lg.Recover(rb); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	objs, err := rb.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := objs[b.info.ID()].(*blob); !bytes.Equal(got.data, b.data) {
+		t.Fatal("recovered blob differs from the live one")
 	}
 }
 

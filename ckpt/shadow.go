@@ -130,21 +130,6 @@ func (c *ShadowCache) Stats() ShadowStats {
 	return c.stats
 }
 
-// CommittedBase returns a copy of the base the next emit of id would be
-// diffed against: the object's head, or nil when it has none or the entry is
-// stale. It exists for tests asserting the commit/abort contract (an abort
-// must leave no base behind). Emitters patch heads outside the cache's lock,
-// so it must not be called concurrently with a fold on the same cache.
-func (c *ShadowCache) CommittedBase(id uint64) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[id]
-	if e == nil || e.stale {
-		return nil
-	}
-	return append([]byte(nil), e.head...)
-}
-
 // decide is the per-record policy call, made by the emitter before framing a
 // payload of n bytes for id. It returns the object's head buffer (nil before
 // its first staging), whether to attempt a delta against it (diff; hash is

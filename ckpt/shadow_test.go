@@ -528,12 +528,11 @@ func TestShadowHeadMatchesStream(t *testing.T) {
 				}
 			default: // abort an in-flight epoch and every later one
 				if inflight > 0 {
+					// The session takes every later epoch down with it.
 					k := rng.Intn(inflight)
-					lost := m.epochs[len(m.epochs)-inflight+k:]
-					for _, e := range lost {
-						s.Abort(e.epoch)
-					}
-					m.drop(lost[0].epoch)
+					lost := m.epochs[len(m.epochs)-inflight+k].epoch
+					s.Abort(lost)
+					m.drop(lost)
 					inflight = k
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/internal/synth"
 )
 
 // trackedFixture builds n points as separate roots (ascending ids), drains
@@ -127,6 +128,56 @@ func TestDirtyFoldMatchesTraversal(t *testing.T) {
 	}
 	if tr.Dirty() != 0 {
 		t.Fatal("queue not drained by Take")
+	}
+}
+
+// TestDirtyFoldVisitsDirtySet counts the O(dirty) claim across modification
+// densities on the synthetic workload: the dirty fold visits exactly the
+// objects modified since the last epoch, the incremental traversal every live
+// object, whatever the density. Twin populations keep either strategy from
+// consuming the other's flags.
+func TestDirtyFoldVisitsDirtySet(t *testing.T) {
+	shape := synth.Shape{Structures: 40, ListLen: 5, Kind: synth.Ints10}
+	for _, density := range []float64{0.001, 0.01, 1} {
+		trav, dirty := synth.Build(shape), synth.Build(shape)
+		for _, w := range []*synth.Workload{trav, dirty} {
+			if err := w.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := ckpt.NewTracker()
+		dirty.Domain.AttachTracker(tr)
+		if err := tr.Watch(dirty.Roots()...); err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			trav.MutateEvery(density)
+			modified := dirty.MutateEvery(density)
+
+			w := ckpt.NewWriter()
+			w.Start(ckpt.Incremental)
+			if err := trav.CheckpointGeneric(w); err != nil {
+				t.Fatal(err)
+			}
+			_, tstats, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Start(ckpt.Incremental)
+			if err := w.CheckpointDirty(tr, nil); err != nil {
+				t.Fatal(err)
+			}
+			_, dstats, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dstats.Visited != modified {
+				t.Errorf("density %g epoch %d: dirty fold visited %d, modified %d", density, epoch, dstats.Visited, modified)
+			}
+			if live := trav.Objects(); tstats.Visited != live {
+				t.Errorf("density %g epoch %d: traversal visited %d, live %d", density, epoch, tstats.Visited, live)
+			}
+		}
 	}
 }
 

@@ -13,127 +13,52 @@ func tinyOpts() harness.Options {
 	return harness.Options{Structures: 20, Repetitions: 1, Warmup: 0, Seed: 1}
 }
 
-func TestRunSingleExperiment(t *testing.T) {
-	// Redirect stdout noise away from the test log.
-	old := os.Stdout
+// quiet redirects stdout away from the test log until the test ends.
+func quiet(t *testing.T) {
+	t.Helper()
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	old := os.Stdout
 	os.Stdout = devnull
-	defer func() {
+	t.Cleanup(func() {
 		os.Stdout = old
 		devnull.Close()
-	}()
+	})
+}
 
-	if err := run("fig7", tinyOpts(), 1, "image", "", 0); err != nil {
+func TestRunSingleExperiment(t *testing.T) {
+	quiet(t)
+	if err := run("fig7", tinyOpts(), 1, "image", ""); err != nil {
 		t.Fatalf("run(fig7): %v", err)
 	}
 }
 
 func TestRunDSPWorkload(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-	if err := run("table1", tinyOpts(), 1, "dsp", "", 0); err != nil {
+	quiet(t)
+	if err := run("table1", tinyOpts(), 1, "dsp", ""); err != nil {
 		t.Fatalf("run(table1, dsp): %v", err)
 	}
-	if err := run("table1", tinyOpts(), 1, "nope", "", 0); err == nil {
+	if err := run("table1", tinyOpts(), 1, "nope", ""); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
-func TestRunParallelExperiment(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-
-	// The parallel experiment writes BENCH_parallel.json into the working
-	// directory.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-
-	if err := run("parallel", tinyOpts(), 1, "image", "", 0); err != nil {
-		t.Fatalf("run(parallel): %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_parallel.json")); err != nil {
-		t.Errorf("BENCH_parallel.json not written: %v", err)
-	}
-}
-
-func TestRunDirtySetExperiment(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-
-	// The dirtyset experiment writes BENCH_dirtyset.json into the working
-	// directory.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-
-	if err := run("dirtyset", tinyOpts(), 1, "image", "", 0); err != nil {
-		t.Fatalf("run(dirtyset): %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_dirtyset.json")); err != nil {
-		t.Errorf("BENCH_dirtyset.json not written: %v", err)
-	}
-}
-
+// TestRunUnknownExperiment: only the paper's tables, figures and ablations
+// are experiments; anything else is refused before any measurement runs.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", tinyOpts(), 1, "image", "", 0); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, id := range []string{"nope", "parallel", "delta", "rewind"} {
+		if err := run(id, tinyOpts(), 1, "image", ""); err == nil {
+			t.Errorf("experiment %q accepted", id)
+		}
 	}
 }
 
 func TestRunWritesCSV(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-
+	quiet(t)
 	dir := t.TempDir()
-	if err := run("fig8", tinyOpts(), 1, "image", dir, 0); err != nil {
+	if err := run("fig8", tinyOpts(), 1, "image", dir); err != nil {
 		t.Fatalf("run(fig8): %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig8.csv")); err != nil {

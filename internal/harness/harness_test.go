@@ -339,104 +339,3 @@ func TestTable1SmallScale(t *testing.T) {
 		t.Errorf("ETA iterations = %v, want >= 2", get(4, 4))
 	}
 }
-
-// TestMeasureSynthParallelParity: the parallel measurement path must produce
-// checkpoints of exactly the sequential size and record counts — the fold is
-// byte-identical, only the scheduling differs.
-func TestMeasureSynthParallelParity(t *testing.T) {
-	for _, engine := range []harness.Engine{
-		harness.EngineVirtual, harness.EngineReflect, harness.EnginePlan, harness.EngineCodegen,
-	} {
-		cfg := harness.SynthConfig{
-			Shape:       synth.Shape{Structures: 30, ListLen: 5, Kind: synth.Ints10},
-			Mod:         synth.ModPattern{Percent: 50, ModifiableLists: 3},
-			Mode:        ckpt.Incremental,
-			Engine:      engine,
-			Specialized: true,
-			Seed:        3,
-			Repetitions: 2,
-			Warmup:      0,
-		}
-		seq, err := harness.MeasureSynth(cfg)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", engine, err)
-		}
-		cfg.Par = harness.ParConfig{Enabled: true, Workers: 3, Shards: 5}
-		par, err := harness.MeasureSynth(cfg)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", engine, err)
-		}
-		if seq.Bytes != par.Bytes {
-			t.Errorf("%s: parallel body %d bytes, sequential %d", engine, par.Bytes, seq.Bytes)
-		}
-		if seq.Stats.Recorded != par.Stats.Recorded || seq.Stats.Visited != par.Stats.Visited {
-			t.Errorf("%s: stats diverge: seq %+v par %+v", engine, seq.Stats, par.Stats)
-		}
-	}
-}
-
-// TestParallelScaling runs the scaling experiment at toy size and checks the
-// report shape: a sequential row plus one row per worker count per cell,
-// with finite positive timings.
-func TestParallelScaling(t *testing.T) {
-	opts := harness.Options{Structures: 20, Repetitions: 1, Warmup: 0, Seed: 1}
-	tbl, rep, err := harness.ParallelScaling(opts, harness.ImageWorkload, 1, 0)
-	if err != nil {
-		t.Fatalf("ParallelScaling: %v", err)
-	}
-	if tbl.ID != "parallel" {
-		t.Errorf("table ID = %q", tbl.ID)
-	}
-	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 {
-		t.Errorf("hardware fields unset: %+v", rep)
-	}
-	perCell := 5 // sequential + workers {1,2,4,8}
-	if len(rep.Rows)%perCell != 0 || len(rep.Rows) == 0 {
-		t.Fatalf("got %d rows, want a positive multiple of %d", len(rep.Rows), perCell)
-	}
-	for i, r := range rep.Rows {
-		if r.NsPerCheckpoint <= 0 {
-			t.Errorf("row %d: non-positive time: %+v", i, r)
-		}
-		if i%perCell == 0 && (r.Strategy != "sequential" || r.Speedup != 1) {
-			t.Errorf("row %d: expected sequential baseline, got %+v", i, r)
-		}
-	}
-}
-
-// TestDirtySweep runs the density sweep at toy size and checks the report
-// shape: one row per density, the dirty fold visiting no more objects than
-// the traversal, and the visit counts proportional to the dirty set.
-func TestDirtySweep(t *testing.T) {
-	opts := harness.Options{Structures: 40, Repetitions: 1, Warmup: 0, Seed: 1}
-	tbl, rep, err := harness.DirtySweep(opts)
-	if err != nil {
-		t.Fatalf("DirtySweep: %v", err)
-	}
-	if tbl.ID != "dirtyset" {
-		t.Errorf("table ID = %q", tbl.ID)
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for i, r := range rep.Rows {
-		if r.TraversalNs <= 0 || r.DirtyNs <= 0 {
-			t.Errorf("row %d: non-positive time: %+v", i, r)
-		}
-		if r.DirtyVisited > r.TraversalVisited {
-			t.Errorf("row %d: dirty fold visited %d > traversal %d", i, r.DirtyVisited, r.TraversalVisited)
-		}
-		// The traversal walks the whole live graph regardless of density;
-		// the dirty fold walks the marked set only.
-		if r.TraversalVisited != r.Live {
-			t.Errorf("row %d: traversal visited %d, live %d", i, r.TraversalVisited, r.Live)
-		}
-		if r.DirtyVisited != r.Modified {
-			t.Errorf("row %d: dirty visited %d, modified %d", i, r.DirtyVisited, r.Modified)
-		}
-	}
-	last := rep.Rows[len(rep.Rows)-1]
-	if last.DensityPct != 100 {
-		t.Errorf("sweep does not end at 100%%: %+v", last)
-	}
-}

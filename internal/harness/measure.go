@@ -30,18 +30,6 @@ const (
 	EngineCodegen Engine = "codegen"
 )
 
-// ParConfig routes a measurement through the sharded parallel fold driver
-// (ckpt/parfold) instead of the sequential Writer. The parallel fold is
-// byte-identical to the sequential one, so timings remain comparable.
-type ParConfig struct {
-	// Enabled turns on the parallel fold.
-	Enabled bool
-	// Workers is the fold worker count (0 = GOMAXPROCS).
-	Workers int
-	// Shards is the shard count (0 = 4x workers).
-	Shards int
-}
-
 // SynthConfig describes one synthetic measurement cell.
 type SynthConfig struct {
 	// Shape is the workload's static shape.
@@ -70,9 +58,6 @@ type SynthConfig struct {
 	// each checkpoint, making full and incremental record identical
 	// object sets; it overrides Mod.
 	TouchAll bool
-	// Par, when enabled, measures the sharded parallel fold instead of
-	// the sequential writer.
-	Par ParConfig
 }
 
 // Measurement is the result of one cell.
@@ -110,7 +95,8 @@ func MeasureSynth(cfg SynthConfig) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	take := newTake(fold, cfg.Par, cfg.Mode, w.Roots())
+	roots := w.Roots()
+	wr := ckpt.NewWriter()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var (
@@ -128,7 +114,17 @@ func MeasureSynth(cfg SynthConfig) (Measurement, error) {
 		default:
 			modified = w.Mutate(rng, cfg.Mod)
 		}
-		dt, body, stats, err := take()
+		// Only the fold over the roots is timed; Start and Finish are
+		// outside the clock, as in the paper's tables.
+		wr.Start(cfg.Mode)
+		t0 := time.Now()
+		for _, r := range roots {
+			if err := fold(wr, r); err != nil {
+				return Measurement{}, err
+			}
+		}
+		dt := time.Since(t0)
+		body, stats, err := wr.Finish()
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -141,37 +137,8 @@ func MeasureSynth(cfg SynthConfig) (Measurement, error) {
 	return last, nil
 }
 
-// newTake returns the measured step: one checkpoint of roots and the time it
-// is charged. The sequential writer's figure times the fold over the roots
-// only — Start and Finish are outside the clock, as in the paper's tables; the
-// parallel figure times one Folder.Fold end to end (shard folds plus merge).
-func newTake(fold parfold.FoldFunc, par ParConfig, mode ckpt.Mode, roots []ckpt.Checkpointable) func() (time.Duration, []byte, ckpt.Stats, error) {
-	if par.Enabled {
-		folder := parfold.New(fold, parfold.WithWorkers(par.Workers), parfold.WithShards(par.Shards))
-		return func() (time.Duration, []byte, ckpt.Stats, error) {
-			t0 := time.Now()
-			body, stats, err := folder.Fold(mode, roots)
-			return time.Since(t0), body, stats, err
-		}
-	}
-	wr := ckpt.NewWriter()
-	return func() (time.Duration, []byte, ckpt.Stats, error) {
-		wr.Start(mode)
-		t0 := time.Now()
-		for _, r := range roots {
-			if err := fold(wr, r); err != nil {
-				return 0, nil, ckpt.Stats{}, err
-			}
-		}
-		dt := time.Since(t0)
-		body, stats, err := wr.Finish()
-		return dt, body, stats, err
-	}
-}
-
-// NewFold returns the configured engine's traversal routine: the one value
-// the sequential writer loops over the roots and parfold.New shares across
-// its workers. It is exported for the root benchmark suite.
+// NewFold returns the configured engine's traversal routine, the value the
+// writer loops over the roots. It is exported for the root benchmark suite.
 func NewFold(cfg SynthConfig) (parfold.FoldFunc, error) {
 	switch cfg.Engine {
 	case EngineVirtual, "":
@@ -234,9 +201,6 @@ type Options struct {
 	Warmup      int
 	// Seed feeds the mutation driver.
 	Seed int64
-	// Par routes every synthetic measurement through the parallel fold
-	// driver (ckptbench -parallel).
-	Par ParConfig
 }
 
 // withDefaults fills unset fields with paper-faithful values.

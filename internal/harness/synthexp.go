@@ -35,14 +35,14 @@ func Fig7(opts Options) (*Table, error) {
 				mod := synth.ModPattern{Percent: pct, ModifiableLists: synth.NumLists}
 				full, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Mode: ckpt.Full, Engine: EngineVirtual,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
 				}
 				incr, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Mode: ckpt.Incremental, Engine: EngineVirtual,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
@@ -76,14 +76,14 @@ func Fig8(opts Options) (*Table, error) {
 				mod := synth.ModPattern{Percent: pct, ModifiableLists: synth.NumLists}
 				base, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Engine: EngineVirtual,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
 				}
 				specd, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Engine: EngineCodegen, Specialized: false,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
@@ -117,14 +117,14 @@ func Fig9(opts Options) (*Table, error) {
 				mod := synth.ModPattern{Percent: pct, ModifiableLists: m}
 				base, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Engine: EngineVirtual,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
 				}
 				specd, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Engine: EngineCodegen, Specialized: true,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
@@ -159,14 +159,14 @@ func Fig10(opts Options) (*Table, error) {
 					mod := synth.ModPattern{Percent: pct, ModifiableLists: m, LastOnly: true}
 					base, err := MeasureSynth(SynthConfig{
 						Shape: shape, Mod: mod, Engine: EngineVirtual,
-						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 					})
 					if err != nil {
 						return nil, err
 					}
 					specd, err := MeasureSynth(SynthConfig{
 						Shape: shape, Mod: mod, Engine: EngineCodegen, Specialized: true,
-						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 					})
 					if err != nil {
 						return nil, err
@@ -205,14 +205,14 @@ func Fig11(opts Options) (*Table, error) {
 					mod := synth.ModPattern{Percent: pct, ModifiableLists: m, LastOnly: true}
 					base, err := MeasureSynth(SynthConfig{
 						Shape: shape, Mod: mod, Engine: tier,
-						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 					})
 					if err != nil {
 						return nil, err
 					}
 					specd, err := MeasureSynth(SynthConfig{
 						Shape: shape, Mod: mod, Engine: EngineCodegen, Specialized: true,
-						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+						Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 					})
 					if err != nil {
 						return nil, err
@@ -258,7 +258,7 @@ func Table2(opts Options) (*Table, error) {
 				mod := synth.ModPattern{Percent: pct, ModifiableLists: m}
 				meas, err := MeasureSynth(SynthConfig{
 					Shape: shape, Mod: mod, Engine: c.engine, Specialized: c.specialized,
-					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+					Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 				})
 				if err != nil {
 					return nil, err
@@ -288,7 +288,7 @@ func AblationDispatch(opts Options) (*Table, error) {
 	for _, engine := range []Engine{EngineReflect, EngineVirtual, EnginePlan, EngineCodegen} {
 		meas, err := MeasureSynth(SynthConfig{
 			Shape: shape, Mod: mod, Engine: engine, Specialized: false,
-			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -323,14 +323,14 @@ func AblationFlags(opts Options) (*Table, error) {
 			shape := synth.Shape{Structures: opts.Structures, ListLen: l, Kind: kind}
 			full, err := MeasureSynth(SynthConfig{
 				Shape: shape, TouchAll: true, Mode: ckpt.Full, Engine: EngineVirtual,
-				Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+				Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 			})
 			if err != nil {
 				return nil, err
 			}
 			incr, err := MeasureSynth(SynthConfig{
 				Shape: shape, TouchAll: true, Engine: EngineVirtual,
-				Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+				Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 			})
 			if err != nil {
 				return nil, err
@@ -360,14 +360,14 @@ func AblationDepth(opts Options) (*Table, error) {
 		mod := synth.ModPattern{Percent: 100, ModifiableLists: synth.NumLists, LastOnly: true}
 		base, err := MeasureSynth(SynthConfig{
 			Shape: shape, Mod: mod, Engine: EngineVirtual,
-			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 		})
 		if err != nil {
 			return nil, err
 		}
 		specd, err := MeasureSynth(SynthConfig{
 			Shape: shape, Mod: mod, Engine: EngineCodegen, Specialized: true,
-			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup, Par: opts.Par,
+			Seed: opts.Seed, Repetitions: opts.Repetitions, Warmup: opts.Warmup,
 		})
 		if err != nil {
 			return nil, err

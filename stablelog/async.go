@@ -74,6 +74,7 @@ type AsyncWriter struct {
 	failing bool
 	err     error
 	closed  bool
+	parked  int // producers waiting in push
 	stats   AsyncStats
 	done    chan struct{}
 
@@ -264,7 +265,9 @@ func (w *AsyncWriter) push(item asyncItem) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.failing || (w.queueLimit > 0 && len(w.queue) >= w.queueLimit && w.err == nil && !w.closed) {
+		w.parked++
 		w.cond.Wait()
+		w.parked--
 	}
 	if w.closed {
 		return ErrClosed

@@ -2,6 +2,7 @@ package stablelog_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -321,7 +322,12 @@ func TestAsyncAppendUnblocksOnClose(t *testing.T) {
 		// Queue limit 1 and one body already queued: this blocks.
 		blocked <- aw.Append(ckpt.Incremental, 3, []byte("c"))
 	}()
-	time.Sleep(10 * time.Millisecond) // let the producer reach cond.Wait
+	for deadline := time.Now().Add(2 * time.Second); aw.Parked() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("third Append never parked on the full queue")
+		}
+		runtime.Gosched()
+	}
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- aw.Close() }()

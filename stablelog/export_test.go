@@ -21,3 +21,10 @@ func (w *AsyncWriter) StickyErr() error {
 	defer w.mu.Unlock()
 	return w.err
 }
+
+// Parked returns the number of producers waiting in push for queue room.
+func (w *AsyncWriter) Parked() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.parked
+}

@@ -266,6 +266,60 @@ func TestRetainBinomialSchedule(t *testing.T) {
 	}
 }
 
+// TestRetainBinomialSublinear: over a 16× longer history the binomial policy's
+// retained share of the log's bytes falls by well over the 2× a linear policy
+// would manage, and a rewind anywhere in what is kept replays one full plus an
+// incremental suffix, never more than a full cadence of segments.
+func TestRetainBinomialSublinear(t *testing.T) {
+	const fullEvery = 16
+	pol := stablelog.Binomial{Window: 16, Tail: 2}
+	frac := make(map[int]float64)
+	for _, T := range []int{64, 1024} {
+		lg, reg, _ := cellHistory(t, "sub.log", T, fullEvery, stablelog.WithFS(faultfs.NewMem()))
+		size := func() (n int64) {
+			for _, seg := range lg.Segments() {
+				n += int64(seg.Length)
+			}
+			return n
+		}
+		total := size()
+		if err := lg.Retain(pol); err != nil {
+			t.Fatal(err)
+		}
+		frac[T] = float64(size()) / float64(total)
+
+		idx, err := lg.EpochIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb := ckpt.NewRebuilder(reg)
+		for _, dist := range []int{1, T / 4, T / 2, T - 1} {
+			// Rewind to the nearest retained epoch at or below head-dist, as
+			// an undo would.
+			epochs := idx.Epochs()
+			target := epochs[0]
+			for _, e := range epochs {
+				if e <= uint64(T-dist) {
+					target = e
+				}
+			}
+			st, err := lg.RewindTo(rb, target)
+			if err != nil {
+				t.Fatalf("T=%d: RewindTo(%d): %v", T, target, err)
+			}
+			if st.Segments < 1 || st.Segments > fullEvery {
+				t.Errorf("T=%d: RewindTo(%d) replayed %d segments, want 1..%d", T, target, st.Segments, fullEvery)
+			}
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if frac[1024] >= frac[64]/2 {
+		t.Errorf("retained fraction fell only from %.3f (T=64) to %.3f (T=1024), want below half", frac[64], frac[1024])
+	}
+}
+
 // TestRewindReadFaultLeavesRebuilderUnchanged: a transient read error (or a
 // corrupt payload) mid-rewind must leave the rebuilder exactly as it was —
 // the chain is read in full before anything applies.
