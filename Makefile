@@ -99,9 +99,11 @@ difftest:
 # and rewind per stream of a shared log against the single-stream log, and
 # the binomial schedule's O(log T) bounds: retained segments, a retained byte
 # share that shrinks with the history, and short rewind chains
-# (TestRetainBinomialSchedule, TestRetainBinomialSublinear).
+# (TestRetainBinomialSchedule, TestRetainBinomialSublinear), and the
+# rebuilder's delta-base checks, which replay runs a batch at a time
+# (TestApplyRunReportsFirstFailingDelta, TestRebuilderDelta*).
 rewind-check:
-	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
+	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestRebuilderDelta|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body
 # decoder, the rebuilder, and the log's Open scan against its per-segment

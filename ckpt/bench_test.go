@@ -210,6 +210,74 @@ func BenchmarkBuildSparse(b *testing.B) {
 	}
 }
 
+// blobDeltaChain is the replay chain of one blob-dense benchmark rewind at its
+// longest: a Full of 96 blobs of 16 KB, then 63 incrementals in which every
+// blob has 8 runs of 102 bytes (5%) rewritten and ships as a delta record.
+func blobDeltaChain(tb testing.TB) [][]byte {
+	const (
+		blobs = 96
+		size  = 16 << 10
+		runs  = 8
+		run   = 102
+	)
+	d := ckpt.NewDomain()
+	objs := make([]*blob, blobs)
+	for i := range objs {
+		objs[i] = newBlob(d, size, int64(i))
+	}
+	w := ckpt.NewWriter(ckpt.WithDeltaEncoding(4096))
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 0, 64)
+	for epoch := 0; epoch < 64; epoch++ {
+		mode := ckpt.Incremental
+		if epoch == 0 {
+			mode = ckpt.Full
+		}
+		w.Start(mode)
+		for _, o := range objs {
+			if err := w.Checkpoint(o); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		body, _, err := w.Finish()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, append([]byte(nil), body...))
+		for _, o := range objs {
+			for r := 0; r < runs; r++ {
+				off := rng.Intn(size - run)
+				rng.Read(o.data[off : off+run])
+			}
+			o.info.Mark()
+		}
+	}
+	if info, err := ckpt.InspectBodyKinds(bodies[len(bodies)-1], nil); err != nil || info.Deltas != blobs {
+		tb.Fatalf("last body: %+v, %v; want %d delta records", info, err, blobs)
+	}
+	return bodies
+}
+
+// BenchmarkApplyRunBlob measures one blob-dense rewind's replay: every
+// incremental record is a delta whose 16 KB base is fingerprinted before it
+// is applied.
+func BenchmarkApplyRunBlob(b *testing.B) {
+	bodies := blobDeltaChain(b)
+	var n int64
+	for _, body := range bodies {
+		n += int64(len(body))
+	}
+	rb := ckpt.NewRebuilder(blobRegistry(b))
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rb.ApplyRun(bodies); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeltaEmitBlob is the blob-dense benchmark workload's fold at its
 // real size, without the log: 96 blobs of 16 KB, 8 runs of 102 bytes rewritten
 // in each per epoch (5%), one delta-encoding writer under a session that keeps

@@ -43,7 +43,7 @@ func (b *blob) poke(i int) {
 	b.info.Mark()
 }
 
-func blobRegistry(t *testing.T) *ckpt.Registry {
+func blobRegistry(t testing.TB) *ckpt.Registry {
 	t.Helper()
 	reg := ckpt.NewRegistry()
 	reg.MustRegister("ckpttest.blob", func(id uint64) ckpt.Restorable {

@@ -120,8 +120,13 @@ func (rb *Rebuilder) Apply(body []byte) error {
 		} else if cur, ok := rb.latest[rec.id]; ok {
 			prev, found = stagedRec{typeID: cur.typeID, payload: cur.payload}, true
 		}
-		if err := rb.validate(h.mode, rec, prev.typeID, prev.payload, found); err != nil {
+		if err := rb.validate(h.mode, rec, prev.typeID, found); err != nil {
 			return err
+		}
+		if rec.kind == wire.KindDelta {
+			if err := checkDelta(rec, prev.payload, wire.DeltaBaseHash(prev.payload)); err != nil {
+				return err
+			}
 		}
 		staged[rec.id] = stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: prev.payload}
 	}
@@ -139,10 +144,10 @@ func (rb *Rebuilder) Apply(body []byte) error {
 var errFirstNotFull = fmt.Errorf("%w: first body must be a full checkpoint", ErrBadBody)
 
 // validate checks one decoded record against what its object held just
-// before it (prevType and prev, when found): a nil id, a type conflict, and
-// for a delta that there is a base at all and that the delta's structure,
-// base length and base hash fit it.
-func (rb *Rebuilder) validate(mode Mode, rec record, prevType TypeID, prev []byte, found bool) error {
+// before it (of type prevType, when found): a nil id, a type conflict, and
+// for a delta that there is a base at all. Whether the delta fits that base
+// is checkDelta's question.
+func (rb *Rebuilder) validate(mode Mode, rec record, prevType TypeID, found bool) error {
 	if rec.id == NilID {
 		return fmt.Errorf("%w: record with nil id", ErrBadBody)
 	}
@@ -159,13 +164,79 @@ func (rb *Rebuilder) validate(mode Mode, rec record, prevType TypeID, prev []byt
 	if !found {
 		return fmt.Errorf("%w: object %d has no earlier payload in the stream", ErrDeltaBase, rec.id)
 	}
-	if _, err := wire.ValidateDelta(rec.payload, len(prev), wire.DeltaBaseHash(prev)); err != nil {
+	return nil
+}
+
+// checkDelta checks a delta record's structure, base length and base hash
+// against base, whose DeltaBaseHash is baseHash.
+func checkDelta(rec record, base []byte, baseHash uint32) error {
+	if _, err := wire.ValidateDelta(rec.payload, len(base), baseHash); err != nil {
 		if errors.Is(err, wire.ErrBaseMismatch) {
 			return fmt.Errorf("%w: object %d: %v", ErrDeltaBase, rec.id, err)
 		}
 		return fmt.Errorf("%w: object %d: %v", ErrBadBody, rec.id, err)
 	}
 	return nil
+}
+
+// deltaBatch holds up to hashLanes delta records of one body whose bases
+// have not been fingerprinted yet. A base hash is one serial multiply chain
+// over the whole payload, bound by multiply latency rather than by loads, so
+// checking the records one at a time would leave the core mostly idle on a
+// chain of 16 KB bases; drain runs four chains side by side
+// (wire.DeltaBaseHash4) instead. The batched records name distinct objects —
+// a record for an object already in the batch drains it first (settle) — so
+// committing one never changes another's base. A batch never outlives its
+// body: a body's failure is reported against that body.
+type deltaBatch struct {
+	n    int
+	recs [hashLanes]record
+	base [hashLanes][]byte
+}
+
+// settle drains the batch into commit if a record for id waits in it, so
+// that the record about to be read sees what its object holds.
+func (b *deltaBatch) settle(id uint64, commit func(rec record, base []byte)) error {
+	for i := range b.n {
+		if b.recs[i].id == id {
+			return b.drain(commit)
+		}
+	}
+	return nil
+}
+
+// add batches a delta record against base and drains the batch into commit
+// once it is full.
+func (b *deltaBatch) add(rec record, base []byte, commit func(rec record, base []byte)) error {
+	b.recs[b.n], b.base[b.n] = rec, base
+	b.n++
+	if b.n < hashLanes {
+		return nil
+	}
+	return b.drain(commit)
+}
+
+// drain fingerprints the batched bases together, then checks each delta
+// against its base in record order and hands it to commit. It empties the
+// batch and returns the first failure; the records after a failing one are
+// not committed. A record that stopped the body's walk after these were
+// batched comes later in the body, so its caller reports drain's failure
+// first — the one a record-at-a-time check would have hit.
+func (b *deltaBatch) drain(commit func(rec record, base []byte)) error {
+	if b.n == 0 {
+		return nil
+	}
+	var h [hashLanes]uint32
+	h[0], h[1], h[2], h[3] = wire.DeltaBaseHash4(b.base[0], b.base[1], b.base[2], b.base[3])
+	var err error
+	for i := range b.n {
+		if err = checkDelta(b.recs[i], b.base[i], h[i]); err != nil {
+			break
+		}
+		commit(b.recs[i], b.base[i])
+	}
+	*b = deltaBatch{} // unused lanes must be nil: DeltaBaseHash4 hashes every lane
+	return err
 }
 
 // commitRecord turns a validated record into its object's latest payload;
@@ -220,9 +291,9 @@ func (rb *Rebuilder) scratch(extend bool) *Rebuilder {
 
 // replay folds one body, header already parsed off d, into a scratch
 // rebuilder: each record is decoded, validated and committed straight into
-// latest. There is no staging because there is nothing to protect — a scratch
-// that fails is thrown away — so the cost is this body's records and nothing
-// else.
+// latest — a delta once its batch drains. There is no staging because there
+// is nothing to protect — a scratch that fails is thrown away — so the cost
+// is this body's records and nothing else.
 func (rb *Rebuilder) replay(d *wire.Decoder, h bodyHeader, body []byte) error {
 	if h.mode == Full {
 		clear(rb.latest)
@@ -235,21 +306,40 @@ func (rb *Rebuilder) replay(d *wire.Decoder, h bodyHeader, body []byte) error {
 	if !hasKind {
 		rb.bodies = append(rb.bodies, body)
 	}
+	commit := func(rec record, base []byte) {
+		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: base}
+		rb.latest[rec.id] = commitRecord(rb.latest[rec.id], st, hasKind)
+		rb.maxID = max(rb.maxID, rec.id)
+	}
+	// A failure ends the walk; the deltas still batched come before it in
+	// the body, so theirs is reported first.
+	var batch deltaBatch
 	for {
 		rec, ok, err := nextRecord(d, hasKind)
 		if err != nil {
-			return err
+			return cmp.Or(batch.drain(commit), err)
 		}
 		if !ok {
 			break
 		}
-		cur, found := rb.latest[rec.id]
-		if err := rb.validate(h.mode, rec, cur.typeID, cur.payload, found); err != nil {
+		if err := batch.settle(rec.id, commit); err != nil {
 			return err
 		}
-		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: cur.payload}
-		rb.latest[rec.id] = commitRecord(cur, st, hasKind)
+		cur, found := rb.latest[rec.id]
+		if err := rb.validate(h.mode, rec, cur.typeID, found); err != nil {
+			return cmp.Or(batch.drain(commit), err)
+		}
+		if rec.kind == wire.KindDelta {
+			if err := batch.add(rec, cur.payload, commit); err != nil {
+				return err
+			}
+			continue
+		}
+		rb.latest[rec.id] = commitRecord(cur, stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload}, hasKind)
 		rb.maxID = max(rb.maxID, rec.id)
+	}
+	if err := batch.drain(commit); err != nil {
+		return err
 	}
 	rb.seen++
 	return nil

@@ -10,8 +10,10 @@ package ckpt_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ickpt/ckpt"
@@ -303,5 +305,193 @@ func TestApplyRunBadFirstHeaderFailsBeforeCopying(t *testing.T) {
 	}
 	if after := rb.Digest(); after != before {
 		t.Errorf("rebuilder changed: %s, was %s", after, before)
+	}
+}
+
+// TestApplyRunReportsFirstFailingDelta pins what checking delta bases a batch
+// at a time must not change. A body fails with its first failing record's
+// error, in record order: whichever lane of a batch that record sits in,
+// whether it fails the hash, the op stream or a check that needs no hash,
+// and whatever fails after it. An incremental Apply, which checks one record
+// at a time, is held to the same answers. A body whose records all fit
+// applies to exactly what the records say. Bodies hold 1–9 records for seeded objects
+// out of 6, so batches fill, drain part-full, and meet a second record for an
+// object they hold; every third record is a full one, committed while deltas
+// before it still wait.
+func TestApplyRunReportsFirstFailingDelta(t *testing.T) {
+	const objects, size = 6, 512
+	rng := rand.New(rand.NewSource(5))
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		rng.Read(p)
+		return p
+	}
+	// edit returns p with a few bytes rewritten.
+	edit := func(p []byte) []byte {
+		q := append([]byte(nil), p...)
+		for k := 0; k < 3; k++ {
+			q[rng.Intn(len(q))] ^= byte(1 + rng.Intn(255))
+		}
+		return q
+	}
+	delta := func(base, next []byte) []byte {
+		e := wire.NewEncoder(len(next))
+		if !wire.AppendDeltaHashed(e, base, wire.DeltaBaseHash(base), next, len(next)) {
+			t.Fatal("delta encode")
+		}
+		return e.Bytes()
+	}
+	start := make(map[uint64][]byte, objects)
+	full := rawBody(ckpt.Full, 1, func(e *wire.Encoder) {
+		for id := uint64(1); id <= objects; id++ {
+			start[id] = payload(size)
+			rawRec(e, id, wire.KindFull, start[id])
+		}
+	})
+
+	type fault int
+	const (
+		none         fault = iota
+		wrongBase          // encoded against bytes the object does not hold
+		shortBase          // encoded for a base of another length
+		trailingByte       // right base, op stream with a byte left over
+		nilID              // fails before any hash is needed
+		typeConflict       // likewise
+		baseless           // a delta for an object the stream never carried
+		torn               // the body ends inside this record
+		numFaults
+	)
+	class := map[fault]error{
+		wrongBase: ckpt.ErrDeltaBase, shortBase: ckpt.ErrDeltaBase, trailingByte: ckpt.ErrBadBody,
+		nilID: ckpt.ErrBadBody, typeConflict: ckpt.ErrTypeConflict, baseless: ckpt.ErrDeltaBase,
+		torn: wire.ErrTruncated,
+	}
+	const baselessID = 99
+
+	// body writes a record for each of ids, planting faults[i] in place of
+	// record i. It returns the body, the state it leaves when it applies, and
+	// the object its first fault names (0 for none).
+	body := func(ids []uint64, faults map[int]fault) ([]byte, map[uint64][]byte, uint64) {
+		model := maps.Clone(start)
+		var first uint64
+		faulted := false
+		cut := -1
+		b := rawBody(ckpt.Incremental, 2, func(e *wire.Encoder) {
+			for i, id := range ids {
+				if cut >= 0 {
+					break
+				}
+				f := faults[i]
+				if f != none && !faulted {
+					faulted = true
+					switch f {
+					case nilID, torn:
+					case baseless:
+						first = baselessID
+					default:
+						first = id
+					}
+				}
+				next := edit(model[id])
+				switch f {
+				case none:
+					if i%3 == 2 {
+						next = payload(size)
+						rawRec(e, id, wire.KindFull, next)
+					} else {
+						rawRec(e, id, wire.KindDelta, delta(model[id], next))
+					}
+					model[id] = next
+				case wrongBase:
+					other := edit(model[id])
+					rawRec(e, id, wire.KindDelta, delta(other, edit(other)))
+				case shortBase:
+					short := model[id][:size/2]
+					rawRec(e, id, wire.KindDelta, delta(short, edit(short)))
+				case trailingByte:
+					rawRec(e, id, wire.KindDelta, append(delta(model[id], next), 0))
+				case nilID:
+					rawRec(e, ckpt.NilID, wire.KindFull, next)
+				case typeConflict:
+					e.Uvarint(id)
+					e.Uvarint(uint64(typeBlob) + 1)
+					e.Byte(wire.KindFull)
+					e.Uvarint(uint64(len(next)))
+					e.Raw(next)
+				case baseless:
+					rawRec(e, baselessID, wire.KindDelta, delta(next, edit(next)))
+				case torn:
+					cut = e.Len() + 2
+					rawRec(e, id, wire.KindDelta, delta(model[id], next))
+				}
+			}
+		})
+		if cut >= 0 {
+			b = b[:cut]
+		}
+		return b, model, first
+	}
+
+	check := func(label string, inc []byte, want fault, wantState map[uint64][]byte, obj uint64) {
+		t.Helper()
+		seq := ckpt.NewRebuilder(ckpt.NewRegistry())
+		if err := seq.Apply(full); err != nil {
+			t.Fatal(err)
+		}
+		run := ckpt.NewRebuilder(ckpt.NewRegistry())
+		for _, got := range []struct {
+			how string
+			err error
+		}{{"Apply", seq.Apply(inc)}, {"ApplyRun", run.ApplyRun([][]byte{full, inc})}} {
+			switch {
+			case want == none && got.err != nil:
+				t.Fatalf("%s: %s = %v", label, got.how, got.err)
+			case want != none && !errors.Is(got.err, class[want]):
+				t.Fatalf("%s: %s = %v, want %v", label, got.how, got.err, class[want])
+			case obj != 0 && !strings.Contains(got.err.Error(), fmt.Sprintf("object %d", obj)):
+				t.Fatalf("%s: %s = %v, want the failure of object %d", label, got.how, got.err, obj)
+			}
+		}
+		if want != none {
+			return
+		}
+		ref := ckpt.NewRebuilder(ckpt.NewRegistry())
+		if err := ref.Apply(rawBody(ckpt.Full, 1, func(e *wire.Encoder) {
+			for id := uint64(1); id <= objects; id++ {
+				rawRec(e, id, wire.KindFull, wantState[id])
+			}
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if a, b, r := seq.Digest(), run.Digest(), ref.Digest(); a != r || b != r {
+			t.Fatalf("%s: Apply left %s, ApplyRun %s, the records say %s", label, a, b, r)
+		}
+	}
+
+	for n := 1; n <= 9; n++ {
+		for variant := 0; variant < 4; variant++ {
+			ids := make([]uint64, n)
+			for i := range ids {
+				ids[i] = uint64(1 + rng.Intn(objects))
+			}
+			inc, state, _ := body(ids, nil)
+			check(fmt.Sprintf("ids %v", ids), inc, none, state, 0)
+			for at := 0; at < n; at++ {
+				for f := none + 1; f < numFaults; f++ {
+					// Alone, then followed by a later fault of every other kind.
+					for g := none; g < numFaults; g++ {
+						if g == f || at+1 >= n && g != none {
+							continue
+						}
+						faults := map[int]fault{at: f}
+						if g != none {
+							faults[at+1+rng.Intn(n-at-1)] = g
+						}
+						inc, _, obj := body(ids, faults)
+						check(fmt.Sprintf("ids %v, fault %d at %d, then %d", ids, f, at, g), inc, f, nil, obj)
+					}
+				}
+			}
+		}
 	}
 }
