@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race cover bench bench-short bench-smoke bench-pairs race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint race cover bench bench-short bench-smoke bench-pairs size race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -47,6 +47,12 @@ S ?= 30
 bench-pairs:
 	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [S=30]"; exit 2; }
 	bash scripts/benchpairs.sh $(W) $(N) $(S)
+
+# Code lines per package and in total, counted the one way simplification
+# figures use: non-test, non-blank, non-comment .go lines outside bench/,
+# zz_*.go excluded (scripts/size.sh; pass files to count just those).
+size:
+	bash scripts/size.sh
 
 # Race leg over the interpreter workload and the zero-copy encode substrate.
 race-interp:
@@ -101,9 +107,10 @@ difftest:
 # share that shrinks with the history, and short rewind chains
 # (TestRetainBinomialSchedule, TestRetainBinomialSublinear), and the
 # rebuilder's delta-base checks, which replay runs a batch at a time
-# (TestApplyRunReportsFirstFailingDelta, TestRebuilderDelta*).
+# (TestApplyRunReportsFirstFailingDelta, TestRebuilderDelta*), and a run
+# extending the live state at the cost of its own records (TestExtendingRun*).
 rewind-check:
-	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestRebuilderDelta|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
+	$(GO) test -count=1 -run 'TestRewind|TestRetain|TestCompact|TestRecoverRejectsIncoherent|TestValidateRun|TestEpochIndex|TestApplyRun|TestExtendingRun|TestRebuilderDelta|TestReadRun|TestCrashSweepRetain|TestVerifyIncoherentChain|TestRetainPerStream|TestStreamIndex|TestVerifyShared' ./internal/difftest/ ./stablelog/ ./ckpt/ ./ckpt/tenant/ ./cmd/ckptinspect/
 
 # Short coverage-guided fuzzing of the wire decoder, the checkpoint body
 # decoder, the rebuilder, and the log's Open scan against its per-segment

@@ -134,12 +134,13 @@ func BenchmarkRebuild(b *testing.B) {
 	}
 }
 
-// sparseChain is the replay chain of the synth-sparse benchmark workload at
-// full size: one Full body of 104 000 records (synth.Shape{4000, 5, Ints10})
-// followed by 231 incrementals of 200 marked elements each.
-func sparseChain(tb testing.TB) [][]byte {
+// sparseChain is the replay chain of the synth-sparse benchmark workload:
+// one Full body of 26 records per structure (synth.Shape{structures, 5,
+// Ints10}) followed by 231 incrementals of 200 marked elements each. At the
+// workload's size, 4000 structures, the Full holds 104 000 records.
+func sparseChain(tb testing.TB, structures int) [][]byte {
 	tb.Helper()
-	w := synth.Build(synth.Shape{Structures: 4000, ListLen: 5, Kind: synth.Ints10})
+	w := synth.Build(synth.Shape{Structures: structures, ListLen: 5, Kind: synth.Ints10})
 	var elems []*synth.Element10
 	for _, r := range w.Roots() {
 		s := r.(*synth.Structure10)
@@ -178,12 +179,23 @@ func sparseChain(tb testing.TB) [][]byte {
 // BenchmarkApplyRunSparse measures one rewind's replay at the size the
 // repository benchmark runs it: a reused rebuilder, as RewindTo callers have.
 func BenchmarkApplyRunSparse(b *testing.B) {
-	bodies := sparseChain(b)
+	benchApplyRun(b, synth.Registry(), sparseChain(b, 4000))
+}
+
+// BenchmarkApplyRunSmall replays the same chain over 5 200 objects, a state
+// that stays in cache as the analysis-phases workload's does, so the cost per
+// record shows rather than the cost per cache miss.
+func BenchmarkApplyRunSmall(b *testing.B) {
+	benchApplyRun(b, synth.Registry(), sparseChain(b, 200))
+}
+
+// benchApplyRun measures replaying bodies as one run into a reused rebuilder.
+func benchApplyRun(b *testing.B, reg *ckpt.Registry, bodies [][]byte) {
 	var n int64
 	for _, body := range bodies {
 		n += int64(len(body))
 	}
-	rb := ckpt.NewRebuilder(synth.Registry())
+	rb := ckpt.NewRebuilder(reg)
 	b.SetBytes(n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -198,7 +210,7 @@ func BenchmarkApplyRunSparse(b *testing.B) {
 // leaves behind.
 func BenchmarkBuildSparse(b *testing.B) {
 	rb := ckpt.NewRebuilder(synth.Registry())
-	if err := rb.ApplyRun(sparseChain(b)); err != nil {
+	if err := rb.ApplyRun(sparseChain(b, 4000)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -262,6 +274,12 @@ func blobDeltaChain(tb testing.TB) [][]byte {
 // incremental record is a delta whose 16 KB base is fingerprinted before it
 // is applied.
 func BenchmarkApplyRunBlob(b *testing.B) {
+	benchApplyRun(b, blobRegistry(b), blobDeltaChain(b))
+}
+
+// BenchmarkApplyFollowBlob replays the same chain the way a replica follows a
+// stream: one Apply per body as it arrives, into a reused rebuilder.
+func BenchmarkApplyFollowBlob(b *testing.B) {
 	bodies := blobDeltaChain(b)
 	var n int64
 	for _, body := range bodies {
@@ -272,8 +290,10 @@ func BenchmarkApplyRunBlob(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rb.ApplyRun(bodies); err != nil {
-			b.Fatal(err)
+		for _, body := range bodies {
+			if err := rb.Apply(body); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

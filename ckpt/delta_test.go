@@ -445,10 +445,11 @@ func TestRebuilderDeltaBase(t *testing.T) {
 	})
 }
 
-// TestCheckDeltaCoherence mirrors the Apply-level rules at the run level,
-// where stablelog replay and ckptinspect -verify run them without
-// materializing anything.
-func TestCheckDeltaCoherence(t *testing.T) {
+// TestApplyRunDeltaBaseAcrossFull: a Full body resets the objects a delta
+// can be based on, inside a run as well as between runs — whether the run
+// began with a Full or extends the live state, a delta after a later Full
+// finds no base in what came before that Full.
+func TestApplyRunDeltaBaseAcrossFull(t *testing.T) {
 	pay := make([]byte, 128)
 	rand.New(rand.NewSource(3)).Read(pay)
 	next := append([]byte(nil), pay...)
@@ -462,21 +463,39 @@ func TestCheckDeltaCoherence(t *testing.T) {
 	full := rawBody(ckpt.Full, 1, func(e *wire.Encoder) { rawRec(e, 1, wire.KindFull, pay) })
 	good := rawBody(ckpt.Incremental, 2, func(e *wire.Encoder) { rawRec(e, 1, wire.KindDelta, delta) })
 	orphan := rawBody(ckpt.Incremental, 2, func(e *wire.Encoder) { rawRec(e, 9, wire.KindDelta, delta) })
-
-	if err := ckpt.CheckDeltaCoherence([][]byte{full, good}); err != nil {
-		t.Fatalf("coherent run: %v", err)
-	}
-	if err := ckpt.CheckDeltaCoherence([][]byte{full, orphan}); !errors.Is(err, ckpt.ErrDeltaBase) {
-		t.Fatalf("orphan delta: %v, want ErrDeltaBase", err)
-	}
-	// A second full checkpoint resets the known set: deltas across it are
-	// incoherent even though the id appeared before it.
-	if err := ckpt.CheckDeltaCoherence([][]byte{full, full, good}); err != nil {
-		t.Fatalf("full reset keeps same-id base: %v", err)
-	}
 	refull := rawBody(ckpt.Full, 3, func(e *wire.Encoder) { rawRec(e, 2, wire.KindFull, pay) })
-	if err := ckpt.CheckDeltaCoherence([][]byte{full, refull, good}); !errors.Is(err, ckpt.ErrDeltaBase) {
-		t.Fatalf("delta across full reset: %v, want ErrDeltaBase", err)
+	empty := rawBody(ckpt.Incremental, 2, func(*wire.Encoder) {})
+
+	for _, tc := range []struct {
+		name    string
+		anchor  bool // apply full before the run, so a run may extend it
+		run     [][]byte
+		wantErr bool
+	}{
+		{"coherent", false, [][]byte{full, good}, false},
+		{"orphan delta", false, [][]byte{full, orphan}, true},
+		{"full again", false, [][]byte{full, full, good}, false},
+		{"delta across a full", false, [][]byte{full, refull, good}, true},
+		{"extending", true, [][]byte{good}, false},
+		{"extending, delta across a full", true, [][]byte{refull, good}, true},
+		{"extending, full mid-run", true, [][]byte{empty, refull, good}, true},
+	} {
+		rb := ckpt.NewRebuilder(blobRegistry(t))
+		if tc.anchor {
+			if err := rb.Apply(full); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := rb.Digest()
+		err := rb.ApplyRun(tc.run)
+		switch {
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: ApplyRun = %v", tc.name, err)
+		case tc.wantErr && !errors.Is(err, ckpt.ErrDeltaBase):
+			t.Errorf("%s: ApplyRun = %v, want ErrDeltaBase", tc.name, err)
+		case tc.wantErr && rb.Digest() != before:
+			t.Errorf("%s: failed run changed the rebuilder", tc.name)
+		}
 	}
 }
 

@@ -67,11 +67,10 @@ func FuzzRebuilderApply(f *testing.F) {
 	})
 }
 
-// FuzzRebuilderApplyRun replays two arbitrary bodies as one run on top of a
-// known-good base and holds it to ApplyRun's oracle (rebuild_run_test.go):
-// the same bodies applied one at a time must fail with the same class or
-// leave the same state, and a run that fails must leave the rebuilder's
-// digest exactly as it was.
+// FuzzRebuilderApplyRun replays two arbitrary bodies on top of a known-good
+// base, as one run and one Apply at a time, and holds both to ApplyRun's
+// oracle (rebuild_run_test.go): the naive model's error class, and its
+// state — after a failure, exactly the state before.
 func FuzzRebuilderApplyRun(f *testing.F) {
 	bodies, err := difftest.SeedBodies()
 	if err != nil {
@@ -83,6 +82,6 @@ func FuzzRebuilderApplyRun(f *testing.F) {
 	f.Add([]byte{}, []byte{1})
 	base := bodies[0]
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		checkRunAgainstSequential(t, "fuzz", [][]byte{base}, [][]byte{a, b})
+		checkRunAgainstModel(t, "fuzz", [][]byte{base}, [][]byte{a, b})
 	})
 }

@@ -9,24 +9,23 @@ import (
 	"ickpt/wire"
 )
 
-// latestRec is the most recent payload known for one object id. owned marks
-// a rebuilder-owned buffer (version-2 records are materialized into owned
-// storage rather than aliasing the body), which a later same-size record may
-// reuse in place instead of allocating.
+// latestRec is one object's entry in a generation: its most recent payload.
+// owned marks a buffer the generation owns (version-2 records are
+// materialized into owned storage rather than aliasing the body), which a
+// later record for the object may overwrite in place instead of allocating.
+//
+// staged marks an entry not materialized yet: a run that extends the live
+// state keeps its first record for an object as it came, aliasing its
+// version-2 body — a full payload or, for kind wire.KindDelta, an op stream
+// against the live payload. Publishing the run materializes it in place over
+// the live buffer; a later record of the run for that object first
+// materializes it into a buffer of the run's own.
 type latestRec struct {
 	typeID  TypeID
 	payload []byte
 	owned   bool
-}
-
-// stagedRec is one validated record on its way into latest. payload aliases
-// the body (the delta bytes, for kind wire.KindDelta); base is the resolved
-// diff base a delta was validated against.
-type stagedRec struct {
-	typeID  TypeID
+	staged  bool
 	kind    byte
-	payload []byte
-	base    []byte
 }
 
 // Rebuilder reconstructs object state from a sequence of checkpoint bodies:
@@ -43,10 +42,10 @@ type Rebuilder struct {
 	maxID  uint64
 	seen   int // bodies applied
 
-	// staged is an incremental Apply's validation-pass scratch, retained
-	// across calls so the steady-state re-apply loop (a replica following a
-	// stream) stays allocation-free. Full bodies and runs never touch it.
-	staged map[uint64]stagedRec
+	// staged is the generation of a run that extends the live state, kept
+	// across runs (and empty between them) so that a replica applying one
+	// body at a time allocates nothing in the steady state.
+	staged map[uint64]latestRec
 }
 
 // NewRebuilder returns a Rebuilder resolving types through reg.
@@ -57,11 +56,12 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 	}
 }
 
-// Apply folds one checkpoint body into the rebuilder. A version-1 body is
-// retained (not copied) — its record payloads are aliased and it must not be
-// mutated afterwards. Version-2 (delta-enabled) bodies are not retained:
-// every record, full or delta, is materialized into rebuilder-owned storage,
-// reusing the object's previous buffer when the new payload fits.
+// Apply folds one checkpoint body into the rebuilder; it is ApplyRun of that
+// one body. A version-1 body is retained (not copied) — its record payloads
+// are aliased and it must not be mutated afterwards. Version-2
+// (delta-enabled) bodies are not retained: every record, full or delta, is
+// materialized into rebuilder-owned storage, reusing the object's previous
+// buffer when the new payload fits.
 //
 // A Full body resets the state: objects absent from a full checkpoint are
 // dead and must not resurface from older incrementals. The first body
@@ -73,72 +73,8 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 // Apply is atomic: a body that fails to parse or validate leaves the
 // rebuilder exactly as it was, so recovery can skip a corrupt body (or a
 // body that a transient read error garbled) and continue from intact state.
-// A Full body is a one-body run (see ApplyRun): built beside the live state
-// and swapped in. An incremental body is staged: every record is decoded and
-// validated before the first one is committed.
 func (rb *Rebuilder) Apply(body []byte) error {
-	d := wire.NewDecoder(body)
-	h, err := parseBodyHeader(d)
-	if err != nil {
-		return fmt.Errorf("apply body: %w", err)
-	}
-	if h.mode == Full {
-		return rb.ApplyRun([][]byte{body})
-	}
-	if rb.seen == 0 {
-		return errFirstNotFull
-	}
-	hasKind := h.version == bodyVersion2
-	// Decode and validate every record before touching any state. Deltas
-	// are fully validated here — structure, base length, base hash — so the
-	// commit loop below cannot fail, which is what makes its in-place
-	// materialization safe.
-	if rb.staged == nil {
-		rb.staged = make(map[uint64]stagedRec)
-	}
-	staged := rb.staged
-	defer clear(staged) // drop body aliases either way
-	for {
-		rec, ok, err := nextRecord(d, hasKind)
-		if err != nil {
-			return fmt.Errorf("apply body: %w", err)
-		}
-		if !ok {
-			break
-		}
-		// What the object holds just before this record: an earlier record
-		// of this body, else the live generation's.
-		prev, found := staged[rec.id]
-		if found {
-			if rec.kind == wire.KindDelta && prev.kind == wire.KindDelta {
-				// Two deltas for one object in one body: materialize the
-				// first so the second has bytes to validate against.
-				buf := make([]byte, len(prev.base))
-				wire.ApplyValidatedDelta(buf, prev.base, prev.payload)
-				prev.payload = buf
-			}
-		} else if cur, ok := rb.latest[rec.id]; ok {
-			prev, found = stagedRec{typeID: cur.typeID, payload: cur.payload}, true
-		}
-		if err := rb.validate(h.mode, rec, prev.typeID, found); err != nil {
-			return err
-		}
-		if rec.kind == wire.KindDelta {
-			if err := checkDelta(rec, prev.payload, wire.DeltaBaseHash(prev.payload)); err != nil {
-				return err
-			}
-		}
-		staged[rec.id] = stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: prev.payload}
-	}
-	if !hasKind {
-		rb.bodies = append(rb.bodies, body)
-	}
-	for id, st := range staged {
-		rb.latest[id] = commitRecord(rb.latest[id], st, hasKind)
-		rb.maxID = max(rb.maxID, id)
-	}
-	rb.seen++
-	return nil
+	return rb.ApplyRun([][]byte{body})
 }
 
 var errFirstNotFull = fmt.Errorf("%w: first body must be a full checkpoint", ErrBadBody)
@@ -180,23 +116,24 @@ func checkDelta(rec record, base []byte, baseHash uint32) error {
 }
 
 // deltaBatch holds up to hashLanes delta records of one body whose bases
-// have not been fingerprinted yet. A base hash is one serial multiply chain
-// over the whole payload, bound by multiply latency rather than by loads, so
-// checking the records one at a time would leave the core mostly idle on a
-// chain of 16 KB bases; drain runs four chains side by side
-// (wire.DeltaBaseHash4) instead. The batched records name distinct objects —
-// a record for an object already in the batch drains it first (settle) — so
-// committing one never changes another's base. A batch never outlives its
-// body: a body's failure is reported against that body.
+// have not been fingerprinted yet, each with cur, what its object holds. A
+// base hash is one serial multiply chain over the whole payload, bound by
+// multiply latency rather than by loads, so checking the records one at a
+// time would leave the core mostly idle on a chain of 16 KB bases; drain
+// runs four chains side by side (wire.DeltaBaseHash4) instead. The batched
+// records name distinct objects — a record for an object already in the
+// batch drains it first (settle) — so committing one never changes another's
+// base. A batch never outlives its body: a body's failure is reported
+// against that body.
 type deltaBatch struct {
 	n    int
 	recs [hashLanes]record
-	base [hashLanes][]byte
+	cur  [hashLanes]latestRec
 }
 
 // settle drains the batch into commit if a record for id waits in it, so
 // that the record about to be read sees what its object holds.
-func (b *deltaBatch) settle(id uint64, commit func(rec record, base []byte)) error {
+func (b *deltaBatch) settle(id uint64, commit func(rec record, cur latestRec)) error {
 	for i := range b.n {
 		if b.recs[i].id == id {
 			return b.drain(commit)
@@ -205,10 +142,10 @@ func (b *deltaBatch) settle(id uint64, commit func(rec record, base []byte)) err
 	return nil
 }
 
-// add batches a delta record against base and drains the batch into commit
+// add batches a delta record against cur and drains the batch into commit
 // once it is full.
-func (b *deltaBatch) add(rec record, base []byte, commit func(rec record, base []byte)) error {
-	b.recs[b.n], b.base[b.n] = rec, base
+func (b *deltaBatch) add(rec record, cur latestRec, commit func(rec record, cur latestRec)) error {
+	b.recs[b.n], b.cur[b.n] = rec, cur
 	b.n++
 	if b.n < hashLanes {
 		return nil
@@ -222,36 +159,31 @@ func (b *deltaBatch) add(rec record, base []byte, commit func(rec record, base [
 // not committed. A record that stopped the body's walk after these were
 // batched comes later in the body, so its caller reports drain's failure
 // first — the one a record-at-a-time check would have hit.
-func (b *deltaBatch) drain(commit func(rec record, base []byte)) error {
+func (b *deltaBatch) drain(commit func(rec record, cur latestRec)) error {
 	if b.n == 0 {
 		return nil
 	}
 	var h [hashLanes]uint32
-	h[0], h[1], h[2], h[3] = wire.DeltaBaseHash4(b.base[0], b.base[1], b.base[2], b.base[3])
+	h[0], h[1], h[2], h[3] = wire.DeltaBaseHash4(b.cur[0].payload, b.cur[1].payload, b.cur[2].payload, b.cur[3].payload)
 	var err error
 	for i := range b.n {
-		if err = checkDelta(b.recs[i], b.base[i], h[i]); err != nil {
+		if err = checkDelta(b.recs[i], b.cur[i].payload, h[i]); err != nil {
 			break
 		}
-		commit(b.recs[i], b.base[i])
+		commit(b.recs[i], b.cur[i])
 	}
 	*b = deltaBatch{} // unused lanes must be nil: DeltaBaseHash4 hashes every lane
 	return err
 }
 
-// commitRecord turns a validated record into its object's latest payload;
-// cur is what the object holds now (the zero value if nothing). Version-1
-// records alias the retained body; version-2 records are materialized into
-// owned storage, reusing the object's existing owned buffer whenever the new
-// payload fits its capacity — the steady-state same-size re-apply allocates
-// nothing.
-func commitRecord(cur latestRec, st stagedRec, hasKind bool) latestRec {
-	if !hasKind {
-		return latestRec{typeID: st.typeID, payload: st.payload}
-	}
-	n := len(st.payload)
-	if st.kind == wire.KindDelta {
-		n = len(st.base)
+// commitRecord materializes a validated version-2 record into owned
+// storage; cur is what the object holds now (the zero value if nothing), and
+// a delta's base. It reuses cur's owned buffer whenever the new payload fits
+// its capacity — the steady-state same-size re-apply allocates nothing.
+func commitRecord(cur latestRec, rec record) latestRec {
+	n := len(rec.payload)
+	if rec.kind == wire.KindDelta {
+		n = len(cur.payload)
 	}
 	var dst []byte
 	if cur.owned && cap(cur.payload) >= n {
@@ -260,89 +192,149 @@ func commitRecord(cur latestRec, st stagedRec, hasKind bool) latestRec {
 		dst = make([]byte, n)
 	}
 	switch {
-	case st.kind != wire.KindDelta:
-		copy(dst, st.payload)
+	case rec.kind != wire.KindDelta:
+		copy(dst, rec.payload)
 	case n > 0:
-		// dst may be st.base itself (the common consecutive-epoch case);
+		// dst may be the base itself (the common consecutive-epoch case);
 		// in-place application is safe because aligned deltas only overwrite
 		// literal runs.
-		wire.ApplyValidatedDelta(dst, st.base, st.payload)
+		wire.ApplyValidatedDelta(dst, cur.payload, rec.payload)
 	}
-	return latestRec{typeID: st.typeID, payload: dst, owned: true}
+	return latestRec{typeID: rec.typeID, payload: dst, owned: true}
 }
 
-// scratch returns the rebuilder a run is replayed into beside rb, its map
-// presized from the state it will replace. A run that extends the current
-// state rather than replacing it starts from a copy; the copies are marked
-// un-owned — the scratch must never materialize a delta in place over a
-// buffer rb still references.
-func (rb *Rebuilder) scratch(extend bool) *Rebuilder {
-	next := &Rebuilder{reg: rb.reg, latest: make(map[uint64]latestRec, len(rb.latest)), staged: rb.staged}
-	if extend {
-		for id, rec := range rb.latest {
-			rec.owned = false
-			next.latest[id] = rec
+// generation is what a run has built so far, beside the rebuilder's state
+// until it publishes. A run that begins with a Full body builds a new map
+// and publishes by swapping it in. A run that begins with an incremental
+// extends the live state: latest is the rebuilder's retained staged map,
+// holding only the objects the run has recorded, and every other id reads
+// through to live, which the run never writes. A Full later in the run drops
+// live and starts a new map.
+type generation struct {
+	latest  map[uint64]latestRec
+	live    map[uint64]latestRec
+	bodies  [][]byte
+	maxID   uint64
+	seen    int
+	hasKind bool // the body being replayed is version 2
+}
+
+// lookup returns what object id holds before the record about to be read,
+// and whether it exists: the run's own entry, materialized first into a
+// buffer of the run's if it is staged, else the live state's.
+func (g *generation) lookup(id uint64) (latestRec, bool) {
+	cur, ok := g.latest[id]
+	switch {
+	case cur.staged:
+		staged := record{typeID: cur.typeID, kind: cur.kind, payload: cur.payload}
+		cur = commitRecord(latestRec{payload: g.live[id].payload}, staged)
+		g.latest[id] = cur
+	case !ok && g.live != nil:
+		cur, ok = g.live[id]
+	}
+	return cur, ok
+}
+
+// commit makes rec, validated against cur, its object's entry in the run.
+// A version-1 record aliases its retained body; a version-2 one is kept.
+func (g *generation) commit(rec record, cur latestRec) {
+	e := latestRec{typeID: rec.typeID, payload: rec.payload}
+	if g.hasKind {
+		e = g.keep(rec, cur)
+	}
+	g.latest[rec.id] = e
+	g.maxID = max(g.maxID, rec.id)
+}
+
+// keep returns the entry for a version-2 record: the record materialized
+// into owned storage, except that an extending run stages its first record
+// for an object, so the live buffer in cur is written only when the run
+// publishes, and reused rather than replaced.
+func (g *generation) keep(rec record, cur latestRec) latestRec {
+	if g.live != nil {
+		if _, ok := g.latest[rec.id]; !ok {
+			return latestRec{typeID: rec.typeID, payload: rec.payload, staged: true, kind: rec.kind}
 		}
-		next.bodies = append([][]byte(nil), rb.bodies...)
-		next.maxID, next.seen = rb.maxID, rb.seen
 	}
-	return next
+	return commitRecord(cur, rec)
 }
 
-// replay folds one body, header already parsed off d, into a scratch
-// rebuilder: each record is decoded, validated and committed straight into
-// latest — a delta once its batch drains. There is no staging because there
-// is nothing to protect — a scratch that fails is thrown away — so the cost
-// is this body's records and nothing else.
-func (rb *Rebuilder) replay(d *wire.Decoder, h bodyHeader, body []byte) error {
-	if h.mode == Full {
-		clear(rb.latest)
-		rb.bodies = rb.bodies[:0]
-		rb.maxID = 0
-	} else if rb.seen == 0 {
-		return errFirstNotFull
+// replay folds one body, header already parsed off d, into the run's
+// generation g: each record is decoded, validated and committed — a delta
+// once its batch drains. It is the one record walk behind Apply and
+// ApplyRun; a body that fails leaves g to be thrown away.
+func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader, body []byte) error {
+	switch {
+	case h.mode == Full:
+		// A full checkpoint resets the state: a run extending the live one
+		// stops reading it and starts a map of its own.
+		if g.latest == nil || g.live != nil {
+			g.latest = make(map[uint64]latestRec, len(rb.latest))
+		} else {
+			clear(g.latest)
+		}
+		*g = generation{latest: g.latest, seen: g.seen}
+	case g.latest == nil:
+		if rb.seen == 0 {
+			return errFirstNotFull
+		}
+		if rb.staged == nil {
+			rb.staged = make(map[uint64]latestRec)
+		}
+		*g = generation{latest: rb.staged, live: rb.latest, bodies: rb.bodies, maxID: rb.maxID, seen: rb.seen}
 	}
-	hasKind := h.version == bodyVersion2
-	if !hasKind {
-		rb.bodies = append(rb.bodies, body)
-	}
-	commit := func(rec record, base []byte) {
-		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload, base: base}
-		rb.latest[rec.id] = commitRecord(rb.latest[rec.id], st, hasKind)
-		rb.maxID = max(rb.maxID, rec.id)
+	g.hasKind = h.version == bodyVersion2
+	if !g.hasKind {
+		g.bodies = append(g.bodies, body)
 	}
 	// A failure ends the walk; the deltas still batched come before it in
 	// the body, so theirs is reported first.
 	var batch deltaBatch
 	for {
-		rec, ok, err := nextRecord(d, hasKind)
+		rec, ok, err := nextRecord(d, g.hasKind)
 		if err != nil {
-			return cmp.Or(batch.drain(commit), err)
+			return cmp.Or(batch.drain(g.commit), err)
 		}
 		if !ok {
 			break
 		}
-		if err := batch.settle(rec.id, commit); err != nil {
+		if err := batch.settle(rec.id, g.commit); err != nil {
 			return err
 		}
-		cur, found := rb.latest[rec.id]
+		cur, found := g.lookup(rec.id)
 		if err := rb.validate(h.mode, rec, cur.typeID, found); err != nil {
-			return cmp.Or(batch.drain(commit), err)
+			return cmp.Or(batch.drain(g.commit), err)
 		}
 		if rec.kind == wire.KindDelta {
-			if err := batch.add(rec, cur.payload, commit); err != nil {
+			if err := batch.add(rec, cur, g.commit); err != nil {
 				return err
 			}
 			continue
 		}
-		rb.latest[rec.id] = commitRecord(cur, stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload}, hasKind)
-		rb.maxID = max(rb.maxID, rec.id)
+		g.commit(rec, cur)
 	}
-	if err := batch.drain(commit); err != nil {
+	if err := batch.drain(g.commit); err != nil {
 		return err
 	}
-	rb.seen++
+	g.seen++
 	return nil
+}
+
+// publish makes a finished run's generation the rebuilder's state: one that
+// met a Full replaces it; an extending one is committed into it, each
+// staged record materialized in place over its object's live buffer.
+func (rb *Rebuilder) publish(g *generation) {
+	if g.live == nil {
+		rb.latest = g.latest
+	} else {
+		for id, e := range g.latest {
+			if e.staged {
+				e = commitRecord(rb.latest[id], record{typeID: e.typeID, kind: e.kind, payload: e.payload})
+			}
+			rb.latest[id] = e
+		}
+	}
+	rb.bodies, rb.maxID, rb.seen = g.bodies, g.maxID, g.seen
 }
 
 // ApplyRun folds a sequence of checkpoint bodies into the rebuilder as one
@@ -351,29 +343,29 @@ func (rb *Rebuilder) replay(d *wire.Decoder, h bodyHeader, body []byte) error {
 // from a retained log must never leave the rebuilder half-rewound when a
 // later body turns out to be unreadable or corrupt.
 //
-// The run is what is staged: its records are validated and committed one by
-// one into a scratch generation (starting empty when the first body is Full,
-// since a full checkpoint resets the state anyway; from a copy of the current
-// state otherwise), which is swapped in only after the last body applies. An
-// empty run is a no-op.
+// The run is staged in a generation of its own and published only after the
+// last body applies. A run that begins with a Full body builds its
+// generation from empty and swaps it in, since a full checkpoint resets the
+// state anyway. A run that begins with an incremental reads through to the
+// current state and costs only the objects it records, whatever the size of
+// that state. An empty run is a no-op.
 func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
-	var next *Rebuilder
+	var g generation
 	for i, b := range bodies {
 		d := wire.NewDecoder(b)
 		h, err := parseBodyHeader(d)
 		if err == nil {
-			if next == nil {
-				next = rb.scratch(h.mode != Full)
-			}
-			err = next.replay(d, h, b)
+			err = rb.replay(&g, d, h, b)
 		}
 		if err != nil {
+			clear(rb.staged) // the run's entries alias its bodies
 			return fmt.Errorf("apply body %d of %d: %w", i+1, len(bodies), err)
 		}
 	}
-	if next != nil {
-		*rb = *next
+	if g.latest != nil {
+		rb.publish(&g)
 	}
+	clear(rb.staged)
 	return nil
 }
 
@@ -524,57 +516,4 @@ func InspectBodyKinds(body []byte, fn func(id uint64, t TypeID, kind byte, paylo
 			}
 		}
 	}
-}
-
-// CheckDeltaCoherence verifies that every delta record in a run of bodies
-// has an in-run base: an earlier record for the same object, with nothing
-// but incrementals between them. Full bodies reset the known set (and may
-// not carry deltas at all). It is cheap — structure only, no hash checks or
-// materialization — and is run by stablelog replay and ckptinspect -verify
-// before Rebuilder.Apply commits to a chain, so a truncated or mis-anchored
-// run fails with ErrDeltaBase up front instead of mid-rebuild.
-//
-// Runs with no version-2 body are vacuously coherent and return nil without
-// decoding records.
-func CheckDeltaCoherence(bodies [][]byte) error {
-	hasV2 := false
-	for _, b := range bodies {
-		if len(b) > 0 && b[0] == bodyVersion2 {
-			hasV2 = true
-			break
-		}
-	}
-	if !hasV2 {
-		return nil
-	}
-	have := make(map[uint64]struct{})
-	for i, body := range bodies {
-		d := wire.NewDecoder(body)
-		h, err := parseBodyHeader(d)
-		if err != nil {
-			return fmt.Errorf("body %d: %w", i+1, err)
-		}
-		if h.mode == Full {
-			clear(have)
-		}
-		for {
-			rec, ok, err := nextRecord(d, h.version == bodyVersion2)
-			if err != nil {
-				return fmt.Errorf("body %d: %w", i+1, err)
-			}
-			if !ok {
-				break
-			}
-			if rec.kind == wire.KindDelta {
-				if h.mode == Full {
-					return fmt.Errorf("body %d: %w: object %d: delta record in a full checkpoint", i+1, ErrDeltaBase, rec.id)
-				}
-				if _, ok := have[rec.id]; !ok {
-					return fmt.Errorf("body %d: %w: object %d has no earlier payload in the run", i+1, ErrDeltaBase, rec.id)
-				}
-			}
-			have[rec.id] = struct{}{}
-		}
-	}
-	return nil
 }

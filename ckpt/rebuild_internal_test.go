@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"reflect"
 	"slices"
-	"testing"
-
-	"ickpt/wire"
 )
+
+// ModelObject is one object of a test model of a rebuilder's state.
+type ModelObject struct {
+	Type    TypeID
+	Payload []byte
+}
 
 // Digest hashes everything a Rebuilder's later behaviour depends on: every
 // known id with its type and payload bytes in id order, the largest id, and
@@ -17,8 +19,19 @@ import (
 // digests build the same objects and accept the same next body. It exists
 // for the external tests (ApplyRun's oracle and fuzz target).
 func (rb *Rebuilder) Digest() string {
-	ids := make([]uint64, 0, len(rb.latest))
-	for id := range rb.latest {
+	objs := make(map[uint64]ModelObject, len(rb.latest))
+	for id, rec := range rb.latest {
+		objs[id] = ModelObject{Type: rec.typeID, Payload: rec.payload}
+	}
+	return DigestOf(objs, rb.maxID, rb.seen > 0)
+}
+
+// DigestOf is the Digest of a rebuilder that holds objs, has seen maxID as
+// its largest id and is anchored by a full checkpoint or not, so that a test
+// model of the state can be compared with the real one.
+func DigestOf(objs map[uint64]ModelObject, maxID uint64, anchored bool) string {
+	ids := make([]uint64, 0, len(objs))
+	for id := range objs {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -29,83 +42,12 @@ func (rb *Rebuilder) Digest() string {
 		h.Write(n[:])
 	}
 	for _, id := range ids {
-		rec := rb.latest[id]
+		o := objs[id]
 		put(id)
-		put(uint64(rec.typeID))
-		put(uint64(len(rec.payload)))
-		h.Write(rec.payload)
+		put(uint64(o.Type))
+		put(uint64(len(o.Payload)))
+		h.Write(o.Payload)
 	}
-	put(rb.maxID)
-	return fmt.Sprintf("%d objects, anchored=%t, %x", len(ids), rb.seen > 0, h.Sum(nil))
-}
-
-// TestRunsAndFullsLeaveStagedUntouched is the structural form of "a replayed
-// body costs O(that body)": the validation map of the incremental Apply is
-// not read, written, cleared or replaced by Apply(Full) or ApplyRun, so its
-// size can only ever be that of the largest incremental body.
-func TestRunsAndFullsLeaveStagedUntouched(t *testing.T) {
-	body := func(mode Mode, epoch uint64, ids ...uint64) []byte {
-		e := wire.NewEncoder(64)
-		e.Byte(bodyVersion)
-		e.Byte(byte(mode))
-		e.Uvarint(epoch)
-		for _, id := range ids {
-			e.Uvarint(id)
-			e.Uvarint(1) // type
-			e.Uvarint(1) // payload length
-			e.Byte(byte(epoch))
-		}
-		return e.Bytes()
-	}
-	full, incr := body(Full, 1, 1, 2, 3), body(Incremental, 2, 2)
-
-	rb := NewRebuilder(NewRegistry())
-	if err := rb.Apply(full); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.ApplyRun([][]byte{full, incr}); err != nil {
-		t.Fatal(err)
-	}
-	if rb.staged != nil {
-		t.Fatalf("Apply(Full) + ApplyRun allocated the staging map (%d entries)", len(rb.staged))
-	}
-
-	// A sentinel entry a clear, a write or a swap would disturb.
-	sentinel := stagedRec{typeID: 99, payload: []byte("sentinel")}
-	rb.staged = map[uint64]stagedRec{7: sentinel}
-	was := reflect.ValueOf(rb.staged).Pointer()
-	check := func(after string) {
-		t.Helper()
-		if got := reflect.ValueOf(rb.staged).Pointer(); got != was {
-			t.Fatalf("%s replaced the staging map", after)
-		}
-		if got, ok := rb.staged[7]; len(rb.staged) != 1 || !ok || !reflect.DeepEqual(got, sentinel) {
-			t.Fatalf("%s touched the staging map: %v", after, rb.staged)
-		}
-	}
-	if err := rb.Apply(full); err != nil {
-		t.Fatal(err)
-	}
-	check("Apply(Full)")
-	if err := rb.ApplyRun([][]byte{full, incr}); err != nil {
-		t.Fatal(err)
-	}
-	check("a full-anchored ApplyRun")
-	if err := rb.ApplyRun([][]byte{incr}); err != nil {
-		t.Fatal(err)
-	}
-	check("an extending ApplyRun")
-	if err := rb.ApplyRun([][]byte{full, incr[:len(incr)-1]}); err == nil {
-		t.Fatal("torn run applied")
-	}
-	check("a failed ApplyRun")
-
-	// The incremental Apply is what the map is for, and it leaves it empty.
-	delete(rb.staged, 7)
-	if err := rb.Apply(incr); err != nil {
-		t.Fatal(err)
-	}
-	if got := reflect.ValueOf(rb.staged).Pointer(); got != was || len(rb.staged) != 0 {
-		t.Fatalf("incremental Apply left %d staged entries (same map: %t)", len(rb.staged), got == was)
-	}
+	put(maxID)
+	return fmt.Sprintf("%d objects, anchored=%t, %x", len(ids), anchored, h.Sum(nil))
 }

@@ -1,11 +1,12 @@
 package ckpt_test
 
-// ApplyRun stages the run, not each body: records go straight into a scratch
-// generation that is swapped in at the end. The oracle it is held to here is
-// the slow, obviously-atomic way of doing the same thing — the same bodies
-// applied one by one with Apply — over seeded random runs that mix body
-// versions, repeat ids, stack deltas, restart mid-run and break in every way
-// the rebuilder has an error class for.
+// ApplyRun stages a run in a generation of its own and publishes it at the
+// end; Apply is a one-body run. The oracle both are held to here is a naive
+// model of the same rules — clone the whole state per run, apply each delta
+// with wire.ApplyDelta, stop at the first bad record and keep the clone only
+// if none was bad — over seeded random runs that mix body versions, repeat
+// ids, stack deltas, restart mid-run, extend the live state and break in
+// every way the rebuilder has an error class for.
 
 import (
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/internal/synth"
 	"ickpt/wire"
 )
 
@@ -44,6 +46,7 @@ type runGen struct {
 	rng   *rand.Rand
 	model map[uint64][]byte // id → payload after the bodies written so far
 	epoch uint64
+	hot   uint64 // when set, every version-2 incremental deltas it once or twice first
 }
 
 const genIDs = 10 // ids 1..genIDs: small, so bodies repeat them
@@ -96,6 +99,16 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 			return nil
 		}
 		return de.Bytes()
+	}
+	if prev, ok := g.model[g.hot]; ok && v == 2 && mode == ckpt.Incremental {
+		for k := 1 + g.rng.Intn(2); k > 0; k-- {
+			next := append([]byte(nil), prev...)
+			next[g.rng.Intn(len(next))] ^= byte(1 + g.rng.Intn(255))
+			if d := delta(prev, next); d != nil {
+				record(g.hot, genType(g.hot), wire.KindDelta, d)
+				g.model[g.hot], prev = next, next
+			}
+		}
 	}
 	for n := 1 + g.rng.Intn(8); n > 0; n-- {
 		id := uint64(1 + g.rng.Intn(genIDs)) // repeats within a body are wanted
@@ -150,62 +163,146 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 }
 
 // run writes n bodies: a Full first (unless extend), a second Full mid-run
-// now and then, versions mixed, and the defect planted in body badAt.
+// now and then, versions mixed, and the defect planted in body badAt. An
+// extending run opens with two version-2 incrementals, and deltas one object
+// of the state it extends in consecutive bodies, and at times twice in one.
 func (g *runGen) run(n int, extend bool, badAt int, bad defect) [][]byte {
+	if extend {
+		var known []uint64
+		for id := uint64(1); id <= genIDs; id++ {
+			if _, ok := g.model[id]; ok {
+				known = append(known, id)
+			}
+		}
+		g.hot = known[g.rng.Intn(len(known))]
+		defer func() { g.hot = 0 }()
+	}
 	bodies := make([][]byte, n)
 	for i := range bodies {
-		mode := ckpt.Incremental
-		if i == 0 && !extend || i > 0 && g.rng.Intn(6) == 0 {
+		mode, v := ckpt.Incremental, byte(1+g.rng.Intn(2))
+		switch {
+		case extend && i < 2:
+			v = 2
+		case i == 0 || g.rng.Intn(6) == 0:
 			mode = ckpt.Full
 		}
 		d := none
 		if i == badAt {
 			d = bad
 		}
-		bodies[i] = g.body(byte(1+g.rng.Intn(2)), mode, d)
+		bodies[i] = g.body(v, mode, d)
 	}
 	return bodies
 }
 
-// checkRunAgainstSequential is the oracle. Both rebuilders start from the
-// same prelude; ref then takes the run one Apply at a time and stops at the
-// first error, rb takes it as one ApplyRun.
-func checkRunAgainstSequential(t *testing.T, label string, prelude, run [][]byte) {
-	t.Helper()
-	ref, rb := ckpt.NewRebuilder(ckpt.NewRegistry()), ckpt.NewRebuilder(ckpt.NewRegistry())
-	for _, b := range prelude {
-		if err := ref.Apply(b); err != nil {
-			t.Fatalf("%s: prelude: %v", label, err)
+// modelState is the naive model's rebuilder: its objects, largest id, and
+// whether a full checkpoint anchors it.
+type modelState struct {
+	objs     map[uint64]ckpt.ModelObject
+	maxID    uint64
+	anchored bool
+}
+
+func (s modelState) digest() string { return ckpt.DigestOf(s.objs, s.maxID, s.anchored) }
+
+// modelRun applies run to a clone of s, one record at a time, and returns
+// the clone — or s itself and the first bad record's error.
+func modelRun(s modelState, run [][]byte) (modelState, error) {
+	next := modelState{objs: maps.Clone(s.objs), maxID: s.maxID, anchored: s.anchored}
+	for _, body := range run {
+		d := wire.NewDecoder(body)
+		version, mode := d.Byte(), ckpt.Mode(d.Byte())
+		d.Uvarint()
+		switch {
+		case d.Err() != nil:
+			return s, d.Err()
+		case version != 1 && version != 2, mode != ckpt.Full && mode != ckpt.Incremental:
+			return s, ckpt.ErrBadBody
+		case mode == ckpt.Full:
+			next.objs, next.maxID, next.anchored = map[uint64]ckpt.ModelObject{}, 0, true
+		case !next.anchored:
+			return s, ckpt.ErrBadBody
 		}
+		_, err := ckpt.InspectBodyKinds(body, func(id uint64, t ckpt.TypeID, kind byte, payload []byte) error {
+			prev, found := next.objs[id]
+			switch {
+			case id == ckpt.NilID:
+				return ckpt.ErrBadBody
+			case found && prev.Type != t:
+				return ckpt.ErrTypeConflict
+			case kind == wire.KindDelta && (mode == ckpt.Full || !found):
+				return ckpt.ErrDeltaBase
+			}
+			p := append([]byte(nil), payload...)
+			if kind == wire.KindDelta {
+				var err error
+				if p, err = wire.ApplyDelta(prev.Payload, payload); errors.Is(err, wire.ErrBaseMismatch) {
+					return ckpt.ErrDeltaBase
+				} else if err != nil {
+					return ckpt.ErrBadBody
+				}
+			}
+			next.objs[id] = ckpt.ModelObject{Type: t, Payload: p}
+			next.maxID = max(next.maxID, id)
+			return nil
+		})
+		if err != nil {
+			return s, err
+		}
+	}
+	return next, nil
+}
+
+// checkRunAgainstModel is the oracle. A rebuilder and the model take the
+// same prelude; then the rebuilder takes the run as one ApplyRun, and a
+// second one, a replica following the stream, one Apply per body until the
+// first fails. Each must end where the model does, with its error class.
+func checkRunAgainstModel(t *testing.T, label string, prelude, run [][]byte) {
+	t.Helper()
+	rb, follow := ckpt.NewRebuilder(ckpt.NewRegistry()), ckpt.NewRebuilder(ckpt.NewRegistry())
+	start, err := modelRun(modelState{objs: map[uint64]ckpt.ModelObject{}}, prelude)
+	if err != nil {
+		t.Fatalf("%s: prelude: model: %v", label, err)
 	}
 	if err := rb.ApplyRun(prelude); err != nil {
 		t.Fatalf("%s: prelude as a run: %v", label, err)
 	}
-	before := rb.Digest()
-	if got := ref.Digest(); got != before {
-		t.Fatalf("%s: prelude: run digest %s, sequential %s", label, before, got)
+	if err := follow.ApplyRun(prelude); err != nil {
+		t.Fatalf("%s: prelude as a run: %v", label, err)
 	}
-	var want error
-	for _, b := range run {
-		if want = ref.Apply(b); want != nil {
+	if got, want := rb.Digest(), start.digest(); got != want {
+		t.Fatalf("%s: prelude: rebuilder %s, model %s", label, got, want)
+	}
+
+	want, wantErr := modelRun(start, run)
+	got := rb.ApplyRun(run)
+	if errClass(got) != errClass(wantErr) {
+		t.Fatalf("%s: ApplyRun = %v, model %v", label, got, wantErr)
+	}
+	if a, b := rb.Digest(), want.digest(); a != b {
+		t.Fatalf("%s: ApplyRun (%v) left %s, model %s", label, got, a, b)
+	}
+
+	at := start
+	for i, body := range run {
+		next, wantErr := modelRun(at, [][]byte{body})
+		got := follow.Apply(body)
+		if errClass(got) != errClass(wantErr) {
+			t.Fatalf("%s: Apply of body %d = %v, model %v", label, i, got, wantErr)
+		}
+		if a, b := follow.Digest(), next.digest(); a != b {
+			t.Fatalf("%s: Apply of body %d (%v) left %s, model %s", label, i, got, a, b)
+		}
+		if wantErr != nil {
 			break
 		}
-	}
-	got := rb.ApplyRun(run)
-	if errClass(got) != errClass(want) {
-		t.Fatalf("%s: ApplyRun = %v, sequential Apply = %v", label, got, want)
-	}
-	if want != nil {
-		if after := rb.Digest(); after != before {
-			t.Fatalf("%s: failed ApplyRun (%v) changed the rebuilder: %s, was %s", label, got, after, before)
-		}
-		return
-	}
-	if a, b := rb.Digest(), ref.Digest(); a != b {
-		t.Fatalf("%s: ApplyRun left %s, sequential Apply %s", label, a, b)
+		at = next
 	}
 }
 
+// TestApplyRunMatchesSequentialApply holds ApplyRun, and Apply body by body,
+// to the model over seeded runs, each valid run also torn and garbled at
+// every position.
 func TestApplyRunMatchesSequentialApply(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		for bad := none; bad < numDefects; bad++ {
@@ -217,9 +314,12 @@ func TestApplyRunMatchesSequentialApply(t *testing.T) {
 				prelude = g.run(1+rng.Intn(3), false, -1, none)
 			}
 			n := 1 + rng.Intn(5)
+			if extend {
+				n++
+			}
 			run := g.run(n, extend, rng.Intn(n), bad)
 			label := fmt.Sprintf("seed %d defect %d", seed, bad)
-			checkRunAgainstSequential(t, label, prelude, run)
+			checkRunAgainstModel(t, label, prelude, run)
 			if bad != none {
 				continue
 			}
@@ -227,12 +327,12 @@ func TestApplyRunMatchesSequentialApply(t *testing.T) {
 			for at := range run {
 				torn := append([][]byte(nil), run...)
 				torn[at] = run[at][:rng.Intn(len(run[at]))]
-				checkRunAgainstSequential(t, fmt.Sprintf("%s torn at %d", label, at), prelude, torn)
+				checkRunAgainstModel(t, fmt.Sprintf("%s torn at %d", label, at), prelude, torn)
 
 				garbled := append([][]byte(nil), run...)
 				garbled[at] = append([]byte(nil), run[at]...)
 				garbled[at][rng.Intn(len(run[at]))] ^= byte(1 + rng.Intn(255))
-				checkRunAgainstSequential(t, fmt.Sprintf("%s garbled at %d", label, at), prelude, garbled)
+				checkRunAgainstModel(t, fmt.Sprintf("%s garbled at %d", label, at), prelude, garbled)
 			}
 		}
 	}
@@ -267,8 +367,8 @@ func TestApplyRunDefectsAreClassified(t *testing.T) {
 }
 
 // TestApplyRunBadFirstHeaderFailsBeforeCopying: a run whose first header does
-// not parse is rejected on the header alone — the rebuilder's state is not
-// cloned into a scratch that is about to be thrown away.
+// not parse is rejected on the header alone, before any generation is set up
+// beside the rebuilder's state.
 func TestApplyRunBadFirstHeaderFailsBeforeCopying(t *testing.T) {
 	const objects = 4096
 	e := wire.NewEncoder(16 * objects)
@@ -493,5 +593,54 @@ func TestApplyRunReportsFirstFailingDelta(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExtendingRunCostsItsRecords: a run that begins with an incremental
+// reads through to the state it extends instead of copying it, so applying
+// one incremental body allocates the same over the 104 000 objects of the
+// synth-sparse replay chain as over the first 1 000 of them.
+func TestExtendingRunCostsItsRecords(t *testing.T) {
+	chain := sparseChain(t, 4000)
+	small := wire.NewEncoder(64 << 10)
+	small.Byte(1)
+	small.Byte(byte(ckpt.Full))
+	small.Uvarint(1)
+	n := 0
+	if _, err := ckpt.InspectBody(chain[0], func(id uint64, typ ckpt.TypeID, payload []byte) error {
+		if n++; n <= 1000 {
+			small.Uvarint(id)
+			small.Uvarint(uint64(typ))
+			small.Uvarint(uint64(len(payload)))
+			small.Raw(payload)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inc := [][]byte{chain[1]}
+	perRun := func(full []byte) uint64 {
+		rb := ckpt.NewRebuilder(synth.Registry())
+		if err := rb.Apply(full); err != nil {
+			t.Fatal(err)
+		}
+		if err := rb.ApplyRun(inc); err != nil { // new ids settle in, the staged map grows
+			t.Fatal(err)
+		}
+		const runs = 8
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			if err := rb.ApplyRun(inc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	bigState, smallState := perRun(chain[0]), perRun(small.Bytes())
+	t.Logf("one-body extending run: %d B over %d objects, %d B over 1000", bigState, n, smallState)
+	if bigState > smallState+64 {
+		t.Errorf("an extending run allocates %d B over %d objects, %d B over 1000: it scales with the state", bigState, n, smallState)
 	}
 }

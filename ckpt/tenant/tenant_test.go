@@ -566,8 +566,9 @@ func TestRecoverNoFull(t *testing.T) {
 
 // TestRecoverRejectsBaselessDeltaLikeTheLog: a tenant chain whose delta has
 // no base in the run is the same defect as a single-stream chain with one,
-// and both replay paths read through stablelog.ReadRun, so both call it
-// ErrIncoherent — before the rebuilder sees a byte.
+// and both replay paths apply their run through the same stablelog replay,
+// so both call it ErrIncoherent as well as ErrDeltaBase, and neither leaves
+// the rebuilder changed.
 func TestRecoverRejectsBaselessDeltaLikeTheLog(t *testing.T) {
 	v2 := func(mode ckpt.Mode, epoch uint64, records func(e *wire.Encoder)) []byte {
 		e := wire.NewEncoder(128)

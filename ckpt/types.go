@@ -65,6 +65,12 @@ type Checkpointable interface {
 
 // Restorable extends Checkpointable with the inverse of Record: Restore
 // reads the fields written by Record, resolving child ids through res.
+//
+// Restore runs on payloads recovery read from disk, which may be well framed
+// and still lie. Its allocation must be bounded by the payload: a loop or
+// allocation sized by a decoded count takes that count from d.Count, which
+// fails the decoder when the count claims more elements than the unread
+// bytes can hold, never from a raw d.Uvarint or d.Varint.
 type Restorable interface {
 	Checkpointable
 	// Restore reads the object's local state from d, in the order Record

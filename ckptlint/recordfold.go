@@ -254,14 +254,17 @@ var encoderKinds = map[string]bool{
 var decoderKinds = map[string]bool{
 	"Uvarint": true, "Varint": true, "Uint32": true, "Uint64": true,
 	"Float64": true, "Bool": true, "Byte": true, "String": true,
-	"BytesField": true,
+	"BytesField": true, "Count": true,
 }
 
 // wireKindsMatch reports whether an encoded kind and a decoded kind move
-// the same wire bytes. Encoder and Decoder use matching method names, and a
-// child id is encoded as a uvarint.
+// the same wire bytes. Encoder and Decoder use matching method names, a
+// child id is encoded as a uvarint, and so is a count read with Count.
 func wireKindsMatch(enc, dec string) bool {
 	if enc == dec {
+		return true
+	}
+	if enc == "Uvarint" && dec == "Count" {
 		return true
 	}
 	if enc == "childid" && dec == "Uvarint" {

@@ -321,18 +321,14 @@ func verifyStream(log *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, int, 
 	if err := stablelog.ValidateRun(run); err != nil {
 		return nil, 0, fmt.Errorf("incoherent recovery run: %w", err)
 	}
-	// Delta records add a cross-body dependency the segment framing cannot
-	// see: every patch needs an earlier payload for the same object in the
-	// same run. Reject a baseless delta here by name, rather than letting
-	// replay surface it as a generic recovery failure.
-	if _, err := log.ReadRun(run); errors.Is(err, stablelog.ErrIncoherent) {
+	// Rewinding to the head recovers the stream. Delta records add a
+	// cross-body dependency the segment framing cannot see — every patch
+	// needs an earlier payload for the same object in the same run — so a
+	// delta without one is named, not reported as a generic failure.
+	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+	if _, err := log.RewindTo(rb, run[len(run)-1].Epoch); errors.Is(err, ckpt.ErrDeltaBase) {
 		return nil, 0, fmt.Errorf("baseless delta in recovery run: %w", err)
 	} else if err != nil {
-		return nil, 0, err
-	}
-	// Rewinding to the head recovers the stream.
-	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
-	if _, err := log.RewindTo(rb, run[len(run)-1].Epoch); err != nil {
 		return nil, 0, fmt.Errorf("recovery run does not apply: %w", err)
 	}
 	return run, rb.Objects(), nil

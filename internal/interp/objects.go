@@ -84,7 +84,7 @@ func (e *Env) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
 		return err
 	}
 	e.Parent = parent
-	n := int(d.Uvarint())
+	n := d.Count(2) // a name's length byte and a value's kind byte
 	e.Names = e.Names[:0]
 	e.Vals = e.Vals[:0]
 	for i := 0; i < n; i++ {
@@ -160,12 +160,12 @@ func (c *Closure) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
 		return err
 	}
 	c.Env = env
-	np := int(d.Uvarint())
+	np := d.Count(1) // a parameter name's length byte
 	c.Params = c.Params[:0]
 	for i := 0; i < np; i++ {
 		c.Params = append(c.Params, d.String())
 	}
-	nb := int(d.Uvarint())
+	nb := d.Count(1) // a body index's uvarint
 	c.Body = c.Body[:0]
 	for i := 0; i < nb; i++ {
 		c.Body = append(c.Body, int(d.Uvarint()))

@@ -265,3 +265,40 @@ func (p *DeltaPage) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
 	p.Tail = tail
 	return nil
 }
+
+var typeCounted = ckpt.TypeIDOf("lintfixtures.Counted")
+
+// Counted is a correct trio whose Restore reads its element count with
+// wire.Decoder.Count, which moves the same bytes as the Uvarint Record
+// wrote: the analyzer must stay silent on it.
+type Counted struct {
+	Info ckpt.Info
+	Vals []uint64
+}
+
+// CheckpointInfo returns the object's checkpoint metadata.
+func (c *Counted) CheckpointInfo() *ckpt.Info { return &c.Info }
+
+// CheckpointTypeID returns the object's stable type id.
+func (c *Counted) CheckpointTypeID() ckpt.TypeID { return typeCounted }
+
+// Record writes the count, then the values.
+func (c *Counted) Record(e *wire.Encoder) {
+	e.Uvarint(uint64(len(c.Vals)))
+	for _, v := range c.Vals {
+		e.Uvarint(v)
+	}
+}
+
+// Fold has no children to traverse.
+func (c *Counted) Fold(*ckpt.Writer) error { return nil }
+
+// Restore reads exactly what Record wrote, its loop bounded by the payload.
+func (c *Counted) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
+	n := d.Count(1)
+	c.Vals = c.Vals[:0]
+	for i := 0; i < n; i++ {
+		c.Vals = append(c.Vals, d.Uvarint())
+	}
+	return d.Err()
+}

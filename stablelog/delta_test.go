@@ -129,7 +129,8 @@ func TestRecoverDeltaChain(t *testing.T) {
 // TestRecoverBaselessDeltaIncoherent anchors a delta-bearing incremental to
 // a full checkpoint that lacks the patched object. Framing, checksums and
 // the segment chain all hold, but the patch has no base — replay must fail
-// with ErrIncoherent up front rather than materialize from nothing.
+// with ErrIncoherent, leaving the rebuilder as it was, rather than
+// materialize from nothing.
 func TestRecoverBaselessDeltaIncoherent(t *testing.T) {
 	path := tempLogPath(t)
 	l, err := stablelog.Create(path)

@@ -608,12 +608,8 @@ func (l *Log) Recover(rb *ckpt.Rebuilder) error {
 // file, as every single-stream chain does, is fetched with one read; a run
 // interleaved with other streams' segments with one read per segment, of
 // its payload alone. Every payload is verified against its checksum, as
-// Read does.
-//
-// Delta-bearing bodies add a cross-body dependency segment framing knows
-// nothing about: every delta record needs an earlier payload in the same
-// run. ReadRun checks it (ckpt.CheckDeltaCoherence), so a mis-anchored run
-// fails here with ErrIncoherent rather than partway through materialization.
+// Read does. ReadRun does I/O and checksums only: whether the bodies form a
+// coherent chain of records is the rebuilder's question (see replayRun).
 func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 	if err := l.usable(); err != nil {
 		return nil, err
@@ -651,15 +647,15 @@ func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 		}
 		bodies[i] = body
 	}
-	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
-		return nil, fmt.Errorf("%w: run at seq %d: %w", ErrIncoherent, run[0].Seq, err)
-	}
 	return bodies, nil
 }
 
 // replayRun validates run, reads it (ReadRun) and applies the bodies to rb
-// as one atomic unit: the run is staged beside rb's state and swapped in, so
-// on any error rb is unchanged.
+// as one atomic unit (ckpt.Rebuilder.ApplyRun), so on any error rb is
+// unchanged. Delta records add a cross-body dependency segment framing
+// knows nothing about — every delta needs an earlier payload for its object
+// in the run — so a delta the run gives no base (ckpt.ErrDeltaBase) makes
+// the chain incoherent as well: the error wraps both.
 func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
 	if err := ValidateRun(run); err != nil {
 		return err
@@ -668,7 +664,9 @@ func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
 	if err != nil {
 		return err
 	}
-	if err := rb.ApplyRun(bodies); err != nil {
+	if err := rb.ApplyRun(bodies); errors.Is(err, ckpt.ErrDeltaBase) {
+		return fmt.Errorf("%w: replay run at seq %d: %w", ErrIncoherent, run[0].Seq, err)
+	} else if err != nil {
 		return fmt.Errorf("replay run at seq %d: %w", run[0].Seq, err)
 	}
 	return nil

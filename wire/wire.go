@@ -231,6 +231,23 @@ func (d *Decoder) Uvarint() uint64 {
 	return 0
 }
 
+// Count reads a uvarint element count for a loop that consumes at least
+// minElemBytes (at least 1) of the input per element. A count the unread
+// input cannot hold — n × minElemBytes > Len() — fails the decoder with
+// ErrTruncated and reads as 0, so a loop bounded by Count is bounded by the
+// payload, whatever the payload claims.
+func (d *Decoder) Count(minElemBytes int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.Len()/max(minElemBytes, 1)) {
+		d.fail(fmt.Errorf("%w: count %d with %d bytes left at offset %d", ErrTruncated, n, d.Len(), d.off))
+		return 0
+	}
+	return int(n)
+}
+
 // Varint reads a zig-zag LEB128 value.
 func (d *Decoder) Varint() int64 {
 	if d.err != nil {

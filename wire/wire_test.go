@@ -98,6 +98,40 @@ func TestDecoderTruncated(t *testing.T) {
 	}
 }
 
+// TestDecoderCount: a count passes while count × minElemBytes fits in the
+// bytes left after it, and fails the decoder as truncated input, reading as
+// 0, the moment it does not.
+func TestDecoderCount(t *testing.T) {
+	for _, tc := range []struct {
+		count   uint64
+		minElem int
+		left    int
+		ok      bool
+	}{
+		{0, 1, 0, true},
+		{3, 1, 3, true},
+		{4, 1, 3, false},
+		{3, 2, 6, true},
+		{3, 2, 5, false},
+		{2, 0, 2, true}, // a minimum below 1 counts as 1
+		{3, 0, 2, false},
+		{1 << 40, 1, 8, false},
+		{math.MaxUint64, 8, 8, false},
+	} {
+		e := NewEncoder(16)
+		e.Uvarint(tc.count)
+		e.Raw(make([]byte, tc.left))
+		d := NewDecoder(e.Bytes())
+		n := d.Count(tc.minElem)
+		switch {
+		case tc.ok && (d.Err() != nil || uint64(n) != tc.count):
+			t.Errorf("%+v: Count = %d, %v", tc, n, d.Err())
+		case !tc.ok && (n != 0 || !errors.Is(d.Err(), ErrTruncated)):
+			t.Errorf("%+v: Count = %d, %v; want 0, ErrTruncated", tc, n, d.Err())
+		}
+	}
+}
+
 func TestDecoderStickyError(t *testing.T) {
 	d := NewDecoder(nil)
 	d.Uvarint()
