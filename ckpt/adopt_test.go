@@ -63,7 +63,7 @@ func TestAdoptKeepsIncremental(t *testing.T) {
 		t.Fatalf("NextMode = %v, want Incremental", mode)
 	}
 	var ids []uint64
-	if _, err := ckpt.InspectBody(body, func(id uint64, _ ckpt.TypeID, _ []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, _ byte, _ []byte) error {
 		ids = append(ids, id)
 		return nil
 	}); err != nil {

@@ -87,25 +87,6 @@ func BenchmarkWriterOneDirty(b *testing.B) {
 	}
 }
 
-// BenchmarkWriterCycleCheck measures the overhead of the traversal-stack
-// guard.
-func BenchmarkWriterCycleCheck(b *testing.B) {
-	d := ckpt.NewDomain()
-	root := buildChain(d, 64)
-	w := ckpt.NewWriter(ckpt.WithCycleCheck())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Start(ckpt.Full)
-		if err := w.Checkpoint(root); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := w.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRebuild measures reconstructing 65 objects from a body.
 func BenchmarkRebuild(b *testing.B) {
 	d := ckpt.NewDomain()

@@ -200,9 +200,9 @@ func TestFullCheckpointRecordsEverything(t *testing.T) {
 	if stats.Visited != 6 || stats.Recorded != 6 {
 		t.Errorf("stats = %+v, want 6 visited and recorded", stats)
 	}
-	info, err := ckpt.InspectBody(body, nil)
+	info, err := ckpt.InspectBodyKinds(body, nil)
 	if err != nil {
-		t.Fatalf("InspectBody: %v", err)
+		t.Fatalf("InspectBodyKinds: %v", err)
 	}
 	if info.Records != 6 || info.Mode != ckpt.Full || info.Epoch != 1 {
 		t.Errorf("body info = %+v", info)
@@ -225,9 +225,9 @@ func TestIncrementalSkipsUnmodified(t *testing.T) {
 	if stats.Visited != 6 || stats.Recorded != 0 || stats.Skipped != 6 {
 		t.Errorf("quiescent stats = %+v", stats)
 	}
-	info, err := ckpt.InspectBody(body, nil)
+	info, err := ckpt.InspectBodyKinds(body, nil)
 	if err != nil {
-		t.Fatalf("InspectBody: %v", err)
+		t.Fatalf("InspectBodyKinds: %v", err)
 	}
 	if info.Records != 0 {
 		t.Errorf("quiescent body has %d records", info.Records)
@@ -251,28 +251,6 @@ func TestCheckpointWithoutStart(t *testing.T) {
 	}
 	if _, _, err := w.Finish(); !errors.Is(err, ckpt.ErrNotStarted) {
 		t.Errorf("Finish = %v, want ErrNotStarted", err)
-	}
-}
-
-func TestCycleCheck(t *testing.T) {
-	d := ckpt.NewDomain()
-	a := newPoint(d, 1, 1, "a")
-	b := newPoint(d, 2, 2, "b")
-	a.next = b
-	b.next = a
-
-	w := ckpt.NewWriter(ckpt.WithCycleCheck())
-	w.Start(ckpt.Full)
-	if err := w.Checkpoint(a); !errors.Is(err, ckpt.ErrCycle) {
-		t.Errorf("Checkpoint on cycle = %v, want ErrCycle", err)
-	}
-
-	// Without the option the same structure would recurse forever, so only
-	// the guarded path is exercised. An acyclic structure must still pass.
-	w.Start(ckpt.Full)
-	c := buildChain(d, 3)
-	if err := w.Checkpoint(c); err != nil {
-		t.Errorf("Checkpoint acyclic with cycle check = %v", err)
 	}
 }
 
@@ -456,11 +434,11 @@ func TestWriterEpochAdvances(t *testing.T) {
 	w := ckpt.NewWriter()
 	body1, _ := checkpointBody(t, w, ckpt.Full, b)
 	body2, _ := checkpointBody(t, w, ckpt.Full, b)
-	i1, err := ckpt.InspectBody(body1, nil)
+	i1, err := ckpt.InspectBodyKinds(body1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := ckpt.InspectBody(body2, nil)
+	i2, err := ckpt.InspectBodyKinds(body2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestEmitterDirectUse(t *testing.T) {
 	if p.info.Modified() {
 		t.Error("EmitIfModified did not reset the flag")
 	}
-	info, err := ckpt.InspectBody(body, func(id uint64, tt ckpt.TypeID, payload []byte) error {
+	info, err := ckpt.InspectBodyKinds(body, func(id uint64, tt ckpt.TypeID, _ byte, payload []byte) error {
 		if id != p.info.ID() || tt != typePoint {
 			t.Errorf("record = (%d, %v)", id, tt)
 		}
@@ -83,7 +83,7 @@ func TestEmitterBeginEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var payload []byte
-	if _, err := ckpt.InspectBody(body, func(_ uint64, _ ckpt.TypeID, pl []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(_ uint64, _ ckpt.TypeID, _ byte, pl []byte) error {
 		payload = append([]byte(nil), pl...)
 		return nil
 	}); err != nil {
@@ -96,20 +96,20 @@ func TestEmitterBeginEnd(t *testing.T) {
 }
 
 func TestInspectBodyErrors(t *testing.T) {
-	if _, err := ckpt.InspectBody(nil, nil); err == nil {
+	if _, err := ckpt.InspectBodyKinds(nil, nil); err == nil {
 		t.Error("empty body accepted")
 	}
 	// Bad version.
-	if _, err := ckpt.InspectBody([]byte{9, 1, 0}, nil); !errors.Is(err, ckpt.ErrBadBody) {
+	if _, err := ckpt.InspectBodyKinds([]byte{9, 1, 0}, nil); !errors.Is(err, ckpt.ErrBadBody) {
 		t.Errorf("bad version = %v", err)
 	}
 	// Bad mode.
-	if _, err := ckpt.InspectBody([]byte{1, 7, 0}, nil); !errors.Is(err, ckpt.ErrBadBody) {
+	if _, err := ckpt.InspectBodyKinds([]byte{1, 7, 0}, nil); !errors.Is(err, ckpt.ErrBadBody) {
 		t.Errorf("bad mode = %v", err)
 	}
 	// Record with length pointing past the end.
 	body := []byte{1, 1, 0 /* header */, 1 /* id */, 1 /* type */, 200 /* len */}
-	if _, err := ckpt.InspectBody(body, nil); err == nil {
+	if _, err := ckpt.InspectBodyKinds(body, nil); err == nil {
 		t.Error("overlong record accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestInspectBodyCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if _, err := ckpt.InspectBody(body, func(uint64, ckpt.TypeID, []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(uint64, ckpt.TypeID, byte, []byte) error {
 		return boom
 	}); !errors.Is(err, boom) {
 		t.Errorf("callback error = %v, want boom", err)

@@ -30,7 +30,7 @@ func FuzzInspectBody(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		records := 0
-		info, err := ckpt.InspectBody(body, func(id uint64, tid ckpt.TypeID, payload []byte) error {
+		info, err := ckpt.InspectBodyKinds(body, func(id uint64, tid ckpt.TypeID, _ byte, payload []byte) error {
 			records++
 			return nil
 		})

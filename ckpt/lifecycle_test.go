@@ -14,6 +14,7 @@ import (
 	"ickpt/ckpt/parfold"
 	"ickpt/ckpt/tenant"
 	"ickpt/stablelog"
+	"ickpt/wire"
 )
 
 // One lifecycle, four drivers. Every way of driving an epoch — the
@@ -222,10 +223,14 @@ func (d *folderDriver) take(mode ckpt.Mode, roots []ckpt.Checkpointable) (uint64
 	return d.f.Epoch(), err
 }
 
-// deadSink loses every body handed to it.
+// deadSink loses every body submitted to it.
 type deadSink struct{}
 
-func (deadSink) Append(ckpt.Mode, uint64, []byte) error { return errors.New("lifecycle: sink down") }
+func (deadSink) Reserve() *wire.Encoder { return wire.NewEncoder(0) }
+func (deadSink) Submit(ckpt.Mode, uint64, *wire.Encoder) error {
+	return errors.New("lifecycle: sink down")
+}
+func (deadSink) Recycle(*wire.Encoder) {}
 
 func (d *folderDriver) lose(mode ckpt.Mode, roots []ckpt.Checkpointable) bool {
 	if _, err := d.f.FoldTo(deadSink{}, mode, roots); err == nil {
@@ -356,7 +361,7 @@ func observe(d lifeDriver, w *lifeWorld, cache *ckpt.ShadowCache) lifeOutcome {
 func bodyIDs(t *testing.T, body []byte) []uint64 {
 	t.Helper()
 	var ids []uint64
-	if _, err := ckpt.InspectBody(body, func(id uint64, _ ckpt.TypeID, _ []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, _ byte, _ []byte) error {
 		ids = append(ids, id)
 		return nil
 	}); err != nil {
@@ -585,7 +590,7 @@ func TestStalePendScheduleEveryDriver(t *testing.T) {
 
 			bodies := d.close()
 			for i, wantDeltas := range []int{0, 0, 0, 1} {
-				info, err := ckpt.InspectBody(bodies[i], nil)
+				info, err := ckpt.InspectBodyKinds(bodies[i], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

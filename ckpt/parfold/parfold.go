@@ -71,25 +71,19 @@ func FoldEmitter(fn func(ckpt.Checkpointable, *ckpt.Emitter)) FoldFunc {
 	}
 }
 
-// Sink accepts merged checkpoint bodies; *stablelog.AsyncWriter satisfies it,
-// so a parallel fold can land its batch on the group-commit path and overlap
-// the encoding of the next checkpoint with the fsync of this one.
+// Sink accepts merged checkpoint bodies through a zero-copy handoff
+// (DESIGN.md decision 11); *stablelog.AsyncWriter satisfies it, so a
+// parallel fold can land its batch on the group-commit path and overlap the
+// encoding of the next checkpoint with the fsync of this one. Reserve hands
+// out a sink-owned encoder, Submit transfers it — and the body encoded into
+// it — back without copying a byte, and Recycle returns an unused
+// reservation to the sink's free list when the fold that was encoding into
+// it aborts, so a failed epoch never leaks the buffer. FoldTo routes the
+// canonical merge straight into the reserved buffer: the per-worker shard
+// chunks are concatenated into sink-owned storage (one copy total), and on
+// the single-worker inline path the records are encoded into it directly (no
+// copy at all).
 type Sink interface {
-	Append(mode ckpt.Mode, epoch uint64, body []byte) error
-}
-
-// ReserveSink is a Sink with a zero-copy handoff path (DESIGN.md decision
-// 11): Reserve hands out a sink-owned encoder, Submit transfers it — and the
-// body encoded into it — back without copying a byte, and Recycle returns an
-// unused reservation to the sink's free list when the fold that was encoding
-// into it aborts, so a failed epoch never leaks the buffer.
-// *stablelog.AsyncWriter satisfies it. FoldTo detects the interface and
-// routes the canonical merge straight into the reserved buffer: the
-// per-worker shard chunks are concatenated into sink-owned storage (one copy
-// total), and on the single-worker inline path the records are encoded into
-// it directly (no copy at all).
-type ReserveSink interface {
-	Sink
 	Reserve() *wire.Encoder
 	Submit(mode ckpt.Mode, epoch uint64, enc *wire.Encoder) error
 	Recycle(enc *wire.Encoder)
@@ -177,8 +171,8 @@ type Folder struct {
 	pool []*worker
 
 	// target, when non-nil, receives the next fold's body in place of the
-	// folder's own merge buffer — FoldTo points it at a ReserveSink's
-	// reserved encoder so the merge lands in sink-owned storage.
+	// folder's own merge buffer — FoldTo points it at a Sink's reserved
+	// encoder so the merge lands in sink-owned storage.
 	target *wire.Encoder
 	// lastLen is the previous merged body's length, the pre-size hint for
 	// the per-worker shard buffers (f.out.Len() is stale when the previous
@@ -250,41 +244,31 @@ func (f *Folder) Fold(mode ckpt.Mode, roots []ckpt.Checkpointable) ([]byte, ckpt
 	return f.run(mode, roots, f.fold)
 }
 
-// FoldTo folds and hands the merged body to sink — typically a
-// stablelog.AsyncWriter, whose Append copies the body and returns as soon as
-// it is queued, so the next fold's encoding overlaps this body's write and
+// FoldTo folds into an encoder reserved from sink and submits it — typically
+// to a stablelog.AsyncWriter, whose Submit returns as soon as the body is
+// queued, so the next fold's encoding overlaps this body's write and
 // group-commit fsync.
 //
-// A sink.Append error aborts the epoch through the session: the flags its
-// records cleared are re-marked. A nil return from an asynchronous sink means
-// only "queued" — attach a session and wire the sink's acknowledgements to it
-// (stablelog.WithAck(s.Ack)) so the epoch commits on durable fsync and aborts
-// on a failed or dropped write.
+// A failed fold recycles the reservation. A sink.Submit error aborts the
+// epoch through the session: the flags its records cleared are re-marked. A
+// nil return from an asynchronous sink means only "queued" — attach a
+// session and wire the sink's acknowledgements to it
+// (stablelog.WithAck(s.Ack)) so the epoch commits on durable fsync and
+// aborts on a failed or dropped write.
 func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) (ckpt.Stats, error) {
-	if zc, ok := sink.(ReserveSink); ok {
-		enc := zc.Reserve()
-		f.target = enc
-		_, stats, err := f.Fold(mode, roots)
-		f.target = nil
-		if err != nil {
-			// The fold aborted (and re-marked) already; the reservation must
-			// go back to the sink's free list or the buffer leaks.
-			zc.Recycle(enc)
-			return stats, err
-		}
-		if err := zc.Submit(mode, f.epoch, enc); err != nil {
-			// Submit reclaims the buffer on its own error path; only the
-			// epoch needs aborting here.
-			f.session.Abort(f.epoch)
-			return stats, err
-		}
-		return stats, nil
-	}
-	body, stats, err := f.Fold(mode, roots)
+	enc := sink.Reserve()
+	f.target = enc
+	_, stats, err := f.Fold(mode, roots)
+	f.target = nil
 	if err != nil {
+		// The fold aborted (and re-marked) already; the reservation must go
+		// back to the sink's free list or the buffer leaks.
+		sink.Recycle(enc)
 		return stats, err
 	}
-	if err := sink.Append(mode, f.epoch, body); err != nil {
+	if err := sink.Submit(mode, f.epoch, enc); err != nil {
+		// Submit reclaims the buffer on its own error path; only the epoch
+		// needs aborting here.
 		f.session.Abort(f.epoch)
 		return stats, err
 	}

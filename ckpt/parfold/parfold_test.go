@@ -314,7 +314,7 @@ func TestEpochsAndEmptyFold(t *testing.T) {
 	folder := parfold.NewGeneric(parfold.WithWorkers(2))
 	inspect := func(body []byte) ckpt.BodyInfo {
 		t.Helper()
-		info, err := ckpt.InspectBody(body, nil)
+		info, err := ckpt.InspectBodyKinds(body, nil)
 		if err != nil {
 			t.Fatalf("inspect: %v", err)
 		}
@@ -373,7 +373,7 @@ func TestEpochAdvancesPerFold(t *testing.T) {
 				if failing {
 					continue
 				}
-				info, err := ckpt.InspectBody(body, nil)
+				info, err := ckpt.InspectBodyKinds(body, nil)
 				if err != nil {
 					t.Fatalf("fold %d: inspect: %v", i, err)
 				}
@@ -507,13 +507,15 @@ func TestFoldFailureRemarks(t *testing.T) {
 	}
 }
 
-// errSink fails every Append.
+// errSink hands out encoders but fails every Submit.
 type errSink struct{ err error }
 
-func (s errSink) Append(ckpt.Mode, uint64, []byte) error { return s.err }
+func (errSink) Reserve() *wire.Encoder                          { return wire.NewEncoder(0) }
+func (s errSink) Submit(ckpt.Mode, uint64, *wire.Encoder) error { return s.err }
+func (errSink) Recycle(*wire.Encoder)                           {}
 
-// TestFoldToSinkFailureRemarks: a sink that rejects the merged body aborts
-// the epoch — flags re-marked through the session when one is attached,
+// TestFoldToSinkFailureRemarks: a sink whose Submit rejects the merged body
+// aborts the epoch — flags re-marked through the session when one is attached,
 // directly otherwise.
 func TestFoldToSinkFailureRemarks(t *testing.T) {
 	for _, withSession := range []bool{false, true} {

@@ -475,22 +475,11 @@ type BodyInfo struct {
 	Bytes   int
 }
 
-// InspectBody parses a body and returns its header information and a
-// callback-driven record walk. fn may be nil to collect counts only. For a
-// delta record the callback receives the raw delta bytes, not the
-// materialized payload; use InspectBodyKinds to tell the two apart.
-func InspectBody(body []byte, fn func(id uint64, t TypeID, payload []byte) error) (BodyInfo, error) {
-	if fn == nil {
-		return InspectBodyKinds(body, nil)
-	}
-	return InspectBodyKinds(body, func(id uint64, t TypeID, _ byte, payload []byte) error {
-		return fn(id, t, payload)
-	})
-}
-
-// InspectBodyKinds is InspectBody with the record kind (wire.KindFull or
-// wire.KindDelta) exposed to the callback. For kind wire.KindDelta, payload
-// is the delta op stream; wire.DeltaLen recovers the materialized size.
+// InspectBodyKinds parses a body and returns its header information and a
+// callback-driven record walk. fn may be nil to collect counts only. The
+// callback receives each record's kind (wire.KindFull or wire.KindDelta);
+// for a delta record payload is the raw delta op stream, not the
+// materialized payload, and wire.DeltaLen recovers the materialized size.
 func InspectBodyKinds(body []byte, fn func(id uint64, t TypeID, kind byte, payload []byte) error) (BodyInfo, error) {
 	d := wire.NewDecoder(body)
 	h, err := parseBodyHeader(d)

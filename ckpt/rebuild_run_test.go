@@ -607,7 +607,7 @@ func TestExtendingRunCostsItsRecords(t *testing.T) {
 	small.Byte(byte(ckpt.Full))
 	small.Uvarint(1)
 	n := 0
-	if _, err := ckpt.InspectBody(chain[0], func(id uint64, typ ckpt.TypeID, payload []byte) error {
+	if _, err := ckpt.InspectBodyKinds(chain[0], func(id uint64, typ ckpt.TypeID, _ byte, payload []byte) error {
 		if n++; n <= 1000 {
 			small.Uvarint(id)
 			small.Uvarint(uint64(typ))

@@ -23,13 +23,12 @@ type ClearEntry struct {
 	Info *Info
 }
 
-// Remark sets the modified flag of every object in clears — through Mark, so
+// remark sets the modified flag of every object in clears — through Mark, so
 // objects registered with a Tracker are re-enqueued into its mark-queue and
 // an aborted epoch's dirty set is recaptured by the next dirty fold — and
-// reports how many entries it covered. It is the raw re-marking primitive
-// behind Session.Abort; Settle uses it directly when an epoch fails with no
-// session attached.
-func Remark(clears []ClearEntry) int {
+// reports how many entries it covered. Settle uses it when an epoch fails
+// with no session attached.
+func remark(clears []ClearEntry) int {
 	n := 0
 	for _, c := range clears {
 		if c.Info != nil {
@@ -126,7 +125,7 @@ func putEpochClears(ec *epochClears) {
 func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearEntry, stages []ShadowStage, failed bool) {
 	if failed {
 		if c != nil {
-			c.Discard(stages)
+			c.discard(stages)
 		}
 		if s != nil {
 			// Observe+Abort even when no flag was cleared: the session's abort
@@ -134,21 +133,21 @@ func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearE
 			s.Observe(epoch, mode, clears)
 			s.Abort(epoch)
 		} else {
-			Remark(clears)
+			remark(clears)
 			putClears(clears)
 		}
 		return
 	}
 	if c != nil {
-		c.Stage(epoch, stages)
+		c.stage(epoch, stages)
 	}
 	if s != nil {
 		s.Observe(epoch, mode, clears)
-		s.AttachShadow(epoch, c)
+		s.attachShadow(epoch, c)
 	} else {
 		putClears(clears)
 		if c != nil {
-			c.CommitEpoch(epoch, mode)
+			c.commitEpoch(epoch, mode)
 		}
 	}
 }
@@ -238,7 +237,7 @@ func (f sessionOptionFunc) applySession(s *Session) { f(s) }
 // captured pointer would re-mark the stale Info, while a resolver re-marks
 // the object now reachable under that id — and reports (by returning nil)
 // the ids it cannot cover, degrading the session to a forced Full
-// checkpoint. The resolver can be replaced at any time with SetResolver.
+// checkpoint.
 func WithInfoResolver(r InfoResolver) SessionOption {
 	return sessionOptionFunc(func(s *Session) { s.resolver = r })
 }
@@ -250,15 +249,6 @@ func NewSession(opts ...SessionOption) *Session {
 		o.applySession(s)
 	}
 	return s
-}
-
-// SetResolver replaces the session's id resolver (nil reverts to captured
-// Info pointers). Typically called just before an Abort, with a RootIndex
-// built over the current roots.
-func (s *Session) SetResolver(r InfoResolver) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resolver = r
 }
 
 // Observe registers epoch's clear-set, leaving the epoch in-flight until
@@ -283,16 +273,13 @@ func (s *Session) Observe(epoch uint64, mode Mode, clears []ClearEntry) {
 	s.stats.Epochs++
 }
 
-// AttachShadow ties a delta shadow cache to a pending epoch: the shadows the
-// cache staged for that epoch resolve with it (ShadowCache.CommitEpoch,
-// AbortEpoch), in lockstep with the clear-set. Writers with delta encoding
-// enabled reach it through Settle, right after Observe. If the epoch is not
-// pending it has already resolved — as an abort, since no body was ever
-// handed out — so the staged shadows are staled immediately.
-//
-// Once a shadow is attached, failure is sticky: Abort(E) aborts every later
-// pending epoch too (see Abort).
-func (s *Session) AttachShadow(epoch uint64, c *ShadowCache) {
+// attachShadow ties a delta shadow cache to a pending epoch: the shadows the
+// cache staged for that epoch resolve with it (commitEpoch, abortEpoch), in
+// lockstep with the clear-set. Settle calls it right after Observe. If the
+// epoch is not pending it has already resolved — as an abort, since no body
+// was ever handed out — so the staged shadows are staled immediately. Once a
+// shadow is attached, failure is sticky (see Abort).
+func (s *Session) attachShadow(epoch uint64, c *ShadowCache) {
 	if c == nil {
 		return
 	}
@@ -303,7 +290,7 @@ func (s *Session) AttachShadow(epoch uint64, c *ShadowCache) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		c.AbortEpoch(epoch)
+		c.abortEpoch(epoch)
 	}
 }
 
@@ -332,7 +319,7 @@ func (s *Session) Commit(epoch uint64) bool {
 		s.degraded = false
 	}
 	if ec.shadow != nil {
-		ec.shadow.CommitEpoch(ec.epoch, ec.mode)
+		ec.shadow.commitEpoch(ec.epoch, ec.mode)
 	}
 	putEpochClears(ec)
 	return true
@@ -345,11 +332,16 @@ func (s *Session) Commit(epoch uint64) bool {
 // the session, so NextMode forces a Full checkpoint that recaptures
 // everything live regardless. It returns the number of objects re-marked.
 //
-// When epoch has a shadow cache attached, every later pending epoch aborts
-// with it: their bodies may carry deltas against epoch's payloads, and a
-// delta whose base never became durable fails recovery with ErrDeltaBase.
-// A sink that persists one of those bodies anyway reports it through a nil
-// ack, which Commit answers by forcing the next checkpoint to Full.
+// When epoch has a shadow cache attached (the writer encodes deltas), every
+// later pending epoch aborts with it: their bodies may carry deltas against
+// epoch's payloads, and a delta whose base never became durable fails
+// recovery with ErrDeltaBase. This asks one thing of the sink: failure must
+// be sticky. Once it loses an epoch's body it must abort every later epoch in
+// flight and never persist one of them; stablelog.AsyncWriter does so by
+// construction, and a custom sink that can drop one body yet persist the next
+// must call AbortAll on its first failure. A sink that persists one of those
+// bodies anyway reports it through a nil ack, which Commit answers by forcing
+// the next checkpoint to Full.
 func (s *Session) Abort(epoch uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -396,7 +388,7 @@ func (s *Session) AbortAll() int {
 func (s *Session) abortLocked(ec *epochClears) int {
 	s.stats.Aborts++
 	if ec.shadow != nil {
-		ec.shadow.AbortEpoch(ec.epoch)
+		ec.shadow.abortEpoch(ec.epoch)
 	}
 	n := 0
 	for _, c := range ec.clears {
@@ -503,9 +495,6 @@ func (x *RootIndex) Resolve(id uint64) *Info {
 	}
 	return nil
 }
-
-// Object returns the object currently reachable under id, or nil.
-func (x *RootIndex) Object(id uint64) Checkpointable { return x.objs[id] }
 
 // Len returns the number of indexed objects.
 func (x *RootIndex) Len() int { return len(x.objs) }

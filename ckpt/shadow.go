@@ -18,17 +18,17 @@ import (
 //   - The emitter that records an object overwrites its head in place,
 //     outside the cache's lock (advanceHead): no buffer is allocated, zeroed
 //     or retained per record. The epoch's driver then stages the batch
-//     (Stage), which installs each head's new hash and clears its stale flag.
+//     (stage), which installs each head's new hash and clears its stale flag.
 //     An in-flight epoch's body precedes the next one in the stream — the
 //     rebuilder will have materialized its payload by the time the next delta
 //     applies — so the head serves before its epoch is acknowledged.
-//   - Session.Commit and Session.Abort route to CommitEpoch and AbortEpoch,
+//   - Session.Commit and Session.Abort route to commitEpoch and abortEpoch,
 //     which touch flags under the lock and never a payload byte: the ack
 //     goroutine and the emitters share no buffer. An abort stales every entry
 //     the epoch staged, so an aborted epoch can never poison the base: the next
 //     emit of the object ships a full payload and re-establishes the head from
 //     bytes that actually reached the stream. A fold that fails before its body
-//     is published (Discard) stales the heads it advanced the same way.
+//     is published (discard) stales the heads it advanced the same way.
 //   - An object emitted while its shadow update is suppressed (the churn
 //     backoff below, a shrink below the floor) stales its entry too. The base
 //     hash embedded in every delta (wire.DeltaBaseHash) is the recovery-time
@@ -112,9 +112,6 @@ func NewShadowCache(minSize int) *ShadowCache {
 		entries: make(map[uint64]*shadowEntry),
 	}
 }
-
-// MinSize returns the shadowing threshold.
-func (c *ShadowCache) MinSize() int { return c.minSize }
 
 // Len returns the number of shadowed objects.
 func (c *ShadowCache) Len() int {
@@ -236,12 +233,12 @@ func (c *ShadowCache) addSkipped(n int) {
 
 // ShadowStage is one advanced head bound for the cache: the emitter
 // accumulates them per epoch (advanceHead) and the epoch's driver stages the
-// batch at Finish (Stage) or discards it when the epoch dies before its body
-// completes (Discard). The fields are owned by the cache. hash is the head's
+// batch at Finish (stage) or discards it when the epoch dies before its body
+// completes (discard). The fields are owned by the cache. hash is the head's
 // fingerprint and is not filled when the stage is created: the emitter hashes
 // its stages four at a time (hashStages) and has hashed all of them by the
-// time TakeShadowStages hands the batch out, so Stage — the only reader —
-// always sees it; Discard never looks.
+// time TakeShadowStages hands the batch out, so stage — the only reader —
+// always sees it; discard never looks.
 type ShadowStage struct {
 	id   uint64
 	buf  []byte
@@ -277,13 +274,13 @@ func hashStages(st []ShadowStage) {
 	}
 }
 
-// Stage publishes an epoch's advanced heads: each becomes its object's diff
+// stage publishes an epoch's advanced heads: each becomes its object's diff
 // base for the records that follow. The epoch stays in flight until
-// CommitEpoch or AbortEpoch resolves it — with a Session attached,
-// Session.Commit/Abort route here (Session.AttachShadow). Staging the same
-// epoch again supersedes (a retake under the same epoch after a partial
-// failure).
-func (c *ShadowCache) Stage(epoch uint64, stages []ShadowStage) {
+// commitEpoch or abortEpoch resolves it — with a Session attached,
+// Session.Commit/Abort route here (Settle attaches the cache to the epoch).
+// Staging the same epoch again supersedes (a retake under the same epoch
+// after a partial failure).
+func (c *ShadowCache) stage(epoch uint64, stages []ShadowStage) {
 	if len(stages) == 0 {
 		return
 	}
@@ -303,11 +300,11 @@ func (c *ShadowCache) Stage(epoch uint64, stages []ShadowStage) {
 	c.count.Store(int64(len(c.entries)))
 }
 
-// Discard stales the entries of stages that never reached Stage: the epoch's
+// discard stales the entries of stages that never reached stage: the epoch's
 // fold failed or its body was abandoned before Finish, so the heads were
 // advanced to payloads that are never published. The retake ships those
 // objects in full and re-establishes their heads.
-func (c *ShadowCache) Discard(stages []ShadowStage) {
+func (c *ShadowCache) discard(stages []ShadowStage) {
 	if len(stages) == 0 {
 		return
 	}
@@ -320,12 +317,12 @@ func (c *ShadowCache) Discard(stages []ShadowStage) {
 	}
 }
 
-// CommitEpoch resolves epoch as durable. The heads it staged already serve as
+// commitEpoch resolves epoch as durable. The heads it staged already serve as
 // diff bases, so an Incremental commit has nothing to promote. A Full commit
 // prunes the entries neither it nor a later epoch in flight staged — objects
 // absent from a full checkpoint are dead (or shrank below the shadowing
 // threshold), and must not linger.
-func (c *ShadowCache) CommitEpoch(epoch uint64, mode Mode) {
+func (c *ShadowCache) commitEpoch(epoch uint64, mode Mode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Committed++
@@ -340,16 +337,16 @@ func (c *ShadowCache) CommitEpoch(epoch uint64, mode Mode) {
 	c.count.Store(int64(len(c.entries)))
 }
 
-// AbortEpoch resolves epoch as lost — its body never became part of the
+// abortEpoch resolves epoch as lost — its body never became part of the
 // stream — and stales every entry staged by it or by a later epoch, whose
 // records were encoded against the lost payloads. Later epochs are lost with
-// it by the sticky-failure requirement documented on Session.AttachShadow: a
+// it by the sticky-failure requirement documented on Session.Abort: a
 // sink must abort every epoch in flight after the first lost one, never
 // commit a later epoch whose delta bases died with an earlier body. An entry
 // serves diffs again once a re-marked emit restages it. Aborts are the rare
 // path, so they pay a scan of the cache rather than every epoch paying to
 // record which ids it staged.
-func (c *ShadowCache) AbortEpoch(epoch uint64) {
+func (c *ShadowCache) abortEpoch(epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Aborted++

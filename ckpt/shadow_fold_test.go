@@ -217,7 +217,7 @@ func TestStageHashesFilledBeforeTake(t *testing.T) {
 
 // TestShadowAcksDuringShardedFolds runs sharded delta folds while a second
 // goroutine resolves the epochs behind them — commits, and every so often a
-// sticky abort — so CommitEpoch and AbortEpoch run against emitters patching
+// sticky abort — so commitEpoch and abortEpoch run against emitters patching
 // the heads of the very entries being resolved (run it under -race: make
 // faultcheck does). An abort re-marks through the object's Info, which is not
 // safe against a concurrent fold of the same object, so the session's resolver

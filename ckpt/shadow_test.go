@@ -18,7 +18,7 @@ func stage1(c *ShadowCache, epoch, id uint64, payload []byte) {
 	}
 	st := []ShadowStage{advanceHead(id, head, payload)}
 	hashStages(st)
-	c.Stage(epoch, st)
+	c.stage(epoch, st)
 }
 
 // baseOf is decide reduced to what the assertions below read: the base it
@@ -51,7 +51,7 @@ func TestShadowDecideLifecycle(t *testing.T) {
 	if !diff || !bytes.Equal(head, pay) || hash != wire.DeltaBaseHash(pay) || !stage {
 		t.Fatalf("in-flight base: got %v/diff=%v/hash=%#x/stage=%v", head, diff, hash, stage)
 	}
-	c.CommitEpoch(7, Incremental)
+	c.commitEpoch(7, Incremental)
 	if got := c.CommittedBase(1); !bytes.Equal(got, pay) {
 		t.Fatalf("CommittedBase after commit = %x, want staged payload", got)
 	}
@@ -77,9 +77,9 @@ func TestShadowAbortRestoresCommitted(t *testing.T) {
 	p2 := bytes.Repeat([]byte{0xbb}, 48)
 
 	stage1(c, 1, 9, p1)
-	c.CommitEpoch(1, Full)
+	c.commitEpoch(1, Full)
 	stage1(c, 2, 9, p2)
-	c.AbortEpoch(2)
+	c.abortEpoch(2)
 
 	if got := c.CommittedBase(9); got != nil {
 		t.Fatalf("CommittedBase after abort = %x, want nil (entry stale)", got)
@@ -94,7 +94,7 @@ func TestShadowAbortRestoresCommitted(t *testing.T) {
 	// serves diffs again.
 	buf := &c.entries[9].head[0]
 	stage1(c, 3, 9, p1)
-	c.CommitEpoch(3, Incremental)
+	c.commitEpoch(3, Incremental)
 	if got := c.CommittedBase(9); !bytes.Equal(got, p1) {
 		t.Fatalf("CommittedBase after restage = %x, want %x", got, p1)
 	}
@@ -114,7 +114,7 @@ func TestShadowAbortDropsLaterPends(t *testing.T) {
 	stage1(c, 1, 6, p(1))
 	stage1(c, 2, 5, p(2))
 	stage1(c, 3, 5, p(3))
-	c.AbortEpoch(2)
+	c.abortEpoch(2)
 	if base, _, _ := baseOf(c, 5, 32, Incremental); base != nil {
 		t.Fatalf("after abort of 2: epoch 3's head still serves: %x", base)
 	}
@@ -124,9 +124,9 @@ func TestShadowAbortDropsLaterPends(t *testing.T) {
 	}
 	// The dangling epoch-3 resolution must be harmless, and epoch 1's commit
 	// must not revive a head that matches nothing in the stream.
-	c.AbortEpoch(3)
-	c.CommitEpoch(3, Incremental)
-	c.CommitEpoch(1, Incremental)
+	c.abortEpoch(3)
+	c.commitEpoch(3, Incremental)
+	c.commitEpoch(1, Incremental)
 	if got := c.CommittedBase(5); got != nil {
 		t.Fatalf("CommittedBase after the surviving commit = %x, want nil until restaged", got)
 	}
@@ -154,7 +154,7 @@ func TestShadowStalePendNotServed(t *testing.T) {
 		// The regrown emit must not diff against the outdated head: full
 		// payload, restage (which makes the entry serve again). Epoch 1's ack
 		// arriving in between changes nothing.
-		c.CommitEpoch(1, Incremental)
+		c.commitEpoch(1, Incremental)
 		base, stage, _ := baseOf(c, 3, len(pay), Incremental)
 		if base != nil || !stage {
 			t.Fatalf("regrown emit served a stale head: base=%v stage=%v, want nil/true", base, stage)
@@ -185,7 +185,7 @@ func TestShadowChurnBackoff(t *testing.T) {
 	c := NewShadowCache(0)
 	pay := bytes.Repeat([]byte{7}, 64)
 	stage1(c, 1, 2, pay)
-	c.CommitEpoch(1, Full)
+	c.commitEpoch(1, Full)
 
 	if w := c.report(2, false); w != 0 {
 		t.Fatalf("first loss armed a window of %d, want 0", w)
@@ -235,7 +235,7 @@ func TestShadowFullCommitPrunes(t *testing.T) {
 	pay := bytes.Repeat([]byte{3}, 16)
 	stage1(c, 1, 10, pay)
 	stage1(c, 1, 11, pay)
-	c.CommitEpoch(1, Full)
+	c.commitEpoch(1, Full)
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
@@ -243,18 +243,18 @@ func TestShadowFullCommitPrunes(t *testing.T) {
 	// 12 is too, but a later epoch in flight staged it: kept.
 	stage1(c, 2, 10, pay)
 	stage1(c, 3, 12, pay)
-	c.CommitEpoch(2, Full)
+	c.commitEpoch(2, Full)
 	if c.Len() != 2 || c.entries[11] != nil || c.entries[12] == nil {
 		t.Fatalf("full commit pruned the wrong entries: Len=%d", c.Len())
 	}
 	if got := c.count.Load(); got != 2 {
 		t.Fatalf("count after prune = %d, want 2", got)
 	}
-	c.CommitEpoch(3, Incremental)
+	c.commitEpoch(3, Incremental)
 	// An empty full checkpoint prunes everything; count must follow so
 	// decide's lock-free sub-floor fast path re-engages.
-	c.Stage(4, nil)
-	c.CommitEpoch(4, Full)
+	c.stage(4, nil)
+	c.commitEpoch(4, Full)
 	if c.Len() != 0 || c.count.Load() != 0 {
 		t.Fatalf("empty full commit: Len=%d count=%d, want 0/0", c.Len(), c.count.Load())
 	}
@@ -269,7 +269,7 @@ func TestShadowSameEpochRestage(t *testing.T) {
 	if base, _, _ := baseOf(c, 1, 24, Incremental); !bytes.Equal(base, p2) {
 		t.Fatalf("restage: base = %x, want the second payload", base)
 	}
-	c.CommitEpoch(4, Incremental)
+	c.commitEpoch(4, Incremental)
 	if got := c.CommittedBase(1); !bytes.Equal(got, p2) {
 		t.Fatalf("CommittedBase = %x, want %x", got, p2)
 	}

@@ -39,20 +39,6 @@ func WithSyncEvery(n int) Option {
 	return optionFunc(func(m *Manager) { m.syncEvery = n })
 }
 
-// WithSyncInterval forwards the group-commit interval policy to the shared
-// AsyncWriter (see stablelog.WithSyncInterval).
-func WithSyncInterval(d time.Duration) Option {
-	return optionFunc(func(m *Manager) { m.syncInterval = d })
-}
-
-// WithLogQueueLimit bounds the shared AsyncWriter's body queue (see
-// stablelog.WithQueueLimit). Workers blocked submitting into a full log
-// queue are drained by the background writer; acknowledgements keep flowing
-// because no tenant lock is held across a submit.
-func WithLogQueueLimit(n int) Option {
-	return optionFunc(func(m *Manager) { m.logQueueLimit = n })
-}
-
 // WithRetry forwards the transient-I/O retry policy to the shared
 // AsyncWriter (see stablelog.WithRetry).
 func WithRetry(n int, backoff time.Duration) Option {
@@ -70,13 +56,11 @@ type Manager struct {
 	log *stablelog.Log
 	aw  *stablelog.AsyncWriter
 
-	workers       int
-	queueLimit    int
-	syncEvery     int
-	syncInterval  time.Duration
-	logQueueLimit int
-	retryN        int
-	retryBackoff  time.Duration
+	workers      int
+	queueLimit   int
+	syncEvery    int
+	retryN       int
+	retryBackoff time.Duration
 
 	resume map[uint32]uint64 // per tenant, the latest local epoch already in the log
 
@@ -119,12 +103,6 @@ func NewManager(log *stablelog.Log, opts ...Option) *Manager {
 	if m.syncEvery > 0 {
 		awOpts = append(awOpts, stablelog.WithSyncEvery(m.syncEvery))
 	}
-	if m.syncInterval > 0 {
-		awOpts = append(awOpts, stablelog.WithSyncInterval(m.syncInterval))
-	}
-	if m.logQueueLimit > 0 {
-		awOpts = append(awOpts, stablelog.WithQueueLimit(m.logQueueLimit))
-	}
 	if m.retryN > 0 {
 		awOpts = append(awOpts, stablelog.WithRetry(m.retryN, m.retryBackoff))
 	}
@@ -148,13 +126,6 @@ func (m *Manager) Tenant(id uint32) *Tenant {
 		m.tenants[id] = t
 	}
 	return t
-}
-
-// Tenants returns the number of tenants the manager has created.
-func (m *Manager) Tenants() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.tenants)
 }
 
 // admit enqueues a fold request for t. block selects backpressure (wait for

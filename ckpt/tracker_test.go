@@ -258,7 +258,7 @@ func TestAbortReenqueues(t *testing.T) {
 func withoutEpoch(t *testing.T, body []byte) string {
 	t.Helper()
 	var b []byte
-	_, err := ckpt.InspectBody(body, func(id uint64, typ ckpt.TypeID, payload []byte) error {
+	_, err := ckpt.InspectBodyKinds(body, func(id uint64, typ ckpt.TypeID, _ byte, payload []byte) error {
 		b = append(b, fmt.Sprintf("%d/%d:%x;", id, typ, payload)...)
 		return nil
 	})
@@ -591,7 +591,7 @@ func TestNilEmitFoldRecoversUnadopted(t *testing.T) {
 		t.Fatalf("fold visited %d, want 2", stats.Visited)
 	}
 	ids := make(map[uint64]bool)
-	if _, err := ckpt.InspectBody(body, func(id uint64, _ ckpt.TypeID, _ []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, _ byte, _ []byte) error {
 		ids[id] = true
 		return nil
 	}); err != nil {

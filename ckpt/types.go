@@ -80,9 +80,6 @@ type Restorable interface {
 
 // Errors returned by the writer and rebuilder.
 var (
-	// ErrCycle reports a cycle discovered during traversal (with
-	// WithCycleCheck). The checkpointed structure must be acyclic.
-	ErrCycle = errors.New("ckpt: cycle in checkpointable structure")
 	// ErrNotStarted reports Checkpoint or Finish on a writer with no
 	// checkpoint in progress.
 	ErrNotStarted = errors.New("ckpt: writer not started")

@@ -50,9 +50,6 @@ type Writer struct {
 	// reachable objects are indexed by id and nothing is emitted or cleared.
 	// Used by IndexRoots (and through it by Tracker.Watch).
 	collect map[uint64]Checkpointable
-
-	cycleCheck bool
-	onStack    map[uint64]struct{}
 }
 
 // WriterOption configures a Writer.
@@ -63,14 +60,6 @@ type WriterOption interface {
 type writerOptionFunc func(*Writer)
 
 func (f writerOptionFunc) apply(w *Writer) { f(w) }
-
-// WithCycleCheck makes the writer track the traversal stack and return
-// ErrCycle if a checkpointable object is reached from within its own
-// traversal. The paper assumes acyclic structures; this option trades a map
-// operation per object for a guarantee.
-func WithCycleCheck() WriterOption {
-	return writerOptionFunc(func(w *Writer) { w.cycleCheck = true })
-}
 
 // WithSession attaches a commit/abort session: every epoch's clear-set is
 // handed to s when the epoch finishes (pending until s.Commit or s.Abort),
@@ -122,9 +111,6 @@ func NewWriter(opts ...WriterOption) *Writer {
 	if w.enc == nil {
 		w.enc = wire.NewEncoder(0)
 	}
-	if w.cycleCheck {
-		w.onStack = make(map[uint64]struct{})
-	}
 	return w
 }
 
@@ -145,7 +131,6 @@ func (w *Writer) StartAt(mode Mode, epoch uint64) {
 	w.emitter.Reset(w.enc, mode, epoch)
 	w.started = true
 	w.visitErr = nil
-	clear(w.onStack)
 }
 
 // Discard aborts the body in progress, if any: its epoch is settled as
@@ -267,14 +252,6 @@ func (w *Writer) visit(o Checkpointable) error {
 		return o.Fold(w)
 	}
 	w.emitter.Visit()
-	if w.cycleCheck {
-		id := o.CheckpointInfo().ID()
-		if _, ok := w.onStack[id]; ok {
-			return fmt.Errorf("%w: object id %d revisited", ErrCycle, id)
-		}
-		w.onStack[id] = struct{}{}
-		defer delete(w.onStack, id)
-	}
 	if w.mode == Full {
 		w.emitter.Emit(o)
 	} else {

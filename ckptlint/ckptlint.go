@@ -80,10 +80,10 @@ type Analyzer struct {
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DirtyWriteAnalyzer(),
-		RecordFoldAnalyzer(),
-		RegCheckAnalyzer(),
-		PatternSpecAnalyzer(),
+		dirtyWriteAnalyzer(),
+		recordFoldAnalyzer(),
+		regCheckAnalyzer(),
+		patternSpecAnalyzer(),
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"ickpt/internal/bta"
 )
 
-// DirtyWriteAnalyzer flags direct writes to tracked checkpointable state —
+// dirtyWriteAnalyzer flags direct writes to tracked checkpointable state —
 // ckpt.Cell .V fields and `ckpt:"..."`-tagged struct fields — that bypass
 // modification tracking. Such writes leave the owning object's modified
 // flag clear, so the next incremental checkpoint silently omits the change:
@@ -29,7 +29,7 @@ import (
 //     returned by a New*/new* constructor — a new object's flag starts
 //     set, so direct initialization is safe;
 //   - the function runs the abort side of the epoch commit/abort protocol
-//     (ckpt.Session.Abort/AbortAll/Ack or ckpt.Remark), which re-marks
+//     (ckpt.Session.Abort/AbortAll/Ack), which re-marks
 //     every object the failed epoch touched — rollback writes there are
 //     protocol-covered;
 //   - the file is generated, or the line carries a suppression comment.
@@ -41,7 +41,7 @@ import (
 // MarkOn) maintains both. A raw SetModified still counts as dirtying its
 // owner for the write diagnostics above — the two defects are reported
 // separately.
-func DirtyWriteAnalyzer() *Analyzer {
+func dirtyWriteAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "dirtywrite",
 		Doc:  "flags writes to tracked checkpoint state that bypass the modified flag",
@@ -109,7 +109,7 @@ func dirtyWritesIn(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 	})
 	if remarked {
 		// The function runs the abort side of the commit/abort protocol:
-		// Session.Abort/AbortAll/Ack (or raw ckpt.Remark) re-marks every
+		// Session.Abort/AbortAll/Ack re-marks every
 		// object the failed epoch touched, so direct rollback writes here
 		// keep their dirty bit through the protocol, not SetModified.
 		return nil
@@ -174,20 +174,18 @@ func freshExpr(pkg *Package, e ast.Expr) bool {
 			return freshExpr(pkg, ex.X)
 		}
 	case *ast.CompositeLit:
-		found := false
-		ast.Inspect(ex, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if s, ok := call.Fun.(*ast.SelectorExpr); ok &&
-					(s.Sel.Name == "NewInfo" || s.Sel.Name == "RestoredInfo") {
-					if tv, ok := pkg.Info.Types[call]; ok && isCkptNamed(tv.Type, "Info") {
-						found = true
-						return false
-					}
-				}
+		return containsNode(ex, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
 			}
-			return true
+			s, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || (s.Sel.Name != "NewInfo" && s.Sel.Name != "RestoredInfo") {
+				return false
+			}
+			tv, ok := pkg.Info.Types[call]
+			return ok && isCkptNamed(tv.Type, "Info")
 		})
-		return found
 	case *ast.CallExpr:
 		name := ""
 		switch fun := ex.Fun.(type) {

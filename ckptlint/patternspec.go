@@ -7,7 +7,7 @@ import (
 	"ickpt/internal/bta"
 )
 
-// PatternSpecAnalyzer cross-checks a phase function's static write-set
+// patternSpecAnalyzer cross-checks a phase function's static write-set
 // against the modification Pattern the phase declares. A spec.Pattern is
 // the paper's unsound-if-wrong assumption: the plan compiler elides
 // modified-flag tests for classes the pattern declares unmodified and
@@ -35,7 +35,7 @@ import (
 //
 //	//ckptvet:phase PatternScan
 //	//ckptvet:opaque pattern assembled from per-deployment config
-func PatternSpecAnalyzer() *Analyzer {
+func patternSpecAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "patternspec",
 		Doc:  "checks annotated phase write-sets against their declared spec.Pattern",

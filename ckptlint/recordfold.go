@@ -8,13 +8,18 @@ import (
 	"strings"
 )
 
-// RecordFoldAnalyzer checks hand-written checkpoint protocol methods for
+// recordFoldAnalyzer checks hand-written checkpoint protocol methods for
 // the symmetry the wire format requires:
 //
 //   - Record writes exactly one child id per child that Fold visits, in the
 //     same order (the record convention of ckpt.Checkpointable);
 //   - Restore decodes the same wire kinds, in the same order, that Record
-//     encodes.
+//     encodes;
+//   - no loop in Restore is bounded by a raw d.Uvarint() or d.Varint(), read
+//     in the loop header or through a local assigned from one: a hostile
+//     payload names any count it likes, so the bound must come from
+//     d.Count(minElemBytes), which fails the decoder when the count cannot
+//     fit in the bytes left (the ckpt.Restorable contract).
 //
 // An asymmetric trio still compiles and may even round-trip on some inputs,
 // but produces checkpoints that rebuild into a corrupted object graph — or
@@ -26,7 +31,7 @@ import (
 // or decoder call is one scalar operation of that call's wire kind. Methods
 // that delegate their encoding elsewhere are skipped rather than guessed
 // at.
-func RecordFoldAnalyzer() *Analyzer {
+func recordFoldAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "recordfold",
 		Doc:  "checks Record/Fold/Restore symmetry of hand-written protocol methods",
@@ -85,6 +90,9 @@ func runRecordFold(pass *Pass) []Diagnostic {
 	var out []Diagnostic
 	for _, name := range order {
 		pm := byType[name]
+		if pm.restore != nil {
+			out = append(out, checkRestoreBounds(pkg, name, pm.restore)...)
+		}
 		if pm.record == nil {
 			continue
 		}
@@ -93,9 +101,9 @@ func runRecordFold(pass *Pass) []Diagnostic {
 			continue // delegating or opaque Record: nothing to compare
 		}
 		// A Fold that drives the commit/abort protocol (Session.Abort /
-		// Commit / ckpt.Remark) wraps its child traversal in failure
-		// control flow — retries and rollbacks — that the linear child
-		// extraction cannot model; skip it rather than guess. The same
+		// Commit) wraps its child traversal in failure control flow —
+		// retries and rollbacks — that the linear child extraction cannot
+		// model; skip it rather than guess. The same
 		// goes for a Fold that consults the writer's delta layer
 		// (Writer.Shadow): its branches traverse per shadow state, and
 		// the full-vs-delta decision itself lives in the emitter, so the
@@ -108,6 +116,67 @@ func runRecordFold(pass *Pass) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// checkRestoreBounds flags each loop in restore whose bound is a raw count:
+// a d.Uvarint() or d.Varint() call in the for condition or range operand, or
+// a local assigned from one earlier in the body.
+func checkRestoreBounds(pkg *Package, typeName string, restore *ast.FuncDecl) []Diagnostic {
+	raw := make(map[types.Object]bool)
+	isRaw := func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		x, _ := n.(ast.Expr)
+		return ok && raw[pkg.Info.Uses[id]] || x != nil && isRawCount(pkg, x)
+	}
+	var out []Diagnostic
+	ast.Inspect(restore.Body, func(n ast.Node) bool {
+		var bound ast.Expr
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range s.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && len(s.Rhs) == len(s.Lhs) && isRawCount(pkg, s.Rhs[i]) {
+					raw[pkg.Info.ObjectOf(id)] = true
+				}
+			}
+		case *ast.ForStmt:
+			bound = s.Cond
+		case *ast.RangeStmt:
+			bound = s.X
+		}
+		if bound != nil && containsNode(bound, isRaw) {
+			out = append(out, Diagnostic{
+				Pos: pkg.Fset.Position(bound.Pos()),
+				Message: fmt.Sprintf("%s.Restore bounds a loop by a raw decoded count; read it with d.Count(minElemBytes), which fails the decoder when the count cannot fit in the bytes left",
+					typeName),
+			})
+		}
+		return true
+	})
+	return out
+}
+
+// isRawCount reports whether e, under parentheses and conversions, is a
+// wire.Decoder Uvarint or Varint call.
+func isRawCount(pkg *Package, e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+			continue
+		case *ast.CallExpr:
+			if tv, ok := pkg.Info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
+				e = x.Args[0]
+				continue
+			}
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Uvarint" && sel.Sel.Name != "Varint") {
+				return false
+			}
+			tv, ok := pkg.Info.Types[sel.X]
+			return ok && isWireType(tv.Type, "Decoder")
+		}
+		return false
+	}
 }
 
 // recvTypeName returns the receiver's type name.
@@ -136,26 +205,18 @@ func recvTypeName(fd *ast.FuncDecl) string {
 // full-vs-delta decision per record, so whichever branch runs, the record
 // convention holds.
 func usesDeltaShadow(pkg *Package, fd *ast.FuncDecl) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	return containsNode(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return false
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Shadow" || len(call.Args) != 0 {
-			return true
-		}
-		if tv, ok := pkg.Info.Types[sel.X]; ok && isCkptNamed(tv.Type, "Writer") {
-			found = true
 			return false
 		}
-		return true
+		tv, ok := pkg.Info.Types[sel.X]
+		return ok && isCkptNamed(tv.Type, "Writer")
 	})
-	return found
 }
 
 // checkFoldSymmetry compares Record's child-id order against Fold's

@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// RegCheckAnalyzer verifies that every concrete type implementing
+// regCheckAnalyzer verifies that every concrete type implementing
 // ckpt.Restorable can actually be rebuilt from a checkpoint:
 //
 //   - some scanned package registers a factory for the type with
@@ -22,7 +22,7 @@ import (
 //
 // Types whose registration legitimately lives outside the scanned packages
 // can be waived with a suppression comment on the type declaration.
-func RegCheckAnalyzer() *Analyzer {
+func regCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "regcheck",
 		Doc:  "checks every Restorable type has a stable registry factory",

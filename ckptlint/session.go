@@ -1,16 +1,12 @@
 package ckptlint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // Session-protocol awareness shared by the analyzers.
 //
 // The epoch commit/abort protocol (ckpt.Session) is part of the
-// checkpointing contract: Session.Abort / AbortAll / Ack — and the raw
-// primitive ckpt.Remark — re-mark the modified flag of every object a
-// failed epoch touched. Code in an abort path may therefore rewrite
+// checkpointing contract: Session.Abort / AbortAll / Ack re-mark the
+// modified flag of every object a failed epoch touched. Code in an abort path may therefore rewrite
 // tracked state without a visible per-owner SetModified (dirtywrite), and
 // a Fold that wraps child traversal in abort/retry control flow defeats
 // the linear child extraction (recordfold). Both analyzers treat protocol
@@ -40,41 +36,27 @@ func sessionMethodCall(pkg *Package, call *ast.CallExpr, methods map[string]bool
 	return ok && isCkptNamed(tv.Type, "Session")
 }
 
-// isCkptRemark matches the raw re-marking primitive ckpt.Remark(clears).
-func isCkptRemark(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Remark" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == ckptPath
-}
-
 // remarksClearedFlags reports whether call re-marks modified flags through
 // the abort protocol.
 func remarksClearedFlags(pkg *Package, call *ast.CallExpr) bool {
-	return sessionMethodCall(pkg, call, remarkingMethods) || isCkptRemark(pkg, call)
+	return sessionMethodCall(pkg, call, remarkingMethods)
 }
 
 // usesSessionProtocol reports whether fd's body contains any epoch
 // commit/abort protocol call.
 func usesSessionProtocol(pkg *Package, fd *ast.FuncDecl) bool {
+	return containsNode(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && sessionMethodCall(pkg, call, protocolMethods)
+	})
+}
+
+// containsNode reports whether pred holds for some node under root.
+func containsNode(root ast.Node, pred func(ast.Node) bool) bool {
 	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sessionMethodCall(pkg, call, protocolMethods) || isCkptRemark(pkg, call) {
-				found = true
-				return false
-			}
-		}
-		return true
+	ast.Inspect(root, func(n ast.Node) bool {
+		found = found || n != nil && pred(n)
+		return !found
 	})
 	return found
 }

@@ -113,7 +113,7 @@ func run(path string, records, types bool, diff string) error {
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", seg.Seq, err)
 		}
-		info, err := ckpt.InspectBody(body, func(id uint64, t ckpt.TypeID, payload []byte) error {
+		info, err := ckpt.InspectBodyKinds(body, func(id uint64, t ckpt.TypeID, _ byte, payload []byte) error {
 			if records {
 				fmt.Printf("    obj %-8d %-24s %4d bytes\n", id, name(t), len(payload))
 			}
@@ -263,7 +263,7 @@ func verifyLog(path string) error {
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", seg.Seq, err)
 		}
-		info, err := ckpt.InspectBody(body, nil) // walks every record's framing
+		info, err := ckpt.InspectBodyKinds(body, nil) // walks every record's framing
 		if err != nil {
 			return fmt.Errorf("segment %d: bad body: %w", seg.Seq, err)
 		}
@@ -351,7 +351,7 @@ func diffSegments(log *stablelog.Log, spec string) error {
 			return nil, err
 		}
 		recs := make(map[uint64][]byte)
-		if _, err := ckpt.InspectBody(body, func(id uint64, _ ckpt.TypeID, payload []byte) error {
+		if _, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, _ byte, payload []byte) error {
 			recs[id] = append([]byte(nil), payload...)
 			return nil
 		}); err != nil {

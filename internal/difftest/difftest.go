@@ -475,7 +475,7 @@ func LiveDump(pop *Population) ([]byte, error) {
 		return nil, err
 	}
 	dump := make(map[uint64]dumpRec)
-	if _, err := ckpt.InspectBody(body, func(id uint64, t ckpt.TypeID, payload []byte) error {
+	if _, err := ckpt.InspectBodyKinds(body, func(id uint64, t ckpt.TypeID, _ byte, payload []byte) error {
 		if _, dup := dump[id]; dup {
 			return fmt.Errorf("object %d reachable twice: roots are not disjoint", id)
 		}

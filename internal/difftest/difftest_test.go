@@ -28,7 +28,7 @@ func TestSeedBodies(t *testing.T) {
 		t.Fatal("empty seed corpus")
 	}
 	for i, b := range bodies {
-		info, err := ckpt.InspectBody(b, nil)
+		info, err := ckpt.InspectBodyKinds(b, nil)
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}

@@ -255,7 +255,7 @@ func FaultReplay(tr Trace, engine string, st Strategy, failStep int, kind Fault)
 			if err != nil {
 				return err
 			}
-			info, err := ckpt.InspectBody(body, nil)
+			info, err := ckpt.InspectBodyKinds(body, nil)
 			if err != nil {
 				return err
 			}

@@ -91,7 +91,7 @@ func ReplayStates(tr Trace, engine string, st Strategy) (bodies [][]byte, states
 // epochs (difftest epochs are 1..N in body order, for every strategy).
 func appendBodies(l *stablelog.Log, bodies [][]byte) error {
 	for i, b := range bodies {
-		info, err := ckpt.InspectBody(b, nil)
+		info, err := ckpt.InspectBodyKinds(b, nil)
 		if err != nil {
 			return fmt.Errorf("inspect body %d: %w", i, err)
 		}

@@ -91,12 +91,6 @@ func GoodAborted(c *Counter, s *ckpt.Session, epoch uint64) {
 	c.Label = "rolled back"
 }
 
-// GoodRemarked uses the raw re-marking primitive instead of a session.
-func GoodRemarked(c *Counter, clears []ckpt.ClearEntry) {
-	ckpt.Remark(clears)
-	c.Count.V = 0
-}
-
 // GoodAckPath routes a persistence acknowledgement; its error half aborts
 // and re-marks, so the rollback write is covered.
 func GoodAckPath(c *Counter, s *ckpt.Session, epoch uint64, err error) {

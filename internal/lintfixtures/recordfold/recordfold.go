@@ -302,3 +302,20 @@ func (c *Counted) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
 	}
 	return d.Err()
 }
+
+// RawCounted's Restore bounds its loops by raw decoded counts, through a
+// local and in a range header: a six-byte payload claiming 2^40 values runs
+// the first loop until memory gives out. The check needs no Record.
+type RawCounted struct{ Vals []uint64 }
+
+// Restore trusts the counts the payload claims.
+func (c *RawCounted) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
+	n := int(d.Uvarint())
+	for i := 0; i < n; i++ { // want `RawCounted\.Restore bounds a loop by a raw decoded count; read it with d\.Count`
+		c.Vals = append(c.Vals, d.Uvarint())
+	}
+	for range d.Varint() { // want `RawCounted\.Restore bounds a loop by a raw decoded count`
+		c.Vals = append(c.Vals, 0)
+	}
+	return d.Err()
+}

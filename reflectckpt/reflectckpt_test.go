@@ -181,7 +181,7 @@ func TestReflectMatchesVirtualIncremental(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Errorf("incremental bodies differ:\n  virt %x\n  refl %x", b1, b2)
 	}
-	info, err := ckpt.InspectBody(b1, nil)
+	info, err := ckpt.InspectBodyKinds(b1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReflectEngineRestoreHelper(t *testing.T) {
 	b, _ := body(t, func(w *ckpt.Writer) error { return en.Checkpoint(w, n) }, ckpt.Full)
 
 	var payload []byte
-	_, err := ckpt.InspectBody(b, func(id uint64, tt ckpt.TypeID, p []byte) error {
+	_, err := ckpt.InspectBodyKinds(b, func(id uint64, tt ckpt.TypeID, _ byte, p []byte) error {
 		if id == n.Info.ID() {
 			payload = append([]byte(nil), p...)
 		}

@@ -163,9 +163,6 @@ func Compile(cat *Catalog, root string, pat *Pattern, opts ...CompileOption) (*P
 // Mode returns the checkpoint mode the plan was compiled for.
 func (p *Plan) Mode() ckpt.Mode { return p.mode }
 
-// RootClass returns the plan's root class name.
-func (p *Plan) RootClass() string { return p.rootClass }
-
 // PatternName returns the name of the pattern the plan was compiled
 // against, or "".
 func (p *Plan) PatternName() string { return p.pattern }

@@ -158,10 +158,13 @@ func WithSyncInterval(d time.Duration) AsyncOption {
 // policy it fires after the write (whose durability is the underlying
 // log's: immediate under WithSync, deferred to Log.Sync/Close otherwise).
 // On failure fn(epoch, err) fires for the failing body and for every body
-// stranded behind it.
+// stranded behind it, and no later body is written: the failure is sticky.
 //
 // ckpt.Session.Ack matches this signature: pass it here and the session
 // commits epochs exactly when their bodies are durable and aborts the rest.
+// Delta-encoded epochs rely on the stickiness: once one body is lost, no
+// later epoch, which may carry deltas against it, may reach the log (the
+// sink contract on ckpt.Session.Abort).
 func WithAck(fn func(epoch uint64, err error)) AsyncOption {
 	return asyncOptionFunc(func(w *AsyncWriter) { w.ack = fn })
 }

@@ -596,9 +596,6 @@ func TestEpochIndexExtends(t *testing.T) {
 	if got := idx2.Epochs(); !slices.Equal(got, []uint64{1, 2, 3, 4, 5}) {
 		t.Fatalf("Epochs after appends = %v", got)
 	}
-	if latest, ok := idx2.Latest(); !ok || latest != 5 {
-		t.Fatalf("Latest = %d, %v", latest, ok)
-	}
 	chain, err := idx2.Chain(3)
 	if err != nil {
 		t.Fatal(err)

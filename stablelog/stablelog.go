@@ -687,9 +687,6 @@ func (l *Log) Sync() error {
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Dir returns the directory containing the log.
-func (l *Log) Dir() string { return filepath.Dir(l.path) }
-
 // Close syncs and closes the log file. Closing a wedged log releases the
 // handle (if any survives) and returns the wedging error.
 func (l *Log) Close() error {

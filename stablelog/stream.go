@@ -171,14 +171,6 @@ func (x *EpochIndex) Epochs() []uint64 {
 	return out
 }
 
-// Latest returns the newest rebuildable epoch, or (0, false) if none.
-func (x *EpochIndex) Latest() (uint64, bool) {
-	if len(x.fulls) == 0 {
-		return 0, false
-	}
-	return x.seg(len(x.pos) - 1).Epoch, true
-}
-
 // unavailable builds the structured not-retained error for epoch.
 func (x *EpochIndex) unavailable(epoch uint64) error {
 	e := &EpochUnavailableError{Epoch: epoch}
