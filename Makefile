@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint api-audit race cover bench bench-short bench-smoke bench-pairs size race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint api-audit race cover bench bench-short bench-smoke bench-pairs size flake race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -96,8 +96,16 @@ infer-check:
 # the epoch commit/abort session, the parallel fold, the multi-tenant
 # service, and the differential harness (including the log and tenant fault
 # sweeps), under the race detector and without cached results.
+FAULTCHECK_PKGS = ./internal/faultfs/ ./stablelog/ ./ckpt/ ./ckpt/parfold/ ./ckpt/tenant/ ./internal/difftest/
 faultcheck:
-	$(GO) test -race -count=1 ./internal/faultfs/ ./stablelog/ ./ckpt/ ./ckpt/parfold/ ./ckpt/tenant/ ./internal/difftest/
+	$(GO) test -race -count=1 $(FAULTCHECK_PKGS)
+
+# Flake hunt: N runs each of tier-1 and of faultcheck's packages, with
+# -count=1 -shuffle=on; every failing run's output is kept under out/flake/
+# (scripts/flake.sh).
+#   make flake N=50
+flake:
+	GO=$(GO) bash scripts/flake.sh $(N) $(FAULTCHECK_PKGS)
 
 # Cross-engine differential equivalence suite: every engine, sequential and
 # parallel, byte-level and rebuild-level (see internal/difftest).

@@ -33,7 +33,10 @@ func RecoveryRun(l *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, error) {
 // latest run must be coherent, as for Log.Recover: a tenant whose older
 // epochs repeat (a writer that restarted its numbering) still recovers.
 // Other tenants' interleaved segments are untouched, so N tenants recover
-// independently from the same file.
+// independently from the same file. On a log stablelog.Open opened, the
+// chain's payloads are those Open's scan kept (a shared log's, from its
+// second stream on), copied rather than read again: restarting every tenant
+// reads the file once, and the kept bytes go at the log's first write.
 func Recover(l *stablelog.Log, id uint32, rb *ckpt.Rebuilder) error {
 	run, err := RecoveryRun(l, id)
 	if err == nil {

@@ -7,7 +7,25 @@ const ScanWindowSize = scanWindowSize
 // OpenWindow is Open with a scan window of the given size, so tests can put
 // window edges anywhere in a small file.
 func OpenWindow(path string, window int, opts ...Option) (*Log, error) {
-	return open(path, window, opts)
+	return open(path, window, keepBudget, opts)
+}
+
+// KeepBudget is the most a shared log's Open keeps of its payloads.
+const KeepBudget = keepBudget
+
+// OpenBudget is Open with the given budget for kept payloads, so tests can
+// put a log's size on either side of it.
+func OpenBudget(path string, budget int, opts ...Option) (*Log, error) {
+	return open(path, scanWindowSize, budget, opts)
+}
+
+// Kept returns the payload of segment seq as Open kept it, or false if the
+// handle does not keep it.
+func (l *Log) Kept(seq uint64) ([]byte, bool) {
+	if seq == 0 || seq > uint64(len(l.segs)) || !l.keeps(seq) {
+		return nil, false
+	}
+	return l.keptPayload(l.segs[seq-1]), true
 }
 
 // GatherSize is the capacity of the staging buffer, for tests that place

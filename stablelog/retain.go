@@ -226,13 +226,14 @@ func (l *Log) commitRewrite() error {
 	}
 	l.f = nil
 	l.cat = nil
+	l.kept = nil
 	f, err := l.fs.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
 		return l.poison(fmt.Errorf("reopen renamed log: %w", err))
 	}
 	l.f = f
 	l.segs = nil
-	if err := l.scan(false, scanWindowSize); err != nil {
+	if err := l.scan(false, scanWindowSize, 0); err != nil { // keeps nothing
 		return l.poison(fmt.Errorf("rescan renamed log: %w", err))
 	}
 	return commitErr

@@ -29,9 +29,15 @@ const (
 
 // appendSegment frames body as segment seq at the end of img.
 func appendSegment(img []byte, seq uint64, mode ckpt.Mode, body []byte) []byte {
+	return appendStreamSegment(img, seq, 0, mode, body)
+}
+
+// appendStreamSegment frames body as segment seq of stream id, at epoch
+// id<<32 | seq, at the end of img.
+func appendStreamSegment(img []byte, seq uint64, id uint32, mode ckpt.Mode, body []byte) []byte {
 	img = binary.LittleEndian.AppendUint32(img, imgSegMark)
 	img = binary.LittleEndian.AppendUint64(img, seq)
-	img = binary.LittleEndian.AppendUint64(img, seq) // epoch
+	img = binary.LittleEndian.AppendUint64(img, uint64(id)<<32|seq)
 	img = append(img, byte(mode))
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(body)))
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(body))
@@ -48,6 +54,25 @@ func logImage(lens ...int) []byte {
 		}
 		body := bytes.Repeat([]byte{byte('a' + i)}, n)
 		img = appendSegment(img, uint64(i+1), mode, body)
+	}
+	return img
+}
+
+// sharedImage is a valid log several streams share: its first alone
+// segments are stream 0's, segment i after them stream i%3's; payloads have
+// the given lengths.
+func sharedImage(alone int, lens ...int) []byte {
+	img := []byte(imgMagic)
+	for i, n := range lens {
+		mode, id := ckpt.Incremental, uint32(i%3)
+		if i == 0 {
+			mode = ckpt.Full
+		}
+		if i < alone {
+			id = 0
+		}
+		body := bytes.Repeat([]byte{byte('a' + i)}, n)
+		img = appendStreamSegment(img, uint64(i+1), id, mode, body)
 	}
 	return img
 }
@@ -141,6 +166,20 @@ func checkScan(t *testing.T, img []byte, window int, truncateTorn bool, failNth 
 	if got := l.Segments(); !slices.Equal(got, wantSegs) {
 		t.Fatalf("window %d truncate=%v: segments\n got %v\nwant %v", window, truncateTorn, got, wantSegs)
 	}
+	// A shared log keeps every payload from its second stream's first
+	// segment on, byte for byte the file's; a single-stream log keeps none.
+	shared := false
+	for i, seg := range wantSegs {
+		shared = shared || seg.Epoch>>32 != wantSegs[0].Epoch>>32
+		got, kept := l.Kept(seg.Seq)
+		if kept != shared {
+			t.Fatalf("window %d truncate=%v: seq %d (stream %d) kept = %v, want %v",
+				window, truncateTorn, seg.Seq, seg.Epoch>>32, kept, shared)
+		}
+		if want := img[seg.Offset+imgHdrSize:][:seg.Length]; kept && !bytes.Equal(got, want) {
+			t.Fatalf("window %d truncate=%v: segment %d kept %x, the file holds %x", window, truncateTorn, i, got, want)
+		}
+	}
 	if failNth > 0 {
 		return
 	}
@@ -148,6 +187,11 @@ func checkScan(t *testing.T, img []byte, window int, truncateTorn bool, failNth 
 	// right behind the last one a plain Open accepts.
 	if _, err := l.Append(ckpt.Incremental, 1<<40, []byte("next")); err != nil {
 		t.Fatal(err)
+	}
+	for _, seg := range l.Segments() {
+		if _, kept := l.Kept(seg.Seq); kept {
+			t.Fatalf("window %d truncate=%v: seq %d still kept after an Append", window, truncateTorn, seg.Seq)
+		}
 	}
 	lg, err := stablelog.Open("s.log", stablelog.WithFS(m))
 	if err != nil {
@@ -172,6 +216,7 @@ func scanCases() map[string][]byte {
 		return img
 	}
 	three := logImage(10, 200, 7)
+	shared, two := sharedImage(1, 10, 200, 7, 30, 0, 64), sharedImage(1, 10, 50)
 	return map[string][]byte{
 		"empty log":                       logImage(),
 		"short file magic":                []byte(imgMagic[:5]),
@@ -190,6 +235,17 @@ func scanCases() map[string][]byte {
 		"sequence gap":                    appendSegment(logImage(4), 3, ckpt.Incremental, []byte("x")),
 		"length the file cannot back":     hostileHeader(logImage(9), 2),
 		"garbage after a hostile length":  append(hostileHeader(logImage(9), 2), bytes.Repeat([]byte{0xEE}, 3*w)...),
+
+		"shared log":                              shared,
+		"shared log, stream 0 first twice":        sharedImage(2, 10, 20, 30, 5, 0, 7),
+		"second stream at a window edge":          sharedImage(1, w-imgHdrSize, 5, 9),
+		"second stream straddles a window edge":   sharedImage(1, w-imgHdrSize-10, 5, 9),
+		"shared payload larger than the window":   sharedImage(2, 3, 4, 3*w+5, 4),
+		"torn first payload of the second stream": two[:len(two)-3],
+		"torn payload after keeping began":        shared[:len(shared)-3],
+		"bad CRC after keeping began":             flip(shared, -1),
+		"bad CRC in the second stream's first":    flip(shared, len(imgMagic)+imgHdrSize+10+imgHdrSize+100),
+		"hostile length on a shared log":          hostileHeader(sharedImage(1, 9, 4), 3),
 	}
 }
 
@@ -274,4 +330,34 @@ func TestOpenHostileLengthAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+
+	// A shared log keeps its payloads from the second stream on, in a buffer
+	// sized by the file's bytes left, not by any length field: behind a
+	// window of garbage too, Open still stays under the bound, and keeps the
+	// valid segments' payloads only.
+	t.Run("shared log", func(t *testing.T) {
+		valid := sharedImage(1, 9, 4)
+		img := append(hostileHeader(slices.Clone(valid), 3), bytes.Repeat([]byte{0xEE}, stablelog.ScanWindowSize)...)
+		m := faultfs.NewMemFromState(map[string][]byte{"h.log": img})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l, err := stablelog.Open("h.log", stablelog.WithFS(m), stablelog.WithTruncateTorn())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Open(WithTruncateTorn) = %v", err)
+		}
+		defer l.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+			t.Errorf("Open(WithTruncateTorn) allocated %d bytes", grew)
+		}
+		if n := len(l.Segments()); n != 2 {
+			t.Fatalf("segments = %d, want the 2 valid ones", n)
+		}
+		if p, ok := l.Kept(2); !ok || !bytes.Equal(p, bytes.Repeat([]byte{'b'}, 4)) {
+			t.Errorf("kept payload of seq 2 = %q, %v; want the file's", p, ok)
+		}
+		if _, ok := l.Kept(3); ok {
+			t.Error("the torn segment's payload is kept")
+		}
+	})
 }

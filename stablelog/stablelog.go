@@ -12,7 +12,11 @@
 // and can truncate away, exposing the longest consistent prefix. Open reads
 // the file once, front to back, through a fixed-size window — every header
 // parsed and every payload's CRC verified out of the same large reads — so
-// what it allocates does not depend on any length field in the file.
+// what it allocates does not depend on any length field in the file. On a
+// log several streams share, Open also keeps the payloads it verifies, from
+// the second stream's first segment on and within a fixed budget, so that
+// restarting every stream reads each byte of the file once: ReadRun copies
+// a kept payload instead of reading it, until the handle's first write.
 //
 // Every chain operation runs per stream — the high 32 bits of a segment's
 // epoch (docs/FORMAT.md) — so a log shared by many domains gets the same
@@ -92,10 +96,10 @@ var (
 type SegmentInfo struct {
 	Seq    uint64    // position in the log, starting at 1
 	Epoch  uint64    // writer epoch recorded at append time
-	Mode   ckpt.Mode // full or incremental
 	Offset int64     // file offset of the segment header
 	Length int       // payload length in bytes
 	CRC    uint32    // CRC-32 (IEEE) of the payload
+	Mode   ckpt.Mode // full or incremental
 }
 
 // Log is an append-only checkpoint log backed by a single file.
@@ -121,6 +125,14 @@ type Log struct {
 	pend []SegmentInfo
 
 	cat *catalog // per-stream chain catalog, maintained by catalog (see stream.go)
+
+	// kept holds, back to back, the payloads of segs[keptFrom:] as Open's
+	// scan verified them — on a shared log, every payload from the second
+	// stream's first segment on (see keepBudget) — so that ReadRun serves a
+	// restart's chains without reading the file again. nil when the handle
+	// keeps nothing; the first write, Retain's rewrite and Close drop it.
+	kept     []byte
+	keptFrom int
 }
 
 // usable reports why the log cannot be operated on, or nil.
@@ -211,20 +223,26 @@ func Create(path string, opts ...Option) (*Log, error) {
 // Without WithTruncateTorn, any corruption is an error; with it, the log is
 // truncated at the first invalid segment. Transient read failures (ErrIO)
 // are never grounds for truncation.
+//
+// On a log several streams share, Open keeps every payload from the second
+// stream's first segment on, copied out of the scan's window as it checksums
+// them, so that restarting the streams one by one reads each byte of the
+// file once (see ReadRun); a single-stream log keeps nothing.
 func Open(path string, opts ...Option) (*Log, error) {
-	return open(path, scanWindowSize, opts)
+	return open(path, scanWindowSize, keepBudget, opts)
 }
 
-// open is Open with the scan's window size as a parameter, so tests can put
-// window edges anywhere in a small file.
-func open(path string, window int, opts []Option) (*Log, error) {
+// open is Open with the scan's window size and keep budget as parameters, so
+// tests can put window edges anywhere in a small file and a log's size on
+// either side of the budget.
+func open(path string, window, budget int, opts []Option) (*Log, error) {
 	oo := resolveOptions(opts)
 	f, err := oo.fs.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("open log: %w", err)
 	}
 	l := &Log{fs: oo.fs, f: f, path: path, sync: oo.sync}
-	if err := l.scan(oo.truncateTorn, window); err != nil {
+	if err := l.scan(oo.truncateTorn, window, budget); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -235,11 +253,16 @@ func open(path string, window int, opts []Option) (*Log, error) {
 // forward pass through a scanWindow of at most window bytes: no per-segment
 // read, no per-segment allocation, and every payload's CRC still checked.
 //
+// At the first segment of a second stream, scan decides whether to keep
+// payloads (l.kept): if the file's bytes from that segment on fit budget, it
+// allocates that many once and copies every payload from there on into it
+// as it checksums them; if not, it keeps nothing.
+//
 // Only genuine framing, checksum, or end-of-file corruption may truncate
 // under truncateTorn; a transient read failure (ErrIO) aborts the scan
 // without touching the file, because the bytes on disk may be perfectly
 // good.
-func (l *Log) scan(truncateTorn bool, window int) error {
+func (l *Log) scan(truncateTorn bool, window, budget int) error {
 	var magic [len(fileMagic)]byte
 	if n, err := l.f.ReadAt(magic[:], 0); err != nil && !isEOF(err) {
 		return fmt.Errorf("%w: file magic: %w", ErrIO, err)
@@ -255,6 +278,7 @@ func (l *Log) scan(truncateTorn bool, window int) error {
 	// bytes; a header must always fit.
 	buf := make([]byte, max(min(int64(window), size-off), segmentHeaderSize))
 	w := scanWindow{f: l.f, buf: buf, off: off}
+	shared := false
 	for {
 		hdr, err := w.peek(segmentHeaderSize)
 		if err != nil {
@@ -263,7 +287,16 @@ func (l *Log) scan(truncateTorn bool, window int) error {
 		if len(hdr) == 0 {
 			break // clean end
 		}
-		seg, segErr := l.scanSegment(&w, hdr)
+		seg, segErr := l.scanHeader(off, hdr)
+		if segErr == nil {
+			if !shared && len(l.segs) > 0 && streamOf(seg.Epoch) != streamOf(l.segs[0].Epoch) {
+				shared = true
+				if size-off <= int64(budget) {
+					l.keptFrom, w.keep = len(l.segs), make([]byte, 0, size-off)
+				}
+			}
+			segErr = w.payload(seg)
+		}
 		if segErr != nil {
 			if truncateTorn && errors.Is(segErr, ErrCorrupt) {
 				if err := l.f.Truncate(off); err != nil {
@@ -274,6 +307,9 @@ func (l *Log) scan(truncateTorn bool, window int) error {
 			return segErr
 		}
 		l.segs = append(l.segs, seg)
+		if w.keep != nil {
+			l.kept = w.keep // through this segment: never a torn one's partial payload
+		}
 		off += int64(segmentHeaderSize + seg.Length)
 	}
 	l.end = off
@@ -283,11 +319,10 @@ func (l *Log) scan(truncateTorn bool, window int) error {
 	return nil
 }
 
-// scanSegment parses and validates the segment whose header starts at the
-// window's position, consuming it. hdr holds the bytes the file has there
-// (fewer than a full header only at end of file).
-func (l *Log) scanSegment(w *scanWindow, hdr []byte) (SegmentInfo, error) {
-	off := w.off
+// scanHeader parses and validates the header of the segment at off, the
+// next one the index expects. hdr holds the bytes the file has there (fewer
+// than a full header only at end of file).
+func (l *Log) scanHeader(off int64, hdr []byte) (SegmentInfo, error) {
 	if len(hdr) < segmentHeaderSize {
 		return SegmentInfo{}, fmt.Errorf("%w: partial header at %d", ErrCorrupt, off)
 	}
@@ -308,22 +343,33 @@ func (l *Log) scanSegment(w *scanWindow, hdr []byte) (SegmentInfo, error) {
 	if want := uint64(len(l.segs) + 1); seg.Seq != want {
 		return SegmentInfo{}, fmt.Errorf("%w: seq %d at %d, want %d", ErrCorrupt, seg.Seq, off, want)
 	}
-	w.skip(segmentHeaderSize)
-	crc, short, err := w.checksum(seg.Length)
+	return seg, nil
+}
+
+// payload consumes the segment seg, whose header starts at the window's
+// position, and verifies its payload against the header's length and CRC.
+func (s *scanWindow) payload(seg SegmentInfo) error {
+	s.skip(segmentHeaderSize)
+	crc, short, err := s.checksum(seg.Length)
 	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("%w: payload at %d: %w", ErrIO, off, err)
+		return fmt.Errorf("%w: payload at %d: %w", ErrIO, seg.Offset, err)
 	}
 	if short {
-		return SegmentInfo{}, fmt.Errorf("%w: short payload at %d", ErrCorrupt, off)
+		return fmt.Errorf("%w: short payload at %d", ErrCorrupt, seg.Offset)
 	}
 	if crc != seg.CRC {
-		return SegmentInfo{}, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
+		return fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, seg.Offset)
 	}
-	return seg, nil
+	return nil
 }
 
 // scanWindowSize is how much of the file one read of the Open scan fetches.
 const scanWindowSize = 1 << 20
+
+// keepBudget is the most a shared log's Open keeps of its payloads for
+// ReadRun: a log whose bytes from the second stream's first segment on
+// exceed it keeps nothing, and its restart reads each chain from the file.
+const keepBudget = 64 << 20
 
 // scanWindow is the sliding read window of the Open scan: buf[r:w] holds the
 // file's bytes from off on, refilled with one buffer-sized ReadAt whenever it
@@ -336,6 +382,9 @@ type scanWindow struct {
 	r, w int
 	off  int64 // file offset of buf[r]
 	eof  bool  // the file ends at buf[w]
+	// keep, when non-nil, receives every payload byte checksum consumes;
+	// scan sizes it to the file bytes left, so it never grows.
+	keep []byte
 }
 
 func isEOF(err error) bool {
@@ -378,6 +427,9 @@ func (s *scanWindow) checksum(n int) (crc uint32, short bool, err error) {
 			return 0, true, nil
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		if s.keep != nil {
+			s.keep = append(s.keep, chunk...)
+		}
 		s.skip(len(chunk))
 		n -= len(chunk)
 	}
@@ -401,6 +453,7 @@ func (l *Log) Append(mode ckpt.Mode, epoch uint64, body []byte) (uint64, error) 
 	if err := l.usable(); err != nil {
 		return 0, err
 	}
+	l.kept = nil // a handle that writes is past its restart
 	seg := SegmentInfo{
 		Seq:    uint64(len(l.segs) + 1),
 		Epoch:  epoch,
@@ -488,6 +541,7 @@ func (l *Log) flushStaged() error {
 	if len(l.pend) == 0 {
 		return nil
 	}
+	l.kept = nil // a handle that writes is past its restart
 	fail := func(err error) error {
 		l.discardTail()
 		return fmt.Errorf("append segments %d..%d: %w: %w",
@@ -604,12 +658,16 @@ func (l *Log) Recover(rb *ckpt.Rebuilder) error {
 
 // ReadRun returns the bodies of a replay run — RecoveryRun's, StreamRun's or
 // an EpochIndex chain — in order, ready for ckpt.Rebuilder.ApplyRun. The
-// bodies share one allocation. A run whose segments sit back to back in the
-// file, as every single-stream chain does, is fetched with one read; a run
-// interleaved with other streams' segments with one read per segment, of
-// its payload alone. Every payload is verified against its checksum, as
-// Read does. ReadRun does I/O and checksums only: whether the bodies form a
-// coherent chain of records is the rebuilder's question (see replayRun).
+// bodies share one allocation, which is the caller's. A run whose segments
+// sit back to back in the file, as every single-stream chain does, is
+// fetched with one read; a run interleaved with other streams' segments with
+// one read per segment, of its payload alone — except that a segment whose
+// payload Open kept (a shared log's, from its second stream on; see Open) is
+// copied from memory, not read. Every payload is verified against its
+// checksum, as Read does; a kept payload is the bytes Open verified, so on
+// such a handle damage done to the file after Open goes unseen. ReadRun
+// does I/O and checksums only: whether the bodies form a coherent chain of
+// records is the rebuilder's question (see replayRun).
 func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 	if err := l.usable(); err != nil {
 		return nil, err
@@ -623,8 +681,8 @@ func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 		}
 		segs[i] = l.segs[seg.Seq-1]
 		size += segs[i].Length
-		if i > 0 && segs[i].Seq != segs[i-1].Seq+1 {
-			gap = 0 // not one span of the file: no headers come along
+		if i > 0 && segs[i].Seq != segs[i-1].Seq+1 || l.keeps(segs[i].Seq) {
+			gap = 0 // not one span of the file, or not read: no headers come along
 		}
 	}
 	buf := make([]byte, size+gap*len(segs))
@@ -638,7 +696,9 @@ func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 		body := buf[gap : gap+seg.Length : gap+seg.Length]
 		buf = buf[gap+seg.Length:]
 		if gap == 0 && seg.Length > 0 {
-			if _, err := l.f.ReadAt(body, seg.Offset+segmentHeaderSize); err != nil {
+			if l.keeps(seg.Seq) {
+				copy(body, l.keptPayload(seg))
+			} else if _, err := l.f.ReadAt(body, seg.Offset+segmentHeaderSize); err != nil {
 				return nil, fmt.Errorf("%w: read segment %d: %w", ErrIO, seg.Seq, err)
 			}
 		}
@@ -648,6 +708,19 @@ func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
 		bodies[i] = body
 	}
 	return bodies, nil
+}
+
+// keeps reports whether Open kept the payload of segment seq.
+func (l *Log) keeps(seq uint64) bool {
+	return l.kept != nil && seq > uint64(l.keptFrom)
+}
+
+// keptPayload returns the kept payload of seg, a segment keeps reports. The
+// kept bytes are the payloads alone, so seg's sits where its header does in
+// the file, less one header for each kept segment before it.
+func (l *Log) keptPayload(seg SegmentInfo) []byte {
+	at := int(seg.Offset-l.segs[l.keptFrom].Offset) - (int(seg.Seq-1)-l.keptFrom)*segmentHeaderSize
+	return l.kept[at : at+seg.Length]
 }
 
 // replayRun validates run, reads it (ReadRun) and applies the bodies to rb
@@ -694,6 +767,7 @@ func (l *Log) Close() error {
 		return ErrClosed
 	}
 	l.closed = true
+	l.kept = nil
 	if l.wedged != nil {
 		if l.f != nil {
 			l.f.Close()
