@@ -46,13 +46,15 @@ bench-smoke:
 # Paired runs of one benchmark workload, parent commit against the working
 # tree: N pairs alternating which side goes first, per end-to-end metric both
 # medians, both quartile spreads and wins/N (scripts/benchpairs.sh; BASE=,
-# PARENT=, OUT= and SEED0= pass through the environment).
+# PARENT=, OUT= and SEED0= pass through the environment). T=1 runs traced
+# pairs and prints where a restart's time goes instead.
 #   make bench-pairs W=tenants N=10 S=30
 N ?= 10
 S ?= 30
+T ?= 0
 bench-pairs:
-	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [S=30]"; exit 2; }
-	bash scripts/benchpairs.sh $(W) $(N) $(S)
+	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [S=30] [T=1]"; exit 2; }
+	T=$(T) bash scripts/benchpairs.sh $(W) $(N) $(S)
 
 # Code lines per package and in total, counted the one way simplification
 # figures use: non-test, non-blank, non-comment .go lines outside bench/,

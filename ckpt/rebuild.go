@@ -38,7 +38,6 @@ type latestRec struct {
 type Rebuilder struct {
 	reg    *Registry
 	latest map[uint64]latestRec
-	bodies [][]byte // retained so version-1 record payloads stay valid
 	maxID  uint64
 	seen   int // bodies applied
 
@@ -57,8 +56,9 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 }
 
 // Apply folds one checkpoint body into the rebuilder; it is ApplyRun of that
-// one body. A version-1 body is retained (not copied) — its record payloads
-// are aliased and it must not be mutated afterwards. Version-2
+// one body. A version-1 body is not copied — its record payloads are
+// aliased, which keeps it alive while one of them is its object's latest,
+// and it must not be mutated afterwards. Version-2
 // (delta-enabled) bodies are not retained: every record, full or delta, is
 // materialized into rebuilder-owned storage, reusing the object's previous
 // buffer when the new payload fits.
@@ -213,7 +213,6 @@ func commitRecord(cur latestRec, rec record) latestRec {
 type generation struct {
 	latest  map[uint64]latestRec
 	live    map[uint64]latestRec
-	bodies  [][]byte
 	maxID   uint64
 	seen    int
 	hasKind bool // the body being replayed is version 2
@@ -236,7 +235,7 @@ func (g *generation) lookup(id uint64) (latestRec, bool) {
 }
 
 // commit makes rec, validated against cur, its object's entry in the run.
-// A version-1 record aliases its retained body; a version-2 one is kept.
+// A version-1 record aliases its body; a version-2 one is kept.
 func (g *generation) commit(rec record, cur latestRec) {
 	e := latestRec{typeID: rec.typeID, payload: rec.payload}
 	if g.hasKind {
@@ -263,7 +262,7 @@ func (g *generation) keep(rec record, cur latestRec) latestRec {
 // generation g: each record is decoded, validated and committed — a delta
 // once its batch drains. It is the one record walk behind Apply and
 // ApplyRun; a body that fails leaves g to be thrown away.
-func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader, body []byte) error {
+func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader) error {
 	switch {
 	case h.mode == Full:
 		// A full checkpoint resets the state: a run extending the live one
@@ -281,12 +280,9 @@ func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader, body [
 		if rb.staged == nil {
 			rb.staged = make(map[uint64]latestRec)
 		}
-		*g = generation{latest: rb.staged, live: rb.latest, bodies: rb.bodies, maxID: rb.maxID, seen: rb.seen}
+		*g = generation{latest: rb.staged, live: rb.latest, maxID: rb.maxID, seen: rb.seen}
 	}
 	g.hasKind = h.version == bodyVersion2
-	if !g.hasKind {
-		g.bodies = append(g.bodies, body)
-	}
 	// A failure ends the walk; the deltas still batched come before it in
 	// the body, so theirs is reported first.
 	var batch deltaBatch
@@ -334,7 +330,7 @@ func (rb *Rebuilder) publish(g *generation) {
 			rb.latest[id] = e
 		}
 	}
-	rb.bodies, rb.maxID, rb.seen = g.bodies, g.maxID, g.seen
+	rb.maxID, rb.seen = g.maxID, g.seen
 }
 
 // ApplyRun folds a sequence of checkpoint bodies into the rebuilder as one
@@ -355,7 +351,7 @@ func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
 		d := wire.NewDecoder(b)
 		h, err := parseBodyHeader(d)
 		if err == nil {
-			err = rb.replay(&g, d, h, b)
+			err = rb.replay(&g, d, h)
 		}
 		if err != nil {
 			clear(rb.staged) // the run's entries alias its bodies

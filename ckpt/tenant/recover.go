@@ -27,16 +27,17 @@ func RecoveryRun(l *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, error) {
 
 // Recover replays one tenant's latest run out of a shared log into rb. It is
 // the log's own replay at the tenant's latest epoch (stablelog.Log.RewindTo):
-// the chain is validated, read through Log.ReadRun (per-payload CRC, delta
-// coherence) and applied atomically, so on any error — no full anchor,
-// incoherent run, read failure, corrupt body — rb is unchanged. Only the
-// latest run must be coherent, as for Log.Recover: a tenant whose older
-// epochs repeat (a writer that restarted its numbering) still recovers.
-// Other tenants' interleaved segments are untouched, so N tenants recover
-// independently from the same file. On a log stablelog.Open opened, the
+// the chain is validated, read (per-payload CRC, delta coherence) and
+// applied atomically, so on any error — no full anchor, incoherent run, read
+// failure, corrupt body — rb is unchanged. Only the latest run must be
+// coherent, as for Log.Recover: a tenant whose older epochs repeat (a writer
+// that restarted its numbering) still recovers. Other tenants' interleaved
+// segments are untouched, so N tenants recover independently from the same
+// file. On a log stablelog.Open opened, the
 // chain's payloads are those Open's scan kept (a shared log's, from its
-// second stream on), copied rather than read again: restarting every tenant
-// reads the file once, and the kept bytes go at the log's first write.
+// second stream on), served in place rather than read again: restarting
+// every tenant reads the file once, and the kept bytes go at the log's first
+// write.
 func Recover(l *stablelog.Log, id uint32, rb *ckpt.Rebuilder) error {
 	run, err := RecoveryRun(l, id)
 	if err == nil {

@@ -120,7 +120,6 @@ var apiAllowlist = map[string]string{
 	"ickpt/stablelog.EpochUnavailableError.Unwrap": ifaceMethod + ": errors.Is and errors.As",
 	"ickpt/stablelog.KeepLastRun":                  testOracle + ": tenant recovery and root integration tests",
 	"ickpt/stablelog.Log.Path":                     testOracle + ": parfold tests",
-	"ickpt/stablelog.Log.ReadRun":                  userAPI + ": the replay read under Recover and RewindTo",
 	"ickpt/stablelog.Log.Sync":                     testOracle + ": faultfs tests",
 	"ickpt/stablelog.WithQueueLimit":               benchCaller,
 	"ickpt/stablelog.WithSyncInterval":             userAPI + ": group commit by time",

@@ -28,6 +28,12 @@ func (l *Log) Kept(seq uint64) ([]byte, bool) {
 	return l.keptPayload(l.segs[seq-1]), true
 }
 
+// ReadRun is readRun, the replay read under Recover and RewindTo, for the
+// tests that count its reads and allocations and check its bodies.
+func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
+	return l.readRun(run)
+}
+
 // GatherSize is the capacity of the staging buffer, for tests that place
 // bodies on either side of it.
 const GatherSize = gatherSize

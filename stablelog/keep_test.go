@@ -1,8 +1,8 @@
 package stablelog_test
 
 // On a shared log, Open keeps the payloads its scan verifies, from the second
-// stream's first segment on, and ReadRun copies them instead of reading the
-// file again. These tests hold every kept payload to the file's bytes, count
+// stream's first segment on, and ReadRun serves them in place instead of
+// reading the file again. These tests hold every kept payload to the file's bytes, count
 // the reads a restart's chains make, and follow the kept bytes through their
 // life: kept by Open, dropped by the first write, by Retain and by Close,
 // and never kept on a single-stream log or past the budget.

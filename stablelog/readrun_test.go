@@ -253,3 +253,41 @@ func TestReadRunKeepsPerPayloadChecks(t *testing.T) {
 		t.Errorf("rebuilder changed across failed recoveries: %d objects, was %d", rb.Objects(), want)
 	}
 }
+
+// TestRewindToAllocatesOnlyItsReadAndApply: RewindTo copies no chain of its
+// own — it replays the catalog's segments through a scratch slice the log
+// keeps — so it allocates what its read and its apply do, and nothing more.
+// Copying each chain into a []SegmentInfo of its own cost one allocation
+// more per rewind.
+func TestRewindToAllocatesOnlyItsReadAndApply(t *testing.T) {
+	const n = 256
+	l, _, _ := countedLog(t, n)
+	run, err := l.RecoveryRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies, err := l.ReadRun(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := testing.AllocsPerRun(20, func() {
+		if _, err := l.ReadRun(run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	arb := ckpt.NewRebuilder(ckpt.NewRegistry())
+	apply := testing.AllocsPerRun(20, func() {
+		if err := arb.ApplyRun(bodies); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+	rewind := testing.AllocsPerRun(20, func() {
+		if st, err := l.RewindTo(rb, n); err != nil || st.Segments != n {
+			t.Fatalf("RewindTo(%d) = %+v, %v", n, st, err)
+		}
+	})
+	if rewind > read+apply {
+		t.Errorf("RewindTo of a %d-segment chain made %.0f allocations; its read makes %.0f and its apply %.0f", n, rewind, read, apply)
+	}
+}

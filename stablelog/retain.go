@@ -285,12 +285,13 @@ type RewindStats struct {
 // recovering it.
 //
 // The replay is atomic on rb: validation runs first, every payload is read
-// (ReadRun: one gathered read, each payload CRC-checked) before anything is
-// applied, and the bodies go through ckpt.Rebuilder.ApplyRun, which stages
-// the whole run beside rb's state and swaps it in — so an unavailable epoch,
-// a read fault, or a corrupt body leaves rb exactly as it was. rb need not be fresh: a chain
-// starts with a full checkpoint, which resets the rebuilder, so one
-// rebuilder can rewind forward and backward repeatedly.
+// (a payload Open kept in place, the rest in one gathered read, each payload
+// CRC-checked) before anything is applied, and the bodies go through
+// ckpt.Rebuilder.ApplyRun, which stages the whole run beside rb's state and
+// swaps it in — so an unavailable epoch, a read fault, or a corrupt body
+// leaves rb exactly as it was. rb need not be fresh: a chain starts with a
+// full checkpoint, which resets the rebuilder, so one rebuilder can rewind
+// forward and backward repeatedly.
 //
 // A target epoch that was aged out by retention — or aborted and never
 // committed — fails with an *EpochUnavailableError carrying the nearest
@@ -303,16 +304,17 @@ func (l *Log) RewindTo(rb *ckpt.Rebuilder, epoch uint64) (RewindStats, error) {
 	if err := l.usable(); err != nil {
 		return st, err
 	}
-	chain, err := l.catalog().stream(streamOf(epoch)).Chain(epoch)
+	x := l.catalog().stream(streamOf(epoch))
+	from, to, err := x.chain(epoch)
+	if err == nil {
+		err = l.replay(rb, x, from, to)
+	}
 	if err != nil {
 		return st, err
 	}
-	if err := l.replayRun(rb, chain); err != nil {
-		return st, err
-	}
-	st.Segments = len(chain)
-	st.BaseEpoch = chain[0].Epoch
-	for _, seg := range chain {
+	st.Segments = len(l.chain)
+	st.BaseEpoch = l.chain[0].Epoch
+	for _, seg := range l.chain {
 		st.Bytes += int64(seg.Length)
 	}
 	return st, nil

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"syscall"
 	"testing"
+	"unsafe"
 
 	"ickpt/ckpt"
 	"ickpt/internal/faultfs"
@@ -360,4 +361,54 @@ func TestOpenHostileLengthAllocatesNothing(t *testing.T) {
 			t.Error("the torn segment's payload is kept")
 		}
 	})
+}
+
+// TestOpenAllocatesWhatItKeeps: an Open of a shared log allocates its
+// window, the payloads it keeps and its segment table, and next to nothing
+// else. The table grows at least twofold each time it is full, so in all it
+// allocates at most twice its final size; grown by append's 1.25× steps, it
+// allocated about five times its final size.
+func TestOpenAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const streams, rounds = 64, 300
+	img := []byte(imgMagic)
+	seq := uint64(0)
+	for round := range rounds {
+		for id := range uint32(streams) {
+			mode, n := ckpt.Incremental, 16+(int(id)*7+round*3)%24
+			if round == 0 {
+				mode, n = ckpt.Full, 96
+			}
+			seq++
+			img = appendStreamSegment(img, seq, id, mode, bytes.Repeat([]byte{byte(seq)}, n))
+		}
+	}
+	m := faultfs.NewMemFromState(map[string][]byte{"a.log": img})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := stablelog.Open("a.log", stablelog.WithFS(m))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	segs := l.Segments()
+	if len(segs) != int(seq) {
+		t.Fatalf("Open indexed %d segments, want %d", len(segs), seq)
+	}
+	if _, ok := l.Kept(2); !ok {
+		t.Fatal("Open kept nothing; the test wants a shared log's payloads kept")
+	}
+	window := min(stablelog.ScanWindowSize, len(img)-len(imgMagic))
+	kept := len(img) - int(segs[1].Offset)
+	table := 2 * len(segs) * int(unsafe.Sizeof(stablelog.SegmentInfo{}))
+	const slack = 16 << 10
+	grew := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Open allocated %d bytes: window %d, kept %d, table bound %d, rest %d", grew, window, kept, table, grew-window-kept)
+	if grew > window+kept+table+slack {
+		t.Errorf("Open of %d segments allocated %d bytes, want at most %d: window %d + kept %d + twice the table %d + slack %d",
+			len(segs), grew, window+kept+table+slack, window, kept, table, slack)
+	}
 }

@@ -15,8 +15,9 @@
 // what it allocates does not depend on any length field in the file. On a
 // log several streams share, Open also keeps the payloads it verifies, from
 // the second stream's first segment on and within a fixed budget, so that
-// restarting every stream reads each byte of the file once: ReadRun copies
-// a kept payload instead of reading it, until the handle's first write.
+// restarting every stream reads each byte of the file once: a replay reads
+// a kept payload in place instead of from the file, until the handle's first
+// write.
 //
 // Every chain operation runs per stream — the high 32 bits of a segment's
 // epoch (docs/FORMAT.md) — so a log shared by many domains gets the same
@@ -42,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ickpt/ckpt"
 	"ickpt/internal/faultfs"
@@ -124,13 +126,16 @@ type Log struct {
 	wbuf []byte
 	pend []SegmentInfo
 
-	cat *catalog // per-stream chain catalog, maintained by catalog (see stream.go)
+	cat   *catalog      // per-stream chain catalog, maintained by catalog (see stream.go)
+	chain []SegmentInfo // replay's scratch: the chain it replays, reused from call to call
 
 	// kept holds, back to back, the payloads of segs[keptFrom:] as Open's
 	// scan verified them — on a shared log, every payload from the second
-	// stream's first segment on (see keepBudget) — so that ReadRun serves a
-	// restart's chains without reading the file again. nil when the handle
-	// keeps nothing; the first write, Retain's rewrite and Close drop it.
+	// stream's first segment on (see keepBudget) — so that readRun serves a
+	// restart's chains in place, without reading the file again. nil when the
+	// handle keeps nothing; the first write, Retain's rewrite and Close drop
+	// it. A rebuilder that replayed version-1 bodies from it aliases it, and
+	// keeps the whole allocation alive until the rebuilder is dropped.
 	kept     []byte
 	keptFrom int
 }
@@ -227,7 +232,7 @@ func Create(path string, opts ...Option) (*Log, error) {
 // On a log several streams share, Open keeps every payload from the second
 // stream's first segment on, copied out of the scan's window as it checksums
 // them, so that restarting the streams one by one reads each byte of the
-// file once (see ReadRun); a single-stream log keeps nothing.
+// file once (see RewindTo); a single-stream log keeps nothing.
 func Open(path string, opts ...Option) (*Log, error) {
 	return open(path, scanWindowSize, keepBudget, opts)
 }
@@ -306,17 +311,33 @@ func (l *Log) scan(truncateTorn bool, window, budget int) error {
 			}
 			return segErr
 		}
+		next := off + int64(segmentHeaderSize+seg.Length)
+		if len(l.segs) == cap(l.segs) {
+			l.segs = slices.Grow(l.segs, 1+tableGrowth(len(l.segs)+1, next-int64(len(fileMagic)), size-next))
+		}
 		l.segs = append(l.segs, seg)
 		if w.keep != nil {
 			l.kept = w.keep // through this segment: never a torn one's partial payload
 		}
-		off += int64(segmentHeaderSize + seg.Length)
+		off = next
 	}
 	l.end = off
 	if _, err := l.f.Seek(l.end, io.SeekStart); err != nil {
 		return err
 	}
 	return nil
+}
+
+// tableGrowth is how many more segments the index makes room for when the
+// scan finds it full, after n segments framed in scanned bytes with left
+// bytes still to go: the segments left at the average size so far, plus an
+// eighth, so that a log of like-sized segments sizes its index once; at
+// least n, so that the index doubles whatever the sizes, and allocates at
+// most twice its final size in all; and never more than left could frame,
+// one header each, so that no length field sizes it.
+func tableGrowth(n int, scanned, left int64) int {
+	est := int(left / (scanned / int64(n)))
+	return min(max(n-1, est+est/8), int(left/segmentHeaderSize))
 }
 
 // scanHeader parses and validates the header of the segment at off, the
@@ -367,7 +388,7 @@ func (s *scanWindow) payload(seg SegmentInfo) error {
 const scanWindowSize = 1 << 20
 
 // keepBudget is the most a shared log's Open keeps of its payloads for
-// ReadRun: a log whose bytes from the second stream's first segment on
+// readRun: a log whose bytes from the second stream's first segment on
 // exceed it keeps nothing, and its restart reads each chain from the file.
 const keepBudget = 64 << 20
 
@@ -649,57 +670,69 @@ func (l *Log) Recover(rb *ckpt.Rebuilder) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	run, err := l.RecoveryRun()
+	x, err := l.catalog().only()
 	if err != nil {
 		return err
 	}
-	return l.replayRun(rb, run)
+	from, to, err := x.latest()
+	if err != nil {
+		return err
+	}
+	return l.replay(rb, x, from, to)
 }
 
-// ReadRun returns the bodies of a replay run — RecoveryRun's, StreamRun's or
-// an EpochIndex chain — in order, ready for ckpt.Rebuilder.ApplyRun. The
-// bodies share one allocation, which is the caller's. A run whose segments
-// sit back to back in the file, as every single-stream chain does, is
-// fetched with one read; a run interleaved with other streams' segments with
-// one read per segment, of its payload alone — except that a segment whose
-// payload Open kept (a shared log's, from its second stream on; see Open) is
-// copied from memory, not read. Every payload is verified against its
-// checksum, as Read does; a kept payload is the bytes Open verified, so on
-// such a handle damage done to the file after Open goes unseen. ReadRun
-// does I/O and checksums only: whether the bodies form a coherent chain of
-// records is the rebuilder's question (see replayRun).
-func (l *Log) ReadRun(run []SegmentInfo) ([][]byte, error) {
+// readRun returns the bodies of a replay run — a stream's latest run or an
+// EpochIndex chain — in order, ready for ckpt.Rebuilder.ApplyRun. A body
+// whose payload Open kept (a shared log's, from its second stream on; see
+// Open) is served in place: a capacity-clipped slice of the kept bytes,
+// which nothing may write. Every other body comes off the file into one
+// allocation, the caller's: a run whose segments sit back to back in the
+// file, as every single-stream chain does, with one read; a run interleaved
+// with other streams' segments with one read per segment, of its payload
+// alone. Every payload is verified against its checksum, as Read does; a
+// kept payload is the bytes Open verified, so on such a handle damage done
+// to the file after Open goes unseen. readRun does I/O and checksums only:
+// whether the bodies form a coherent chain of records is the rebuilder's
+// question (see replay).
+func (l *Log) readRun(run []SegmentInfo) ([][]byte, error) {
 	if err := l.usable(); err != nil {
 		return nil, err
 	}
 	// The log's own index, not the caller's copy, says where the bytes are.
-	segs := make([]SegmentInfo, len(run))
 	size, gap := 0, segmentHeaderSize // gap: header bytes in front of each body in buf
-	for i, seg := range run {
-		if seg.Seq == 0 || seg.Seq > uint64(len(l.segs)) {
-			return nil, fmt.Errorf("%w: %d", ErrNotFound, seg.Seq)
+	for i, r := range run {
+		if r.Seq == 0 || r.Seq > uint64(len(l.segs)) {
+			return nil, fmt.Errorf("%w: %d", ErrNotFound, r.Seq)
 		}
-		segs[i] = l.segs[seg.Seq-1]
-		size += segs[i].Length
-		if i > 0 && segs[i].Seq != segs[i-1].Seq+1 || l.keeps(segs[i].Seq) {
-			gap = 0 // not one span of the file, or not read: no headers come along
+		if l.keeps(r.Seq) {
+			gap = 0 // not read: no headers come along
+			continue
 		}
-	}
-	buf := make([]byte, size+gap*len(segs))
-	if gap > 0 && len(segs) > 0 {
-		if _, err := l.f.ReadAt(buf, segs[0].Offset); err != nil {
-			return nil, fmt.Errorf("%w: read segments %d..%d: %w", ErrIO, segs[0].Seq, segs[len(segs)-1].Seq, err)
+		size += l.segs[r.Seq-1].Length
+		if i > 0 && r.Seq != run[i-1].Seq+1 {
+			gap = 0 // not one span of the file
 		}
 	}
-	bodies := make([][]byte, len(segs))
-	for i, seg := range segs {
-		body := buf[gap : gap+seg.Length : gap+seg.Length]
-		buf = buf[gap+seg.Length:]
-		if gap == 0 && seg.Length > 0 {
-			if l.keeps(seg.Seq) {
-				copy(body, l.keptPayload(seg))
-			} else if _, err := l.f.ReadAt(body, seg.Offset+segmentHeaderSize); err != nil {
-				return nil, fmt.Errorf("%w: read segment %d: %w", ErrIO, seg.Seq, err)
+	buf := make([]byte, size+gap*len(run))
+	if gap > 0 && len(run) > 0 {
+		first, last := l.segs[run[0].Seq-1], run[len(run)-1].Seq
+		if _, err := l.f.ReadAt(buf, first.Offset); err != nil {
+			return nil, fmt.Errorf("%w: read segments %d..%d: %w", ErrIO, first.Seq, last, err)
+		}
+	}
+	bodies := make([][]byte, len(run))
+	for i, r := range run {
+		seg := l.segs[r.Seq-1]
+		var body []byte
+		if l.keeps(seg.Seq) {
+			body = l.keptPayload(seg)
+		} else {
+			body = buf[gap : gap+seg.Length : gap+seg.Length]
+			buf = buf[gap+seg.Length:]
+			if gap == 0 && seg.Length > 0 {
+				if _, err := l.f.ReadAt(body, seg.Offset+segmentHeaderSize); err != nil {
+					return nil, fmt.Errorf("%w: read segment %d: %w", ErrIO, seg.Seq, err)
+				}
 			}
 		}
 		if crc32.ChecksumIEEE(body) != seg.CRC {
@@ -715,25 +748,30 @@ func (l *Log) keeps(seq uint64) bool {
 	return l.kept != nil && seq > uint64(l.keptFrom)
 }
 
-// keptPayload returns the kept payload of seg, a segment keeps reports. The
-// kept bytes are the payloads alone, so seg's sits where its header does in
-// the file, less one header for each kept segment before it.
+// keptPayload returns the kept payload of seg, a segment keeps reports,
+// clipped to its length. The kept bytes are the payloads alone, so seg's
+// sits where its header does in the file, less one header for each kept
+// segment before it.
 func (l *Log) keptPayload(seg SegmentInfo) []byte {
 	at := int(seg.Offset-l.segs[l.keptFrom].Offset) - (int(seg.Seq-1)-l.keptFrom)*segmentHeaderSize
-	return l.kept[at : at+seg.Length]
+	return l.kept[at : at+seg.Length : at+seg.Length]
 }
 
-// replayRun validates run, reads it (ReadRun) and applies the bodies to rb
-// as one atomic unit (ckpt.Rebuilder.ApplyRun), so on any error rb is
-// unchanged. Delta records add a cross-body dependency segment framing
-// knows nothing about — every delta needs an earlier payload for its object
-// in the run — so a delta the run gives no base (ckpt.ErrDeltaBase) makes
-// the chain incoherent as well: the error wraps both.
-func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
+// replay replays the stream x's segments pos[from:to] into rb: it gathers
+// them into the log's scratch chain (l.chain, reused from call to call),
+// validates the chain, reads it (readRun) and applies the bodies to rb as one
+// atomic unit (ckpt.Rebuilder.ApplyRun), so on any error rb is unchanged.
+// Delta records add a cross-body dependency segment framing knows nothing
+// about — every delta needs an earlier payload for its object in the run —
+// so a delta the run gives no base (ckpt.ErrDeltaBase) makes the chain
+// incoherent as well: the error wraps both.
+func (l *Log) replay(rb *ckpt.Rebuilder, x *EpochIndex, from, to int) error {
+	l.chain = x.appendSegments(l.chain[:0], from, to)
+	run := l.chain
 	if err := ValidateRun(run); err != nil {
 		return err
 	}
-	bodies, err := l.ReadRun(run)
+	bodies, err := l.readRun(run)
 	if err != nil {
 		return err
 	}

@@ -111,22 +111,34 @@ type EpochIndex struct {
 
 func (x *EpochIndex) seg(i int) SegmentInfo { return x.c.segs[x.pos[i]] }
 
-// segments copies the stream's segments pos[from:to].
-func (x *EpochIndex) segments(from, to int) []SegmentInfo {
-	out := make([]SegmentInfo, to-from)
-	for i := range out {
-		out[i] = x.seg(from + i)
+// appendSegments appends the stream's segments pos[from:to] to dst.
+func (x *EpochIndex) appendSegments(dst []SegmentInfo, from, to int) []SegmentInfo {
+	for _, p := range x.pos[from:to] {
+		dst = append(dst, x.c.segs[p])
 	}
-	return out
+	return dst
 }
 
-// run returns the stream's latest replay run: its most recent full
-// checkpoint and every later segment, or ErrNoFull.
-func (x *EpochIndex) run() ([]SegmentInfo, error) {
-	if len(x.fulls) == 0 {
-		return nil, ErrNoFull
+// segments copies the stream's segments pos[from:to].
+func (x *EpochIndex) segments(from, to int) []SegmentInfo {
+	return x.appendSegments(make([]SegmentInfo, 0, to-from), from, to)
+}
+
+// copied is segments(from, to), or err.
+func (x *EpochIndex) copied(from, to int, err error) ([]SegmentInfo, error) {
+	if err != nil {
+		return nil, err
 	}
-	return x.segments(int(x.fulls[len(x.fulls)-1]), len(x.pos)), nil
+	return x.segments(from, to), nil
+}
+
+// latest locates the stream's latest replay run, pos[from:to]: its most
+// recent full checkpoint and every later segment, or ErrNoFull.
+func (x *EpochIndex) latest() (from, to int, err error) {
+	if len(x.fulls) == 0 {
+		return 0, 0, ErrNoFull
+	}
+	return int(x.fulls[len(x.fulls)-1]), len(x.pos), nil
 }
 
 // EpochIndex returns the epoch catalog of a log holding one stream (an empty
@@ -200,8 +212,13 @@ func (x *EpochIndex) unavailable(epoch uint64) error {
 // (its latest run among them, so such a stream still recovers), and a target
 // or chain reaching back across it fails with ErrIncoherent.
 func (x *EpochIndex) Chain(epoch uint64) ([]SegmentInfo, error) {
+	return x.copied(x.chain(epoch))
+}
+
+// chain locates Chain's answer for epoch, pos[from:to], without copying it.
+func (x *EpochIndex) chain(epoch uint64) (from, to int, err error) {
 	if len(x.fulls) == 0 && x.err == nil {
-		return nil, ErrNoFull
+		return 0, 0, ErrNoFull
 	}
 	p, ok := x.find(epoch)
 	// Last full at or before p.
@@ -211,11 +228,11 @@ func (x *EpochIndex) Chain(epoch uint64) ([]SegmentInfo, error) {
 	}
 	if !ok || fi < 0 || int(x.fulls[fi]) < x.from {
 		if x.err != nil {
-			return nil, x.err
+			return 0, 0, x.err
 		}
-		return nil, x.unavailable(epoch)
+		return 0, 0, x.unavailable(epoch)
 	}
-	return x.segments(int(x.fulls[fi]), p+1), nil
+	return int(x.fulls[fi]), p + 1, nil
 }
 
 // StreamIDs returns the streams with at least one segment in the log, in
@@ -237,7 +254,8 @@ func (l *Log) StreamIDs() []uint32 {
 // not be consecutive. The slice is the caller's. It returns ErrNoFull if the
 // stream has no full checkpoint (or no segment at all).
 func (l *Log) StreamRun(id uint32) ([]SegmentInfo, error) {
-	return l.catalog().stream(id).run()
+	x := l.catalog().stream(id)
+	return x.copied(x.latest())
 }
 
 // RecoveryRun returns the segments needed to reconstruct the latest state of
@@ -250,5 +268,5 @@ func (l *Log) RecoveryRun() ([]SegmentInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.run()
+	return x.copied(x.latest())
 }
