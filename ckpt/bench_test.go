@@ -203,6 +203,26 @@ func BenchmarkBuildSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverSparse measures a restart's shape at synth-sparse size: a
+// fresh rebuilder replays the whole chain, then builds its 104 000 objects.
+// Neither loop above measures it — ApplyRunSparse reuses its rebuilder's
+// grown state, BuildSparse skips the replay.
+func BenchmarkRecoverSparse(b *testing.B) {
+	bodies := sparseChain(b, 4000)
+	reg := synth.Registry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb := ckpt.NewRebuilder(reg)
+		if err := rb.ApplyRun(bodies); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rb.Build(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // blobDeltaChain is the replay chain of one blob-dense benchmark rewind at its
 // longest: a Full of 96 blobs of 16 KB, then 63 incrementals in which every
 // blob has 8 runs of 102 bytes (5%) rewritten and ships as a delta record.

@@ -1,6 +1,7 @@
 package ckpt_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"ickpt/ckpt"
@@ -80,6 +81,12 @@ func FuzzRebuilderApplyRun(f *testing.F) {
 		f.Add(bodies[i-1], bodies[i])
 	}
 	f.Add([]byte{}, []byte{1})
+	// Runs over ids the rebuilder's id table keeps in its overflow map, and
+	// moves out of it as its pages grow.
+	for seed := int64(1); seed <= 4; seed++ {
+		run := newRunGen(rand.New(rand.NewSource(seed)), true).run(2, false, -1, none)
+		f.Add(run[0], run[1])
+	}
 	base := bodies[0]
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		checkRunAgainstModel(t, "fuzz", [][]byte{base}, [][]byte{a, b})

@@ -4,13 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"ickpt/wire"
 )
 
 // latestRec is one object's entry in a generation: its most recent payload.
-// owned marks a buffer the generation owns (version-2 records are
+// present marks a slot of an idTable's dense part that holds an entry. owned
+// marks a buffer the generation owns (version-2 records are
 // materialized into owned storage rather than aliasing the body), which a
 // later record for the object may overwrite in place instead of allocating.
 //
@@ -22,10 +22,11 @@ import (
 // materializes it into a buffer of the run's own.
 type latestRec struct {
 	typeID  TypeID
-	payload []byte
 	owned   bool
 	staged  bool
 	kind    byte
+	present bool
+	payload []byte
 }
 
 // Rebuilder reconstructs object state from a sequence of checkpoint bodies:
@@ -34,25 +35,27 @@ type latestRec struct {
 // payload — materializing delta records (wire.KindDelta) against it as they
 // arrive; Build then materializes the object graph through a Registry.
 //
+// The records are held by id in a table (idTable) that indexes the dense ids
+// a Domain hands out directly, and keeps sparse ids — ids far past twice the
+// object count — in a map: what a rebuilder allocates follows the objects it
+// holds, never the magnitude of their ids.
+//
 // Rebuilder is not safe for concurrent use.
 type Rebuilder struct {
 	reg    *Registry
-	latest map[uint64]latestRec
+	latest idTable
 	maxID  uint64
 	seen   int // bodies applied
 
 	// staged is the generation of a run that extends the live state, kept
 	// across runs (and empty between them) so that a replica applying one
 	// body at a time allocates nothing in the steady state.
-	staged map[uint64]latestRec
+	staged idTable
 }
 
 // NewRebuilder returns a Rebuilder resolving types through reg.
 func NewRebuilder(reg *Registry) *Rebuilder {
-	return &Rebuilder{
-		reg:    reg,
-		latest: make(map[uint64]latestRec),
-	}
+	return &Rebuilder{reg: reg}
 }
 
 // Apply folds one checkpoint body into the rebuilder; it is ApplyRun of that
@@ -204,15 +207,15 @@ func commitRecord(cur latestRec, rec record) latestRec {
 }
 
 // generation is what a run has built so far, beside the rebuilder's state
-// until it publishes. A run that begins with a Full body builds a new map
+// until it publishes. A run that begins with a Full body builds a new table
 // and publishes by swapping it in. A run that begins with an incremental
-// extends the live state: latest is the rebuilder's retained staged map,
+// extends the live state: latest is the rebuilder's retained staged table,
 // holding only the objects the run has recorded, and every other id reads
 // through to live, which the run never writes. A Full later in the run drops
-// live and starts a new map.
+// live and starts a new table.
 type generation struct {
-	latest  map[uint64]latestRec
-	live    map[uint64]latestRec
+	latest  *idTable
+	live    *idTable
 	maxID   uint64
 	seen    int
 	hasKind bool // the body being replayed is version 2
@@ -222,14 +225,15 @@ type generation struct {
 // and whether it exists: the run's own entry, materialized first into a
 // buffer of the run's if it is staged, else the live state's.
 func (g *generation) lookup(id uint64) (latestRec, bool) {
-	cur, ok := g.latest[id]
+	cur, ok := g.latest.get(id)
 	switch {
 	case cur.staged:
+		live, _ := g.live.get(id)
 		staged := record{typeID: cur.typeID, kind: cur.kind, payload: cur.payload}
-		cur = commitRecord(latestRec{payload: g.live[id].payload}, staged)
-		g.latest[id] = cur
+		cur = commitRecord(latestRec{payload: live.payload}, staged)
+		g.latest.put(id, cur)
 	case !ok && g.live != nil:
-		cur, ok = g.live[id]
+		cur, ok = g.live.get(id)
 	}
 	return cur, ok
 }
@@ -241,7 +245,7 @@ func (g *generation) commit(rec record, cur latestRec) {
 	if g.hasKind {
 		e = g.keep(rec, cur)
 	}
-	g.latest[rec.id] = e
+	g.latest.put(rec.id, e)
 	g.maxID = max(g.maxID, rec.id)
 }
 
@@ -251,7 +255,7 @@ func (g *generation) commit(rec record, cur latestRec) {
 // publishes, and reused rather than replaced.
 func (g *generation) keep(rec record, cur latestRec) latestRec {
 	if g.live != nil {
-		if _, ok := g.latest[rec.id]; !ok {
+		if _, ok := g.latest.get(rec.id); !ok {
 			return latestRec{typeID: rec.typeID, payload: rec.payload, staged: true, kind: rec.kind}
 		}
 	}
@@ -266,21 +270,20 @@ func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader) error 
 	switch {
 	case h.mode == Full:
 		// A full checkpoint resets the state: a run extending the live one
-		// stops reading it and starts a map of its own.
+		// stops reading it and starts a table of its own, as large as the
+		// live one's dense part.
 		if g.latest == nil || g.live != nil {
-			g.latest = make(map[uint64]latestRec, len(rb.latest))
+			g.latest = new(idTable)
+			g.latest.extend(rb.latest.dense)
 		} else {
-			clear(g.latest)
+			g.latest.clear()
 		}
 		*g = generation{latest: g.latest, seen: g.seen}
 	case g.latest == nil:
 		if rb.seen == 0 {
 			return errFirstNotFull
 		}
-		if rb.staged == nil {
-			rb.staged = make(map[uint64]latestRec)
-		}
-		*g = generation{latest: rb.staged, live: rb.latest, maxID: rb.maxID, seen: rb.seen}
+		*g = generation{latest: &rb.staged, live: &rb.latest, maxID: rb.maxID, seen: rb.seen}
 	}
 	g.hasKind = h.version == bodyVersion2
 	// A failure ends the walk; the deltas still batched come before it in
@@ -321,14 +324,16 @@ func (rb *Rebuilder) replay(g *generation, d *wire.Decoder, h bodyHeader) error 
 // staged record materialized in place over its object's live buffer.
 func (rb *Rebuilder) publish(g *generation) {
 	if g.live == nil {
-		rb.latest = g.latest
+		rb.latest = *g.latest
 	} else {
-		for id, e := range g.latest {
+		_ = g.latest.walk(nil, func(id uint64, e latestRec) error {
 			if e.staged {
-				e = commitRecord(rb.latest[id], record{typeID: e.typeID, kind: e.kind, payload: e.payload})
+				cur, _ := rb.latest.get(id)
+				e = commitRecord(cur, record{typeID: e.typeID, kind: e.kind, payload: e.payload})
 			}
-			rb.latest[id] = e
-		}
+			rb.latest.put(id, e)
+			return nil
+		})
 	}
 	rb.maxID, rb.seen = g.maxID, g.seen
 }
@@ -354,19 +359,19 @@ func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
 			err = rb.replay(&g, d, h)
 		}
 		if err != nil {
-			clear(rb.staged) // the run's entries alias its bodies
+			rb.staged.clear() // the run's entries alias its bodies
 			return fmt.Errorf("apply body %d of %d: %w", i+1, len(bodies), err)
 		}
 	}
 	if g.latest != nil {
 		rb.publish(&g)
 	}
-	clear(rb.staged)
+	rb.staged.clear()
 	return nil
 }
 
 // Objects returns the number of distinct object ids currently known.
-func (rb *Rebuilder) Objects() int { return len(rb.latest) }
+func (rb *Rebuilder) Objects() int { return rb.latest.n }
 
 // MaxID returns the largest object id seen, for Domain.Advance.
 func (rb *Rebuilder) MaxID() uint64 { return rb.maxID }
@@ -378,48 +383,56 @@ func (rb *Rebuilder) MaxID() uint64 { return rb.maxID }
 //
 // Objects are created and restored in ascending id order — never in Go map
 // order — so a given set of bodies always builds (or fails) the same way.
+// Both passes walk the id table as it stands: its dense part in index order,
+// then its overflow ids, sorted; nothing else is sorted or copied. Every
+// Restore reads through one decoder, reset per record.
 //
 // The returned map is keyed by object id.
 func (rb *Rebuilder) Build(d *Domain) (map[uint64]Restorable, error) {
-	// One snapshot of the state, walked in id order by both passes. The sort
-	// moves 16-byte keys, not the records.
-	type key struct {
-		id uint64
-		at int // index into recs
+	t := &rb.latest
+	over := t.overflowIDs()
+	objs := make(map[uint64]Restorable, t.n)
+	built := make([]Restorable, 0, t.n)
+	res := &Resolver{objects: objs}
+	if over == nil {
+		res.dense = make([]Restorable, t.dense)
 	}
-	keys := make([]key, 0, len(rb.latest))
-	recs := make([]latestRec, 0, len(rb.latest))
-	for id, rec := range rb.latest {
-		keys = append(keys, key{id, len(recs)})
-		recs = append(recs, rec)
-	}
-	slices.SortFunc(keys, func(a, b key) int { return cmp.Compare(a.id, b.id) })
-	built := make([]Restorable, len(recs))
-	objs := make(map[uint64]Restorable, len(recs))
-	for i, k := range keys {
-		rec := recs[k.at]
+	err := t.walk(over, func(id uint64, rec latestRec) error {
 		f, ok := rb.reg.factory(rec.typeID)
 		if !ok {
-			return nil, fmt.Errorf("%w: %d (object %d)", ErrUnknownType, rec.typeID, k.id)
+			return fmt.Errorf("%w: %d (object %d)", ErrUnknownType, rec.typeID, id)
 		}
-		o := f(k.id)
-		if got := o.CheckpointInfo().ID(); got != k.id {
-			return nil, fmt.Errorf("%w: factory for %q built object with id %d, want %d",
-				ErrTypeConflict, rb.reg.Name(rec.typeID), got, k.id)
+		o := f(id)
+		if got := o.CheckpointInfo().ID(); got != id {
+			return fmt.Errorf("%w: factory for %q built object with id %d, want %d",
+				ErrTypeConflict, rb.reg.Name(rec.typeID), got, id)
 		}
-		built[i], objs[k.id] = o, o
+		built = append(built, o)
+		objs[id] = o
+		if res.dense != nil {
+			res.dense[id] = o
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res := &Resolver{objects: objs}
-	for i, k := range keys {
-		rec := recs[k.at]
-		dec := wire.NewDecoder(rec.payload)
-		err := built[i].Restore(dec, res)
+	var dec wire.Decoder
+	next := built
+	err = t.walk(over, func(id uint64, rec latestRec) error {
+		dec = *wire.NewDecoder(rec.payload)
+		err := next[0].Restore(&dec, res)
+		next = next[1:]
 		if err == nil {
 			err = dec.Err()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("restore object %d (%s): %w", k.id, rb.reg.Name(rec.typeID), err)
+			return fmt.Errorf("restore object %d (%s): %w", id, rb.reg.Name(rec.typeID), err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if d != nil {
 		d.Advance(rb.maxID)
@@ -427,9 +440,12 @@ func (rb *Rebuilder) Build(d *Domain) (map[uint64]Restorable, error) {
 	return objs, nil
 }
 
-// Resolver resolves child ids to rebuilt objects during Restore.
+// Resolver resolves child ids to rebuilt objects during Restore. Build's
+// Resolver indexes a slice by id when every id is dense, and probes the map
+// otherwise.
 type Resolver struct {
 	objects map[uint64]Restorable
+	dense   []Restorable // by id, when non-nil: every object Build made
 }
 
 // Lookup returns the object with the given id. Looking up NilID returns
@@ -438,8 +454,15 @@ func (r *Resolver) Lookup(id uint64) (Restorable, error) {
 	if id == NilID {
 		return nil, nil
 	}
-	o, ok := r.objects[id]
-	if !ok {
+	var o Restorable
+	if r.dense != nil {
+		if id < uint64(len(r.dense)) {
+			o = r.dense[id]
+		}
+	} else {
+		o = r.objects[id]
+	}
+	if o == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
 	return o, nil

@@ -19,10 +19,11 @@ type ModelObject struct {
 // digests build the same objects and accept the same next body. It exists
 // for the external tests (ApplyRun's oracle and fuzz target).
 func (rb *Rebuilder) Digest() string {
-	objs := make(map[uint64]ModelObject, len(rb.latest))
-	for id, rec := range rb.latest {
+	objs := make(map[uint64]ModelObject, rb.latest.n)
+	_ = rb.latest.walk(nil, func(id uint64, rec latestRec) error {
 		objs[id] = ModelObject{Type: rec.typeID, Payload: rec.payload}
-	}
+		return nil
+	})
 	return DigestOf(objs, rb.maxID, rb.seen > 0)
 }
 

@@ -44,12 +44,31 @@ func errClass(err error) string {
 // really apply — and, on request, records that really do not.
 type runGen struct {
 	rng   *rand.Rand
+	ids   []uint64          // the id space, few ids so that bodies repeat them
 	model map[uint64][]byte // id → payload after the bodies written so far
 	epoch uint64
 	hot   uint64 // when set, every version-2 incremental deltas it once or twice first
 }
 
-const genIDs = 10 // ids 1..genIDs: small, so bodies repeat them
+const genIDs = 10 // ids 1..genIDs in a dense space; genIDs+1 is in no space
+
+// sparseIDs mixes dense ids with ids the rebuilder's id table keeps in its
+// overflow map: 1500 and 2047 lie past the density bound of a table of a few
+// entries, until 1025 grows its pages to cover them and they move in; the
+// ids from 2^40 on stay in the map.
+var sparseIDs = []uint64{1, 2, 3, 4, 5, 6, 1000, 1025, 1500, 2047, 1<<40 + 1, 1<<40 + 2, 1<<63 - 1}
+
+// newRunGen returns a generator over ids 1..genIDs, or over sparseIDs.
+func newRunGen(rng *rand.Rand, sparse bool) *runGen {
+	g := &runGen{rng: rng, model: make(map[uint64][]byte), ids: sparseIDs}
+	if !sparse {
+		g.ids = make([]uint64, genIDs)
+		for i := range g.ids {
+			g.ids[i] = uint64(i + 1)
+		}
+	}
+	return g
+}
 
 func genType(id uint64) uint64 { return id%3 + 1 }
 
@@ -111,7 +130,7 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 		}
 	}
 	for n := 1 + g.rng.Intn(8); n > 0; n-- {
-		id := uint64(1 + g.rng.Intn(genIDs)) // repeats within a body are wanted
+		id := g.ids[g.rng.Intn(len(g.ids))] // repeats within a body are wanted
 		prev, known := g.model[id]
 		if v == 2 && mode == ckpt.Incremental && known && g.rng.Intn(3) > 0 {
 			// Same length, a few bytes changed: a second delta for the same
@@ -131,7 +150,7 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 		g.model[id] = p
 	}
 	anyKnown := func() (uint64, []byte, bool) {
-		for id := uint64(1); id <= genIDs; id++ {
+		for _, id := range g.ids {
 			if p, ok := g.model[id]; ok {
 				return id, p, true
 			}
@@ -169,7 +188,7 @@ func (g *runGen) body(v byte, mode ckpt.Mode, bad defect) []byte {
 func (g *runGen) run(n int, extend bool, badAt int, bad defect) [][]byte {
 	if extend {
 		var known []uint64
-		for id := uint64(1); id <= genIDs; id++ {
+		for _, id := range g.ids {
 			if _, ok := g.model[id]; ok {
 				known = append(known, id)
 			}
@@ -302,12 +321,12 @@ func checkRunAgainstModel(t *testing.T, label string, prelude, run [][]byte) {
 
 // TestApplyRunMatchesSequentialApply holds ApplyRun, and Apply body by body,
 // to the model over seeded runs, each valid run also torn and garbled at
-// every position.
+// every position. Seeds past 60 draw their ids from sparseIDs.
 func TestApplyRunMatchesSequentialApply(t *testing.T) {
-	for seed := int64(1); seed <= 60; seed++ {
+	for seed := int64(1); seed <= 90; seed++ {
 		for bad := none; bad < numDefects; bad++ {
 			rng := rand.New(rand.NewSource(seed))
-			g := &runGen{rng: rng, model: make(map[uint64][]byte)}
+			g := newRunGen(rng, seed > 60)
 			var prelude [][]byte
 			extend := seed%3 == 0 // every third run extends a prelude's state
 			if extend || seed%3 == 1 {
@@ -350,7 +369,7 @@ func TestApplyRunDefectsAreClassified(t *testing.T) {
 		wrongBase:     ckpt.ErrDeltaBase,
 	}
 	for bad, class := range want {
-		g := &runGen{rng: rand.New(rand.NewSource(int64(bad))), model: make(map[uint64][]byte)}
+		g := newRunGen(rand.New(rand.NewSource(int64(bad))), false)
 		full := g.body(2, ckpt.Full, none)
 		mode := ckpt.Incremental
 		if bad == deltaInFull {
@@ -386,7 +405,7 @@ func TestApplyRunBadFirstHeaderFailsBeforeCopying(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := rb.Digest()
-	g := &runGen{rng: rand.New(rand.NewSource(1)), model: make(map[uint64][]byte)}
+	g := newRunGen(rand.New(rand.NewSource(1)), false)
 	bad := [][]byte{{9, 9, 9}, g.body(1, ckpt.Incremental, none)}
 
 	const calls = 16
