@@ -121,16 +121,7 @@ func BenchmarkRebuild(b *testing.B) {
 // workload's size, 4000 structures, the Full holds 104 000 records.
 func sparseChain(tb testing.TB, structures int) [][]byte {
 	tb.Helper()
-	w := synth.Build(synth.Shape{Structures: structures, ListLen: 5, Kind: synth.Ints10})
-	var elems []*synth.Element10
-	for _, r := range w.Roots() {
-		s := r.(*synth.Structure10)
-		for li := 0; li < synth.NumLists; li++ {
-			for e := s.List(li); e != nil; e = e.Next {
-				elems = append(elems, e)
-			}
-		}
-	}
+	w, elems := sparseGraph(structures)
 	rng := rand.New(rand.NewSource(11))
 	wr := ckpt.NewWriter()
 	bodies := make([][]byte, 0, 232)
@@ -155,6 +146,63 @@ func sparseChain(tb testing.TB, structures int) [][]byte {
 		}
 	}
 	return bodies
+}
+
+// sparseGraph builds the synth-sparse population and lists its elements, the
+// objects the workload marks.
+func sparseGraph(structures int) (*synth.Workload, []*synth.Element10) {
+	w := synth.Build(synth.Shape{Structures: structures, ListLen: 5, Kind: synth.Ints10})
+	var elems []*synth.Element10
+	for _, r := range w.Roots() {
+		s := r.(*synth.Structure10)
+		for li := 0; li < synth.NumLists; li++ {
+			for e := s.List(li); e != nil; e = e.Next {
+				elems = append(elems, e)
+			}
+		}
+	}
+	return w, elems
+}
+
+// BenchmarkDirtyFoldSparse measures the dirty drain at synth-sparse size:
+// per op, 200 seeded element marks, then one CheckpointDirty through a
+// watched tracker over the 104 000-object graph — the epoch the workload
+// runs, where WriterOneDirty covers a 65-object chain.
+func BenchmarkDirtyFoldSparse(b *testing.B) {
+	w, elems := sparseGraph(4000)
+	wr := ckpt.NewWriter()
+	wr.Start(ckpt.Full)
+	if err := w.CheckpointGeneric(wr); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := wr.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	tr := ckpt.NewTracker()
+	w.Domain.AttachTracker(tr)
+	if err := tr.Watch(w.Roots()...); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for range 200 {
+			e := elems[rng.Intn(len(elems))]
+			e.V0++
+			e.Info.Mark()
+		}
+		wr.Start(ckpt.Incremental)
+		if err := wr.CheckpointDirty(tr, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := wr.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if tr.Degraded() {
+		b.Fatal("the tracker degraded")
+	}
 }
 
 // BenchmarkApplyRunSparse measures one rewind's replay at the size the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ickpt/ckpt"
 	"ickpt/wire"
@@ -173,6 +174,32 @@ func TestDomainAdvance(t *testing.T) {
 	info = ckpt.NewInfo(d)
 	if info.ID() != 52 {
 		t.Errorf("id = %d, want 52", info.ID())
+	}
+}
+
+// TestDomainIDSpace: a Domain issues ids up to 2^48 - 1, the largest an Info
+// holds, and panics rather than issue the next.
+func TestDomainIDSpace(t *testing.T) {
+	d := ckpt.NewDomain()
+	d.Advance(1<<48 - 2)
+	info := ckpt.NewInfo(d)
+	if info.ID() != 1<<48-1 || !info.Modified() {
+		t.Fatalf("last id = %d, modified %t; want %d, true", info.ID(), info.Modified(), uint64(1<<48-1))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewInfo past 2^48 - 1 did not panic")
+		}
+	}()
+	ckpt.NewInfo(d)
+}
+
+// TestInfoSize pins the per-object header at 16 bytes: every
+// checkpointable object embeds an Info, so a field added to it costs every
+// object of every graph (see the Info comment).
+func TestInfoSize(t *testing.T) {
+	if got := unsafe.Sizeof(ckpt.Info{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(ckpt.Info{}) = %d, want 16", got)
 	}
 }
 

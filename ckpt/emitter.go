@@ -97,8 +97,8 @@ type Emitter struct {
 	stages   []ShadowStage
 	kindPos  int
 	// shadowSkips counts emits the churn backoff left undiffed (consumed
-	// from Info.shadowSkip without touching the cache); TakeShadowStages
-	// flushes it into the cache's stats once per epoch.
+	// from the Info's shadowSkip counter without touching the cache);
+	// TakeShadowStages flushes it into the cache's stats once per epoch.
 	shadowSkips int
 }
 
@@ -208,15 +208,15 @@ func (em *Emitter) End() {
 // cache entry, so the full payloads shipped during the window cannot leave a
 // poisoned diff base behind.
 func (em *Emitter) deltaOrFull(payload []byte) byte {
-	if s := em.curInfo.shadowSkip; s > 0 {
+	if em.curInfo.flags&skipMask > 0 {
 		if em.mode != Full {
-			em.curInfo.shadowSkip = s - 1
+			em.curInfo.flags-- // the counter is the low bits
 			em.shadowSkips++
 			return wire.KindFull
 		}
 		// A Full emit refreshes the shadow (decide stages below), giving the
 		// object a fresh base; the rest of the window would only waste it.
-		em.curInfo.shadowSkip = 0
+		em.curInfo.flags &^= skipMask
 	}
 	head, hash, diff, stage, window := em.shadow.decide(em.curID, len(payload), em.mode)
 	kind := wire.KindFull
@@ -237,7 +237,7 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 		}
 	}
 	if window > 0 {
-		em.curInfo.shadowSkip = uint16(window)
+		em.curInfo.flags |= uint16(window) // the counter is zero here
 	}
 	if stage {
 		em.stages = append(em.stages, advanceHead(em.curID, head, payload))

@@ -35,3 +35,7 @@ func (c *ShadowCache) CommittedBase(id uint64) []byte {
 	}
 	return append([]byte(nil), e.head...)
 }
+
+// Advance exposes Domain.advance, which only Build calls, to the id-space
+// tests.
+func (d *Domain) Advance(id uint64) { d.advance(id) }

@@ -161,7 +161,7 @@ func rawFull(ids []uint64, typ func(uint64) TypeID, payload func(uint64) []byte)
 // children in both, and of two objects of an unknown type names the lower.
 func TestBuildOrderAcrossDenseAndOverflow(t *testing.T) {
 	dense := []uint64{1, 2, 3, 63, 64, 65, 700, 1000}
-	over := []uint64{5000, 1 << 40, 1<<40 + 1, 1<<40 + 7, 1 << 52, 1<<63 - 1}
+	over := []uint64{5000, 1 << 40, 1<<40 + 1, 1<<40 + 7, 1 << 47, idLimit - 1}
 	for _, withOverflow := range []bool{false, true} {
 		ids := slices.Clone(dense)
 		if withOverflow {
@@ -220,8 +220,8 @@ func TestBuildOrderAcrossDenseAndOverflow(t *testing.T) {
 	// Unknown types at several ids: the lowest is reported, in the overflow
 	// alone and with a dense one below it.
 	for _, unknown := range [][]uint64{
-		{1<<40 + 7, 1 << 52, 1<<40 + 1, 1<<63 - 1},
-		{1<<40 + 7, 700, 1 << 52},
+		{1<<40 + 7, 1 << 47, 1<<40 + 1, idLimit - 1},
+		{1<<40 + 7, 700, 1 << 47},
 	} {
 		ids := append(slices.Clone(dense), over...)
 		reg := NewRegistry()
@@ -242,6 +242,28 @@ func TestBuildOrderAcrossDenseAndOverflow(t *testing.T) {
 		lowest := slices.Min(unknown)
 		if !errors.Is(err, ErrUnknownType) || !strings.Contains(err.Error(), fmt.Sprintf("(object %d)", lowest)) {
 			t.Fatalf("unknown types at %v: Build = %v, want ErrUnknownType at object %d", unknown, err, lowest)
+		}
+	}
+}
+
+// TestBuildRefusesUnrepresentableIDs: replay keeps any id, but an Info holds
+// ids below 2^48 only, so Build refuses a state naming a larger one as a
+// malformed body before any factory runs.
+func TestBuildRefusesUnrepresentableIDs(t *testing.T) {
+	for _, bad := range []uint64{idLimit, 1<<63 - 1} {
+		made := 0
+		reg := NewRegistry()
+		typ := reg.MustRegister("idtable.limit", func(id uint64) Restorable {
+			made++
+			return &orderObj{info: RestoredInfo(id)}
+		})
+		rb := NewRebuilder(reg)
+		body := rawFull([]uint64{1, 2, bad}, func(uint64) TypeID { return typ }, func(uint64) []byte { return uvarint(1) })
+		if err := rb.Apply(body); err != nil {
+			t.Fatalf("id %d: Apply = %v, want replay to accept it", bad, err)
+		}
+		if _, err := rb.Build(NewDomain()); !errors.Is(err, ErrBadBody) || made != 0 {
+			t.Fatalf("id %d: Build = %v after %d factory calls, want ErrBadBody after none", bad, err, made)
 		}
 	}
 }

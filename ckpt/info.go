@@ -11,38 +11,59 @@ const NilID uint64 = 0
 //
 // Info corresponds to the paper's CheckpointInfo class. A new object's flag
 // starts set, so the object is captured by the next incremental checkpoint.
-// Info is not safe for concurrent use.
+// Info is not safe for concurrent use, except that ID may be called while
+// another goroutine changes the flags: a parallel fold's worker reads the ids
+// of children that other workers are recording, and Session.Abort re-marks
+// objects from a persistence goroutine.
+//
+// Every checkpointable object embeds an Info, tracked or not, so its size is
+// paid once per object in every graph: 16 bytes, laid out as
+//
+//	flags    16 bits  6 spare bits; fresh, queued and modified; and the
+//	                  7-bit shadowSkip counter in the low bits
+//	idLo     16 bits  the object's id, below idLimit (2^48), split in two
+//	idHi     32 bits
+//	tracker  64 bits  the dirty index the object reports to, nil when
+//	                  untracked
+//
+// modified is the paper's flag. fresh marks an allocation the tracker's view
+// has not absorbed yet (counted in Tracker.fresh; Watch or Track settles it).
+// queued reports that the object is in its tracker's mark-queue, so repeated
+// Marks between two checkpoints enqueue once. The id has fields of its own
+// rather than bits of the flags' word so that reading it never races with a
+// write to the flags, and neither needs an atomic instruction. Every bit has
+// to earn its place against the per-object cost: state that only a tracker or
+// a cache needs lives there, not here.
+//
+// While shadowSkip is nonzero, a delta-enabled emitter ships the object's
+// payload whole without consulting the cache, decrementing per emit. The
+// report that arms the window stales the cache entry up front, so the
+// window's full-payload emits cannot leave a poisoned diff base behind. The
+// counter lives here rather than in the cache so the backed-off steady state
+// costs one load and one store per emit instead of the cache's lock and map
+// lookup; like the modified flag, it is only ever touched by the one writer
+// (or parallel-fold shard) that owns the object's records.
 type Info struct {
-	id       uint64
-	modified bool
-
-	// shadowSkip is the remaining length of a shadow-cache churn backoff
-	// window (see ShadowCache): while nonzero, a delta-enabled emitter
-	// ships this object's payload whole without consulting the cache,
-	// decrementing per emit. The report that arms the window stales the
-	// cache entry up front, so the window's full-payload emits cannot
-	// leave a poisoned diff base behind. The counter lives here rather
-	// than in the cache so the backed-off steady state costs one load and
-	// one store per emit instead of the cache's lock and map lookup; like
-	// the modified flag, it is only ever touched by the one writer (or
-	// parallel-fold shard) that owns the object's records.
-	shadowSkip uint16
-
-	// queued reports whether this object is already in its tracker's
-	// mark-queue, so repeated Marks between two checkpoints enqueue once.
-	queued bool
-	// fresh reports an allocation the tracker's view has not absorbed yet
-	// (counted in Tracker.fresh); Watch or Track settles it.
-	fresh bool
-	// tracker is the dirty index this object reports to, nil when untracked.
+	flags   uint16
+	idLo    uint16
+	idHi    uint32
 	tracker *Tracker
-	// self is set to the Info's own address when the owning object is
-	// registered (adopted) into a tracker's view. A by-value copy of an
-	// adopted object therefore carries a self pointer that does not match its
-	// own address, which is how Take's scan path rejects copies without
-	// sweeping the mark-queue.
-	self *Info
 }
+
+// The layout of Info.flags.
+const (
+	skipMask    = 1<<7 - 1
+	modifiedBit = skipMask + 1
+	queuedBit   = modifiedBit << 1
+	freshBit    = queuedBit << 1
+)
+
+// idLimit bounds the ids an Info can hold: a Domain never issues one at or
+// past it, and Build refuses a body that names one.
+const idLimit = 1 << 48
+
+// skipMax must fit the counter.
+const _ uint = skipMask - skipMax
 
 // NewInfo issues a fresh identifier from d and returns an Info with the
 // modified flag set. If a Tracker is attached to the domain
@@ -54,10 +75,10 @@ type Info struct {
 // returned Info is copied into its owner, so a pointer captured here would
 // dangle.)
 func NewInfo(d *Domain) Info {
-	i := Info{id: d.next(), modified: true}
+	i := infoWith(d.next(), modifiedBit)
 	if d.tracker != nil {
 		i.tracker = d.tracker
-		i.fresh = true
+		i.flags |= freshBit
 		d.tracker.fresh++
 	}
 	return i
@@ -66,24 +87,33 @@ func NewInfo(d *Domain) Info {
 // RestoredInfo returns an Info carrying a previously-issued identifier, for
 // use by Registry factories when rebuilding objects from a checkpoint. The
 // modified flag starts clear: restored state is by definition already
-// captured.
+// captured. It panics on an id no Domain can issue (Build refuses those
+// before any factory runs).
 func RestoredInfo(id uint64) Info {
-	return Info{id: id}
+	if id >= idLimit {
+		panic("ckpt: RestoredInfo: id out of range")
+	}
+	return infoWith(id, 0)
+}
+
+// infoWith returns an Info holding id, which must be below idLimit, and flags.
+func infoWith(id uint64, flags uint16) Info {
+	return Info{flags: flags, idLo: uint16(id), idHi: uint32(id >> 16)}
 }
 
 // ID returns the object's unique identifier.
-func (i *Info) ID() uint64 { return i.id }
+func (i *Info) ID() uint64 { return uint64(i.idHi)<<16 | uint64(i.idLo) }
 
 // Modified reports whether the object has been modified since it was last
 // recorded in a checkpoint.
-func (i *Info) Modified() bool { return i.modified }
+func (i *Info) Modified() bool { return i.flags&modifiedBit != 0 }
 
 // SetModified sets the raw modified flag without informing any tracker.
 // Prefer Mark: a direct flag store bypasses the dirty index, so an O(dirty)
 // incremental epoch would silently omit the object (the ckptvet dirtywrite
 // analyzer reports SetModified calls outside this package for exactly that
 // reason). SetModified remains for flag maintenance that must not enqueue.
-func (i *Info) SetModified() { i.modified = true }
+func (i *Info) SetModified() { i.flags |= modifiedBit }
 
 // Mark is the write barrier: it sets the modified flag and, when the object
 // is registered with a Tracker, enqueues it into the tracker's mark-queue so
@@ -91,9 +121,9 @@ func (i *Info) SetModified() { i.modified = true }
 // no-op beyond the flag, so repeated writes between two checkpoints cost one
 // queue slot.
 func (i *Info) Mark() {
-	i.modified = true
-	if i.tracker != nil && !i.queued {
-		i.queued = true
+	i.flags |= modifiedBit
+	if i.tracker != nil && i.flags&queuedBit == 0 {
+		i.flags |= queuedBit
 		i.tracker.enqueue(i)
 	}
 }
@@ -118,12 +148,10 @@ func (i *Info) MarkOn(t *Tracker) {
 // scan path verify the dirty set without sweeping the queue. The decrement
 // is atomic because a parallel fold's workers reset flags concurrently.
 func (i *Info) ResetModified() {
-	i.modified = false
-	if i.queued {
-		i.queued = false
-		if i.tracker != nil {
-			i.tracker.liveQueued.Add(-1)
-		}
+	f := i.flags
+	i.flags = f &^ (modifiedBit | queuedBit)
+	if f&queuedBit != 0 && i.tracker != nil {
+		i.tracker.liveQueued.Add(-1)
 	}
 }
 
@@ -166,7 +194,12 @@ func (d *Domain) Adopt(o Checkpointable) {
 // NewDomain returns a Domain whose first issued id is 1 (NilID is reserved).
 func NewDomain() *Domain { return &Domain{} }
 
+// next issues the next id. It panics rather than issue one an Info cannot
+// hold.
 func (d *Domain) next() uint64 {
+	if d.last >= idLimit-1 {
+		panic("ckpt: Domain id space exhausted")
+	}
 	d.last++
 	return d.last
 }
@@ -174,14 +207,10 @@ func (d *Domain) next() uint64 {
 // Last returns the most recently issued id, or NilID if none has been issued.
 func (d *Domain) Last() uint64 { return d.last }
 
-// Advance ensures that future ids are strictly greater than id. It is used
-// after rebuilding state from a checkpoint so that newly allocated objects do
-// not collide with restored ones.
-func (d *Domain) Advance(id uint64) {
-	if id > d.last {
-		d.last = id
-	}
-}
+// advance ensures that future ids are strictly greater than id. Build calls
+// it after rebuilding state from a checkpoint so that newly allocated objects
+// do not collide with restored ones.
+func (d *Domain) advance(id uint64) { d.last = max(d.last, id) }
 
 // Cell is a tracked field: a value whose Set marks the owning object's Info
 // as modified. It stands in for the write barriers that the paper's

@@ -373,13 +373,15 @@ func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
 // Objects returns the number of distinct object ids currently known.
 func (rb *Rebuilder) Objects() int { return rb.latest.n }
 
-// MaxID returns the largest object id seen, for Domain.Advance.
+// MaxID returns the largest object id seen.
 func (rb *Rebuilder) MaxID() uint64 { return rb.maxID }
 
 // Build materializes every known object: it creates a shell per id via the
 // registered factories, then restores each shell's state, resolving child
 // references through a Resolver. If d is non-nil it is advanced past the
-// largest restored id.
+// largest restored id. Replay accepts any id, but an Info holds ids below
+// 2^48 only, so Build refuses a larger one with ErrBadBody before any
+// factory runs.
 //
 // Objects are created and restored in ascending id order — never in Go map
 // order — so a given set of bodies always builds (or fails) the same way.
@@ -389,6 +391,9 @@ func (rb *Rebuilder) MaxID() uint64 { return rb.maxID }
 //
 // The returned map is keyed by object id.
 func (rb *Rebuilder) Build(d *Domain) (map[uint64]Restorable, error) {
+	if rb.maxID >= idLimit {
+		return nil, fmt.Errorf("%w: object id %d is not below 2^48", ErrBadBody, rb.maxID)
+	}
 	t := &rb.latest
 	over := t.overflowIDs()
 	objs := make(map[uint64]Restorable, t.n)
@@ -435,7 +440,7 @@ func (rb *Rebuilder) Build(d *Domain) (map[uint64]Restorable, error) {
 		return nil, err
 	}
 	if d != nil {
-		d.Advance(rb.maxID)
+		d.advance(rb.maxID)
 	}
 	return objs, nil
 }

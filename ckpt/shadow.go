@@ -39,8 +39,9 @@ import (
 // per-object: after two consecutive failed delta attempts, decide/report
 // return a skip window — the number of upcoming emits to leave undiffed and
 // unshadowed, doubling per round up to skipMax — which the emitter parks in
-// the object's Info (Info.shadowSkip) and consumes there, without taking the
-// cache's lock again until the window drains and the next probe runs. The
+// the object's Info (its 7-bit shadowSkip counter, so skipMax must stay
+// below 128) and consumes there, without taking the cache's lock again
+// until the window drains and the next probe runs. The
 // arming call stales the entry up front, covering the full payloads the
 // window ships. Worst-case overhead is amortized to a few percent while a
 // drop in churn is still discovered.

@@ -12,7 +12,7 @@ package ckpt
 // stay reachable from the domain's roots for their lifetime. Addresses
 // returned by New are stable — blocks are never moved or grown — which is
 // what makes a slab safe for objects whose embedded Info is registered in a
-// Tracker by address (Info.self).
+// Tracker by address: its view and mark-queue hold *Info.
 //
 // Slab is not safe for concurrent use. The zero value is ready to use.
 type Slab[T any] struct {

@@ -8,7 +8,8 @@ import (
 
 // TestSlabStableAddresses pins the property the dirty index depends on:
 // pointers handed out by New stay valid and distinct across block
-// boundaries (a moved object would desynchronize Info.self adoption).
+// boundaries (a moved object would leave the tracker's view and mark-queue
+// pointing at an Info the object no longer embeds).
 func TestSlabStableAddresses(t *testing.T) {
 	var s ckpt.Slab[point]
 	const n = 1000 // crosses several 256-object blocks

@@ -90,6 +90,13 @@ type Tracker struct {
 	// the precise per-entry path. Atomic because a parallel fold's workers
 	// reset flags concurrently.
 	liveQueued atomic.Int64
+	// unadopted reports that Track registered an Info already claiming queue
+	// membership: a by-value copy of a queued object, or a MarkOn-ed one.
+	// The scans cannot tell such an Info from the entry that was enqueued,
+	// so scanReady refuses them until Watch rebuilds the view; the precise
+	// path, which compares each entry's address with its registered
+	// object's Info, resolves both cases correctly.
+	unadopted bool
 }
 
 // denseBound reports whether an id space reaching maxID is dense enough to
@@ -126,7 +133,7 @@ func (t *Tracker) Watch(roots ...Checkpointable) error {
 	// pointers so stale entries can never block a future Mark from
 	// enqueueing.
 	for _, i := range t.queue {
-		i.queued = false
+		i.flags &^= queuedBit
 	}
 	t.queue = t.queue[:0]
 	t.liveQueued.Store(0)
@@ -138,21 +145,14 @@ func (t *Tracker) Watch(roots ...Checkpointable) error {
 	t.view = idx
 	var maxID uint64
 	for id := range idx.objs {
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
 	}
 	if denseBound(maxID, len(idx.objs)) {
 		need := int(maxID + 1)
-		if cap(t.denseInfos) >= need && cap(t.denseObjs) >= need {
-			t.denseInfos = t.denseInfos[:need]
-			t.denseObjs = t.denseObjs[:need]
-			clear(t.denseInfos)
-			clear(t.denseObjs)
-		} else {
-			t.denseInfos = make([]*Info, need)
-			t.denseObjs = make([]Checkpointable, need)
-		}
+		t.denseInfos = slices.Grow(t.denseInfos[:0], need)[:need]
+		t.denseObjs = slices.Grow(t.denseObjs[:0], need)[:need]
+		clear(t.denseInfos)
+		clear(t.denseObjs)
 	} else {
 		t.denseInfos, t.denseObjs = nil, nil
 	}
@@ -163,17 +163,15 @@ func (t *Tracker) Watch(roots ...Checkpointable) error {
 			t.denseObjs[id] = o
 		}
 		info.tracker = t
-		info.fresh = false
-		info.self = info
-		if info.modified {
-			info.queued = true
+		info.flags &^= freshBit | queuedBit
+		if info.Modified() {
+			info.flags |= queuedBit
 			t.enqueue(info)
-		} else {
-			info.queued = false
 		}
 	}
 	t.fresh = 0
 	t.degraded = false
+	t.unadopted = false
 	return nil
 }
 
@@ -184,40 +182,32 @@ func (t *Tracker) Watch(roots ...Checkpointable) error {
 // allocation that is immediately Tracked does not degrade the tracker.
 func (t *Tracker) Track(o Checkpointable) {
 	info := o.CheckpointInfo()
-	if info.fresh && info.tracker == t {
-		info.fresh = false
+	if info.flags&freshBit != 0 && info.tracker == t {
+		info.flags &^= freshBit
 		if t.fresh > 0 {
 			t.fresh--
 		}
 	}
 	info.tracker = t
-	// Adopt the Info (see Info.self) only when it does not claim queue
-	// membership: an unadopted Info with the queued bit set is either a
-	// by-value copy (which must stay rejectable by the scan path) or a
-	// MarkOn-ed object the next Watch will adopt — ambiguous, so leave it to
-	// the precise Take path, which resolves both correctly.
-	if !info.queued {
-		info.self = info
+	if info.flags&queuedBit != 0 {
+		t.unadopted = true
 	}
-	t.view.objs[info.id] = o
+	id := info.ID()
+	t.view.objs[id] = o
 	if t.denseInfos != nil {
-		switch {
-		case info.id < uint64(len(t.denseInfos)):
-			t.denseInfos[info.id] = info
-			t.denseObjs[info.id] = o
-		case denseBound(info.id, len(t.view.objs)):
-			for uint64(len(t.denseInfos)) <= info.id {
-				t.denseInfos = append(t.denseInfos, nil)
-				t.denseObjs = append(t.denseObjs, nil)
-			}
-			t.denseInfos[info.id] = info
-			t.denseObjs[info.id] = o
-		default:
+		if n := int(id) + 1 - len(t.denseInfos); n > 0 && denseBound(id, len(t.view.objs)) {
+			t.denseInfos = append(t.denseInfos, make([]*Info, n)...)
+			t.denseObjs = append(t.denseObjs, make([]Checkpointable, n)...)
+		}
+		if id < uint64(len(t.denseInfos)) {
+			t.denseInfos[id] = info
+			t.denseObjs[id] = o
+		} else {
 			t.denseInfos, t.denseObjs = nil, nil
 		}
 	}
-	if info.modified && !info.queued {
-		info.queued = true
+	if info.Modified() && info.flags&queuedBit == 0 {
+		info.flags |= queuedBit
 		t.enqueue(info)
 	}
 }
@@ -240,12 +230,13 @@ func (t *Tracker) Track(o Checkpointable) {
 // set is instead collected by a single in-order scan of the dense view —
 // O(live) with a tiny constant, cheaper there than O(dirty log dirty)
 // comparison sorting, and irrelevant to the O(dirty) steady state the
-// threshold excludes. The scan trusts its result only when every collected
-// Info is adopted (Info.self — rejects by-value copies by address) and the
-// collected count equals the tracker's live-entry count (liveQueued — proves
-// no marked object was missed), both without touching the queue; anything
-// else diverts to the precise per-entry path below, which alone decides
-// degradation.
+// threshold excludes. The scan runs only while no Track has registered an
+// Info that already claimed queue membership (unadopted — a by-value copy
+// would pass for the entry it was copied from), and trusts its result only
+// when the collected count equals the tracker's live-entry count
+// (liveQueued — proves no marked object was missed), both without touching
+// the queue; anything else diverts to the precise per-entry path below,
+// which alone decides degradation.
 func (t *Tracker) Take() []Checkpointable {
 	if t.fresh > 0 {
 		t.degraded = true
@@ -257,23 +248,15 @@ func (t *Tracker) Take() []Checkpointable {
 		}
 		t.taken = t.taken[:0]
 	}
-	asc := true
-	for k := 1; k < len(t.queue); k++ {
-		if t.queue[k].id < t.queue[k-1].id {
-			asc = false
-			break
-		}
-	}
-	if !asc {
-		slices.SortFunc(t.queue, func(a, b *Info) int {
-			return cmp.Compare(a.id, b.id)
-		})
+	byID := func(a, b *Info) int { return cmp.Compare(a.ID(), b.ID()) }
+	if !slices.IsSortedFunc(t.queue, byID) {
+		slices.SortFunc(t.queue, byID)
 	}
 	for _, info := range t.queue {
-		if !info.modified {
+		if !info.Modified() {
 			continue
 		}
-		o := t.resolveObj(info.id)
+		o := t.resolveObj(info.ID())
 		if o == nil || o.CheckpointInfo() != info {
 			t.degraded = true
 			continue
@@ -290,19 +273,19 @@ func (t *Tracker) Take() []Checkpointable {
 }
 
 // scanQueue collects the dirty set in ascending id order straight off the
-// dense view: one pass taking every adopted live Info (clearing its queued
-// bit as it goes), then an O(1) verification that the collected count equals
-// the tracker's live-entry count. A match proves the scan took exactly the
+// dense view: one pass taking every live Info (clearing its queued bit as it
+// goes), then an O(1) verification that the collected count equals the
+// tracker's live-entry count. A match proves the scan took exactly the
 // queue's live entries — every live entry is counted at enqueue and retired
-// by ResetModified, phantoms (copies carrying stale bits) are rejected by the
-// adoption check, and a forged survivor would have to desynchronize both the
-// count and the adoption address at once — so the queue is dropped without
-// ever being swept. On a mismatch it returns false with taken possibly
-// half-built and the queue intact for the precise fallback.
+// by ResetModified, the view holds no Info Track registered while it claimed
+// queue membership (scanReady), and an Info overwritten in place by another
+// object's is rejected by its id — so the queue is dropped without ever being
+// swept. On a mismatch it returns false with taken possibly half-built and
+// the queue intact for the precise fallback.
 func (t *Tracker) scanQueue() bool {
 	for i, info := range t.denseInfos {
-		if info != nil && info.queued && info.modified && info.tracker == t && info.self == info {
-			info.queued = false
+		if info.liveAt(t, i) {
+			info.flags &^= queuedBit
 			t.taken = append(t.taken, t.denseObjs[i])
 		}
 	}
@@ -318,7 +301,7 @@ func (t *Tracker) scanQueue() bool {
 // it walks the dense view once and records every hit into em on the spot —
 // while the Info's cache line is still hot from the dirty-bit test — instead
 // of materializing the taken slice for a second pass. Each hit is a genuine
-// registered object (adoption check) with its modified flag set, so emitting
+// registered object (scanReady, liveAt) with its modified flag set, so emitting
 // it is sound unconditionally: over-capture is merely conservative, and the
 // closing count check catches under-capture — on a mismatch drainScan
 // returns false with the queue intact, and the caller recovers the missed
@@ -332,8 +315,8 @@ func (t *Tracker) drainScan(em *Emitter) bool {
 	}
 	emitted := int64(0)
 	for i, info := range t.denseInfos {
-		if info != nil && info.queued && info.modified && info.tracker == t && info.self == info {
-			info.queued = false
+		if info.liveAt(t, i) {
+			info.flags &^= queuedBit
 			em.Visit()
 			em.EmitIfModified(t.denseObjs[i])
 			emitted++
@@ -348,31 +331,35 @@ func (t *Tracker) drainScan(em *Emitter) bool {
 }
 
 // scanReady reports whether Take would collect the dirty set by the dense
-// in-order scan: a dense view is cached and the queue is past the density
-// threshold (below it, sorting the small queue is cheaper than visiting
-// every slot).
+// in-order scan: a dense view is cached, every Info in it is trusted (see
+// unadopted), and the queue is past the density threshold (below it, sorting
+// the small queue is cheaper than visiting every slot).
 func (t *Tracker) scanReady() bool {
-	return t.denseInfos != nil && len(t.queue)*16 >= len(t.view.objs)
+	return !t.unadopted && t.denseInfos != nil && len(t.queue)*16 >= len(t.view.objs)
+}
+
+// liveAt reports whether i, found at slot id of t's dense view, is a live
+// mark-queue entry of t: queued, modified, and still carrying that id.
+func (i *Info) liveAt(t *Tracker, id int) bool {
+	return i != nil && i.flags&^(skipMask|freshBit) == queuedBit|modifiedBit && i.ID() == uint64(id) && i.tracker == t
 }
 
 // finishTake clears the queued bits through the captured pointers and empties
 // the queue, after the dirty set has been collected.
 func (t *Tracker) finishTake() {
 	for _, info := range t.queue {
-		info.queued = false
+		info.flags &^= queuedBit
 	}
 	t.queue = t.queue[:0]
 	t.liveQueued.Store(0)
 }
 
 // resolveObj resolves a registered id to its object: through the dense cache
-// when active (it mirrors the view exactly), through the view map otherwise.
+// when it covers the id, through the view map otherwise (the cache mirrors
+// the view exactly, so an id past an active cache misses both).
 func (t *Tracker) resolveObj(id uint64) Checkpointable {
-	if t.denseObjs != nil {
-		if id < uint64(len(t.denseObjs)) {
-			return t.denseObjs[id]
-		}
-		return nil
+	if id < uint64(len(t.denseObjs)) {
+		return t.denseObjs[id]
 	}
 	return t.view.objs[id]
 }
@@ -386,7 +373,7 @@ func (t *Tracker) resolveObj(id uint64) Checkpointable {
 func (t *Tracker) Requeue(objs []Checkpointable) {
 	for _, o := range objs {
 		info := o.CheckpointInfo()
-		if info.modified {
+		if info.Modified() {
 			info.Mark()
 		}
 	}

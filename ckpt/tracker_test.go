@@ -388,6 +388,61 @@ func TestIdentityMismatchDegrades(t *testing.T) {
 	}
 }
 
+// TestQueuedCopyTrackedDegrades: a by-value copy of a queued object, Tracked
+// in place of its original, carries the original's id and queued bit, so a
+// dense scan would take it for the entry that was enqueued and find the
+// live-entry count right. Whichever path the fold takes — Take's scan, the
+// fused drain, or the sorted precise path — the tracker must degrade, and
+// the body may hold only the genuinely dirty originals: neither the copy nor
+// a clean object.
+func TestQueuedCopyTrackedDegrades(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		marks []int
+		emit  ckpt.EmitOne
+	}{
+		{"scan", 8, []int{1, 4, 6}, ckpt.EmitObject},
+		{"drain", 8, []int{1, 4, 6}, nil},
+		{"precise", 64, []int{5, 50}, ckpt.EmitObject},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, pts, _, tr := trackedFixture(t, tc.n)
+			for _, i := range tc.marks {
+				pts[i].x++
+				pts[i].info.Mark()
+			}
+			clone := *pts[tc.marks[0]]
+			tr.Track(&clone)
+			w := ckpt.NewWriter()
+			w.Start(ckpt.Incremental)
+			if err := w.CheckpointDirty(tr, tc.emit); err != nil {
+				t.Fatal(err)
+			}
+			body, _, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Degraded() {
+				t.Fatal("a tracked copy of a queued object must degrade the tracker")
+			}
+			var got, want []uint64
+			if _, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, _ byte, _ []byte) error {
+				got = append(got, id)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range tc.marks[1:] {
+				want = append(want, pts[i].info.ID())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("body records ids %v, want %v (the dirty originals only)", got, want)
+			}
+		})
+	}
+}
+
 // TestWatchReenqueuesModified: Watch over a graph with already-dirty objects
 // queues them, so no pre-Watch mutation is lost.
 func TestWatchReenqueuesModified(t *testing.T) {

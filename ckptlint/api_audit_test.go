@@ -46,7 +46,6 @@ var apiAllowlist = map[string]string{
 	"ickpt.Stats":          userAPI,
 	"ickpt.Writer":         userAPI,
 
-	"ickpt/ckpt.Domain.Advance":         userAPI + ": keeps new ids above restored ones",
 	"ickpt/ckpt.Emitter.Emit":           userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Emitter.EmitIfModified": userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Emitter.Reset":          userAPI + ": the record step a custom driver calls",

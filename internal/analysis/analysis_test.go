@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ickpt/ckpt"
 	"ickpt/internal/analysis"
@@ -556,4 +557,25 @@ func contains(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// TestAttributeSizes pins the attribute objects' sizes, one tree of them per
+// statement: a field added to them or to ckpt.Info should fail here before it
+// shows in the analysis-phases benchmark's heap.
+func TestAttributeSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Attributes", unsafe.Sizeof(analysis.Attributes{}), 40},
+		{"SEEntry", unsafe.Sizeof(analysis.SEEntry{}), 64},
+		{"BTEntry", unsafe.Sizeof(analysis.BTEntry{}), 24},
+		{"BT", unsafe.Sizeof(analysis.BT{}), 24},
+		{"ETEntry", unsafe.Sizeof(analysis.ETEntry{}), 24},
+		{"ET", unsafe.Sizeof(analysis.ET{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(analysis.%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ickpt/ckpt"
 	"ickpt/internal/synth"
@@ -275,5 +276,25 @@ func TestQuickTwinDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObjectSizes pins the workload objects' sizes: a field added to them or
+// to ckpt.Info moves an Element10 — 100 000 of them in the synth-sparse
+// benchmark graph — into the next allocation size class, so it should fail
+// here first.
+func TestObjectSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Element1", unsafe.Sizeof(synth.Element1{}), 32},
+		{"Element10", unsafe.Sizeof(synth.Element10{}), 104},
+		{"Structure1", unsafe.Sizeof(synth.Structure1{}), 56},
+		{"Structure10", unsafe.Sizeof(synth.Structure10{}), 56},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(synth.%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
