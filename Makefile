@@ -73,15 +73,19 @@ race-tenant:
 	$(GO) test -race -count=1 ./ckpt/tenant/ ./ckpt/parfold/
 	$(GO) test -race -count=1 -run 'TestTenant' ./internal/difftest/
 
-# Regenerate the specialized checkpoint routines (cmd/ckptgen) and the
-# derived protocol for the derive test workload (cmd/ckptderive).
+# Regenerate the derived checkpoint protocol of every package that states
+# its layout only in struct tags (cmd/ckptderive), then the specialized
+# checkpoint routines (cmd/ckptgen), which compile the derived Catalog().
+DERIVED = internal/synth internal/analysis internal/difftest internal/derivetest
 generate:
+	for d in $(DERIVED); do $(GO) run ./cmd/ckptderive -dir $$d || exit 1; done
+	$(GO) run ./cmd/ckptderive -dir examples/editor -prefix editor.
 	$(GO) run ./cmd/ckptgen -root .
-	$(GO) run ./cmd/ckptderive -dir internal/derivetest -exported
 
 check-generated:
+	for d in $(DERIVED); do $(GO) run ./cmd/ckptderive -dir $$d -check || exit 1; done
+	$(GO) run ./cmd/ckptderive -dir examples/editor -prefix editor. -check
 	$(GO) run ./cmd/ckptgen -root . -check
-	$(GO) run ./cmd/ckptderive -dir internal/derivetest -exported -check
 
 # Statically infer each annotated phase's modification pattern from its
 # write-set and write the generated providers (cmd/ckptinfer); infer-check

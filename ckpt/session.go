@@ -1,6 +1,10 @@
 package ckpt
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // This file implements the epoch commit/abort protocol that makes
 // incremental checkpoints abort-safe.
@@ -123,6 +127,9 @@ func putEpochClears(ec *epochClears) {
 // s and c may each be nil (no session; delta encoding off). clears is
 // consumed; stages is only read (Emitter.TakeShadowStages lends it).
 func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearEntry, stages []ShadowStage, failed bool) {
+	// A driver that starts its bodies without a session-attached Writer (the
+	// sharded parallel fold) applies the re-marks an Ack parked here.
+	s.remarkParked()
 	if failed {
 		if c != nil {
 			c.discard(stages)
@@ -203,6 +210,11 @@ type SessionStats struct {
 //
 // Session is safe for concurrent use: acknowledgements may arrive from a
 // background writer goroutine while the application encodes the next epoch.
+// An Ack that aborts does not touch a tracker's mark-queue, which the
+// application appends to on every Mark: the re-marks of tracked objects are
+// parked on their tracker, and the application's goroutine applies them —
+// the tracker's next Take, and the next epoch's start (Writer.StartAt, or
+// Settle for a driver that starts its own bodies).
 type Session struct {
 	mu       sync.Mutex
 	resolver InfoResolver
@@ -210,6 +222,11 @@ type Session struct {
 	lost     map[uint64]bool // aborted with an earlier epoch, ack still due
 	degraded bool
 	stats    SessionStats
+
+	// parkedOn lists the trackers holding re-marks an Ack parked;
+	// hasParked lets the next epoch's start skip the lock while it is empty.
+	parkedOn  []*Tracker
+	hasParked atomic.Bool
 }
 
 // epochClears is one in-flight epoch's clear-set, plus the delta shadow
@@ -342,7 +359,11 @@ func (s *Session) Commit(epoch uint64) bool {
 // must call AbortAll on its first failure. A sink that persists one of those
 // bodies anyway reports it through a nil ack, which Commit answers by forcing
 // the next checkpoint to Full.
-func (s *Session) Abort(epoch uint64) int {
+func (s *Session) Abort(epoch uint64) int { return s.abort(epoch, false) }
+
+// abort is Abort; park defers the re-marks of tracked objects to the next
+// epoch's start (see Ack).
+func (s *Session) abort(epoch uint64, park bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ec, ok := s.pending[epoch]
@@ -352,12 +373,12 @@ func (s *Session) Abort(epoch uint64) int {
 	}
 	delete(s.pending, epoch)
 	sticky := ec.shadow != nil
-	n := s.abortLocked(ec)
+	n := s.abortLocked(ec, park)
 	if sticky {
 		for e, later := range s.pending {
 			if e > epoch {
 				delete(s.pending, e)
-				n += s.abortLocked(later)
+				n += s.abortLocked(later, park)
 				if s.lost == nil {
 					s.lost = make(map[uint64]bool)
 				}
@@ -377,15 +398,16 @@ func (s *Session) AbortAll() int {
 	n := 0
 	for epoch, ec := range s.pending {
 		delete(s.pending, epoch)
-		n += s.abortLocked(ec)
+		n += s.abortLocked(ec, false)
 	}
 	return n
 }
 
 // abortLocked re-marks one epoch's clear-set. The re-mark goes through Mark,
 // so objects registered with a Tracker are re-enqueued and the aborted
-// epoch's dirty set is recaptured by the next dirty fold. Callers hold s.mu.
-func (s *Session) abortLocked(ec *epochClears) int {
+// epoch's dirty set is recaptured by the next dirty fold; with park, a
+// tracked object is parked for remarkParked instead. Callers hold s.mu.
+func (s *Session) abortLocked(ec *epochClears, park bool) int {
 	s.stats.Aborts++
 	if ec.shadow != nil {
 		ec.shadow.abortEpoch(ec.epoch)
@@ -401,12 +423,37 @@ func (s *Session) abortLocked(ec *epochClears) int {
 			s.degraded = true
 			continue
 		}
-		info.Mark()
+		if t := info.tracker; park && t != nil {
+			t.park(info)
+			if !slices.Contains(s.parkedOn, t) {
+				s.parkedOn = append(s.parkedOn, t)
+			}
+			s.hasParked.Store(true)
+		} else {
+			info.Mark()
+		}
 		n++
 	}
 	s.stats.Remarked += n
 	putEpochClears(ec)
 	return n
+}
+
+// remarkParked marks the objects Ack parked. It runs on the goroutine that
+// starts the next epoch — the one that owns the objects and their trackers —
+// before the body begins; while nothing is parked it is one atomic load.
+func (s *Session) remarkParked() {
+	if s == nil || !s.hasParked.Load() {
+		return
+	}
+	s.mu.Lock()
+	on := s.parkedOn
+	s.parkedOn = nil
+	s.hasParked.Store(false)
+	s.mu.Unlock()
+	for _, t := range on {
+		t.remarkParked()
+	}
 }
 
 // Ack resolves epoch from a persistence acknowledgement: Commit on nil,
@@ -415,11 +462,18 @@ func (s *Session) abortLocked(ec *epochClears) int {
 //
 //	aw := stablelog.NewAsyncWriter(log, stablelog.WithSyncEvery(8),
 //		stablelog.WithAck(s.Ack))
+//
+// Because that callback runs on the log's goroutine, an aborting Ack parks
+// the re-marks of objects registered with a Tracker on the tracker instead
+// of appending to its mark-queue under the application's feet: the
+// tracker's next Take and the next epoch's start apply them, so the next
+// epoch recaptures them. An untracked object's flag is re-set in place, as
+// Abort does.
 func (s *Session) Ack(epoch uint64, err error) {
 	if err == nil {
 		s.Commit(epoch)
 	} else {
-		s.Abort(epoch)
+		s.abort(epoch, true)
 	}
 }
 

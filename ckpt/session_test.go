@@ -464,3 +464,49 @@ func TestSessionConcurrentAcks(t *testing.T) {
 		t.Fatalf("stats = %+v, pending = %d; want 200 epochs all resolved", st, s.Pending())
 	}
 }
+
+// TestSessionAckOffGoroutine: the log's goroutine acks a lost epoch of
+// tracked objects while the application marks others. The ack must leave the
+// tracker's mark-queue alone (go test -race fails otherwise), and the next
+// epoch records the lost objects along with the newly marked ones.
+func TestSessionAckOffGoroutine(t *testing.T) {
+	_, pts, _, tr := trackedFixture(t, 64)
+	s := ckpt.NewSession()
+	w := ckpt.NewWriter(ckpt.WithSession(s))
+	for _, p := range pts[:8] {
+		p.info.Mark()
+	}
+	w.Start(ckpt.Incremental)
+	if err := w.CheckpointDirty(tr, ckpt.EmitObject); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	lost := w.Epoch()
+	acked := make(chan struct{})
+	go func() {
+		defer close(acked)
+		s.Ack(lost, errors.New("dropped"))
+	}()
+	for _, p := range pts[8:] {
+		p.info.Mark()
+	}
+	<-acked
+
+	w.Start(ckpt.Incremental)
+	if err := w.CheckpointDirty(tr, ckpt.EmitObject); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Recorded != len(pts) {
+		t.Errorf("the epoch after the lost one recorded %d objects, want %d (8 lost, 56 marked)", stats.Recorded, len(pts))
+	}
+	if st := s.Stats(); st.Aborts != 1 || st.Remarked != 8 {
+		t.Errorf("stats = %+v, want 1 abort re-marking 8 objects", st)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -97,6 +98,36 @@ type Tracker struct {
 	// path, which compares each entry's address with its registered
 	// object's Info, resolves both cases correctly.
 	unadopted bool
+	// parked holds objects whose re-mark an aborting Session.Ack deferred
+	// from the log's goroutine to this one (see Session.Ack): Take applies
+	// them, and so does the next epoch's start through the session.
+	parkMu    sync.Mutex
+	parked    []*Info
+	hasParked atomic.Bool
+}
+
+// park defers i's re-mark to remarkParked; any goroutine may call it.
+func (t *Tracker) park(i *Info) {
+	t.parkMu.Lock()
+	t.parked = append(t.parked, i)
+	t.hasParked.Store(true)
+	t.parkMu.Unlock()
+}
+
+// remarkParked marks the objects park deferred. It runs on the tracker's
+// own goroutine; while nothing is parked it is one atomic load.
+func (t *Tracker) remarkParked() {
+	if !t.hasParked.Load() {
+		return
+	}
+	t.parkMu.Lock()
+	parked := t.parked
+	t.parked = nil
+	t.hasParked.Store(false)
+	t.parkMu.Unlock()
+	for _, i := range parked {
+		i.Mark()
+	}
 }
 
 // denseBound reports whether an id space reaching maxID is dense enough to
@@ -238,6 +269,7 @@ func (t *Tracker) Track(o Checkpointable) {
 // the queue; anything else diverts to the precise per-entry path below,
 // which alone decides degradation.
 func (t *Tracker) Take() []Checkpointable {
+	t.remarkParked()
 	if t.fresh > 0 {
 		t.degraded = true
 	}
@@ -310,6 +342,7 @@ func (t *Tracker) scanQueue() bool {
 // live entry. Callers must check that the scan path applies (dense view
 // present, queue past the density threshold) before calling.
 func (t *Tracker) drainScan(em *Emitter) bool {
+	t.remarkParked()
 	if t.fresh > 0 {
 		t.degraded = true
 	}

@@ -122,9 +122,12 @@ func (w *Writer) Start(mode Mode) { w.StartAt(mode, w.epoch+1) }
 // epoch: the body header carries epoch and the writer's own counter is pinned
 // to it, so a later Start continues from epoch+1. Drivers that own the epoch
 // sequence themselves (the parallel folder, the tenant service) start every
-// body this way. Any body in progress is discarded first (Discard).
+// body this way. Any body in progress is discarded first (Discard), and the
+// re-marks an Ack parked on the attached session are applied before the body
+// begins (see Session.Ack).
 func (w *Writer) StartAt(mode Mode, epoch uint64) {
 	w.Discard()
+	w.session.remarkParked()
 	w.epoch = epoch
 	w.mode = mode
 	w.enc.Reset()

@@ -50,7 +50,6 @@ var apiAllowlist = map[string]string{
 	"ickpt/ckpt.Emitter.EmitIfModified": userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Emitter.Reset":          userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Rebuilder.MaxID":        testOracle + ": stablelog and tenant recovery tests",
-	"ickpt/ckpt.Registry.Name":          testOracle + ": parfold and difftest tests",
 	"ickpt/ckpt.Registry.Register":      userAPI + ": the error-returning MustRegister",
 	"ickpt/ckpt.RootIndex.Resolve":      userAPI + ": the standard InfoResolver",
 	"ickpt/ckpt.Session.AbortAll":       userAPI + ": the custom sink's teardown (Session.Abort)",
@@ -94,10 +93,10 @@ var apiAllowlist = map[string]string{
 
 	"ickpt/ckptlint.Pass": userAPI + ": the argument of a custom Analyzer's Run",
 
-	"ickpt/reflectckpt.CheckCatalog":   testOracle + ": synth's reflection cross-check",
 	"ickpt/reflectckpt.Engine.Restore": userAPI + ": the reflective half of a Restore method",
 	"ickpt/reflectckpt.SelfDescribed":  userAPI + ": the marker a self-recording type implements",
 
+	"ickpt/spec.Catalog.Class":         userAPI + ": catalog lookup by class name",
 	"ickpt/spec.Catalog.ClassByTypeID": userAPI + ": catalog lookup",
 	"ickpt/spec.Catalog.ClassNames":    userAPI + ": catalog listing",
 	"ickpt/spec.Catalog.Register":      userAPI + ": the error-returning MustRegister",

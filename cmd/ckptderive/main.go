@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ckptderive -dir PKGDIR [-out FILE] [-types A,B] [-prefix P] [-exported] [-infer] [-check]
+//	ckptderive -dir PKGDIR [-out FILE] [-prefix P] [-check]
 //
 // The output defaults to zz_derived_ckpt.go inside the package directory.
 // With -check, ckptderive verifies the file is up to date instead of
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"ickpt/derive"
 	"ickpt/internal/genmark"
@@ -26,31 +25,24 @@ import (
 
 func main() {
 	var (
-		dir      = flag.String("dir", "", "package directory to scan (required)")
-		out      = flag.String("out", "", "output file (default DIR/zz_derived_ckpt.go)")
-		types    = flag.String("types", "", "comma-separated struct names (default: all annotated)")
-		prefix   = flag.String("prefix", "", "registered type-name prefix (default: package name + \".\")")
-		exported = flag.Bool("exported", false, "export the registry/catalog functions")
-		check    = flag.Bool("check", false, "verify the output is up to date instead of writing")
-		infer    = flag.Bool("infer", false, "infer the layout of untagged checkpointable structs")
+		dir    = flag.String("dir", "", "package directory to scan (required)")
+		out    = flag.String("out", "", "output file (default DIR/zz_derived_ckpt.go)")
+		prefix = flag.String("prefix", "", "registered type-name prefix (default: package name + \".\")")
+		check  = flag.Bool("check", false, "verify the output is up to date instead of writing")
 	)
 	flag.Parse()
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "usage: ckptderive -dir PKGDIR [-out FILE] [-types A,B] [-prefix P] [-exported] [-infer] [-check]")
+		fmt.Fprintln(os.Stderr, "usage: ckptderive -dir PKGDIR [-out FILE] [-prefix P] [-check]")
 		os.Exit(2)
 	}
-	if err := run(*dir, *out, *types, *prefix, *exported, *infer, *check); err != nil {
+	if err := run(*dir, *out, *prefix, *check); err != nil {
 		fmt.Fprintln(os.Stderr, "ckptderive:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir, out, typeList, prefix string, exported, infer, check bool) error {
-	opts := derive.Options{Dir: dir, Prefix: prefix, Exported: exported, InferUntagged: infer}
-	if typeList != "" {
-		opts.TypeNames = strings.Split(typeList, ",")
-	}
-	src, err := derive.Generate(opts)
+func run(dir, out, prefix string, check bool) error {
+	src, err := derive.Generate(derive.Options{Dir: dir, Prefix: prefix})
 	if err != nil {
 		return err
 	}

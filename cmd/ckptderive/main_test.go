@@ -44,7 +44,7 @@ func silence(t *testing.T) {
 func TestRunWriteAndCheck(t *testing.T) {
 	silence(t)
 	dir := writeSample(t)
-	if err := run(dir, "", "", "", false, false, false); err != nil {
+	if err := run(dir, "", "", false); err != nil {
 		t.Fatalf("run(write): %v", err)
 	}
 	out := filepath.Join(dir, "zz_derived_ckpt.go")
@@ -56,23 +56,23 @@ func TestRunWriteAndCheck(t *testing.T) {
 		t.Error("generated file missing protocol")
 	}
 	// Fresh check passes.
-	if err := run(dir, "", "", "", false, false, true); err != nil {
+	if err := run(dir, "", "", true); err != nil {
 		t.Errorf("check after write: %v", err)
 	}
 	// Stale check fails.
 	if err := os.WriteFile(out, []byte("package sample\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, "", "", "", false, false, true); err == nil {
+	if err := run(dir, "", "", true); err == nil {
 		t.Error("stale file passed check")
 	}
 }
 
-func TestRunTypeFilterAndPrefix(t *testing.T) {
+func TestRunOutAndPrefix(t *testing.T) {
 	silence(t)
 	dir := writeSample(t)
 	out := filepath.Join(dir, "custom.go")
-	if err := run(dir, out, "Leaf", "pfx.", true, false, false); err != nil {
+	if err := run(dir, out, "pfx.", false); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	src, err := os.ReadFile(out)
@@ -80,13 +80,13 @@ func TestRunTypeFilterAndPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(src)
-	if !strings.Contains(s, `"pfx.Leaf"`) || !strings.Contains(s, "DerivedRegistry") {
+	if !strings.Contains(s, `"pfx.Leaf"`) || !strings.Contains(s, "func Registry()") {
 		t.Errorf("options not applied:\n%s", s)
 	}
 }
 
 func TestRunBadDir(t *testing.T) {
-	if err := run(t.TempDir(), "", "", "", false, false, false); err == nil {
+	if err := run(t.TempDir(), "", "", false); err == nil {
 		t.Error("empty package dir accepted")
 	}
 }

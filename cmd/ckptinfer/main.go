@@ -5,11 +5,11 @@
 //
 // For each annotated phase, ckptinfer computes the function's
 // interprocedural write-set (shared with the patternspec analyzer), maps
-// the written Go types onto the package's specialization classes — the
-// hand-written spec.Class literals when the package has them, a layout
-// derived from the struct definitions otherwise — and emits the strongest
-// pattern consistent with that write-set: every class the phase provably
-// never writes is declared unmodified.
+// the written Go types onto the package's specialization classes — its
+// spec.Class literals, which cmd/ckptderive generates from the struct tags
+// (a package without any is an error) — and emits the strongest pattern
+// consistent with that write-set: every class the phase provably never
+// writes is declared unmodified.
 //
 // Static inference is blind to writes it cannot attribute (reflection,
 // cross-package mutation, calls through function values), so an inferred
@@ -75,6 +75,12 @@ func run(pattern, dir, out, catalog, root string, check bool, stdout io.Writer) 
 	inferred := bta.InferPhases(apkg, []*bta.Package{apkg})
 	if len(inferred) == 0 {
 		return fmt.Errorf("no //ckptvet:phase annotations in %s", cur.PkgPath)
+	}
+	for _, ip := range inferred {
+		if len(ip.ClassNames) == 0 {
+			return fmt.Errorf("phase %s: %s has no spec.Class literals to infer a pattern over; generate its catalog with ckptderive",
+				ip.Phase.Decl.Name.Name, cur.PkgPath)
+		}
 	}
 	provs := make([]bta.Provider, len(inferred))
 	for i, ip := range inferred {

@@ -65,3 +65,33 @@ func TestCatalogRequiresRoot(t *testing.T) {
 		t.Error("-catalog without -root accepted")
 	}
 }
+
+// TestNoCatalogIsError pins that a package with annotated phases but no
+// spec.Class literals fails, naming the generator that writes a catalog,
+// rather than inferring patterns over zero classes.
+func TestNoCatalogIsError(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module nocatalog\n\ngo 1.22\n",
+		"phase.go": `package nocatalog
+
+// Counter is state a phase writes; no catalog declares it.
+type Counter struct{ N int }
+
+//ckptvet:phase PatternBump
+func Bump(c *Counter) { c.N++ }
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := run(".", dir, filepath.Join(dir, "out.go"), "", "", false, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "no spec.Class literals") || !strings.Contains(err.Error(), "ckptderive") {
+		t.Errorf("run on a package without a catalog = %v, want an error naming ckptderive", err)
+	}
+	if _, statErr := os.Stat(filepath.Join(dir, "out.go")); statErr == nil {
+		t.Error("a provider file was written for a package without a catalog")
+	}
+}

@@ -70,19 +70,18 @@ func main() {
 	}
 }
 
-// typeNames resolves known workload type ids to names.
-func typeNames() map[ckpt.TypeID]string {
-	names := make(map[ckpt.TypeID]string)
-	for _, n := range []string{
-		synth.TypeNameStructure1, synth.TypeNameElement1,
-		synth.TypeNameStructure10, synth.TypeNameElement10,
-		analysis.TypeNameAttributes, analysis.TypeNameSEEntry,
-		analysis.TypeNameBTEntry, analysis.TypeNameETEntry,
-		analysis.TypeNameBT, analysis.TypeNameET,
-	} {
-		names[ckpt.TypeIDOf(n)] = n
+// typeNames resolves workload type ids to the names the workloads'
+// registries hold, and any other id to its raw value.
+func typeNames() func(ckpt.TypeID) string {
+	regs := []*ckpt.Registry{synth.Registry(), analysis.Registry()}
+	return func(t ckpt.TypeID) string {
+		for _, r := range regs {
+			if n := r.Name(t); n != "" {
+				return n
+			}
+		}
+		return fmt.Sprintf("type:%#x", uint32(t))
 	}
-	return names
 }
 
 func run(path string, records, types bool, diff string) error {
@@ -96,13 +95,7 @@ func run(path string, records, types bool, diff string) error {
 		return diffSegments(log, diff)
 	}
 
-	names := typeNames()
-	name := func(t ckpt.TypeID) string {
-		if n, ok := names[t]; ok {
-			return n
-		}
-		return fmt.Sprintf("type:%#x", uint32(t))
-	}
+	name := typeNames()
 
 	segs := log.Segments()
 	fmt.Printf("%s: %d segments\n", path, len(segs))

@@ -1,6 +1,7 @@
 // Package derive generates the checkpoint protocol for annotated Go
 // structs: the CheckpointInfo/CheckpointTypeID/Record/Fold/Restore methods,
-// a restore registry, and the spec specialization catalog.
+// a restore registry (Registry), and the spec specialization catalog
+// (Catalog).
 //
 // It is the paper's preprocessor path — "this checkpointing code can either
 // be added manually or generated automatically using a preprocessor"
@@ -17,7 +18,16 @@
 // and `ckptderive` (or Generate) emits a zz_derived_ckpt.go implementing
 // the full protocol, byte-compatible with the reflectckpt engine and with
 // hand-written methods following the record convention (fields in order,
-// then child ids in order).
+// then child ids in order). A checkpointable struct with no ckpt tags at all
+// has its layout inferred from its field types: scalars and Cells become
+// fields, pointers to checkpointable structs children, and a trailing
+// self-pointer the next link.
+//
+// The struct declaration is the one statement of a type's layout: the
+// paper's workloads (internal/synth, internal/analysis) and the editor
+// (examples/editor, and its copy in internal/difftest) take their whole
+// protocol from it. examples/quickstart keeps the manual path the paper
+// also allows.
 //
 // Because the generated catalog carries the structural metadata the
 // specializer needs, derived packages get plan compilation and code
@@ -48,24 +58,9 @@ var ErrDerive = errors.New("derive: invalid checkpointable type")
 type Options struct {
 	// Dir is the package directory to scan.
 	Dir string
-	// TypeNames optionally restricts generation to these structs;
-	// default: every struct with a ckpt.Info field named Info.
-	TypeNames []string
 	// Prefix is prepended to type names to form stable registered names
 	// ("prefix.TypeName"); default: the package name + ".".
 	Prefix string
-	// Exported makes the emitted registry/catalog functions exported
-	// (DerivedRegistry/DerivedCatalog); default emits unexported
-	// derivedRegistry/derivedCatalog.
-	Exported bool
-	// InferUntagged derives the layout of checkpointable structs carrying
-	// no ckpt tags at all: scalar and ckpt.Cell fields become recorded
-	// fields, pointers to package-local checkpointable structs become
-	// children, and a trailing self-pointer becomes the next pointer. A
-	// single ckpt tag on a struct makes its tags authoritative and disables
-	// inference for that struct. Fields outside the supported shapes are
-	// skipped — tag them explicitly to make them an error instead.
-	InferUntagged bool
 }
 
 // fieldKind mirrors the supported wire encodings.
@@ -142,31 +137,9 @@ func Generate(opts Options) ([]byte, error) {
 		return nil, fmt.Errorf("derive: no Go package found in %s", opts.Dir)
 	}
 
-	types, err := collectTypes(files, opts.InferUntagged)
+	types, err := collectTypes(files)
 	if err != nil {
 		return nil, err
-	}
-	if len(opts.TypeNames) > 0 {
-		want := make(map[string]bool, len(opts.TypeNames))
-		for _, n := range opts.TypeNames {
-			want[n] = true
-		}
-		var filtered []*typeInfo
-		for _, t := range types {
-			if want[t.name] {
-				filtered = append(filtered, t)
-				delete(want, t.name)
-			}
-		}
-		if len(want) > 0 {
-			var missing []string
-			for n := range want {
-				missing = append(missing, n)
-			}
-			sort.Strings(missing)
-			return nil, fmt.Errorf("%w: types not found: %s", ErrDerive, strings.Join(missing, ", "))
-		}
-		types = filtered
 	}
 	if len(types) == 0 {
 		return nil, fmt.Errorf("%w: no checkpointable structs in %s", ErrDerive, opts.Dir)
@@ -179,13 +152,14 @@ func Generate(opts Options) ([]byte, error) {
 	if prefix == "" {
 		prefix = pkgName + "."
 	}
-	return render(pkgName, prefix, types, opts.Exported)
+	return render(pkgName, prefix, types)
 }
 
-// collectTypes finds every struct with an `Info ckpt.Info` field. When
-// infer is set, untagged structs get their layout inferred; inference needs
-// the full set of checkpointable names, so collection runs in two passes.
-func collectTypes(files []*ast.File, infer bool) ([]*typeInfo, error) {
+// collectTypes finds every struct with an `Info ckpt.Info` field. A struct
+// carrying no ckpt tags at all gets its layout inferred (inferTypeInfo);
+// inference needs the full set of checkpointable names, so collection runs
+// in two passes.
+func collectTypes(files []*ast.File) ([]*typeInfo, error) {
 	type candidate struct {
 		name string
 		st   *ast.StructType
@@ -223,7 +197,7 @@ func collectTypes(files []*ast.File, infer bool) ([]*typeInfo, error) {
 			}
 			continue
 		}
-		if infer && len(ti.fields) == 0 && len(ti.children) == 0 && !hasCkptTag(c.st) {
+		if len(ti.fields) == 0 && len(ti.children) == 0 && !hasCkptTag(c.st) {
 			ti = inferTypeInfo(c.name, c.st, ckptNames)
 		}
 		out = append(out, ti)
@@ -249,10 +223,11 @@ func hasCkptTag(st *ast.StructType) bool {
 }
 
 // inferTypeInfo derives the layout of a fully untagged checkpointable
-// struct, mirroring internal/bta's class derivation: scalar and ckpt.Cell
-// fields are recorded fields, pointers to package-local checkpointable
-// structs are children, and a trailing self-pointer is the next pointer.
-// Fields outside those shapes are skipped (the Info field among them).
+// struct: scalar and ckpt.Cell fields are recorded fields, pointers to
+// package-local checkpointable structs are children, and a trailing
+// self-pointer is the next pointer. Fields outside those shapes are skipped
+// (the Info field among them) — tag them explicitly to make them an error
+// instead. A single ckpt tag on a struct makes its tags authoritative.
 func inferTypeInfo(name string, st *ast.StructType, ckptNames map[string]bool) *typeInfo {
 	ti := &typeInfo{name: name, next: -1}
 	for _, f := range st.Fields.List {

@@ -55,11 +55,13 @@ func TestGenerateBasics(t *testing.T) {
 		`ckpt.TypeIDOf("sample.Node")`,
 		"func (x *Root) Record(e *wire.Encoder)",
 		"func (x *Node) Restore(d *wire.Decoder, res *ckpt.Resolver) error",
-		"func derivedRegistry() *ckpt.Registry",
-		"func derivedCatalog() *spec.Catalog",
+		"func Registry() *ckpt.Registry",
+		"func Catalog() *spec.Catalog",
 		"NextChild: 0,",  // Node's next pointer
 		"NextChild: -1,", // Root
 		"List: true",
+		// The last child is a tail call.
+		"\tif x.Next != nil {\n\t\treturn w.Checkpoint(x.Next)\n\t}\n\treturn nil\n",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("generated source missing %q", want)
@@ -72,32 +74,16 @@ func TestGenerateBasics(t *testing.T) {
 
 func TestGenerateExportedAndPrefix(t *testing.T) {
 	dir := writePkg(t, map[string]string{"types.go": goodPkg})
-	src, err := derive.Generate(derive.Options{Dir: dir, Exported: true, Prefix: "custom."})
+	src, err := derive.Generate(derive.Options{Dir: dir, Prefix: "custom."})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(src)
-	if !strings.Contains(s, "func DerivedRegistry()") || !strings.Contains(s, "func DerivedCatalog()") {
+	if !strings.Contains(s, "func Registry()") || !strings.Contains(s, "func Catalog()") {
 		t.Error("exported functions missing")
 	}
 	if !strings.Contains(s, `ckpt.TypeIDOf("custom.Root")`) {
 		t.Error("prefix not applied")
-	}
-}
-
-func TestGenerateTypeFilter(t *testing.T) {
-	dir := writePkg(t, map[string]string{"types.go": goodPkg})
-	// Selecting only Root must fail validation: it references Node.
-	if _, err := derive.Generate(derive.Options{Dir: dir, TypeNames: []string{"Root"}}); !errors.Is(err, derive.ErrDerive) {
-		t.Errorf("dangling child reference = %v, want ErrDerive", err)
-	}
-	// Selecting only Node succeeds (self-contained).
-	if _, err := derive.Generate(derive.Options{Dir: dir, TypeNames: []string{"Node"}}); err != nil {
-		t.Errorf("Generate(Node) = %v", err)
-	}
-	// Unknown name errors.
-	if _, err := derive.Generate(derive.Options{Dir: dir, TypeNames: []string{"Nope"}}); !errors.Is(err, derive.ErrDerive) {
-		t.Errorf("unknown type = %v, want ErrDerive", err)
 	}
 }
 
@@ -178,8 +164,8 @@ package plain
 
 import "ickpt/ckpt"
 
-// Item carries no ckpt tags: with InferUntagged its layout is derived —
-// scalars and Cells become fields, the trailing self-pointer the next link.
+// Item carries no ckpt tags, so its layout is inferred — scalars and Cells
+// become fields, the trailing self-pointer the next link.
 type Item struct {
 	Info  ckpt.Info
 	Score ckpt.Cell[int64]
@@ -189,7 +175,7 @@ type Item struct {
 }
 
 // Box mixes an inferred child with a scalar; Tagged keeps its tags
-// authoritative even under InferUntagged.
+// authoritative.
 type Box struct {
 	Info ckpt.Info
 	Head *Item
@@ -205,7 +191,7 @@ type Tagged struct {
 
 func TestGenerateInferUntagged(t *testing.T) {
 	dir := writePkg(t, map[string]string{"types.go": untaggedPkg})
-	src, err := derive.Generate(derive.Options{Dir: dir, InferUntagged: true})
+	src, err := derive.Generate(derive.Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -222,7 +208,7 @@ func TestGenerateInferUntagged(t *testing.T) {
 		}
 	}
 	if strings.Contains(s, "x.Skip") {
-		t.Error("InferUntagged overrode explicit tags: untagged field of a tagged struct leaked")
+		t.Error("inference overrode explicit tags: untagged field of a tagged struct leaked")
 	}
 	if strings.Contains(s, "note") {
 		t.Error("unsupported field shape leaked into generated code")
@@ -231,15 +217,6 @@ func TestGenerateInferUntagged(t *testing.T) {
 	// Box.Head must be a child edge of Box, not a next pointer.
 	if !strings.Contains(s, `{Name: "Head", Class: "Item"`) {
 		t.Errorf("inferred child edge Box.Head missing:\n%s", s)
-	}
-
-	// Without the option, untagged structs keep today's bare layout.
-	bare, err := derive.Generate(derive.Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("Generate (no infer): %v", err)
-	}
-	if strings.Contains(string(bare), "x.Score.V") {
-		t.Error("layout inferred without InferUntagged")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // render emits the generated source file.
-func render(pkgName, prefix string, types []*typeInfo, exported bool) ([]byte, error) {
+func render(pkgName, prefix string, types []*typeInfo) ([]byte, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", genmark.Comment("ckptderive"))
 	fmt.Fprintf(&b, "//\n// Checkpoint protocol for the annotated structs of package %s:\n", pkgName)
@@ -28,8 +28,8 @@ func render(pkgName, prefix string, types []*typeInfo, exported bool) ([]byte, e
 	for _, t := range types {
 		renderType(&b, t)
 	}
-	renderRegistry(&b, prefix, types, exported)
-	renderCatalog(&b, types, exported)
+	renderRegistry(&b, prefix, types)
+	renderCatalog(&b, types)
 
 	src, err := format.Source([]byte(b.String()))
 	if err != nil {
@@ -78,10 +78,15 @@ func renderType(b *strings.Builder, t *typeInfo) {
 	}
 	fmt.Fprintf(b, "}\n")
 
-	// Fold.
+	// Fold: the last child is a tail call, the shape a hand-written list
+	// element's Fold takes.
 	fmt.Fprintf(b, "\n// Fold traverses the object's checkpointable children.\n")
 	fmt.Fprintf(b, "func (%s *%s) Fold(w *ckpt.Writer) error {\n", r, t.name)
-	for _, c := range t.children {
+	for i, c := range t.children {
+		if i == len(t.children)-1 {
+			fmt.Fprintf(b, "\tif %s.%s != nil {\n\t\treturn w.Checkpoint(%s.%s)\n\t}\n", r, c.name, r, c.name)
+			continue
+		}
 		fmt.Fprintf(b, "\tif %s.%s != nil {\n\t\tif err := w.Checkpoint(%s.%s); err != nil {\n\t\t\treturn err\n\t\t}\n\t}\n",
 			r, c.name, r, c.name)
 	}
@@ -123,13 +128,9 @@ func renderType(b *strings.Builder, t *typeInfo) {
 	fmt.Fprintf(b, "\treturn nil\n}\n")
 }
 
-func renderRegistry(b *strings.Builder, prefix string, types []*typeInfo, exported bool) {
-	name := "derivedRegistry"
-	if exported {
-		name = "DerivedRegistry"
-	}
-	fmt.Fprintf(b, "\n// %s returns a registry with every derived type registered,\n// for rebuilding state from checkpoints.\n", name)
-	fmt.Fprintf(b, "func %s() *ckpt.Registry {\n\treg := ckpt.NewRegistry()\n", name)
+func renderRegistry(b *strings.Builder, prefix string, types []*typeInfo) {
+	fmt.Fprintf(b, "\n// Registry returns a registry with every derived type registered,\n// for rebuilding state from checkpoints.\n")
+	fmt.Fprintf(b, "func Registry() *ckpt.Registry {\n\treg := ckpt.NewRegistry()\n")
 	for _, t := range types {
 		fmt.Fprintf(b, "\treg.MustRegister(%q, func(id uint64) ckpt.Restorable {\n", prefix+t.name)
 		fmt.Fprintf(b, "\t\treturn &%s{Info: ckpt.RestoredInfo(id)}\n\t})\n", t.name)
@@ -137,13 +138,9 @@ func renderRegistry(b *strings.Builder, prefix string, types []*typeInfo, export
 	fmt.Fprintf(b, "\treturn reg\n}\n")
 }
 
-func renderCatalog(b *strings.Builder, types []*typeInfo, exported bool) {
-	name := "derivedCatalog"
-	if exported {
-		name = "DerivedCatalog"
-	}
-	fmt.Fprintf(b, "\n// %s returns the specialization catalog for the derived types:\n// the structural declarations and accessors the spec plan compiler and\n// code generator consume.\n", name)
-	fmt.Fprintf(b, "func %s() *spec.Catalog {\n\tcat := spec.NewCatalog()\n", name)
+func renderCatalog(b *strings.Builder, types []*typeInfo) {
+	fmt.Fprintf(b, "\n// Catalog returns the specialization catalog for the derived types:\n// the structural declarations and accessors the spec plan compiler and\n// code generator consume.\n")
+	fmt.Fprintf(b, "func Catalog() *spec.Catalog {\n\tcat := spec.NewCatalog()\n")
 	for _, t := range types {
 		fmt.Fprintf(b, "\tcat.MustRegister(spec.Class{\n")
 		fmt.Fprintf(b, "\t\tName:   %q,\n", t.name)

@@ -19,16 +19,14 @@ import (
 
 	"ickpt/ckpt"
 	"ickpt/stablelog"
-	"ickpt/wire"
 )
 
 // Document state: a document holds a linked list of paragraphs; each
-// paragraph tracks its text and revision count through Cells.
+// paragraph tracks its text and revision count through Cells. The
+// checkpoint protocol (Record/Fold/Restore, Registry) is generated from the
+// struct tags by cmd/ckptderive into zz_derived_ckpt.go.
 
-var (
-	typeDocument  = ckpt.TypeIDOf("editor.document")
-	typeParagraph = ckpt.TypeIDOf("editor.paragraph")
-)
+//go:generate go run ickpt/cmd/ckptderive -dir . -prefix editor.
 
 type paragraph struct {
 	Info ckpt.Info
@@ -37,82 +35,11 @@ type paragraph struct {
 	Next *paragraph        `ckpt:"next"`
 }
 
-var _ ckpt.Restorable = (*paragraph)(nil)
-
-func (p *paragraph) CheckpointInfo() *ckpt.Info    { return &p.Info }
-func (p *paragraph) CheckpointTypeID() ckpt.TypeID { return typeParagraph }
-func (p *paragraph) Record(e *wire.Encoder) {
-	e.String(p.Text.V)
-	e.Varint(p.Revs.V)
-	if p.Next != nil {
-		e.Uvarint(p.Next.Info.ID())
-	} else {
-		e.Uvarint(ckpt.NilID)
-	}
-}
-func (p *paragraph) Fold(w *ckpt.Writer) error {
-	if p.Next != nil {
-		return w.Checkpoint(p.Next)
-	}
-	return nil
-}
-func (p *paragraph) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	p.Text.V = d.String()
-	p.Revs.V = d.Varint()
-	next, err := ckpt.ResolveAs[*paragraph](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	p.Next = next
-	return nil
-}
-
 type document struct {
 	Info  ckpt.Info
 	Title ckpt.Cell[string] `ckpt:"field"`
 	Edits ckpt.Cell[int64]  `ckpt:"field"`
 	Head  *paragraph        `ckpt:"list"`
-}
-
-var _ ckpt.Restorable = (*document)(nil)
-
-func (doc *document) CheckpointInfo() *ckpt.Info    { return &doc.Info }
-func (doc *document) CheckpointTypeID() ckpt.TypeID { return typeDocument }
-func (doc *document) Record(e *wire.Encoder) {
-	e.String(doc.Title.V)
-	e.Varint(doc.Edits.V)
-	if doc.Head != nil {
-		e.Uvarint(doc.Head.Info.ID())
-	} else {
-		e.Uvarint(ckpt.NilID)
-	}
-}
-func (doc *document) Fold(w *ckpt.Writer) error {
-	if doc.Head != nil {
-		return w.Checkpoint(doc.Head)
-	}
-	return nil
-}
-func (doc *document) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	doc.Title.V = d.String()
-	doc.Edits.V = d.Varint()
-	head, err := ckpt.ResolveAs[*paragraph](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	doc.Head = head
-	return nil
-}
-
-func registry() *ckpt.Registry {
-	reg := ckpt.NewRegistry()
-	reg.MustRegister("editor.document", func(id uint64) ckpt.Restorable {
-		return &document{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister("editor.paragraph", func(id uint64) ckpt.Restorable {
-		return &paragraph{Info: ckpt.RestoredInfo(id)}
-	})
-	return reg
 }
 
 func main() {
@@ -227,7 +154,7 @@ func run(dir string) error {
 	segs := lg2.Segments()
 	fmt.Printf("session 2: recovered log has %d intact segments\n", len(segs))
 
-	rb := ckpt.NewRebuilder(registry())
+	rb := ckpt.NewRebuilder(Registry())
 	if err := lg2.Recover(rb); err != nil {
 		return err
 	}
@@ -261,7 +188,7 @@ func run(dir string) error {
 	}
 	epochs := idx.Epochs()
 	mid := epochs[len(epochs)/2]
-	rb3 := ckpt.NewRebuilder(registry())
+	rb3 := ckpt.NewRebuilder(Registry())
 	rstats, err := lg2.RewindTo(rb3, mid)
 	if err != nil {
 		return err

@@ -16,29 +16,14 @@
 // per-phase checkpoint routines are compiled against.
 package analysis
 
-import (
-	"ickpt/ckpt"
-	"ickpt/wire"
-)
+//go:generate go run ickpt/cmd/ckptderive -dir .
 
-// Type names and ids for the registry and the specialization catalog.
-const (
-	TypeNameAttributes = "analysis.Attributes"
-	TypeNameSEEntry    = "analysis.SEEntry"
-	TypeNameBTEntry    = "analysis.BTEntry"
-	TypeNameETEntry    = "analysis.ETEntry"
-	TypeNameBT         = "analysis.BT"
-	TypeNameET         = "analysis.ET"
-)
+import "ickpt/ckpt"
 
-var (
-	typeAttributes = ckpt.TypeIDOf(TypeNameAttributes)
-	typeSEEntry    = ckpt.TypeIDOf(TypeNameSEEntry)
-	typeBTEntry    = ckpt.TypeIDOf(TypeNameBTEntry)
-	typeETEntry    = ckpt.TypeIDOf(TypeNameETEntry)
-	typeBT         = ckpt.TypeIDOf(TypeNameBT)
-	typeET         = ckpt.TypeIDOf(TypeNameET)
-)
+// The checkpoint protocol of every type below — CheckpointInfo,
+// CheckpointTypeID, Record, Fold, Restore, Registry and the specialization
+// Catalog — is generated from the struct tags by cmd/ckptderive into
+// zz_derived_ckpt.go.
 
 // Binding-time annotations (BT.Ann).
 const (
@@ -73,8 +58,6 @@ type Attributes struct {
 	ET   *ETEntry `ckpt:"child"`
 }
 
-var _ ckpt.Restorable = (*Attributes)(nil)
-
 // NewAttributes allocates the full per-statement annotation tree.
 func NewAttributes(d *ckpt.Domain) *Attributes {
 	return &Attributes{
@@ -83,55 +66,6 @@ func NewAttributes(d *ckpt.Domain) *Attributes {
 		BT:   &BTEntry{Info: ckpt.NewInfo(d), BT: &BT{Info: ckpt.NewInfo(d)}},
 		ET:   &ETEntry{Info: ckpt.NewInfo(d), ET: &ET{Info: ckpt.NewInfo(d)}},
 	}
-}
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (a *Attributes) CheckpointInfo() *ckpt.Info { return &a.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (a *Attributes) CheckpointTypeID() ckpt.TypeID { return typeAttributes }
-
-// Record writes the three phase-entry child ids.
-func (a *Attributes) Record(e *wire.Encoder) {
-	writeChildID(e, a.SE != nil, func() uint64 { return a.SE.Info.ID() })
-	writeChildID(e, a.BT != nil, func() uint64 { return a.BT.Info.ID() })
-	writeChildID(e, a.ET != nil, func() uint64 { return a.ET.Info.ID() })
-}
-
-// Fold traverses the three phase entries.
-func (a *Attributes) Fold(w *ckpt.Writer) error {
-	if a.SE != nil {
-		if err := w.Checkpoint(a.SE); err != nil {
-			return err
-		}
-	}
-	if a.BT != nil {
-		if err := w.Checkpoint(a.BT); err != nil {
-			return err
-		}
-	}
-	if a.ET != nil {
-		return w.Checkpoint(a.ET)
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (a *Attributes) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	se, err := ckpt.ResolveAs[*SEEntry](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	bt, err := ckpt.ResolveAs[*BTEntry](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	et, err := ckpt.ResolveAs[*ETEntry](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	a.SE, a.BT, a.ET = se, bt, et
-	return nil
 }
 
 // SEEntry holds the side-effect analysis result for one statement: bitsets
@@ -144,30 +78,6 @@ type SEEntry struct {
 	Writes []byte `ckpt:"field"`
 }
 
-var _ ckpt.Restorable = (*SEEntry)(nil)
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (s *SEEntry) CheckpointInfo() *ckpt.Info { return &s.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (s *SEEntry) CheckpointTypeID() ckpt.TypeID { return typeSEEntry }
-
-// Record writes both variable sets.
-func (s *SEEntry) Record(e *wire.Encoder) {
-	e.BytesField(s.Reads)
-	e.BytesField(s.Writes)
-}
-
-// Fold has no children to traverse.
-func (s *SEEntry) Fold(*ckpt.Writer) error { return nil }
-
-// Restore reads the fields written by Record.
-func (s *SEEntry) Restore(d *wire.Decoder, _ *ckpt.Resolver) error {
-	s.Reads = d.BytesField()
-	s.Writes = d.BytesField()
-	return nil
-}
-
 // BTEntry is the binding-time phase's per-statement entry; the annotation
 // itself lives in the BT child, mirroring the paper's Entry/BTEntry/BT
 // chain whose traversal structural specialization inlines.
@@ -176,61 +86,10 @@ type BTEntry struct {
 	BT   *BT `ckpt:"child"`
 }
 
-var _ ckpt.Restorable = (*BTEntry)(nil)
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (b *BTEntry) CheckpointInfo() *ckpt.Info { return &b.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (b *BTEntry) CheckpointTypeID() ckpt.TypeID { return typeBTEntry }
-
-// Record writes the BT child id.
-func (b *BTEntry) Record(e *wire.Encoder) {
-	writeChildID(e, b.BT != nil, func() uint64 { return b.BT.Info.ID() })
-}
-
-// Fold traverses the BT child.
-func (b *BTEntry) Fold(w *ckpt.Writer) error {
-	if b.BT != nil {
-		return w.Checkpoint(b.BT)
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (b *BTEntry) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	bt, err := ckpt.ResolveAs[*BT](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	b.BT = bt
-	return nil
-}
-
 // BT carries the binding-time annotation for one statement.
 type BT struct {
 	Info ckpt.Info
 	Ann  uint64 `ckpt:"field"`
-}
-
-var _ ckpt.Restorable = (*BT)(nil)
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (b *BT) CheckpointInfo() *ckpt.Info { return &b.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (b *BT) CheckpointTypeID() ckpt.TypeID { return typeBT }
-
-// Record writes the annotation.
-func (b *BT) Record(e *wire.Encoder) { e.Uvarint(b.Ann) }
-
-// Fold has no children to traverse.
-func (b *BT) Fold(*ckpt.Writer) error { return nil }
-
-// Restore reads the fields written by Record.
-func (b *BT) Restore(d *wire.Decoder, _ *ckpt.Resolver) error {
-	b.Ann = d.Uvarint()
-	return nil
 }
 
 // Set joins v into the annotation, marking the object modified only when
@@ -251,61 +110,10 @@ type ETEntry struct {
 	ET   *ET `ckpt:"child"`
 }
 
-var _ ckpt.Restorable = (*ETEntry)(nil)
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (t *ETEntry) CheckpointInfo() *ckpt.Info { return &t.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (t *ETEntry) CheckpointTypeID() ckpt.TypeID { return typeETEntry }
-
-// Record writes the ET child id.
-func (t *ETEntry) Record(e *wire.Encoder) {
-	writeChildID(e, t.ET != nil, func() uint64 { return t.ET.Info.ID() })
-}
-
-// Fold traverses the ET child.
-func (t *ETEntry) Fold(w *ckpt.Writer) error {
-	if t.ET != nil {
-		return w.Checkpoint(t.ET)
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (t *ETEntry) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	et, err := ckpt.ResolveAs[*ET](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	t.ET = et
-	return nil
-}
-
 // ET carries the evaluation-time annotation for one statement.
 type ET struct {
 	Info ckpt.Info
 	Ann  uint64 `ckpt:"field"`
-}
-
-var _ ckpt.Restorable = (*ET)(nil)
-
-// CheckpointInfo returns the object's checkpoint metadata.
-func (t *ET) CheckpointInfo() *ckpt.Info { return &t.Info }
-
-// CheckpointTypeID returns the object's stable type id.
-func (t *ET) CheckpointTypeID() ckpt.TypeID { return typeET }
-
-// Record writes the annotation.
-func (t *ET) Record(e *wire.Encoder) { e.Uvarint(t.Ann) }
-
-// Fold has no children to traverse.
-func (t *ET) Fold(*ckpt.Writer) error { return nil }
-
-// Restore reads the fields written by Record.
-func (t *ET) Restore(d *wire.Decoder, _ *ckpt.Resolver) error {
-	t.Ann = d.Uvarint()
-	return nil
 }
 
 // Set joins v into the annotation, marking the object modified only on
@@ -317,37 +125,4 @@ func (t *ET) Set(v uint64) bool {
 	t.Ann = v
 	t.Info.Mark()
 	return true
-}
-
-// Registry returns a ckpt registry with all annotation types registered.
-func Registry() *ckpt.Registry {
-	reg := ckpt.NewRegistry()
-	reg.MustRegister(TypeNameAttributes, func(id uint64) ckpt.Restorable {
-		return &Attributes{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameSEEntry, func(id uint64) ckpt.Restorable {
-		return &SEEntry{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameBTEntry, func(id uint64) ckpt.Restorable {
-		return &BTEntry{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameETEntry, func(id uint64) ckpt.Restorable {
-		return &ETEntry{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameBT, func(id uint64) ckpt.Restorable {
-		return &BT{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameET, func(id uint64) ckpt.Restorable {
-		return &ET{Info: ckpt.RestoredInfo(id)}
-	})
-	return reg
-}
-
-// writeChildID writes a child id or NilID.
-func writeChildID(e *wire.Encoder, ok bool, id func() uint64) {
-	if ok {
-		e.Uvarint(id())
-	} else {
-		e.Uvarint(ckpt.NilID)
-	}
 }

@@ -3,120 +3,7 @@ package analysis
 import (
 	"ickpt/ckpt"
 	"ickpt/spec"
-	"ickpt/wire"
 )
-
-// Catalog returns the specialization catalog for the Attributes structure
-// (Figure 4): the structural declarations and typed accessors the plan
-// compiler consumes.
-func Catalog() *spec.Catalog {
-	cat := spec.NewCatalog()
-
-	cat.MustRegister(spec.Class{
-		Name:   "Attributes",
-		TypeID: typeAttributes,
-		GoType: "*Attributes",
-		Children: []spec.Child{
-			{Name: "SE", Class: "SEEntry", Go: "o.SE"},
-			{Name: "BT", Class: "BTEntry", Go: "o.BT"},
-			{Name: "ET", Class: "ETEntry", Go: "o.ET"},
-		},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*Attributes).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*Attributes).Record(e) },
-		Child: func(o any, i int) any {
-			a := o.(*Attributes)
-			switch i {
-			case 0:
-				if a.SE != nil {
-					return a.SE
-				}
-			case 1:
-				if a.BT != nil {
-					return a.BT
-				}
-			case 2:
-				if a.ET != nil {
-					return a.ET
-				}
-			}
-			return nil
-		},
-	})
-
-	cat.MustRegister(spec.Class{
-		Name:   "SEEntry",
-		TypeID: typeSEEntry,
-		GoType: "*SEEntry",
-		Fields: []spec.Field{
-			{Name: "Reads", Kind: spec.Bytes, Go: "o.Reads"},
-			{Name: "Writes", Kind: spec.Bytes, Go: "o.Writes"},
-		},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*SEEntry).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*SEEntry).Record(e) },
-	})
-
-	cat.MustRegister(spec.Class{
-		Name:      "BTEntry",
-		TypeID:    typeBTEntry,
-		GoType:    "*BTEntry",
-		Children:  []spec.Child{{Name: "BT", Class: "BT", Go: "o.BT"}},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*BTEntry).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*BTEntry).Record(e) },
-		Child: func(o any, i int) any {
-			if bt := o.(*BTEntry).BT; bt != nil {
-				return bt
-			}
-			return nil
-		},
-	})
-
-	cat.MustRegister(spec.Class{
-		Name:      "BT",
-		TypeID:    typeBT,
-		GoType:    "*BT",
-		Fields:    []spec.Field{{Name: "Ann", Kind: spec.Uint, Go: "o.Ann"}},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*BT).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*BT).Record(e) },
-	})
-
-	cat.MustRegister(spec.Class{
-		Name:      "ETEntry",
-		TypeID:    typeETEntry,
-		GoType:    "*ETEntry",
-		Children:  []spec.Child{{Name: "ET", Class: "ET", Go: "o.ET"}},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*ETEntry).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*ETEntry).Record(e) },
-		Child: func(o any, i int) any {
-			if et := o.(*ETEntry).ET; et != nil {
-				return et
-			}
-			return nil
-		},
-	})
-
-	cat.MustRegister(spec.Class{
-		Name:      "ET",
-		TypeID:    typeET,
-		GoType:    "*ET",
-		Fields:    []spec.Field{{Name: "Ann", Kind: spec.Uint, Go: "o.Ann"}},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*ET).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*ET).Record(e) },
-	})
-
-	return cat
-}
 
 // PatternSE declares the side-effect phase's modification pattern: only
 // SEEntry objects are written; the binding-time and evaluation-time

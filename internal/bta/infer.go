@@ -35,9 +35,6 @@ type InferredPhase struct {
 	Unknown []Write
 	// ClassNames are the classes the pattern ranges over, sorted.
 	ClassNames []string
-	// DerivedClasses reports that no hand-written spec.Class literals were
-	// found and the class view was derived from struct layouts instead.
-	DerivedClasses bool
 }
 
 // InferPhases infers a modification pattern for every annotated phase of
@@ -57,23 +54,14 @@ func InferPhases(cur *Package, all []*Package) []InferredPhase {
 			classPkg = provPkg
 		}
 
-		// The class view: hand-written spec.Class literals when the
-		// package has them, struct-layout derivation otherwise.
+		// The class view: the package's spec.Class literals (a derived
+		// package has them in its zz_derived_ckpt.go).
 		byGoType := make(map[string]string) // Go type name -> class name
 		var classNames []string
-		derived := false
-		if decls := CollectClassDecls(classPkg); len(decls) > 0 {
-			for _, c := range decls {
-				classNames = append(classNames, c.Name)
-				if c.GoTypeName != "" {
-					byGoType[c.GoTypeName] = c.Name
-				}
-			}
-		} else {
-			derived = true
-			for _, dc := range DeriveClasses(cur) {
-				classNames = append(classNames, dc.Class.Name)
-				byGoType[strings.TrimPrefix(dc.Class.GoType, "*")] = dc.Class.Name
+		for _, c := range CollectClassDecls(classPkg) {
+			classNames = append(classNames, c.Name)
+			if c.GoTypeName != "" {
+				byGoType[c.GoTypeName] = c.Name
 			}
 		}
 		sort.Strings(classNames)
@@ -99,13 +87,12 @@ func InferPhases(cur *Package, all []*Package) []InferredPhase {
 			}
 		}
 		out = append(out, InferredPhase{
-			Phase:          ph,
-			Pattern:        pat,
-			Declared:       decl,
-			Writes:         writes,
-			Unknown:        unknown,
-			ClassNames:     classNames,
-			DerivedClasses: derived,
+			Phase:      ph,
+			Pattern:    pat,
+			Declared:   decl,
+			Writes:     writes,
+			Unknown:    unknown,
+			ClassNames: classNames,
 		})
 	}
 	return out

@@ -49,7 +49,7 @@ func checkpoint(t *testing.T, mode ckpt.Mode, fn func(w *ckpt.Writer) error) ([]
 }
 
 func TestGeneratedFileFresh(t *testing.T) {
-	src, err := derive.Generate(derive.Options{Dir: ".", Exported: true})
+	src, err := derive.Generate(derive.Options{Dir: "."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDerivedCatalogPlanMatchesGeneric(t *testing.T) {
 
 	want, _ := checkpoint(t, ckpt.Incremental, func(w *ckpt.Writer) error { return w.Checkpoint(p1) })
 
-	plan, err := spec.Compile(derivetest.DerivedCatalog(), "Project", nil)
+	plan, err := spec.Compile(derivetest.Catalog(), "Project", nil)
 	if err != nil {
 		t.Fatalf("Compile over derived catalog: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestDerivedRestoreRoundTrip(t *testing.T) {
 	p.Tasks.Info.SetModified()
 	incr, _ := checkpoint(t, ckpt.Incremental, func(w *ckpt.Writer) error { return w.Checkpoint(p) })
 
-	rb := ckpt.NewRebuilder(derivetest.DerivedRegistry())
+	rb := ckpt.NewRebuilder(derivetest.Registry())
 	if err := rb.Apply(full); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDerivedRestoreRoundTrip(t *testing.T) {
 // and the inferred pattern compiles to a specialized plan that is
 // byte-equivalent to the generic driver and prunes the untouched state.
 func TestDeriveInferSpecializePipeline(t *testing.T) {
-	cat := derivetest.DerivedCatalog()
+	cat := derivetest.Catalog()
 	obs, err := spec.NewObserver(cat, "Project")
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDeriveInferSpecializePipeline(t *testing.T) {
 // TestDerivedCatalogCodegen completes the pipeline: generated specialized
 // source from the derived catalog must render and parse.
 func TestDerivedCatalogCodegen(t *testing.T) {
-	plan, err := spec.Compile(derivetest.DerivedCatalog(), "Project", nil)
+	plan, err := spec.Compile(derivetest.Catalog(), "Project", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // (see zz_derived_ckpt.go, produced by cmd/ckptderive).
 package derivetest
 
-//go:generate go run ickpt/cmd/ckptderive -dir . -exported
+//go:generate go run ickpt/cmd/ckptderive -dir .
 
 import "ickpt/ckpt"
 

@@ -8,7 +8,6 @@ import (
 	"ickpt/ckpt/parfold"
 	"ickpt/reflectckpt"
 	"ickpt/spec"
-	"ickpt/wire"
 )
 
 // The editor workload mirrors examples/editor — documents holding linked
@@ -16,10 +15,11 @@ import (
 // population (the example is package main and cannot be imported). Several
 // documents act as fold roots so the parallel strategy has real shards.
 
-var (
-	typeDocument  = ckpt.TypeIDOf("difftest.document")
-	typeParagraph = ckpt.TypeIDOf("difftest.paragraph")
-)
+// The editor types' checkpoint protocol, Registry and Catalog are generated
+// from the struct tags by cmd/ckptderive into zz_derived_ckpt.go, as the
+// example's are.
+
+//go:generate go run ickpt/cmd/ckptderive -dir .
 
 type paragraph struct {
 	Info ckpt.Info
@@ -28,129 +28,11 @@ type paragraph struct {
 	Next *paragraph        `ckpt:"next"`
 }
 
-var _ ckpt.Restorable = (*paragraph)(nil)
-
-func (p *paragraph) CheckpointInfo() *ckpt.Info    { return &p.Info }
-func (p *paragraph) CheckpointTypeID() ckpt.TypeID { return typeParagraph }
-func (p *paragraph) Record(e *wire.Encoder) {
-	e.String(p.Text.V)
-	e.Varint(p.Revs.V)
-	if p.Next != nil {
-		e.Uvarint(p.Next.Info.ID())
-	} else {
-		e.Uvarint(ckpt.NilID)
-	}
-}
-func (p *paragraph) Fold(w *ckpt.Writer) error {
-	if p.Next != nil {
-		return w.Checkpoint(p.Next)
-	}
-	return nil
-}
-func (p *paragraph) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	p.Text.V = d.String()
-	p.Revs.V = d.Varint()
-	next, err := ckpt.ResolveAs[*paragraph](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	p.Next = next
-	return nil
-}
-
 type document struct {
 	Info  ckpt.Info
 	Title ckpt.Cell[string] `ckpt:"field"`
 	Edits ckpt.Cell[int64]  `ckpt:"field"`
 	Head  *paragraph        `ckpt:"list"`
-}
-
-var _ ckpt.Restorable = (*document)(nil)
-
-func (doc *document) CheckpointInfo() *ckpt.Info    { return &doc.Info }
-func (doc *document) CheckpointTypeID() ckpt.TypeID { return typeDocument }
-func (doc *document) Record(e *wire.Encoder) {
-	e.String(doc.Title.V)
-	e.Varint(doc.Edits.V)
-	if doc.Head != nil {
-		e.Uvarint(doc.Head.Info.ID())
-	} else {
-		e.Uvarint(ckpt.NilID)
-	}
-}
-func (doc *document) Fold(w *ckpt.Writer) error {
-	if doc.Head != nil {
-		return w.Checkpoint(doc.Head)
-	}
-	return nil
-}
-func (doc *document) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	doc.Title.V = d.String()
-	doc.Edits.V = d.Varint()
-	head, err := ckpt.ResolveAs[*paragraph](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	doc.Head = head
-	return nil
-}
-
-func editorRegistry() *ckpt.Registry {
-	reg := ckpt.NewRegistry()
-	reg.MustRegister("difftest.document", func(id uint64) ckpt.Restorable {
-		return &document{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister("difftest.paragraph", func(id uint64) ckpt.Restorable {
-		return &paragraph{Info: ckpt.RestoredInfo(id)}
-	})
-	return reg
-}
-
-// editorCatalog declares the specialization classes for the editor
-// structure, for the plan engine.
-func editorCatalog() *spec.Catalog {
-	cat := spec.NewCatalog()
-	cat.MustRegister(spec.Class{
-		Name:   "document",
-		TypeID: typeDocument,
-		GoType: "*document",
-		Fields: []spec.Field{
-			{Name: "Title", Kind: spec.String, Go: "o.Title.V"},
-			{Name: "Edits", Kind: spec.Int, Go: "o.Edits.V"},
-		},
-		Children:  []spec.Child{{Name: "Head", Class: "paragraph", List: true, Go: "o.Head"}},
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*document).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*document).Record(e) },
-		Child: func(o any, i int) any {
-			if h := o.(*document).Head; h != nil {
-				return h
-			}
-			return nil
-		},
-	})
-	cat.MustRegister(spec.Class{
-		Name:   "paragraph",
-		TypeID: typeParagraph,
-		GoType: "*paragraph",
-		Fields: []spec.Field{
-			{Name: "Text", Kind: spec.String, Go: "o.Text.V"},
-			{Name: "Revs", Kind: spec.Int, Go: "o.Revs.V"},
-		},
-		Children:  []spec.Child{{Name: "Next", Class: "paragraph", Go: "o.Next"}},
-		NextChild: 0,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*paragraph).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*paragraph).Record(e) },
-		Child: func(o any, i int) any {
-			if n := o.(*paragraph).Next; n != nil {
-				return n
-			}
-			return nil
-		},
-	})
-	return cat
 }
 
 // checkpointEditorIncr is the hand-written analog of a generated specialized
@@ -161,7 +43,7 @@ func checkpointEditorIncr(root ckpt.Checkpointable, em *ckpt.Emitter) {
 	doc := root.(*document)
 	em.Visit()
 	if doc.Info.Modified() {
-		p := em.Begin(&doc.Info, typeDocument)
+		p := em.Begin(&doc.Info, derivedTypedocument)
 		p.String(doc.Title.V)
 		p.Varint(doc.Edits.V)
 		if c := doc.Head; c != nil {
@@ -177,7 +59,7 @@ func checkpointEditorIncr(root ckpt.Checkpointable, em *ckpt.Emitter) {
 	for c := doc.Head; c != nil; c = c.Next {
 		em.Visit()
 		if c.Info.Modified() {
-			p := em.Begin(&c.Info, typeParagraph)
+			p := em.Begin(&c.Info, derivedTypeparagraph)
 			p.String(c.Text.V)
 			p.Varint(c.Revs.V)
 			if n := c.Next; n != nil {
@@ -201,7 +83,7 @@ func emitEditorOne(em *ckpt.Emitter, o ckpt.Checkpointable) error {
 	switch v := o.(type) {
 	case *document:
 		if v.Info.Modified() {
-			p := em.Begin(&v.Info, typeDocument)
+			p := em.Begin(&v.Info, derivedTypedocument)
 			p.String(v.Title.V)
 			p.Varint(v.Edits.V)
 			if c := v.Head; c != nil {
@@ -216,7 +98,7 @@ func emitEditorOne(em *ckpt.Emitter, o ckpt.Checkpointable) error {
 		}
 	case *paragraph:
 		if v.Info.Modified() {
-			p := em.Begin(&v.Info, typeParagraph)
+			p := em.Begin(&v.Info, derivedTypeparagraph)
 			p.String(v.Text.V)
 			p.Varint(v.Revs.V)
 			if n := v.Next; n != nil {
@@ -254,11 +136,11 @@ func editorSetup(docs, paras int) (*ckpt.Domain, []*document, []ckpt.Checkpointa
 		roots = append(roots, doc)
 	}
 
-	planIncr, err := spec.Compile(editorCatalog(), "document", nil, spec.WithMode(ckpt.Incremental))
+	planIncr, err := spec.Compile(Catalog(), "document", nil, spec.WithMode(ckpt.Incremental))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	planFull, err := spec.Compile(editorCatalog(), "document", nil, spec.WithMode(ckpt.Full))
+	planFull, err := spec.Compile(Catalog(), "document", nil, spec.WithMode(ckpt.Full))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -279,7 +161,7 @@ func EditorTrace(docs, paras, rounds int, seed int64) Trace {
 		return &Population{
 			Roots:    roots,
 			Domain:   domain,
-			Registry: editorRegistry(),
+			Registry: Registry(),
 			Replay: func(take Take) error {
 				if err := take(ckpt.Full, ""); err != nil {
 					return err
@@ -383,7 +265,7 @@ func EditorUndoTrace(docs, paras, rounds, fullEvery int, seed int64) Trace {
 		return &Population{
 			Roots:    roots,
 			Domain:   domain,
-			Registry: editorRegistry(),
+			Registry: Registry(),
 			Replay: func(take Take) error {
 				var undo, redo []*undoEdit
 				editBurst := func() {

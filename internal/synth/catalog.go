@@ -1,11 +1,13 @@
 package synth
 
+// The derived protocol goes first: ckptgen (gen_targets.go) compiles the
+// derived Catalog, and go generate runs a package's files in name order.
+//go:generate go run ickpt/cmd/ckptderive -dir .
+
 import (
 	"fmt"
 
-	"ickpt/ckpt"
 	"ickpt/spec"
-	"ickpt/wire"
 )
 
 // Kind selects the element payload size: one or ten recorded integers.
@@ -31,103 +33,6 @@ func (k Kind) structureClass() string {
 
 // listChildren are the structure's five list field names.
 var listChildren = [NumLists]string{"L0", "L1", "L2", "L3", "L4"}
-
-// Catalog returns the specialization catalog for the synthetic types: the
-// structural declarations and typed accessors the plan compiler consumes.
-func Catalog() *spec.Catalog {
-	cat := spec.NewCatalog()
-
-	elem1Fields := []spec.Field{{Name: "V0", Kind: spec.Int, Go: "o.V0"}}
-	cat.MustRegister(spec.Class{
-		Name:      "Element1",
-		TypeID:    typeElement1,
-		GoType:    "*Element1",
-		Fields:    elem1Fields,
-		Children:  []spec.Child{{Name: "Next", Class: "Element1", Go: "o.Next"}},
-		NextChild: 0,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*Element1).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*Element1).Record(e) },
-		Child: func(o any, i int) any {
-			if n := o.(*Element1).Next; n != nil {
-				return n
-			}
-			return nil
-		},
-	})
-
-	elem10Fields := make([]spec.Field, 0, 10)
-	for i := 0; i < 10; i++ {
-		elem10Fields = append(elem10Fields, spec.Field{
-			Name: fmt.Sprintf("V%d", i),
-			Kind: spec.Int,
-			Go:   fmt.Sprintf("o.V%d", i),
-		})
-	}
-	cat.MustRegister(spec.Class{
-		Name:      "Element10",
-		TypeID:    typeElement10,
-		GoType:    "*Element10",
-		Fields:    elem10Fields,
-		Children:  []spec.Child{{Name: "Next", Class: "Element10", Go: "o.Next"}},
-		NextChild: 0,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*Element10).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*Element10).Record(e) },
-		Child: func(o any, i int) any {
-			if n := o.(*Element10).Next; n != nil {
-				return n
-			}
-			return nil
-		},
-	})
-
-	structChildren := func(elemClass string) []spec.Child {
-		kids := make([]spec.Child, 0, NumLists)
-		for i, name := range listChildren {
-			kids = append(kids, spec.Child{
-				Name:  name,
-				Class: elemClass,
-				List:  true,
-				Go:    fmt.Sprintf("o.L%d", i),
-			})
-		}
-		return kids
-	}
-	cat.MustRegister(spec.Class{
-		Name:      "Structure1",
-		TypeID:    typeStructure1,
-		GoType:    "*Structure1",
-		Children:  structChildren("Element1"),
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*Structure1).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*Structure1).Record(e) },
-		Child: func(o any, i int) any {
-			if h := o.(*Structure1).List(i); h != nil {
-				return h
-			}
-			return nil
-		},
-	})
-	cat.MustRegister(spec.Class{
-		Name:      "Structure10",
-		TypeID:    typeStructure10,
-		GoType:    "*Structure10",
-		Children:  structChildren("Element10"),
-		NextChild: -1,
-	}, spec.Binding{
-		Info:   func(o any) *ckpt.Info { return &o.(*Structure10).Info },
-		Record: func(o any, e *wire.Encoder) { o.(*Structure10).Record(e) },
-		Child: func(o any, i int) any {
-			if h := o.(*Structure10).List(i); h != nil {
-				return h
-			}
-			return nil
-		},
-	})
-	return cat
-}
 
 // PatternLists declares the Figure-9 phase knowledge for kind: the
 // structures themselves are never modified, only the first modifiable of

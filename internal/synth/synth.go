@@ -12,71 +12,21 @@
 // fixes the class layout per experiment.
 package synth
 
-import (
-	"ickpt/ckpt"
-	"ickpt/wire"
-)
+import "ickpt/ckpt"
 
 // NumLists is the number of linked lists per structure (the paper uses 5).
 const NumLists = 5
 
-// Type names and ids for the registry and the specialization catalog.
-const (
-	TypeNameStructure1  = "synth.Structure1"
-	TypeNameElement1    = "synth.Element1"
-	TypeNameStructure10 = "synth.Structure10"
-	TypeNameElement10   = "synth.Element10"
-)
-
-var (
-	typeStructure1  = ckpt.TypeIDOf(TypeNameStructure1)
-	typeElement1    = ckpt.TypeIDOf(TypeNameElement1)
-	typeStructure10 = ckpt.TypeIDOf(TypeNameStructure10)
-	typeElement10   = ckpt.TypeIDOf(TypeNameElement10)
-)
+// The checkpoint protocol of every type below — CheckpointInfo,
+// CheckpointTypeID, Record, Fold, Restore, Registry and the specialization
+// Catalog — is generated from the struct tags by cmd/ckptderive into
+// zz_derived_ckpt.go.
 
 // Element1 is a list element recording one integer.
 type Element1 struct {
 	Info ckpt.Info
 	V0   int64     `ckpt:"field"`
 	Next *Element1 `ckpt:"next"`
-}
-
-var _ ckpt.Restorable = (*Element1)(nil)
-
-// CheckpointInfo returns the element's checkpoint metadata.
-func (e *Element1) CheckpointInfo() *ckpt.Info { return &e.Info }
-
-// CheckpointTypeID returns the element's stable type id.
-func (e *Element1) CheckpointTypeID() ckpt.TypeID { return typeElement1 }
-
-// Record writes the element's integer and its next-element id.
-func (e *Element1) Record(enc *wire.Encoder) {
-	enc.Varint(e.V0)
-	if e.Next != nil {
-		enc.Uvarint(e.Next.Info.ID())
-	} else {
-		enc.Uvarint(ckpt.NilID)
-	}
-}
-
-// Fold traverses the rest of the list.
-func (e *Element1) Fold(w *ckpt.Writer) error {
-	if e.Next != nil {
-		return w.Checkpoint(e.Next)
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (e *Element1) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	e.V0 = d.Varint()
-	next, err := ckpt.ResolveAs[*Element1](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	e.Next = next
-	return nil
 }
 
 // Element10 is a list element recording ten integers.
@@ -95,61 +45,6 @@ type Element10 struct {
 	Next *Element10 `ckpt:"next"`
 }
 
-var _ ckpt.Restorable = (*Element10)(nil)
-
-// CheckpointInfo returns the element's checkpoint metadata.
-func (e *Element10) CheckpointInfo() *ckpt.Info { return &e.Info }
-
-// CheckpointTypeID returns the element's stable type id.
-func (e *Element10) CheckpointTypeID() ckpt.TypeID { return typeElement10 }
-
-// Record writes the element's ten integers and its next-element id.
-func (e *Element10) Record(enc *wire.Encoder) {
-	enc.Varint(e.V0)
-	enc.Varint(e.V1)
-	enc.Varint(e.V2)
-	enc.Varint(e.V3)
-	enc.Varint(e.V4)
-	enc.Varint(e.V5)
-	enc.Varint(e.V6)
-	enc.Varint(e.V7)
-	enc.Varint(e.V8)
-	enc.Varint(e.V9)
-	if e.Next != nil {
-		enc.Uvarint(e.Next.Info.ID())
-	} else {
-		enc.Uvarint(ckpt.NilID)
-	}
-}
-
-// Fold traverses the rest of the list.
-func (e *Element10) Fold(w *ckpt.Writer) error {
-	if e.Next != nil {
-		return w.Checkpoint(e.Next)
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (e *Element10) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	e.V0 = d.Varint()
-	e.V1 = d.Varint()
-	e.V2 = d.Varint()
-	e.V3 = d.Varint()
-	e.V4 = d.Varint()
-	e.V5 = d.Varint()
-	e.V6 = d.Varint()
-	e.V7 = d.Varint()
-	e.V8 = d.Varint()
-	e.V9 = d.Varint()
-	next, err := ckpt.ResolveAs[*Element10](res, d.Uvarint())
-	if err != nil {
-		return err
-	}
-	e.Next = next
-	return nil
-}
-
 // Structure1 is a compound structure holding five lists of Element1.
 type Structure1 struct {
 	Info ckpt.Info
@@ -158,51 +53,6 @@ type Structure1 struct {
 	L2   *Element1 `ckpt:"list"`
 	L3   *Element1 `ckpt:"list"`
 	L4   *Element1 `ckpt:"list"`
-}
-
-var _ ckpt.Restorable = (*Structure1)(nil)
-
-// CheckpointInfo returns the structure's checkpoint metadata.
-func (s *Structure1) CheckpointInfo() *ckpt.Info { return &s.Info }
-
-// CheckpointTypeID returns the structure's stable type id.
-func (s *Structure1) CheckpointTypeID() ckpt.TypeID { return typeStructure1 }
-
-// Record writes the five list-head ids.
-func (s *Structure1) Record(enc *wire.Encoder) {
-	for _, h := range s.lists() {
-		if h != nil {
-			enc.Uvarint(h.Info.ID())
-		} else {
-			enc.Uvarint(ckpt.NilID)
-		}
-	}
-}
-
-// Fold traverses the five lists.
-func (s *Structure1) Fold(w *ckpt.Writer) error {
-	for _, h := range s.lists() {
-		if h == nil {
-			continue
-		}
-		if err := w.Checkpoint(h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (s *Structure1) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	heads := [NumLists]**Element1{&s.L0, &s.L1, &s.L2, &s.L3, &s.L4}
-	for _, slot := range heads {
-		h, err := ckpt.ResolveAs[*Element1](res, d.Uvarint())
-		if err != nil {
-			return err
-		}
-		*slot = h
-	}
-	return nil
 }
 
 func (s *Structure1) lists() [NumLists]*Element1 {
@@ -222,73 +72,9 @@ type Structure10 struct {
 	L4   *Element10 `ckpt:"list"`
 }
 
-var _ ckpt.Restorable = (*Structure10)(nil)
-
-// CheckpointInfo returns the structure's checkpoint metadata.
-func (s *Structure10) CheckpointInfo() *ckpt.Info { return &s.Info }
-
-// CheckpointTypeID returns the structure's stable type id.
-func (s *Structure10) CheckpointTypeID() ckpt.TypeID { return typeStructure10 }
-
-// Record writes the five list-head ids.
-func (s *Structure10) Record(enc *wire.Encoder) {
-	for _, h := range s.lists() {
-		if h != nil {
-			enc.Uvarint(h.Info.ID())
-		} else {
-			enc.Uvarint(ckpt.NilID)
-		}
-	}
-}
-
-// Fold traverses the five lists.
-func (s *Structure10) Fold(w *ckpt.Writer) error {
-	for _, h := range s.lists() {
-		if h == nil {
-			continue
-		}
-		if err := w.Checkpoint(h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Restore reads the fields written by Record.
-func (s *Structure10) Restore(d *wire.Decoder, res *ckpt.Resolver) error {
-	heads := [NumLists]**Element10{&s.L0, &s.L1, &s.L2, &s.L3, &s.L4}
-	for _, slot := range heads {
-		h, err := ckpt.ResolveAs[*Element10](res, d.Uvarint())
-		if err != nil {
-			return err
-		}
-		*slot = h
-	}
-	return nil
-}
-
 func (s *Structure10) lists() [NumLists]*Element10 {
 	return [NumLists]*Element10{s.L0, s.L1, s.L2, s.L3, s.L4}
 }
 
 // List returns the head of list i (0-based).
 func (s *Structure10) List(i int) *Element10 { return s.lists()[i] }
-
-// Registry returns a ckpt registry with all synthetic types registered, for
-// rebuilding synthetic state from checkpoints.
-func Registry() *ckpt.Registry {
-	reg := ckpt.NewRegistry()
-	reg.MustRegister(TypeNameStructure1, func(id uint64) ckpt.Restorable {
-		return &Structure1{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameElement1, func(id uint64) ckpt.Restorable {
-		return &Element1{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameStructure10, func(id uint64) ckpt.Restorable {
-		return &Structure10{Info: ckpt.RestoredInfo(id)}
-	})
-	reg.MustRegister(TypeNameElement10, func(id uint64) ckpt.Restorable {
-		return &Element10{Info: ckpt.RestoredInfo(id)}
-	})
-	return reg
-}
