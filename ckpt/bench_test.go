@@ -170,19 +170,7 @@ func sparseGraph(structures int) (*synth.Workload, []*synth.Element10) {
 // runs, where WriterOneDirty covers a 65-object chain.
 func BenchmarkDirtyFoldSparse(b *testing.B) {
 	w, elems := sparseGraph(4000)
-	wr := ckpt.NewWriter()
-	wr.Start(ckpt.Full)
-	if err := w.CheckpointGeneric(wr); err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := wr.Finish(); err != nil {
-		b.Fatal(err)
-	}
-	tr := ckpt.NewTracker()
-	w.Domain.AttachTracker(tr)
-	if err := tr.Watch(w.Roots()...); err != nil {
-		b.Fatal(err)
-	}
+	wr, tr := watchedSparse(b, w)
 	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -199,6 +187,62 @@ func BenchmarkDirtyFoldSparse(b *testing.B) {
 		if _, _, err := wr.Finish(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if tr.Degraded() {
+		b.Fatal("the tracker degraded")
+	}
+}
+
+// watchedSparse drains the construction-time flags of a sparse graph with a
+// Full checkpoint and watches the graph with a fresh tracker, returning the
+// writer for the dirty epochs and the tracker.
+func watchedSparse(b *testing.B, w *synth.Workload) (*ckpt.Writer, *ckpt.Tracker) {
+	wr := ckpt.NewWriter()
+	wr.Start(ckpt.Full)
+	if err := w.CheckpointGeneric(wr); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := wr.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	tr := ckpt.NewTracker()
+	w.Domain.AttachTracker(tr)
+	if err := tr.Watch(w.Roots()...); err != nil {
+		b.Fatal(err)
+	}
+	return wr, tr
+}
+
+// BenchmarkDirtyFoldFraction measures the dirty drain over synth-sparse's
+// 104 000-object graph as the dirty fraction grows: per op, seeded element
+// marks as BenchmarkDirtyFoldSparse makes them (outside the timer, repeats
+// included), then one CheckpointDirty. Up to 6 500 marks the queue stays
+// below 1/16 of the graph and Take sorts it; from 26 000 on the tracker
+// collects the dirty set by its in-order dense scan, so the sizes either
+// side of the threshold show where the scan starts to win.
+func BenchmarkDirtyFoldFraction(b *testing.B) {
+	w, elems := sparseGraph(4000)
+	wr, tr := watchedSparse(b, w)
+	rng := rand.New(rand.NewSource(11))
+	for _, marks := range []int{200, 1000, 6500, 26000, 104000} {
+		b.Run(fmt.Sprintf("marks=%d", marks), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for range marks {
+					e := elems[rng.Intn(len(elems))]
+					e.V0++
+					e.Info.Mark()
+				}
+				b.StartTimer()
+				wr.Start(ckpt.Incremental)
+				if err := wr.CheckpointDirty(tr, nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := wr.Finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 	if tr.Degraded() {
 		b.Fatal("the tracker degraded")

@@ -13,8 +13,9 @@ const NilID uint64 = 0
 // starts set, so the object is captured by the next incremental checkpoint.
 // Info is not safe for concurrent use, except that ID may be called while
 // another goroutine changes the flags: a parallel fold's worker reads the ids
-// of children that other workers are recording, and Session.Abort re-marks
-// objects from a persistence goroutine.
+// of children that other workers are recording. A persistence goroutine's
+// Session.Ack writes no Info; it parks its re-marks for the application's
+// goroutine (see Session).
 //
 // Every checkpointable object embeds an Info, tracked or not, so its size is
 // paid once per object in every graph: 16 bytes, laid out as

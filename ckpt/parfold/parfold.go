@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"ickpt/ckpt"
+	"ickpt/ckpt/internal/hook"
 	"ickpt/wire"
 )
 
@@ -229,6 +230,9 @@ func NewGeneric(opts ...Option) *Folder {
 // buffer and is invalidated by the next fold; copy it if it must outlive the
 // folder's reuse.
 func (f *Folder) Fold(mode ckpt.Mode, roots []ckpt.Checkpointable) ([]byte, ckpt.Stats, error) {
+	// The sharded fold's writers are detached from the session, so the
+	// re-marks an Ack parked on it are applied here, before any flag is read.
+	hook.RemarkParked(f.session)
 	// Canonical order: ascending checkpoint id. The sequential reference is
 	// a fold over the roots in this order. Roots that arrive already sorted
 	// (ckpt.SortRoots, registration order) skip the copy and the sort — on
@@ -288,7 +292,8 @@ func (f *Folder) FoldTo(sink Sink, mode ckpt.Mode, roots []ckpt.Checkpointable) 
 // degraded. On failure the un-recorded dirty objects are re-enqueued and the
 // epoch aborted, exactly like CheckpointDirty.
 func (f *Folder) FoldDirty(t *ckpt.Tracker, emit ckpt.EmitOne) ([]byte, ckpt.Stats, error) {
-	objs := t.Take() // canonical ascending-id order already
+	hook.RemarkParked(f.session) // before Take, so they join the dirty set
+	objs := t.Take()             // canonical ascending-id order already
 	body, stats, err := f.run(ckpt.Incremental, objs, func(w *ckpt.Writer, o ckpt.Checkpointable) error {
 		em := w.Emitter()
 		em.Visit()

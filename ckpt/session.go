@@ -1,10 +1,15 @@
 package ckpt
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
+
+	"ickpt/ckpt/internal/hook"
 )
+
+func init() {
+	hook.RemarkParked = func(s any) { s.(*Session).remarkParked() }
+}
 
 // This file implements the epoch commit/abort protocol that makes
 // incremental checkpoints abort-safe.
@@ -127,9 +132,6 @@ func putEpochClears(ec *epochClears) {
 // s and c may each be nil (no session; delta encoding off). clears is
 // consumed; stages is only read (Emitter.TakeShadowStages lends it).
 func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearEntry, stages []ShadowStage, failed bool) {
-	// A driver that starts its bodies without a session-attached Writer (the
-	// sharded parallel fold) applies the re-marks an Ack parked here.
-	s.remarkParked()
 	if failed {
 		if c != nil {
 			c.discard(stages)
@@ -210,11 +212,14 @@ type SessionStats struct {
 //
 // Session is safe for concurrent use: acknowledgements may arrive from a
 // background writer goroutine while the application encodes the next epoch.
-// An Ack that aborts does not touch a tracker's mark-queue, which the
-// application appends to on every Mark: the re-marks of tracked objects are
-// parked on their tracker, and the application's goroutine applies them —
-// the tracker's next Take, and the next epoch's start (Writer.StartAt, or
-// Settle for a driver that starts its own bodies).
+// One rule keeps that sound: Ack never writes an Info. The objects' flags and
+// their trackers' mark-queues belong to the application's goroutine, which
+// marks them on every write, so an aborting Ack parks its re-marks on the
+// session instead, and the application's goroutine applies them as the next
+// epoch starts: Writer.StartAt with the session attached, and parfold's
+// Fold and FoldDirty before they read a flag or take a tracker's dirty set.
+// While nothing is parked that costs one atomic load. Abort and AbortAll,
+// which the application calls on its own goroutine, re-mark in place.
 type Session struct {
 	mu       sync.Mutex
 	resolver InfoResolver
@@ -223,9 +228,9 @@ type Session struct {
 	degraded bool
 	stats    SessionStats
 
-	// parkedOn lists the trackers holding re-marks an Ack parked;
-	// hasParked lets the next epoch's start skip the lock while it is empty.
-	parkedOn  []*Tracker
+	// parked holds the objects whose re-marks an Ack deferred; hasParked
+	// lets the next epoch's start skip the lock while it is empty.
+	parked    []*Info
 	hasParked atomic.Bool
 }
 
@@ -361,8 +366,8 @@ func (s *Session) Commit(epoch uint64) bool {
 // the next checkpoint to Full.
 func (s *Session) Abort(epoch uint64) int { return s.abort(epoch, false) }
 
-// abort is Abort; park defers the re-marks of tracked objects to the next
-// epoch's start (see Ack).
+// abort is Abort; park defers the re-marks to the application's goroutine
+// (see Ack).
 func (s *Session) abort(epoch uint64, park bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,8 +410,8 @@ func (s *Session) AbortAll() int {
 
 // abortLocked re-marks one epoch's clear-set. The re-mark goes through Mark,
 // so objects registered with a Tracker are re-enqueued and the aborted
-// epoch's dirty set is recaptured by the next dirty fold; with park, a
-// tracked object is parked for remarkParked instead. Callers hold s.mu.
+// epoch's dirty set is recaptured by the next dirty fold; with park, the
+// objects are parked for remarkParked instead. Callers hold s.mu.
 func (s *Session) abortLocked(ec *epochClears, park bool) int {
 	s.stats.Aborts++
 	if ec.shadow != nil {
@@ -423,11 +428,8 @@ func (s *Session) abortLocked(ec *epochClears, park bool) int {
 			s.degraded = true
 			continue
 		}
-		if t := info.tracker; park && t != nil {
-			t.park(info)
-			if !slices.Contains(s.parkedOn, t) {
-				s.parkedOn = append(s.parkedOn, t)
-			}
+		if park {
+			s.parked = append(s.parked, info)
 			s.hasParked.Store(true)
 		} else {
 			info.Mark()
@@ -447,12 +449,12 @@ func (s *Session) remarkParked() {
 		return
 	}
 	s.mu.Lock()
-	on := s.parkedOn
-	s.parkedOn = nil
+	parked := s.parked
+	s.parked = nil
 	s.hasParked.Store(false)
 	s.mu.Unlock()
-	for _, t := range on {
-		t.remarkParked()
+	for _, i := range parked {
+		i.Mark()
 	}
 }
 
@@ -463,12 +465,10 @@ func (s *Session) remarkParked() {
 //	aw := stablelog.NewAsyncWriter(log, stablelog.WithSyncEvery(8),
 //		stablelog.WithAck(s.Ack))
 //
-// Because that callback runs on the log's goroutine, an aborting Ack parks
-// the re-marks of objects registered with a Tracker on the tracker instead
-// of appending to its mark-queue under the application's feet: the
-// tracker's next Take and the next epoch's start apply them, so the next
-// epoch recaptures them. An untracked object's flag is re-set in place, as
-// Abort does.
+// Because that callback runs on the log's goroutine, an aborting Ack writes
+// no Info: it parks the re-marks (see Session), and the next epoch's start
+// applies them on the application's goroutine, so the next epoch recaptures
+// them.
 func (s *Session) Ack(epoch uint64, err error) {
 	if err == nil {
 		s.Commit(epoch)

@@ -179,7 +179,9 @@ func TestStartAbandonsUnfinishedEpoch(t *testing.T) {
 }
 
 // TestSessionAck routes persistence acknowledgements: nil commits, an error
-// aborts — the glue between the session and stablelog.WithAck.
+// aborts — the glue between the session and stablelog.WithAck. An aborting
+// ack writes no flag itself: it parks the re-marks, and the next epoch's
+// start applies them.
 func TestSessionAck(t *testing.T) {
 	_, roots := sessionFixture(2, nil)
 	s := ckpt.NewSession()
@@ -212,8 +214,12 @@ func TestSessionAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Ack(w.Epoch(), errors.New("disk on fire"))
+	if got := modifiedCount(roots); got != 0 {
+		t.Fatalf("error ack re-marked %d flags in place, want 0 (parked)", got)
+	}
+	w.Start(ckpt.Incremental)
 	if got := modifiedCount(roots); got != 2 {
-		t.Fatalf("error ack re-marked %d flags, want 2", got)
+		t.Fatalf("the next Start re-marked %d flags, want 2", got)
 	}
 	st := s.Stats()
 	if st.Commits != 1 || st.Aborts != 1 {
@@ -508,5 +514,69 @@ func TestSessionAckOffGoroutine(t *testing.T) {
 	}
 	if st := s.Stats(); st.Aborts != 1 || st.Remarked != 8 {
 		t.Errorf("stats = %+v, want 1 abort re-marking 8 objects", st)
+	}
+}
+
+// TestSessionAckLeavesInfosAlone: the log's goroutine acks a lost epoch while
+// the application marks the very objects that epoch recorded. Ack must write
+// no Info, tracked or untracked (go test -race fails otherwise), and the next
+// epoch records every object the lost one did.
+func TestSessionAckLeavesInfosAlone(t *testing.T) {
+	for _, tracked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("tracked=%v", tracked), func(t *testing.T) {
+			var roots []ckpt.Checkpointable
+			var tr *ckpt.Tracker
+			if tracked {
+				_, _, roots, tr = trackedFixture(t, 64)
+				for _, r := range roots {
+					r.CheckpointInfo().Mark()
+				}
+			} else {
+				_, roots = sessionFixture(64, nil)
+			}
+			s := ckpt.NewSession()
+			w := ckpt.NewWriter(ckpt.WithSession(s))
+			epoch := func() ckpt.Stats {
+				t.Helper()
+				w.Start(ckpt.Incremental)
+				if tracked {
+					if err := w.CheckpointDirty(tr, ckpt.EmitObject); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, r := range roots {
+						if err := w.Checkpoint(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				_, stats, err := w.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats
+			}
+			if got := epoch().Recorded; got != len(roots) {
+				t.Fatalf("first epoch recorded %d objects, want %d", got, len(roots))
+			}
+
+			lost := w.Epoch()
+			acked := make(chan struct{})
+			go func() {
+				defer close(acked)
+				s.Ack(lost, errors.New("dropped"))
+			}()
+			for _, r := range roots[:32] {
+				r.CheckpointInfo().Mark()
+			}
+			<-acked
+
+			if got := epoch().Recorded; got != len(roots) {
+				t.Errorf("the epoch after the lost one recorded %d objects, want %d", got, len(roots))
+			}
+			if st := s.Stats(); st.Aborts != 1 || st.Remarked != len(roots) {
+				t.Errorf("stats = %+v, want 1 abort re-marking %d objects", st, len(roots))
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -68,16 +67,19 @@ type Tracker struct {
 	view     *RootIndex
 	taken    []Checkpointable
 	degraded bool
+	// keys and sortBuf are Take's scratch: the queue's entries paired with
+	// their ids, and the radix sort's second buffer (see sortKeys).
+	keys, sortBuf []keyed
 	// denseInfos/denseObjs cache the view as struct-of-arrays slices indexed
 	// by id when the id space is dense enough (Domains issue sequential ids,
 	// so it almost always is): Take then resolves each queued id with an
 	// array index instead of a map lookup, and large dirty sets are collected
-	// by an in-order scan instead of a sort. The scan tests dirty bits
-	// through the info array alone — 8 bytes per slot instead of 24, so a
-	// mostly-clean sweep touches a third of the cache lines an
-	// array-of-structs layout would — and loads the paired object slot only
-	// on a hit. The two slices always have equal length; both nil when the
-	// ids are too sparse. The view map stays authoritative either way.
+	// by an in-order scan instead of a sort. The scan walks the 8-byte info
+	// slots in order, but liveAt loads the Info behind every non-nil slot —
+	// its flags, id and tracker — so a sweep reads one header line per
+	// registered object, dirty or clean; the paired object slot is loaded
+	// only on a hit. The two slices always have equal length; both nil when
+	// the ids are too sparse. The view map stays authoritative either way.
 	denseInfos []*Info
 	denseObjs  []Checkpointable
 	// fresh counts objects allocated under an attached Domain since the last
@@ -98,36 +100,6 @@ type Tracker struct {
 	// path, which compares each entry's address with its registered
 	// object's Info, resolves both cases correctly.
 	unadopted bool
-	// parked holds objects whose re-mark an aborting Session.Ack deferred
-	// from the log's goroutine to this one (see Session.Ack): Take applies
-	// them, and so does the next epoch's start through the session.
-	parkMu    sync.Mutex
-	parked    []*Info
-	hasParked atomic.Bool
-}
-
-// park defers i's re-mark to remarkParked; any goroutine may call it.
-func (t *Tracker) park(i *Info) {
-	t.parkMu.Lock()
-	t.parked = append(t.parked, i)
-	t.hasParked.Store(true)
-	t.parkMu.Unlock()
-}
-
-// remarkParked marks the objects park deferred. It runs on the tracker's
-// own goroutine; while nothing is parked it is one atomic load.
-func (t *Tracker) remarkParked() {
-	if !t.hasParked.Load() {
-		return
-	}
-	t.parkMu.Lock()
-	parked := t.parked
-	t.parked = nil
-	t.hasParked.Store(false)
-	t.parkMu.Unlock()
-	for _, i := range parked {
-		i.Mark()
-	}
 }
 
 // denseBound reports whether an id space reaching maxID is dense enough to
@@ -255,13 +227,15 @@ func (t *Tracker) Track(o Checkpointable) {
 // The returned slice is owned by the tracker and invalidated by the next
 // Take.
 //
-// Canonical order is produced adaptively: small dirty sets are sorted (after
-// a one-pass check that skips the sort when marks already arrived in
-// ascending order); when a large fraction of a dense-id graph is dirty, the
-// set is instead collected by a single in-order scan of the dense view —
-// O(live) with a tiny constant, cheaper there than O(dirty log dirty)
-// comparison sorting, and irrelevant to the O(dirty) steady state the
-// threshold excludes. The scan runs only while no Track has registered an
+// Canonical order is produced adaptively. Below the scan threshold one pass
+// pairs every queue entry with its Info's id, and the pairs are ordered on
+// the ids alone (sortKeys: a radix sort over the bytes the largest id uses,
+// a comparison sort for a short queue, nothing when marks arrived in
+// ascending order), so sorting never chases a pointer. When a large
+// fraction of a dense-id graph is dirty, the set is instead collected by a
+// single in-order scan of the dense view — O(live), cheaper there than
+// sorting, and irrelevant to the O(dirty) steady state the threshold
+// excludes. The scan runs only while no Track has registered an
 // Info that already claimed queue membership (unadopted — a by-value copy
 // would pass for the entry it was copied from), and trusts its result only
 // when the collected count equals the tracker's live-entry count
@@ -269,7 +243,6 @@ func (t *Tracker) Track(o Checkpointable) {
 // the queue; anything else diverts to the precise per-entry path below,
 // which alone decides degradation.
 func (t *Tracker) Take() []Checkpointable {
-	t.remarkParked()
 	if t.fresh > 0 {
 		t.degraded = true
 	}
@@ -280,15 +253,13 @@ func (t *Tracker) Take() []Checkpointable {
 		}
 		t.taken = t.taken[:0]
 	}
-	byID := func(a, b *Info) int { return cmp.Compare(a.ID(), b.ID()) }
-	if !slices.IsSortedFunc(t.queue, byID) {
-		slices.SortFunc(t.queue, byID)
-	}
-	for _, info := range t.queue {
+	t.sortKeys()
+	for _, k := range t.keys {
+		info := k.info
 		if !info.Modified() {
 			continue
 		}
-		o := t.resolveObj(info.ID())
+		o := t.resolveObj(k.id)
 		if o == nil || o.CheckpointInfo() != info {
 			t.degraded = true
 			continue
@@ -302,6 +273,69 @@ func (t *Tracker) Take() []Checkpointable {
 	}
 	t.finishTake()
 	return t.taken
+}
+
+// keyed is one mark-queue entry paired with its Info's id, the unit sortKeys
+// orders.
+type keyed struct {
+	id   uint64
+	info *Info
+}
+
+// radixMin is the queue length from which sortKeys radix-sorts: below it a
+// comparison sort on the ids beats clearing and prefix-summing 256 counters
+// per digit.
+const radixMin = 32
+
+// sortKeys fills keys with the mark-queue's entries and their ids, in one
+// pass that loads each Info once, and orders keys by id: not at all when
+// marks arrived in ascending order, by a comparison sort on the ids below
+// radixMin entries, and otherwise by a least-significant-digit radix sort
+// over the bytes the largest id uses, skipping a byte every id shares. The
+// passes ping-pong between keys and sortBuf, which trade places after an odd
+// number of them, so a steady-state sort allocates nothing.
+func (t *Tracker) sortKeys() {
+	keys := slices.Grow(t.keys[:0], len(t.queue))
+	var all uint64
+	sorted := true
+	for _, info := range t.queue {
+		id := info.ID()
+		if n := len(keys); n > 0 && id < keys[n-1].id {
+			sorted = false
+		}
+		all |= id
+		keys = append(keys, keyed{id, info})
+	}
+	t.keys = keys
+	if sorted {
+		return
+	}
+	if len(keys) < radixMin {
+		slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.id, b.id) })
+		return
+	}
+	src, dst := keys, slices.Grow(t.sortBuf[:0], len(keys))[:len(keys)]
+	for shift := uint(0); shift < 64 && all>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, k := range src {
+			count[byte(k.id>>shift)]++
+		}
+		if count[byte(src[0].id>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := byte(k.id >> shift)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	t.keys, t.sortBuf = src, dst[:0]
 }
 
 // scanQueue collects the dirty set in ascending id order straight off the
@@ -342,7 +376,6 @@ func (t *Tracker) scanQueue() bool {
 // live entry. Callers must check that the scan path applies (dense view
 // present, queue past the density threshold) before calling.
 func (t *Tracker) drainScan(em *Emitter) bool {
-	t.remarkParked()
 	if t.fresh > 0 {
 		t.degraded = true
 	}

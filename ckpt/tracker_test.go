@@ -3,6 +3,8 @@ package ckpt_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ickpt/ckpt"
@@ -720,5 +722,265 @@ func TestSteadyStateNilEmitDirtyFoldAllocsZero(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
 		t.Fatalf("steady-state nil-emit epoch allocates %v per run, want 0", avg)
+	}
+}
+
+// takeModel is the contract Take is checked against: which Infos the queue
+// holds (an Info joins when it is marked or Tracked while modified and not
+// already queued, and leaves at Take, Watch or ResetModified), which object
+// is registered under each id, and how many allocations are unsettled. Take
+// must return the registered objects whose own Info is queued and modified,
+// ascending by id and each once, and degrade exactly when a queued, modified
+// Info is not the one registered under its id or an allocation is unsettled.
+type takeModel struct {
+	tr       *ckpt.Tracker
+	view     map[uint64]*point
+	queued   map[*ckpt.Info]bool
+	queue    []*ckpt.Info
+	fresh    int
+	degraded bool
+}
+
+func (m *takeModel) enqueue(i *ckpt.Info) {
+	if i.Modified() && !m.queued[i] {
+		m.queued[i] = true
+		m.queue = append(m.queue, i)
+	}
+}
+
+func (m *takeModel) mark(p *point) {
+	p.info.Mark()
+	m.enqueue(&p.info)
+}
+
+func (m *takeModel) retire(p *point) {
+	p.info.ResetModified()
+	m.queued[&p.info] = false
+}
+
+func (m *takeModel) track(p *point, fresh bool) {
+	m.tr.Track(p)
+	m.view[p.info.ID()] = p
+	if fresh {
+		m.fresh--
+	}
+	m.enqueue(&p.info)
+}
+
+func (m *takeModel) watch(t *testing.T, roots []*point) {
+	t.Helper()
+	objs := make([]ckpt.Checkpointable, len(roots))
+	for i, p := range roots {
+		objs[i] = p
+	}
+	if err := m.tr.Watch(objs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range m.queue {
+		m.queued[i] = false
+	}
+	m.queue = m.queue[:0]
+	clear(m.view)
+	for _, p := range roots {
+		m.view[p.info.ID()] = p
+		m.queued[&p.info] = false
+	}
+	for _, p := range roots {
+		m.enqueue(&p.info)
+	}
+	m.fresh, m.degraded = 0, false
+}
+
+// take returns the dirty set the contract calls for and retires the queue.
+func (m *takeModel) take() []uint64 {
+	set := map[uint64]bool{}
+	for _, i := range m.queue {
+		m.queued[i] = false
+		if !i.Modified() {
+			continue
+		}
+		if p := m.view[i.ID()]; p == nil || &p.info != i {
+			m.degraded = true
+			continue
+		}
+		set[i.ID()] = true
+	}
+	m.queue = m.queue[:0]
+	if m.fresh > 0 {
+		m.degraded = true
+	}
+	ids := make([]uint64, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// modelIDs draws n distinct ids for a scenario's population: below 4n for a
+// dense view (crossing 2^8 or 2^16 with the population's size); spread over
+// every bit length up to idLimit-1 = 2^48-1, each byte boundary's neighbours
+// included, for a sparse one; or, for a shared one, 2^40 plus 16 random bits,
+// so that the ids agree on every byte but the low two.
+func modelIDs(rng *rand.Rand, n int, ids string) []uint64 {
+	seen := map[uint64]bool{ckpt.NilID: true}
+	var out []uint64
+	add := func(id uint64) {
+		if !seen[id] && len(out) < n {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	if ids == "sparse" {
+		for _, b := range []uint{8, 16, 32} {
+			add(1<<b - 1)
+			add(1 << b)
+		}
+		add(1<<48 - 1)
+	}
+	for len(out) < n {
+		switch ids {
+		case "dense":
+			add(uint64(rng.Intn(4 * n)))
+		case "sparse":
+			add(rng.Uint64() >> (16 + rng.Intn(48)))
+		case "shared":
+			add(1<<40 | uint64(rng.Intn(1<<16)))
+		}
+	}
+	return out
+}
+
+// TestTakeMatchesModel drives trackers through random marks, retired and
+// re-marked entries, stale entries, by-value copies Tracked in place of
+// their originals, and fresh objects (Tracked, or left unsettled), over
+// dense and sparse id spaces reaching 2^48-1, with queues on both sides of
+// the radix cutoff and of the dense-scan threshold, and checks every Take
+// and every Degraded against takeModel.
+func TestTakeMatchesModel(t *testing.T) {
+	const seed0 = 4800
+	for _, sc := range []struct {
+		name string
+		n    int
+		ids  string // modelIDs' kind; "domain": issued by a Domain, which issues the fresh objects too
+	}{
+		{"dense-2^8", 300, "dense"},
+		{"dense-2^16", 17000, "dense"},
+		{"dense-domain", 2000, "domain"},
+		{"sparse-2^48", 600, "sparse"},
+		{"sparse-shared-bytes", 600, "shared"},
+	} {
+		for s := range 3 {
+			seed := int64(seed0 + 10*s)
+			t.Run(fmt.Sprintf("%s/seed=%d", sc.name, seed), func(t *testing.T) {
+				t.Logf("seed %d", seed)
+				takeModelRounds(t, rand.New(rand.NewSource(seed)), sc.n, sc.ids)
+			})
+		}
+	}
+}
+
+func takeModelRounds(t *testing.T, rng *rand.Rand, n int, ids string) {
+	tr := ckpt.NewTracker()
+	m := &takeModel{tr: tr, view: map[uint64]*point{}, queued: map[*ckpt.Info]bool{}}
+	d := ckpt.NewDomain()
+	var roots []*point
+	domain := ids == "domain"
+	var spare []uint64 // unused ids for fresh objects
+	if domain {
+		for range n {
+			roots = append(roots, newPoint(d, 0, 0, "m"))
+		}
+	} else {
+		all := modelIDs(rng, n+n/4, ids)
+		for _, id := range all[:n] {
+			roots = append(roots, &point{info: ckpt.RestoredInfo(id)})
+		}
+		spare = all[n:]
+	}
+	m.watch(t, roots)
+	d.AttachTracker(tr)
+	m.take() // drain the construction-time flags
+	for _, o := range tr.Take() {
+		o.CheckpointInfo().ResetModified()
+	}
+
+	scan := n / 16
+	lengths := []int{1, 5, 31, 32, 33, 64, scan - 1, scan, scan + 7, 3 * scan}
+	for round := range 40 {
+		k := lengths[rng.Intn(len(lengths))]
+		var dups []*point
+		for range k {
+			p := roots[rng.Intn(len(roots))]
+			m.mark(p)
+			if rng.Intn(8) == 0 {
+				dups = append(dups, p)
+			}
+		}
+		for _, p := range dups { // retire, and usually re-mark: a duplicate entry
+			m.retire(p)
+			if rng.Intn(4) != 0 {
+				m.mark(p)
+			}
+		}
+		switch rng.Intn(10) {
+		case 0: // a by-value copy registered in place of a (maybe queued) original
+			i := rng.Intn(len(roots))
+			c := *roots[i]
+			m.queued[&c.info] = m.queued[&roots[i].info]
+			roots[i] = &c
+			m.track(&c, false)
+			if rng.Intn(2) == 0 {
+				m.mark(&c)
+			}
+		case 1, 2: // fresh objects, Tracked at once
+			for range 1 + rng.Intn(3) {
+				var p *point
+				if domain {
+					p = newPoint(d, 0, 0, "f")
+					m.fresh++
+				} else if len(spare) > 0 {
+					p = &point{info: ckpt.RestoredInfo(spare[0])}
+					p.info.SetModified()
+					spare = spare[1:]
+				} else {
+					break
+				}
+				roots = append(roots, p)
+				m.track(p, domain)
+			}
+		case 3: // an allocation left unsettled
+			if domain {
+				p := newPoint(d, 0, 0, "u")
+				m.fresh++
+				roots = append(roots, p)
+				if rng.Intn(2) == 0 {
+					m.mark(p)
+				}
+			}
+		}
+
+		want := m.take()
+		taken := tr.Take()
+		got := make([]uint64, len(taken))
+		for i, o := range taken {
+			got[i] = o.CheckpointInfo().ID()
+			if m.view[got[i]] != o {
+				t.Fatalf("round %d: Take returned an object not registered under id %d", round, got[i])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d (queue ≈ %d): Take returned %d ids, the model %d\n got %v\nwant %v",
+				round, k, len(got), len(want), got, want)
+		}
+		if tr.Degraded() != m.degraded {
+			t.Fatalf("round %d: Degraded() = %v, the model says %v", round, tr.Degraded(), m.degraded)
+		}
+		for _, o := range taken { // the fold records them
+			o.CheckpointInfo().ResetModified()
+		}
+		if m.degraded {
+			m.watch(t, roots)
+		}
 	}
 }

@@ -19,7 +19,9 @@
 # (unresolved, not unchanged).
 #
 # With T=1 the pairs are traced runs, and the table shows instead the
-# per-layer metrics of TRACED below — where a restart's time goes, the
+# per-layer metrics of TRACED below — where an epoch's write path spends its
+# time (the application's step, the fold, the cost per recorded object, the
+# write barrier, the handoff to the log), where a restart's time goes, the
 # restart's reads, and how much of it the spans leave unaccounted for
 # (bench.reconcile_err_pct, which the benchmark gates at 5 %) — with no
 # bound, so the verdict is "gain" or "-". It also counts, per side, the runs
@@ -35,11 +37,13 @@
 #   T       1 for traced pairs (default 0)
 set -euo pipefail
 
-TRACED='["stablelog.log.open_ms", "stablelog.log.recover_ms", "ckpt.rebuilder.build_ms",
+TRACED='["workload.step_ms_per_epoch", "ckpt.writer.fold_ms_per_epoch", "ckpt.writer.ns_per_recorded",
+	"ckpt.tracker.barrier_ns_per_mark", "stablelog.async.handoff_us_p50",
+	"stablelog.log.open_ms", "stablelog.log.recover_ms", "ckpt.rebuilder.build_ms",
 	"bench.reconcile_err_pct", "stablelog.fs.reads_recover", "stablelog.fs.read_bytes_recover"]'
 
 if [ $# -lt 1 ]; then
-	sed -n '2,35p' "$0" >&2
+	sed -n '2,37p' "$0" >&2
 	exit 2
 fi
 W=$1 N=${2:-10} S=${3:-30}
