@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint api-audit race cover bench bench-short bench-smoke bench-pairs size flake race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint api-audit race cover bench bench-short bench-smoke bench-pairs size surface flake race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -61,6 +61,12 @@ bench-pairs:
 # zz_*.go excluded (scripts/size.sh; pass files to count just those).
 size:
 	bash scripts/size.sh
+
+# Exported names per public package and in total, counted the one way
+# surface figures use: the func and type lines of `go doc -all`
+# (scripts/surface.sh).
+surface:
+	bash scripts/surface.sh
 
 # Race leg over the interpreter workload and the zero-copy encode substrate.
 race-interp:

@@ -172,12 +172,19 @@ func TestMultipleRootsOneBody(t *testing.T) {
 
 func TestRegistryConflicts(t *testing.T) {
 	reg := ckpt.NewRegistry()
-	if _, err := reg.Register("a", func(id uint64) ckpt.Restorable { return nil }); err != nil {
-		t.Fatal(err)
+	factory := func(id uint64) ckpt.Restorable { return nil }
+	if got := reg.MustRegister("a", factory); got != ckpt.TypeIDOf("a") {
+		t.Fatalf("MustRegister = %d, want TypeIDOf(\"a\") = %d", got, ckpt.TypeIDOf("a"))
 	}
-	if _, err := reg.Register("a", func(id uint64) ckpt.Restorable { return nil }); !errors.Is(err, ckpt.ErrTypeConflict) {
-		t.Errorf("duplicate name = %v", err)
-	}
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, ckpt.ErrTypeConflict) {
+				t.Errorf("duplicate name panicked with %v, want ErrTypeConflict", err)
+			}
+		}()
+		reg.MustRegister("a", factory)
+	}()
 	if got := reg.Name(ckpt.TypeIDOf("a")); got != "a" {
 		t.Errorf("Name = %q", got)
 	}

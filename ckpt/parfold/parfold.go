@@ -368,7 +368,8 @@ func (f *Folder) outFor() *wire.Encoder {
 func (f *Folder) ensureWorkers(n int) {
 	for len(f.pool) < n {
 		enc := wire.GetEncoder()
-		wr := ckpt.NewWriter(ckpt.WithEncoder(enc))
+		wr := ckpt.NewWriter()
+		wr.SwapEncoder(enc)
 		wr.Emitter().SetShadow(f.shadow)
 		f.pool = append(f.pool, &worker{enc: enc, wr: wr})
 	}
@@ -382,8 +383,7 @@ func (f *Folder) ensureWorkers(n int) {
 // fails outside Writer.Checkpoint).
 func (f *Folder) foldInline(mode ckpt.Mode, items []ckpt.Checkpointable, step FoldFunc) ([]byte, ckpt.Stats, error) {
 	if f.seq == nil {
-		f.seq = ckpt.NewWriter(ckpt.WithEncoder(&f.out),
-			ckpt.WithSession(f.session), ckpt.WithShadowCache(f.shadow))
+		f.seq = ckpt.NewWriter(ckpt.WithSession(f.session), ckpt.WithShadowCache(f.shadow))
 	}
 	wr := f.seq
 	wr.SwapEncoder(f.outFor())

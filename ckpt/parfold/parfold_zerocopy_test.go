@@ -212,7 +212,8 @@ func TestWorkers1SpeedupFloor(t *testing.T) {
 	drain(t, wb)
 	rootsSeq, rootsPar := wb.Roots(), wa.Roots()
 
-	wr := ckpt.NewWriter(ckpt.WithEncoder(wire.GetEncoder()))
+	wr := ckpt.NewWriter()
+	wr.SwapEncoder(wire.GetEncoder())
 	folder := parfold.NewGeneric(parfold.WithWorkers(1))
 
 	var seqBody, parBody []byte

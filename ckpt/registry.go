@@ -24,10 +24,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Register associates name (and its derived TypeID) with a factory. It
-// returns the TypeID, or ErrTypeConflict if another name hashes to the same
-// id or the name is already registered with a different factory.
-func (r *Registry) Register(name string, f Factory) (TypeID, error) {
+// register associates name (and its derived TypeID) with a factory. It
+// returns the TypeID, or ErrTypeConflict if the name, or another name that
+// hashes to the same id, is already registered.
+func (r *Registry) register(name string, f Factory) (TypeID, error) {
 	t := TypeIDOf(name)
 	if prev, ok := r.names[t]; ok {
 		return t, fmt.Errorf("%w: %q and %q share type id %d", ErrTypeConflict, prev, name, t)
@@ -37,10 +37,12 @@ func (r *Registry) Register(name string, f Factory) (TypeID, error) {
 	return t, nil
 }
 
-// MustRegister is Register, panicking on conflict. Intended for package-level
-// type catalogs built at startup, where a conflict is a programming error.
+// MustRegister associates name (and its derived TypeID) with a factory and
+// returns the TypeID. It panics with ErrTypeConflict if the name, or another
+// name that hashes to the same id, is already registered: registries are
+// built at startup, where a conflict is a programming error.
 func (r *Registry) MustRegister(name string, f Factory) TypeID {
-	t, err := r.Register(name, f)
+	t, err := r.register(name, f)
 	if err != nil {
 		panic(err)
 	}

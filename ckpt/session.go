@@ -34,18 +34,24 @@ type ClearEntry struct {
 
 // remark sets the modified flag of every object in clears — through Mark, so
 // objects registered with a Tracker are re-enqueued into its mark-queue and
-// an aborted epoch's dirty set is recaptured by the next dirty fold — and
-// reports how many entries it covered. Settle uses it when an epoch fails
-// with no session attached.
-func remark(clears []ClearEntry) int {
-	n := 0
+// an aborted epoch's dirty set is recaptured by the next dirty fold. Each
+// entry resolves through r when r is set, and through its captured Info
+// otherwise. It reports how many entries it re-marked and how many resolved
+// to nil. Settle uses it when an epoch fails with no session attached.
+func remark(clears []ClearEntry, r InfoResolver) (marked, unresolved int) {
 	for _, c := range clears {
-		if c.Info != nil {
-			c.Info.Mark()
-			n++
+		info := c.Info
+		if r != nil {
+			info = r(c.ID)
 		}
+		if info == nil {
+			unresolved++
+			continue
+		}
+		info.Mark()
+		marked++
 	}
-	return n
+	return marked, unresolved
 }
 
 // Clear-set recycling. Every epoch allocates a clear-set in Emitter.Begin
@@ -142,7 +148,7 @@ func Settle(s *Session, c *ShadowCache, epoch uint64, mode Mode, clears []ClearE
 			s.Observe(epoch, mode, clears)
 			s.Abort(epoch)
 		} else {
-			remark(clears)
+			remark(clears, nil)
 			putClears(clears)
 		}
 		return
@@ -173,10 +179,13 @@ type SessionStats struct {
 	// Commits and Aborts count resolved epochs.
 	Commits int
 	Aborts  int
-	// Remarked counts modified flags re-set by aborts.
+	// Remarked counts modified flags re-set by aborts. An aborting Ack
+	// parks its entries, so they count when the next epoch's start (or
+	// NextMode) re-marks them, not at the Ack.
 	Remarked int
 	// Unresolved counts clear-set entries no resolver could cover; each one
-	// degrades the session to a forced Full checkpoint.
+	// degrades the session to a forced Full checkpoint. Like Remarked, a
+	// parked entry counts when it is applied.
 	Unresolved int
 	// ForcedFull counts NextMode calls that upgraded a requested
 	// Incremental checkpoint to Full because the session was degraded.
@@ -212,12 +221,14 @@ type SessionStats struct {
 //
 // Session is safe for concurrent use: acknowledgements may arrive from a
 // background writer goroutine while the application encodes the next epoch.
-// One rule keeps that sound: Ack never writes an Info. The objects' flags and
-// their trackers' mark-queues belong to the application's goroutine, which
-// marks them on every write, so an aborting Ack parks its re-marks on the
-// session instead, and the application's goroutine applies them as the next
-// epoch starts: Writer.StartAt with the session attached, and parfold's
-// Fold and FoldDirty before they read a flag or take a tracker's dirty set.
+// One rule keeps that sound: Ack neither writes an Info nor calls the
+// resolver. The objects' flags, their trackers' mark-queues and the views a
+// resolver reads belong to the application's goroutine, which marks and
+// adopts objects on every write, so an aborting Ack parks its clear-set
+// entries on the session unresolved, and the application's goroutine
+// resolves and re-marks them as the next epoch starts: Writer.StartAt with
+// the session attached, parfold's Fold and FoldDirty before they read a flag
+// or take a tracker's dirty set, and NextMode before it chooses the mode.
 // While nothing is parked that costs one atomic load. Abort and AbortAll,
 // which the application calls on its own goroutine, re-mark in place.
 type Session struct {
@@ -228,9 +239,10 @@ type Session struct {
 	degraded bool
 	stats    SessionStats
 
-	// parked holds the objects whose re-marks an Ack deferred; hasParked
-	// lets the next epoch's start skip the lock while it is empty.
-	parked    []*Info
+	// parked holds the clear-set entries an Ack aborted, not yet resolved
+	// or re-marked; hasParked lets the next epoch's start skip the lock
+	// while it is empty.
+	parked    []ClearEntry
 	hasParked atomic.Bool
 }
 
@@ -408,42 +420,42 @@ func (s *Session) AbortAll() int {
 	return n
 }
 
-// abortLocked re-marks one epoch's clear-set. The re-mark goes through Mark,
-// so objects registered with a Tracker are re-enqueued and the aborted
-// epoch's dirty set is recaptured by the next dirty fold; with park, the
-// objects are parked for remarkParked instead. Callers hold s.mu.
+// abortLocked re-marks one epoch's clear-set (see remark) and returns the
+// number of objects re-marked; with park, the entries are parked unresolved
+// for remarkParked instead, and it returns 0. Callers hold s.mu.
 func (s *Session) abortLocked(ec *epochClears, park bool) int {
 	s.stats.Aborts++
 	if ec.shadow != nil {
 		ec.shadow.abortEpoch(ec.epoch)
 	}
 	n := 0
-	for _, c := range ec.clears {
-		info := c.Info
-		if s.resolver != nil {
-			info = s.resolver(c.ID)
-		}
-		if info == nil {
-			s.stats.Unresolved++
-			s.degraded = true
-			continue
-		}
-		if park {
-			s.parked = append(s.parked, info)
+	if park {
+		if len(ec.clears) > 0 {
+			s.parked = append(s.parked, ec.clears...)
 			s.hasParked.Store(true)
-		} else {
-			info.Mark()
 		}
-		n++
+	} else {
+		n = s.countRemarks(remark(ec.clears, s.resolver))
 	}
-	s.stats.Remarked += n
 	putEpochClears(ec)
 	return n
 }
 
-// remarkParked marks the objects Ack parked. It runs on the goroutine that
-// starts the next epoch — the one that owns the objects and their trackers —
-// before the body begins; while nothing is parked it is one atomic load.
+// countRemarks adds one re-mark pass to the counters, degrading the session
+// if an entry went unresolved, and returns marked. Callers hold s.mu.
+func (s *Session) countRemarks(marked, unresolved int) int {
+	s.stats.Remarked += marked
+	s.stats.Unresolved += unresolved
+	if unresolved > 0 {
+		s.degraded = true
+	}
+	return marked
+}
+
+// remarkParked resolves and re-marks the entries Ack parked. It runs on the
+// goroutine that starts the next epoch — the one that owns the objects, their
+// trackers and the resolver's view — before the body begins or the mode is
+// chosen; while nothing is parked it is one atomic load.
 func (s *Session) remarkParked() {
 	if s == nil || !s.hasParked.Load() {
 		return
@@ -453,9 +465,10 @@ func (s *Session) remarkParked() {
 	s.parked = nil
 	s.hasParked.Store(false)
 	s.mu.Unlock()
-	for _, i := range parked {
-		i.Mark()
-	}
+	marked, unresolved := remark(parked, s.resolver)
+	s.mu.Lock()
+	s.countRemarks(marked, unresolved)
+	s.mu.Unlock()
 }
 
 // Ack resolves epoch from a persistence acknowledgement: Commit on nil,
@@ -466,9 +479,9 @@ func (s *Session) remarkParked() {
 //		stablelog.WithAck(s.Ack))
 //
 // Because that callback runs on the log's goroutine, an aborting Ack writes
-// no Info: it parks the re-marks (see Session), and the next epoch's start
-// applies them on the application's goroutine, so the next epoch recaptures
-// them.
+// no Info and calls no resolver: it parks the epoch's entries (see Session),
+// and the next epoch's start resolves and re-marks them on the application's
+// goroutine, so the next epoch recaptures them.
 func (s *Session) Ack(epoch uint64, err error) {
 	if err == nil {
 		s.Commit(epoch)
@@ -488,8 +501,11 @@ func (s *Session) Degraded() bool {
 
 // NextMode returns the mode the next checkpoint must use: want, upgraded to
 // Full while the session is degraded. The degradation clears when a Full
-// epoch commits.
+// epoch commits. It first applies the re-marks an Ack parked, so an entry no
+// resolver covers degrades the session before the mode is chosen; call it on
+// the application's goroutine.
 func (s *Session) NextMode(want Mode) Mode {
+	s.remarkParked()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.degraded && want != Full {

@@ -580,3 +580,75 @@ func TestSessionAckLeavesInfosAlone(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionAckLeavesResolverAlone: the log's goroutine acks a lost epoch
+// while the application adopts new objects into the tracker whose view the
+// session's resolver reads. Ack must not call the resolver (go test -race
+// fails otherwise); the next epoch's start resolves and re-marks the lost
+// epoch's objects, and records them with the newborns.
+func TestSessionAckLeavesResolverAlone(t *testing.T) {
+	d, pts, _, tr := trackedFixture(t, 64)
+	s := ckpt.NewSession(ckpt.WithInfoResolver(tr.Resolve))
+	w := ckpt.NewWriter(ckpt.WithSession(s))
+	for _, p := range pts {
+		p.info.Mark()
+	}
+	w.Start(ckpt.Incremental)
+	if err := w.CheckpointDirty(tr, ckpt.EmitObject); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	lost := w.Epoch()
+	acked := make(chan struct{})
+	go func() {
+		defer close(acked)
+		s.Ack(lost, errors.New("dropped"))
+	}()
+	for i := range pts {
+		d.Adopt(newPoint(d, int64(100+i), 0, "newborn"))
+	}
+	<-acked
+
+	w.Start(ckpt.Incremental)
+	if err := w.CheckpointDirty(tr, ckpt.EmitObject); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(pts); stats.Recorded != want {
+		t.Errorf("the epoch after the lost one recorded %d objects, want %d (64 lost, 64 adopted)", stats.Recorded, want)
+	}
+	if st := s.Stats(); st.Aborts != 1 || st.Remarked != len(pts) || st.Unresolved != 0 {
+		t.Errorf("stats = %+v, want 1 abort re-marking %d objects", st, len(pts))
+	}
+}
+
+// TestSessionAckUnresolvedForcesFull: an entry an aborting Ack parked that
+// the resolver cannot cover degrades the session when it is applied, and
+// NextMode applies it before choosing, so the next checkpoint is Full.
+func TestSessionAckUnresolvedForcesFull(t *testing.T) {
+	_, roots := sessionFixture(2, nil)
+	s := ckpt.NewSession(ckpt.WithInfoResolver(func(uint64) *ckpt.Info { return nil }))
+	w := ckpt.NewWriter(ckpt.WithSession(s))
+	w.Start(ckpt.Incremental)
+	for _, r := range roots {
+		if err := w.Checkpoint(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	s.Ack(w.Epoch(), errors.New("dropped"))
+	if got := s.NextMode(ckpt.Incremental); got != ckpt.Full {
+		t.Fatalf("NextMode(Incremental) after an unresolvable lost epoch = %v, want Full", got)
+	}
+	if st := s.Stats(); st.Unresolved != len(roots) || st.Remarked != 0 || st.ForcedFull != 1 {
+		t.Errorf("stats = %+v, want %d unresolved, none re-marked, 1 forced full", st, len(roots))
+	}
+}

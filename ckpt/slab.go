@@ -43,6 +43,3 @@ func (s *Slab[T]) Len() int {
 	}
 	return (len(s.blocks)-1)*slabBlock + s.used
 }
-
-// Blocks returns the number of blocks backing the slab.
-func (s *Slab[T]) Blocks() int { return len(s.blocks) }

@@ -21,9 +21,6 @@ func TestSlabStableAddresses(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
-	if s.Blocks() != (n+255)/256 {
-		t.Fatalf("Blocks = %d, want %d", s.Blocks(), (n+255)/256)
-	}
 	seen := make(map[*point]bool, n)
 	for i, p := range ptrs {
 		if p.x != int64(i) {

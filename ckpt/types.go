@@ -12,7 +12,7 @@ import (
 type TypeID uint32
 
 // TypeIDOf returns the stable TypeID for a registered type name (FNV-1a of
-// the name). Registry.Register rejects colliding names.
+// the name). Registry.MustRegister rejects colliding names.
 func TypeIDOf(name string) TypeID {
 	h := fnv.New32a()
 	h.Write([]byte(name))

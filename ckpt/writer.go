@@ -69,15 +69,6 @@ func WithSession(s *Session) WriterOption {
 	return writerOptionFunc(func(w *Writer) { w.session = s })
 }
 
-// WithEncoder makes the writer encode into enc instead of an encoder of its
-// own — typically one drawn from the wire package's pool (wire.GetEncoder),
-// so short-lived writers reuse grown buffers instead of re-growing fresh
-// ones. The caller keeps ownership: bodies returned by Finish alias enc, and
-// returning enc to the pool invalidates them.
-func WithEncoder(enc *wire.Encoder) WriterOption {
-	return writerOptionFunc(func(w *Writer) { w.enc = enc })
-}
-
 // WithDeltaEncoding enables sub-object delta records: each payload larger
 // than minSize bytes is remembered in a shadow cache across epochs, and an
 // object whose payload changed a little is shipped as a copy/patch delta

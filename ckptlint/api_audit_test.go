@@ -1,7 +1,18 @@
 package ckptlint_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +31,8 @@ const (
 	// such as an anonymous one in the standard library.
 	ifaceMethod = "interface method"
 	// testOracle: tests of other packages use it as a reference or probe.
+	// The audit type-checks the module's tests to check that a _test.go
+	// file of another package names it.
 	testOracle = "test oracle"
 	// userAPI: a documented entry point for programs built on the library,
 	// exercised in this module only by tests. These are the next candidates.
@@ -30,33 +43,15 @@ const (
 // keeps, keyed "importpath.Name" or "importpath.Type.Method", with the
 // reason it stays.
 var apiAllowlist = map[string]string{
-	// The root package re-exports the core protocol for one-import programs.
-	"ickpt.Checkpointable": userAPI,
-	"ickpt.Domain":         userAPI,
-	"ickpt.Info":           userAPI,
-	"ickpt.Mode":           userAPI,
-	"ickpt.NewDomain":      userAPI,
-	"ickpt.NewRebuilder":   userAPI,
-	"ickpt.NewRegistry":    userAPI,
-	"ickpt.NewWriter":      userAPI,
-	"ickpt.Rebuilder":      userAPI,
-	"ickpt.Registry":       userAPI,
-	"ickpt.Resolver":       userAPI,
-	"ickpt.Restorable":     userAPI,
-	"ickpt.Stats":          userAPI,
-	"ickpt.Writer":         userAPI,
-
 	"ickpt/ckpt.Emitter.Emit":           userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Emitter.EmitIfModified": userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Emitter.Reset":          userAPI + ": the record step a custom driver calls",
 	"ickpt/ckpt.Rebuilder.MaxID":        testOracle + ": stablelog and tenant recovery tests",
-	"ickpt/ckpt.Registry.Register":      userAPI + ": the error-returning MustRegister",
 	"ickpt/ckpt.RootIndex.Resolve":      userAPI + ": the standard InfoResolver",
 	"ickpt/ckpt.Session.AbortAll":       userAPI + ": the custom sink's teardown (Session.Abort)",
 	"ickpt/ckpt.ShadowCache.Len":        benchCaller,
 	"ickpt/ckpt.ShadowCache.Stats":      benchCaller,
 	"ickpt/ckpt.ShadowStats":            benchCaller,
-	"ickpt/ckpt.Slab.Blocks":            userAPI + ": the arena's block count",
 	"ickpt/ckpt.Slab.Len":               userAPI + ": the arena's object count",
 	"ickpt/ckpt.Tracker.Track":          userAPI + ": the incremental alternative to Watch",
 
@@ -96,20 +91,12 @@ var apiAllowlist = map[string]string{
 	"ickpt/reflectckpt.Engine.Restore": userAPI + ": the reflective half of a Restore method",
 	"ickpt/reflectckpt.SelfDescribed":  userAPI + ": the marker a self-recording type implements",
 
-	"ickpt/spec.Catalog.Class":         userAPI + ": catalog lookup by class name",
-	"ickpt/spec.Catalog.ClassByTypeID": userAPI + ": catalog lookup",
-	"ickpt/spec.Catalog.ClassNames":    userAPI + ": catalog listing",
-	"ickpt/spec.Catalog.Register":      userAPI + ": the error-returning MustRegister",
-	"ickpt/spec.Catalog.Validate":      userAPI + ": catalog consistency check",
 	"ickpt/spec.Contradictions":        testOracle + ": analysis's inference tests",
 	"ickpt/spec.Guard.Checkpoint":      userAPI + ": the guarded plan's fold",
 	"ickpt/spec.Guard.Degraded":        userAPI + ": whether the guard fell back to the generic fold",
 	"ickpt/spec.Guard.Plan":            testOracle + ": parfold, synth and analysis tests",
 	"ickpt/spec.Guard.Violation":       testOracle + ": analysis's inference tests",
-	"ickpt/spec.Observer.Observations": userAPI + ": the observer's sample count",
 	"ickpt/spec.Observer.ObserveDirty": testOracle + ": analysis's inference tests",
-	"ickpt/spec.ParsePattern":          userAPI + ": the textual pattern syntax",
-	"ickpt/spec.Plan.Mode":             userAPI + ": the plan's checkpoint mode",
 	"ickpt/spec.Plan.PatternName":      testOracle + ": analysis's inference tests",
 	"ickpt/spec.Plan.Stats":            userAPI + ": what specialization removed",
 	"ickpt/spec.PlanStats":             userAPI + ": what specialization removed",
@@ -118,16 +105,12 @@ var apiAllowlist = map[string]string{
 	"ickpt/stablelog.EpochUnavailableError.Unwrap": ifaceMethod + ": errors.Is and errors.As",
 	"ickpt/stablelog.KeepLastRun":                  testOracle + ": tenant recovery and root integration tests",
 	"ickpt/stablelog.Log.Path":                     testOracle + ": parfold tests",
-	"ickpt/stablelog.Log.Sync":                     testOracle + ": faultfs tests",
+	"ickpt/stablelog.Log.Sync":                     userAPI + ": the fsync of a log appended to directly",
 	"ickpt/stablelog.WithQueueLimit":               benchCaller,
 	"ickpt/stablelog.WithSyncInterval":             userAPI + ": group commit by time",
 
-	"ickpt/wire.ApplyDelta":     testOracle + ": the replay oracle's delta step in ckpt's tests",
-	"ickpt/wire.DeltaBaseHash":  testOracle + ": the serial reference for DeltaBaseHash4",
-	"ickpt/wire.Decoder.Offset": testOracle + ": stablelog's framing tests",
-	"ickpt/wire.Decoder.Skip":   testOracle + ": decoder tests across packages",
-	"ickpt/wire.Decoder.Uint32": testOracle + ": stablelog's scan tests",
-	"ickpt/wire.Encoder.Uint32": testOracle + ": stablelog's scan tests",
+	"ickpt/wire.ApplyDelta":    testOracle + ": the replay oracle's delta step in ckpt's tests",
+	"ickpt/wire.DeltaBaseHash": testOracle + ": the serial reference for DeltaBaseHash4",
 }
 
 // TestAPIAudit lists every exported func, type and method of a public
@@ -153,6 +136,10 @@ func TestAPIAudit(t *testing.T) {
 	}
 	used, ifaces := references(pkgs)
 	benchUsed, _ := references(benchPkgs)
+	testUsed, err := testReferences("..")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	flagged := make(map[string]bool)
 	for _, p := range pkgs {
@@ -206,6 +193,8 @@ func TestAPIAudit(t *testing.T) {
 			t.Errorf("%s: allowlisted as a bench/ caller, but bench/ never names it", k)
 		case !strings.HasPrefix(reason, benchCaller) && benchUsed[k]:
 			t.Errorf("%s: bench/ names it: give it the %q reason", k, benchCaller)
+		case strings.HasPrefix(reason, testOracle) && !testUsed[k]:
+			t.Errorf("%s: allowlisted as a test oracle, but no other package's tests name it", k)
 		}
 		t.Logf("%-48s %s", k, reason)
 	}
@@ -214,6 +203,75 @@ func TestAPIAudit(t *testing.T) {
 			t.Errorf("%s: allowlisted, but not flagged (renamed, deleted or now called): drop the entry", k)
 		}
 	}
+}
+
+// testReferences type-checks every test package of the module rooted at
+// root — each package's test variant and its external _test package, as
+// `go list -test` describes them — and returns the names their _test.go
+// files reference in packages other than the one they test.
+func testReferences(root string) (map[string]bool, error) {
+	cmd := exec.Command("go", "list", "-e", "-test", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,ImportMap,ForTest,DepOnly,Error", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -test: %w", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export, ForTest string
+		GoFiles                          []string
+		ImportMap                        map[string]string
+		DepOnly                          bool
+		Error                            *struct{ Err string }
+	}
+	exports := make(map[string]string)
+	var tests []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listed
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		exports[lp.ImportPath] = lp.Export
+		if !lp.DepOnly && lp.ForTest != "" {
+			tests = append(tests, lp)
+		}
+	}
+
+	used := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, lp := range tests {
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		lookup := func(path string) (io.ReadCloser, error) {
+			if m, ok := lp.ImportMap[path]; ok {
+				path = m
+			}
+			return os.Open(exports[path])
+		}
+		info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+		if _, err := conf.Check(lp.ImportPath, fset, files, info); err != nil {
+			return nil, fmt.Errorf("type checking %s: %w", lp.ImportPath, err)
+		}
+		for id, obj := range info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() != lp.ForTest &&
+				strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go") {
+				used[objKey(obj)] = true
+			}
+		}
+	}
+	return used, nil
 }
 
 // knownReason reports whether reason starts with one of the four reasons.

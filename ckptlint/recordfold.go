@@ -306,14 +306,14 @@ func childPaths(ops []wireOp) string {
 
 // encoderKinds are the wire.Encoder methods that append exactly one value.
 var encoderKinds = map[string]bool{
-	"Uvarint": true, "Varint": true, "Uint32": true, "Uint64": true,
+	"Uvarint": true, "Varint": true, "Uint64": true,
 	"Float64": true, "Bool": true, "Byte": true, "String": true,
 	"BytesField": true,
 }
 
 // decoderKinds are the wire.Decoder methods that consume exactly one value.
 var decoderKinds = map[string]bool{
-	"Uvarint": true, "Varint": true, "Uint32": true, "Uint64": true,
+	"Uvarint": true, "Varint": true, "Uint64": true,
 	"Float64": true, "Bool": true, "Byte": true, "String": true,
 	"BytesField": true, "Count": true,
 }

@@ -11,9 +11,9 @@ import (
 // ckpt.Restorable can actually be rebuilt from a checkpoint:
 //
 //   - some scanned package registers a factory for the type with
-//     Registry.Register/MustRegister (otherwise rebuilding fails at restore
-//     time with ckpt.ErrUnknownType — this analyzer moves that failure to
-//     build time);
+//     Registry.MustRegister (otherwise rebuilding fails at restore time
+//     with ckpt.ErrUnknownType — this analyzer moves that failure to build
+//     time);
 //   - the registered name is a compile-time constant, so the TypeID derived
 //     from it is stable across runs and binaries;
 //   - the registered name agrees with the name the type's CheckpointTypeID
@@ -30,7 +30,7 @@ func regCheckAnalyzer() *Analyzer {
 	}
 }
 
-// registration is one Registry.Register/MustRegister call site.
+// registration is one Registry.MustRegister call site.
 type registration struct {
 	name      string // registered name ("" when not constant)
 	constName bool
@@ -118,14 +118,14 @@ func runRegCheck(pass *Pass) []Diagnostic {
 	return out
 }
 
-// collectRegistrations finds Registry.Register/MustRegister calls across
+// collectRegistrations finds Registry.MustRegister calls across
 // all loaded packages.
 func collectRegistrations(pkgs []*Package) []registration {
 	var regs []registration
 	for _, p := range pkgs {
 		if p.PkgPath == ckptPath {
-			// The runtime's own Register/MustRegister bodies forward a name
-			// parameter; they are implementation, not registrations.
+			// The runtime's own registration code forwards a name
+			// parameter; it is implementation, not a registration.
 			continue
 		}
 		for _, f := range p.Files {
@@ -135,7 +135,7 @@ func collectRegistrations(pkgs []*Package) []registration {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || (sel.Sel.Name != "Register" && sel.Sel.Name != "MustRegister") {
+				if !ok || sel.Sel.Name != "MustRegister" {
 					return true
 				}
 				tv, ok := p.Info.Types[sel.X]

@@ -198,8 +198,8 @@ func NewCatalog() *Catalog {
 	}
 }
 
-// Register adds a class and its binding. The class is copied.
-func (c *Catalog) Register(cl Class, b Binding) error {
+// register adds a class and its binding. The class is copied.
+func (c *Catalog) register(cl Class, b Binding) error {
 	if cl.Name == "" {
 		return fmt.Errorf("%w: empty class name", ErrClass)
 	}
@@ -239,25 +239,26 @@ func (c *Catalog) Register(cl Class, b Binding) error {
 	return nil
 }
 
-// MustRegister is Register, panicking on error. Intended for package-level
-// catalog construction where failure is a programming error.
+// MustRegister adds a class and its binding, copying the class. It panics on
+// an invalid class or binding: catalogs are built at package level, where
+// that is a programming error.
 func (c *Catalog) MustRegister(cl Class, b Binding) {
-	if err := c.Register(cl, b); err != nil {
+	if err := c.register(cl, b); err != nil {
 		panic(err)
 	}
 }
 
-// Class returns the registered class with the given name, or nil.
-func (c *Catalog) Class(name string) *Class { return c.classes[name] }
+// class returns the registered class with the given name, or nil.
+func (c *Catalog) class(name string) *Class { return c.classes[name] }
 
-// ClassByTypeID returns the registered class whose TypeID is t, or nil. If
+// classByTypeID returns the registered class whose TypeID is t, or nil. If
 // several classes share a type id (unusual, but legal), the first registered
 // one wins. It resolves a bag of dirty objects — a mark-queue drain — back
 // to specialization classes, for Observer.ObserveDirty and drift checking.
-func (c *Catalog) ClassByTypeID(t ckpt.TypeID) *Class { return c.byType[t] }
+func (c *Catalog) classByTypeID(t ckpt.TypeID) *Class { return c.byType[t] }
 
-// ClassNames returns the registered class names, sorted.
-func (c *Catalog) ClassNames() []string {
+// classNames returns the registered class names, sorted.
+func (c *Catalog) classNames() []string {
 	names := make([]string, 0, len(c.classes))
 	for n := range c.classes {
 		names = append(names, n)
@@ -266,12 +267,12 @@ func (c *Catalog) ClassNames() []string {
 	return names
 }
 
-// Validate checks cross-class consistency: every child class must be
+// validate checks cross-class consistency: every child class must be
 // registered, and list children must reference list-element classes.
-func (c *Catalog) Validate() error {
-	for _, name := range c.ClassNames() {
+func (c *Catalog) validate() error {
+	for _, name := range c.classNames() {
 		cl := c.classes[name]
-		for i, ch := range cl.Children {
+		for _, ch := range cl.Children {
 			sub, ok := c.classes[ch.Class]
 			if !ok {
 				return fmt.Errorf("%w: class %q child %q references unknown class %q",
@@ -280,11 +281,6 @@ func (c *Catalog) Validate() error {
 			if ch.List && sub.NextChild < 0 {
 				return fmt.Errorf("%w: class %q child %q is a list of %q, which has no next pointer",
 					ErrClass, cl.Name, ch.Name, ch.Class)
-			}
-			if i != cl.NextChild && !ch.List && ch.Class == cl.Name && cl.NextChild == -1 {
-				// Self-reference without a declared next pointer is
-				// allowed (a tree), nothing to check.
-				_ = sub
 			}
 		}
 	}
@@ -327,7 +323,7 @@ func (p *Pattern) validate(cat *Catalog) error {
 		return nil
 	}
 	for name := range p.Classes {
-		if cat.Class(name) == nil {
+		if cat.class(name) == nil {
 			return fmt.Errorf("%w: pattern %q references unknown class %q", ErrPattern, p.Name, name)
 		}
 	}
@@ -336,7 +332,7 @@ func (p *Pattern) validate(cat *Catalog) error {
 		if !ok {
 			return fmt.Errorf("%w: pattern %q: bad edge key %q", ErrPattern, p.Name, key)
 		}
-		class := cat.Class(cl)
+		class := cat.class(cl)
 		if class == nil {
 			return fmt.Errorf("%w: pattern %q references unknown class %q", ErrPattern, p.Name, cl)
 		}

@@ -119,10 +119,10 @@ func Compile(cat *Catalog, root string, pat *Pattern, opts ...CompileOption) (*P
 	for _, o := range opts {
 		o.apply(&co)
 	}
-	if cat.Class(root) == nil {
+	if cat.class(root) == nil {
 		return nil, fmt.Errorf("%w: unknown root class %q", ErrClass, root)
 	}
-	if err := cat.Validate(); err != nil {
+	if err := cat.validate(); err != nil {
 		return nil, err
 	}
 	if err := pat.validate(cat); err != nil {
@@ -154,14 +154,11 @@ func Compile(cat *Catalog, root string, pat *Pattern, opts ...CompileOption) (*P
 	for name, cl := range cat.classes {
 		p.byType[cl.TypeID] = cat.bindings[name]
 	}
-	for _, name := range cat.ClassNames() {
+	for _, name := range cat.classNames() {
 		p.classes = append(p.classes, cat.classes[name])
 	}
 	return p, nil
 }
-
-// Mode returns the checkpoint mode the plan was compiled for.
-func (p *Plan) Mode() ckpt.Mode { return p.mode }
 
 // PatternName returns the name of the pattern the plan was compiled
 // against, or "".
@@ -188,14 +185,14 @@ func (c *compiler) buildVerify(name string) *planNode {
 	if n, ok := c.vnodes[name]; ok {
 		return n
 	}
-	cl := c.cat.Class(name)
+	cl := c.cat.class(name)
 	n := &planNode{class: cl, binding: c.cat.bindings[name], action: recordNever}
 	c.vnodes[name] = n
 	for i, ch := range cl.Children {
 		if i == cl.NextChild {
 			continue
 		}
-		target := c.cat.Class(ch.Class)
+		target := c.cat.class(ch.Class)
 		n.edges = append(n.edges, planEdge{
 			childIdx:   i,
 			name:       ch.Name,
@@ -251,7 +248,7 @@ func (c *compiler) build(name string) *planNode {
 	if n, ok := c.nodes[name]; ok {
 		return n
 	}
-	cl := c.cat.Class(name)
+	cl := c.cat.class(name)
 	n := &planNode{class: cl, binding: c.cat.bindings[name]}
 	c.nodes[name] = n
 
@@ -275,7 +272,7 @@ func (c *compiler) build(name string) *planNode {
 		if c.mode != ckpt.Full {
 			mod = c.pat.childMod(name, ch.Name)
 		}
-		target := c.cat.Class(ch.Class)
+		target := c.cat.class(ch.Class)
 		isList := ch.List || target.NextChild >= 0
 		if mod == ChildUnmodified || (mod == Inherit && c.mode != ckpt.Full && c.clean[ch.Class]) {
 			c.stats.PrunedEdges++

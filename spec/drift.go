@@ -64,7 +64,7 @@ func Contradictions(cat *Catalog, claim, evidence *Pattern) []string {
 		if !ok {
 			continue
 		}
-		cl := cat.Class(class)
+		cl := cat.class(class)
 		if cl == nil {
 			continue
 		}

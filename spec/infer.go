@@ -36,8 +36,6 @@ type Observer struct {
 	// carries no per-edge facts, so every edge whose subtree can reach a
 	// bag-dirty class loses its edge-level claims.
 	bagDirty map[string]bool
-
-	observations int
 }
 
 type edgeObs struct {
@@ -48,10 +46,10 @@ type edgeObs struct {
 
 // NewObserver prepares an observer for structures of class root.
 func NewObserver(cat *Catalog, root string) (*Observer, error) {
-	if cat.Class(root) == nil {
+	if cat.class(root) == nil {
 		return nil, fmt.Errorf("%w: unknown root class %q", ErrClass, root)
 	}
-	if err := cat.Validate(); err != nil {
+	if err := cat.validate(); err != nil {
 		return nil, err
 	}
 	return &Observer{
@@ -70,13 +68,9 @@ func (o *Observer) Observe(root any) error {
 	if root == nil {
 		return nil
 	}
-	o.observations++
 	_, err := o.visit(o.root, root)
 	return err
 }
-
-// Observations returns the number of Observe calls so far.
-func (o *Observer) Observations() int { return o.observations }
 
 // ObserveDirty records a bag of dirty objects — typically a mark-queue
 // drain (ckpt.Tracker.Take) — as one observation. Where Observe walks the
@@ -92,9 +86,8 @@ func (o *Observer) Observations() int { return o.observations }
 // inferred pattern stronger than a walk would have. Objects whose type id
 // has no catalog class return ErrClass.
 func (o *Observer) ObserveDirty(objs ...ckpt.Checkpointable) error {
-	o.observations++
 	for _, obj := range objs {
-		cl := o.cat.ClassByTypeID(obj.CheckpointTypeID())
+		cl := o.cat.classByTypeID(obj.CheckpointTypeID())
 		if cl == nil {
 			return fmt.Errorf("%w: no catalog class for type id %d (%T)",
 				ErrClass, obj.CheckpointTypeID(), obj)
@@ -108,7 +101,7 @@ func (o *Observer) ObserveDirty(objs ...ckpt.Checkpointable) error {
 // visit walks an object; it reports whether the object's subtree contained
 // any dirty object.
 func (o *Observer) visit(class string, obj any) (bool, error) {
-	cl := o.cat.Class(class)
+	cl := o.cat.class(class)
 	b := o.cat.bindings[class]
 	dirty := b.Info(obj).Modified()
 	if dirty {
@@ -125,7 +118,7 @@ func (o *Observer) visit(class string, obj any) (bool, error) {
 		}
 		key := class + "." + ch.Name
 		eo := o.edges[key]
-		target := o.cat.Class(ch.Class)
+		target := o.cat.class(ch.Class)
 		isList := ch.List || target.NextChild >= 0
 		if eo == nil {
 			eo = &edgeObs{list: isList}
@@ -153,7 +146,7 @@ func (o *Observer) visit(class string, obj any) (bool, error) {
 
 // visitList walks a list edge, tracking dirty positions.
 func (o *Observer) visitList(elemClass string, head any, eo *edgeObs) (bool, error) {
-	elem := o.cat.Class(elemClass)
+	elem := o.cat.class(elemClass)
 	b := o.cat.bindings[elemClass]
 	nextIdx := elem.NextChild
 	anyDirty := false
@@ -193,7 +186,7 @@ func (o *Observer) Pattern(name string) *Pattern {
 		Classes:  make(map[string]ClassMod),
 		Children: make(map[string]ChildMod),
 	}
-	for _, cn := range o.cat.ClassNames() {
+	for _, cn := range o.cat.classNames() {
 		if !o.classDirty[cn] {
 			p.Classes[cn] = ClassUnmodified
 		}
@@ -241,7 +234,7 @@ func (o *Observer) edgeReaches(key string, hit map[string]bool) bool {
 	if !ok {
 		return false
 	}
-	cl := o.cat.Class(class)
+	cl := o.cat.class(class)
 	ch := cl.childByName(child)
 	if ch == nil {
 		return false
@@ -256,7 +249,7 @@ func (o *Observer) edgeReaches(key string, hit map[string]bool) bool {
 		if hit[name] {
 			return true
 		}
-		for _, sub := range o.cat.Class(name).Children {
+		for _, sub := range o.cat.class(name).Children {
 			if reach(sub.Class) {
 				return true
 			}

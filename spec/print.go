@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -77,4 +78,40 @@ func (p *Plan) prunedChildren(n *planNode) []string {
 		out = append(out, ch.Name)
 	}
 	return out
+}
+
+// Format renders the pattern as text, one declaration per line, classes
+// and then child edges, each in sorted order:
+//
+//	pattern bta {
+//	    class Attributes unmodified
+//	    child Root.A last-only
+//	}
+func (p *Pattern) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pattern %s {\n", p.Name)
+	for _, name := range sortedKeys(p.Classes) {
+		if p.Classes[name] == ClassUnmodified {
+			fmt.Fprintf(&b, "    class %s unmodified\n", name)
+		}
+	}
+	for _, key := range sortedKeys(p.Children) {
+		switch p.Children[key] {
+		case ChildUnmodified:
+			fmt.Fprintf(&b, "    child %s unmodified\n", key)
+		case LastElementOnly:
+			fmt.Fprintf(&b, "    child %s last-only\n", key)
+		}
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -567,6 +567,46 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
+// TestPatternFormat pins Pattern.Format's text: sorted classes, then sorted
+// child edges, MayModify and Inherit entries left out.
+func TestPatternFormat(t *testing.T) {
+	p := &spec.Pattern{
+		Name: "phase",
+		Classes: map[string]spec.ClassMod{
+			"B": spec.ClassUnmodified,
+			"C": spec.MayModify,
+			"A": spec.ClassUnmodified,
+		},
+		Children: map[string]spec.ChildMod{
+			"A.Y": spec.LastElementOnly,
+			"A.Z": spec.Inherit,
+			"A.X": spec.ChildUnmodified,
+		},
+	}
+	want := "pattern phase {\n" +
+		"    class A unmodified\n" +
+		"    class B unmodified\n" +
+		"    child A.X unmodified\n" +
+		"    child A.Y last-only\n" +
+		"}\n"
+	if got := p.Format(); got != want {
+		t.Errorf("Format() =\n%s\nwant\n%s", got, want)
+	}
+
+	obs, err := spec.NewObserver(catalog(t), "Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = "pattern empty-profile {\n" +
+		"    class Elem unmodified\n" +
+		"    class Meta unmodified\n" +
+		"    class Root unmodified\n" +
+		"}\n"
+	if got := obs.Pattern("empty-profile").Format(); got != want {
+		t.Errorf("inferred pattern Format() =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestQuickPlanAlwaysMatchesGeneric fuzzes modification patterns against
 // truthful mutations: for a randomly chosen declared pattern and mutations
 // that respect it, the specialized body must equal the generic body.

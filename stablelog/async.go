@@ -217,7 +217,7 @@ func (w *AsyncWriter) Append(mode ckpt.Mode, epoch uint64, body []byte) error {
 
 // Reserve returns an empty encoder backed by a recycled body buffer, for
 // the zero-copy encode path: point a checkpoint writer at it
-// (ckpt.Writer.SwapEncoder or ckpt.WithEncoder), let Record write the body
+// (ckpt.Writer.SwapEncoder), let Record write the body
 // straight into it, and hand it back with Submit. The encoder — and every
 // slice its Bytes returned — is owned by the AsyncWriter again after
 // Submit; Reserve recycles buffers of bodies already staged or written, so

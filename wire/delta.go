@@ -190,7 +190,7 @@ func AppendDeltaHashed(e *Encoder, base []byte, baseHash uint32, next []byte, li
 	}
 	start := e.Len()
 	e.Uvarint(uint64(n))
-	e.Uint32(baseHash)
+	e.uint32(baseHash)
 	i := 0
 	for i < n {
 		// Copy run: words for the first matchWords bytes, blocks beyond.
@@ -279,7 +279,7 @@ func DeltaLen(delta []byte) (int, error) {
 func ValidateDelta(delta []byte, baseLen int, baseHash uint32) (int, error) {
 	d := NewDecoder(delta)
 	n := int(d.Uvarint())
-	h := d.Uint32()
+	h := d.uint32()
 	if err := d.Err(); err != nil {
 		return 0, fmt.Errorf("delta header: %w", err)
 	}
@@ -303,7 +303,7 @@ func ValidateDelta(delta []byte, baseLen int, baseHash uint32) (int, error) {
 		if d.Err() != nil || l == 0 || l > uint64(n-i) {
 			return 0, fmt.Errorf("%w: delta literal run", ErrMalformed)
 		}
-		d.Skip(int(l))
+		d.skip(int(l))
 		if d.Err() != nil {
 			return 0, fmt.Errorf("%w: delta literal run", ErrTruncated)
 		}
@@ -323,7 +323,7 @@ func ValidateDelta(delta []byte, baseLen int, baseHash uint32) (int, error) {
 func ApplyValidatedDelta(dst, base, delta []byte) {
 	d := NewDecoder(delta)
 	n := int(d.Uvarint())
-	_ = d.Uint32()
+	_ = d.uint32()
 	i := 0
 	for i < n {
 		c := int(d.Uvarint())

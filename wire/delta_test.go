@@ -46,7 +46,7 @@ func refAppendDelta(e *Encoder, base []byte, baseHash uint32, next []byte, limit
 	}
 	start := e.Len()
 	e.Uvarint(uint64(n))
-	e.Uint32(baseHash)
+	e.uint32(baseHash)
 	for i := 0; i < n; {
 		c := refMatchLen(base, next, i)
 		e.Uvarint(uint64(c))

@@ -23,14 +23,14 @@ func FuzzDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d := NewDecoder(in)
 		for d.Err() == nil && d.Len() > 0 {
-			before := d.Offset()
+			before := d.off
 			d.Uvarint()
 			d.Varint()
 			d.Float64()
 			d.Bool()
 			_ = d.String()
 			_ = d.BytesField()
-			if d.Err() == nil && d.Offset() == before {
+			if d.Err() == nil && d.off == before {
 				t.Fatal("decoder made no progress without error")
 			}
 		}

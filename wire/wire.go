@@ -106,8 +106,8 @@ func (e *Encoder) Varint(v int64) {
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
-// Uint32 appends v as 4 little-endian bytes.
-func (e *Encoder) Uint32(v uint32) {
+// uint32 appends v as 4 little-endian bytes.
+func (e *Encoder) uint32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
@@ -202,9 +202,6 @@ func (d *Decoder) Err() error { return d.err }
 // Len returns the number of unread bytes.
 func (d *Decoder) Len() int { return len(d.buf) - d.off }
 
-// Offset returns the number of bytes consumed so far.
-func (d *Decoder) Offset() int { return d.off }
-
 // fail records err (if no error is pending) and returns it.
 func (d *Decoder) fail(err error) error {
 	if d.err == nil {
@@ -266,8 +263,8 @@ func (d *Decoder) Varint() int64 {
 	return 0
 }
 
-// Uint32 reads 4 little-endian bytes.
-func (d *Decoder) Uint32() uint32 {
+// uint32 reads 4 little-endian bytes.
+func (d *Decoder) uint32() uint32 {
 	if d.err != nil {
 		return 0
 	}
@@ -377,8 +374,8 @@ func (d *Decoder) Raw(n int) []byte {
 	return b
 }
 
-// Skip advances past n bytes.
-func (d *Decoder) Skip(n int) {
+// skip advances past n bytes.
+func (d *Decoder) skip(n int) {
 	if d.err != nil {
 		return
 	}

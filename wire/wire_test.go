@@ -17,7 +17,7 @@ func TestEncodeDecodeScalars(t *testing.T) {
 	e.Varint(-1)
 	e.Varint(math.MinInt64)
 	e.Varint(math.MaxInt64)
-	e.Uint32(0xdeadbeef)
+	e.uint32(0xdeadbeef)
 	e.Uint64(0x0123456789abcdef)
 	e.Float64(-3.5)
 	e.Bool(true)
@@ -49,7 +49,7 @@ func TestEncodeDecodeScalars(t *testing.T) {
 	if got := d.Varint(); got != math.MaxInt64 {
 		t.Errorf("Varint = %d, want MaxInt64", got)
 	}
-	if got := d.Uint32(); got != 0xdeadbeef {
+	if got := d.uint32(); got != 0xdeadbeef {
 		t.Errorf("Uint32 = %#x", got)
 	}
 	if got := d.Uint64(); got != 0x0123456789abcdef {
@@ -186,12 +186,12 @@ func TestRawAndSkip(t *testing.T) {
 	e := NewEncoder(8)
 	e.Raw([]byte{1, 2, 3, 4})
 	d := NewDecoder(e.Bytes())
-	d.Skip(2)
+	d.skip(2)
 	got := d.Raw(2)
 	if !bytes.Equal(got, []byte{3, 4}) {
 		t.Errorf("Raw = %v", got)
 	}
-	d.Skip(1)
+	d.skip(1)
 	if !errors.Is(d.Err(), ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", d.Err())
 	}
