@@ -72,7 +72,7 @@ surface:
 race-interp:
 	$(GO) test -race -count=1 ./internal/interp/ ./ckpt/ ./wire/ ./stablelog/
 
-# Race leg over the multi-tenant service, its scheduler, and the parallel
+# Race leg over the multi-tenant service, its admission queue, and the parallel
 # fold (includes the shared-log fault sweeps in difftest, and the dirty fold
 # racing one shared reflection engine: TestFoldDirtySharedReflectEngine).
 race-tenant:

@@ -39,3 +39,6 @@ func (c *ShadowCache) CommittedBase(id uint64) []byte {
 // Advance exposes Domain.advance, which only Build calls, to the id-space
 // tests.
 func (d *Domain) Advance(id uint64) { d.advance(id) }
+
+// Len returns the number of objects registered in the tracker's view.
+func (t *Tracker) Len() int { return t.view.Len() }

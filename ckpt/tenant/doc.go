@@ -19,11 +19,10 @@
 // segment table once and then touches only each tenant's own chain,
 // O(segments) in total rather than O(tenants × segments).
 //
-// Scheduling is smallest-dirty-first: a tenant with three dirty objects
-// checkpoints before one with three thousand, minimizing mean epoch latency
-// across tenants, with an anti-starvation aging rule — a request passed over
-// by four pops per worker is taken next regardless of size — bounding the
-// tail.
+// Scheduling is first come, first served: workers fold tenants in the order
+// their requests were admitted. A tenant is queued at most once (a request
+// for a queued tenant coalesces), so a request waits behind at most one fold
+// per other tenant, whatever the sizes of their dirty sets.
 //
 // Admission control bounds the pending-fold queue. Tenant.Request applies
 // backpressure (blocks until the pool drains); Tenant.TryRequest sheds

@@ -49,7 +49,7 @@ func WithRetry(n int, backoff time.Duration) Option {
 }
 
 // Manager owns the shared half of the multi-tenant checkpoint service: the
-// fold worker pool, the admission scheduler, and the AsyncWriter
+// fold worker pool, the admission queue, and the AsyncWriter
 // multiplexing every tenant's epochs onto one log. See the package comment
 // for the architecture and locking contract.
 type Manager struct {
@@ -67,7 +67,10 @@ type Manager struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	tenants map[uint32]*Tenant
-	queue   schedQueue
+	// queue holds admitted folds in admission order, served first come,
+	// first served. Tenant.queued keeps a tenant in it at most once, so a
+	// request waits behind at most one fold per other tenant.
+	queue   []*Tenant
 	running int // folds currently executing on workers
 	closed  bool
 	wg      sync.WaitGroup
@@ -95,10 +98,6 @@ func NewManager(log *stablelog.Log, opts ...Option) *Manager {
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
-	// Anti-starvation: once the oldest pending request has waited four pops
-	// per worker, it is scheduled next regardless of its dirty-set size.
-	m.queue.agingLimit = uint64(4 * m.workers)
-
 	awOpts := []stablelog.AsyncOption{stablelog.WithAck(m.ack)}
 	if m.syncEvery > 0 {
 		awOpts = append(awOpts, stablelog.WithSyncEvery(m.syncEvery))
@@ -131,11 +130,11 @@ func (m *Manager) Tenant(id uint32) *Tenant {
 // admit enqueues a fold request for t. block selects backpressure (wait for
 // space) over shedding (errShed); force bypasses the bound entirely (retry
 // folds).
-func (m *Manager) admit(t *Tenant, weight int, block, force bool) error {
+func (m *Manager) admit(t *Tenant, block, force bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !force && m.queueLimit > 0 {
-		for m.queue.Len() >= m.queueLimit && !m.closed {
+		for len(m.queue) >= m.queueLimit && !m.closed {
 			if !block {
 				return errShed
 			}
@@ -145,25 +144,26 @@ func (m *Manager) admit(t *Tenant, weight int, block, force bool) error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.queue.Push(t, weight)
+	m.queue = append(m.queue, t)
 	m.cond.Broadcast()
 	return nil
 }
 
-// worker is one shared fold goroutine: pop the scheduler's next tenant,
-// fold it, repeat. Workers drain the queue before exiting on Close.
+// worker is one shared fold goroutine: pop the longest-waiting tenant, fold
+// it, repeat. Workers drain the queue before exiting on Close.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		for m.queue.Len() == 0 && !m.closed {
+		for len(m.queue) == 0 && !m.closed {
 			m.cond.Wait()
 		}
-		if m.queue.Len() == 0 {
+		if len(m.queue) == 0 {
 			m.mu.Unlock()
 			return
 		}
-		t := m.queue.Pop()
+		t := m.queue[0]
+		m.queue = m.queue[1:]
 		m.running++
 		m.mu.Unlock()
 
@@ -204,7 +204,7 @@ func (m *Manager) ack(wire uint64, err error) {
 func (m *Manager) Flush() error {
 	for {
 		m.mu.Lock()
-		for (m.queue.Len() > 0 || m.running > 0) && !m.closed {
+		for (len(m.queue) > 0 || m.running > 0) && !m.closed {
 			m.cond.Wait()
 		}
 		m.mu.Unlock()
@@ -214,7 +214,7 @@ func (m *Manager) Flush() error {
 		// Acks may have re-marked and retried; only a pass that stays
 		// quiet on both sides is a real drain.
 		m.mu.Lock()
-		quiet := m.queue.Len() == 0 && m.running == 0
+		quiet := len(m.queue) == 0 && m.running == 0
 		m.mu.Unlock()
 		if quiet {
 			return nil

@@ -67,7 +67,6 @@ type Tenant struct {
 	m  *Manager
 
 	mu        sync.Mutex
-	domain    *ckpt.Domain
 	tracker   *ckpt.Tracker
 	session   *ckpt.Session
 	wr        *ckpt.Writer // attached to session; t.mu serialises its folds
@@ -75,7 +74,7 @@ type Tenant struct {
 	emit      ckpt.EmitOne
 	epoch     uint64 // local; wire epochs add the tenant id
 	forceFull bool
-	queued    bool // a request is pending in the scheduler (coalescing)
+	queued    bool // a request is pending in the manager's queue (coalescing)
 	stats     Stats
 }
 
@@ -101,7 +100,6 @@ func (t *Tenant) Init(domain *ckpt.Domain, emit ckpt.EmitOne, roots ...ckpt.Chec
 	if domain != nil {
 		domain.AttachTracker(tr)
 	}
-	t.domain = domain
 	t.tracker = tr
 	t.session = ckpt.NewSession(ckpt.WithInfoResolver(tr.Resolve))
 	t.wr = ckpt.NewWriter(ckpt.WithSession(t.session))
@@ -119,16 +117,6 @@ func (t *Tenant) Update(fn func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fn()
-}
-
-// Dirty returns the current dirty-set size.
-func (t *Tenant) Dirty() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.tracker == nil {
-		return 0
-	}
-	return t.tracker.Dirty()
 }
 
 // Stats returns a snapshot of the tenant's counters.
@@ -177,12 +165,7 @@ func (t *Tenant) request(block bool) error {
 		t.mu.Unlock()
 		return ErrNotInitialized
 	}
-	weight := t.tracker.Dirty()
-	need := weight > 0 || t.forceFull || t.tracker.Degraded() || t.session.Degraded()
-	if t.forceFull || t.tracker.Degraded() {
-		// A Full anchor's cost scales with the live set, not the dirty set.
-		weight = t.tracker.Len()
-	}
+	need := t.tracker.Dirty() > 0 || t.forceFull || t.tracker.Degraded() || t.session.Degraded()
 	if !need || t.queued {
 		t.stats.Coalesced++
 		t.mu.Unlock()
@@ -191,7 +174,7 @@ func (t *Tenant) request(block bool) error {
 	t.queued = true
 	t.mu.Unlock()
 
-	err := t.m.admit(t, weight, block, false)
+	err := t.m.admit(t, block, false)
 	if err != nil {
 		t.mu.Lock()
 		t.queued = false
@@ -216,12 +199,8 @@ func (t *Tenant) retryRequest() {
 	}
 	t.queued = true
 	t.stats.Retried++
-	weight := t.tracker.Dirty()
-	if t.forceFull || t.tracker.Degraded() || t.session.Degraded() {
-		weight = t.tracker.Len()
-	}
 	t.mu.Unlock()
-	if err := t.m.admit(t, weight, false, true); err != nil {
+	if err := t.m.admit(t, false, true); err != nil {
 		// Manager closed: the abort already re-marked the state; the next
 		// process's Full anchor recaptures it.
 		t.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,6 +241,52 @@ func (g *gate) Fold(w *ckpt.Writer) error {
 		<-g.release
 	}
 	return nil
+}
+
+// TestFoldsFirstComeFirstServed: the manager folds tenants in the order
+// their requests were admitted, whatever their size — a large tenant that
+// asked first is not passed over for a small one that asked later.
+func TestFoldsFirstComeFirstServed(t *testing.T) {
+	lg := newLog(t)
+	m := tenant.NewManager(lg, tenant.WithWorkers(1), tenant.WithSyncEvery(1))
+	defer m.Close()
+
+	g := &gate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	blocker := m.Tenant(1)
+	gd := ckpt.NewDomain()
+	g.info = ckpt.NewInfo(gd)
+	if err := blocker.Init(gd, nil, g); err != nil {
+		t.Fatalf("init blocker: %v", err)
+	}
+	large, small := m.Tenant(2), m.Tenant(3)
+	initSynth(t, large, 20, 1)
+	initSynth(t, small, 2, 2)
+
+	// Pin the worker in the blocker's fold, then queue the large tenant's
+	// anchor ahead of the small one's.
+	g.armed.Store(true)
+	if err := blocker.Request(); err != nil {
+		t.Fatalf("blocker request: %v", err)
+	}
+	<-g.entered
+	for _, tn := range []*tenant.Tenant{large, small} {
+		if err := tn.Request(); err != nil {
+			t.Fatalf("tenant %d request: %v", tn.ID(), err)
+		}
+	}
+	close(g.release)
+	if err := m.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+
+	var order []uint32
+	for _, seg := range lg.Segments() {
+		id, _ := tenant.SplitEpoch(seg.Epoch)
+		order = append(order, id)
+	}
+	if want := []uint32{1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("segments by tenant = %v, want %v (admission order)", order, want)
+	}
 }
 
 // TestTryRequestShedsToFull: with the worker pinned and the queue full,

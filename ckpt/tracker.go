@@ -465,9 +465,6 @@ func (t *Tracker) Degraded() bool { return t.degraded }
 // Stale entries (flag since cleared) are counted until Take drops them.
 func (t *Tracker) Dirty() int { return len(t.queue) }
 
-// Len returns the number of objects registered in the tracker's view.
-func (t *Tracker) Len() int { return t.view.Len() }
-
 // Resolve returns the Info of the registered object with the given id, or
 // nil. Its signature matches InfoResolver, so a tracker doubles as a
 // session's resolver: ckpt.NewSession(ckpt.WithInfoResolver(t.Resolve)).

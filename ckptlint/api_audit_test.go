@@ -80,10 +80,9 @@ var apiAllowlist = map[string]string{
 	"ickpt/ckpt/tenant.SplitEpoch":        testOracle + ": difftest's tenant sweep",
 	"ickpt/ckpt/tenant.WireEpoch":         testOracle + ": stablelog, ckptinspect and difftest tests",
 	"ickpt/ckpt/tenant.WithRetry":         testOracle + ": difftest's fault and tenant sweeps",
-	"ickpt/ckpt/tenant.Tenant.Dirty":      userAPI + ": the tenant's pending mark count",
 	"ickpt/ckpt/tenant.Tenant.ID":         userAPI + ": the tenant's stream id",
 	"ickpt/ckpt/tenant.Tenant.TryRequest": userAPI + ": the shedding form of Request",
-	"ickpt/ckpt/tenant.WithQueueLimit":    userAPI + ": the scheduler's admission bound",
+	"ickpt/ckpt/tenant.WithQueueLimit":    userAPI + ": the admission queue's bound",
 	"ickpt/ckpt/tenant.WithWorkers":       userAPI + ": the fold pool size",
 
 	"ickpt/ckptlint.Pass": userAPI + ": the argument of a custom Analyzer's Run",

@@ -74,7 +74,7 @@ type AsyncWriter struct {
 	failing bool
 	err     error
 	closed  bool
-	parked  int // producers waiting in push
+	parked  int // producers waiting in push; only tests read it (Parked)
 	stats   AsyncStats
 	done    chan struct{}
 
